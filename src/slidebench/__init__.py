@@ -36,7 +36,6 @@ from .masks import (
     METHOD_OTSU,
     TISSUE_METHODS,
     BinaryMask,
-    BoundingBox,
     luma,
     otsu_threshold,
     rasterize,
@@ -102,85 +101,3 @@ from .synth import (
     read_truth_table,
     slide_name,
 )
-
-__all__ = [
-    "__version__",
-    "Annotation",
-    "AnnotationSet",
-    "BinaryMask",
-    "BoundingBox",
-    "ConfigError",
-    "ConfusionCounts",
-    "CorruptionSpec",
-    "CoteachConfig",
-    "DegenerateHistogramError",
-    "DegeneratePolygonWarning",
-    "DivergenceError",
-    "FormatError",
-    "GeometryError",
-    "LeaderboardEntry",
-    "METHOD_GRAY200",
-    "METHOD_OTSU",
-    "NoInformationError",
-    "PairedSample",
-    "PixelBatch",
-    "ProbabilityMap",
-    "PyramidLevel",
-    "SignedRankResult",
-    "SlidePyramid",
-    "SlideScore",
-    "SlidebenchError",
-    "TISSUE_METHODS",
-    "SynthConfig",
-    "TeamReport",
-    "TileRecord",
-    "TilingConfig",
-    "ValidationError",
-    "aggregate",
-    "big_patch_nine",
-    "binarize",
-    "build_pyramid",
-    "confusion",
-    "corrupt_prediction",
-    "coteach_step",
-    "dice",
-    "emit_manifest",
-    "evaluate_team",
-    "extract_tiles",
-    "fuse_mean",
-    "fuse_vote",
-    "generate_challenge",
-    "generate_slide",
-    "group_compare",
-    "level_dimensions",
-    "luma",
-    "noise_benchmark",
-    "otsu_threshold",
-    "parse_annotations",
-    "pixel_features",
-    "rank_teams",
-    "rasterize",
-    "read_manifest",
-    "read_mask",
-    "read_probability_map",
-    "read_pyramid",
-    "read_report",
-    "read_subtypes",
-    "report_aggregates",
-    "read_truth_table",
-    "rebalance_mix",
-    "refine_labels",
-    "render_leaderboard",
-    "score_slide",
-    "serialize_annotations",
-    "slide_name",
-    "tissue_mask",
-    "train",
-    "train_single",
-    "wilcoxon_signed_rank",
-    "write_mask",
-    "write_probability_map",
-    "write_pyramid",
-    "write_report",
-    "write_scores_csv",
-]

@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .coteach import noise_benchmark, parse_config, train, write_history
-from .coteach import CoteachConfig, make_noise_benchmark
+from .coteach import NOISE_BENCHMARK_CONFIG, make_noise_benchmark, noise_benchmark
+from .coteach import parse_config, train, write_history
 from .ensemble import (
     binarize,
     fuse_mean,
@@ -43,7 +44,7 @@ from .synth import (
     read_subtypes,
 )
 from .tiling import RULE_THRESHOLD75, RULES, TilingConfig, emit_manifest, extract_tiles
-from .tiling import read_manifest, rebalance_mix
+from .tiling import rebalance_mix
 
 
 def _parse_team(text: str, default_seed: int) -> tuple[str, CorruptionSpec]:
@@ -172,21 +173,10 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
 def cmd_coteach(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    base = parse_config(args.config) if args.config else None
-    results = []
-    for seed in range(args.seeds):
-        cfg = None
-        if base is not None:
-            cfg = CoteachConfig(
-                eta=base.eta, t_max=base.t_max, n_max=base.n_max,
-                tau=base.tau, ramp_epochs=base.ramp_epochs, seed=seed,
-            )
-        results.append(noise_benchmark(seed, cfg))
-    cfg0 = base if base is not None else CoteachConfig(
-        eta=3.0, t_max=150, n_max=4, tau=0.3, ramp_epochs=10, seed=0
-    )
+    base = parse_config(args.config) if args.config else NOISE_BENCHMARK_CONFIG
+    results = [noise_benchmark(seed, replace(base, seed=seed)) for seed in range(args.seeds)]
     train_set, _, _ = make_noise_benchmark(0)
-    _, _, history = train(train_set, cfg0, use_agreement=False)
+    _, _, history = train(train_set, base, use_agreement=False)
     write_history(history, out / "history.csv")
     wins = sum(r["coteach_accuracy"] >= r["single_accuracy"] for r in results)
     summary = {"runs": results, "coteach_at_least_single": wins, "seeds": args.seeds}

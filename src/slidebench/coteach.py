@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +53,10 @@ class CoteachConfig:
             raise ValidationError(f"ramp_epochs must be >= 1, got {self.ramp_epochs}")
 
 
+# settings of the noisy-label benchmark; ``noise_benchmark`` and the CLI copy it per seed
+NOISE_BENCHMARK_CONFIG = CoteachConfig(eta=3.0, t_max=150, n_max=4, tau=0.3, ramp_epochs=10)
+
+
 @dataclass
 class PixelBatch:
     """Per-pixel feature rasters and a binary label raster."""
@@ -70,10 +74,6 @@ class PixelBatch:
                 f"do not match features {self.features.shape[:2]}"
             )
 
-    @property
-    def n_pixels(self) -> int:
-        return self.labels.size
-
     def flat(self) -> tuple[np.ndarray, np.ndarray]:
         d = self.features.shape[2]
         return self.features.reshape(-1, d), self.labels.reshape(-1).astype(np.float64)
@@ -82,7 +82,6 @@ class PixelBatch:
 @dataclass
 class LearnerState:
     w: np.ndarray  # (d,) float64
-    loss_history: list[float] = field(default_factory=list)
 
     def validate(self) -> None:
         if self.w.ndim != 1:
@@ -296,8 +295,8 @@ def train(
                 "selected_fraction": float(np.mean(fracs)),
             }
         )
-    sf = LearnerState(wf, [h["loss_f"] for h in history])
-    sg = LearnerState(wg, [h["loss_g"] for h in history])
+    sf = LearnerState(wf)
+    sg = LearnerState(wg)
     sf.validate()
     sg.validate()
     return sf, sg, history
@@ -322,28 +321,9 @@ def train_single(dataset: list[PixelBatch], cfg: CoteachConfig) -> tuple[Learner
             w, _ = _update(w, None, X, y, cfg.eta)
             losses.append(batch_loss(w, batch))
         history.append({"epoch": epoch, "loss": float(np.mean(losses))})
-    state = LearnerState(w, [h["loss"] for h in history])
+    state = LearnerState(w)
     state.validate()
     return state, history
-
-
-def gradient_check(w: np.ndarray, batch: PixelBatch, step: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients."""
-    batch.validate()
-    X, y = batch.flat()
-    analytic = _gradient(w, X, y)
-
-    def loss_at(v: np.ndarray) -> float:
-        return float(np.mean(pixel_losses(v, X, y)))
-
-    worst = 0.0
-    for k in range(len(w)):
-        e = np.zeros_like(w)
-        e[k] = step
-        numeric = (loss_at(w + e) - loss_at(w - e)) / (2.0 * step)
-        denom = max(abs(analytic[k]), abs(numeric), 1e-8)
-        worst = max(worst, abs(analytic[k] - numeric) / denom)
-    return worst
 
 
 def write_history(history: list[dict], path: str | Path) -> None:
@@ -456,7 +436,7 @@ def noise_benchmark(seed: int, cfg: CoteachConfig | None = None) -> dict:
     :func:`train`).
     """
     if cfg is None:
-        cfg = CoteachConfig(eta=3.0, t_max=150, n_max=4, tau=0.3, ramp_epochs=10, seed=seed)
+        cfg = replace(NOISE_BENCHMARK_CONFIG, seed=seed)
     train_set, test_set, clean_labels = make_noise_benchmark(seed)
     sf, sg, history = train(train_set, cfg, use_agreement=False)
     single, _ = train_single(train_set, cfg)

@@ -186,29 +186,3 @@ def render_leaderboard(entries: list[LeaderboardEntry], fmt: str = "text") -> st
             out.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
         return "\n".join(out) + "\n"
     raise ValidationError(f"unknown leaderboard format {fmt!r}")
-
-
-def render_aggregates(aggs, fmt: str = "text") -> str:
-    """Render aggregate rows (e.g. per-subtype Dice) with mean-and-spread cells."""
-    if fmt == "csv":
-        lines = ["key,mean,std,n"]
-        for a in aggs:
-            lines.append(f"{a.key},{a.mean:.4f},{a.std:.4f},{a.n}")
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        payload = [
-            {"key": a.key, "mean": a.mean, "std": a.std, "n": a.n,
-             "dice": format_mean_std(a.mean, a.std)}
-            for a in aggs
-        ]
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "text":
-        rows = [(a.key, format_mean_std(a.mean, a.std), str(a.n)) for a in aggs]
-        header = ("Group", "Dice", "N")
-        widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-                  for i, h in enumerate(header)]
-        out = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-        for r in rows:
-            out.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-        return "\n".join(out) + "\n"
-    raise ValidationError(f"unknown aggregate format {fmt!r}")

@@ -74,28 +74,6 @@ class BinaryMask:
             raise ValidationError(f"mask for {self.slide_id}: negative level {self.level}")
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned box in level-local pixels, inclusive-exclusive."""
-
-    x0: int
-    y0: int
-    x1: int
-    y1: int
-
-    def validate(self, width: int, height: int) -> None:
-        if not (0 <= self.x0 < self.x1 <= width and 0 <= self.y0 < self.y1 <= height):
-            raise GeometryError(f"box {self} out of range for {width}x{height}")
-
-    @property
-    def width(self) -> int:
-        return self.x1 - self.x0
-
-    @property
-    def height(self) -> int:
-        return self.y1 - self.y0
-
-
 _LUMA_CHUNK_PIXELS = 1 << 24
 
 
@@ -254,43 +232,6 @@ def refine_labels(gt: BinaryMask, tissue: BinaryMask) -> BinaryMask:
             f"tissue is level {tissue.level} {tissue.data.shape}"
         )
     return BinaryMask(gt.slide_id, gt.level, gt.data & tissue.data, ROLE_REFINED)
-
-
-def crop(mask: BinaryMask, box: BoundingBox) -> BinaryMask:
-    """Exact sub-raster of a mask."""
-    box.validate(mask.width, mask.height)
-    sub = mask.data[box.y0 : box.y1, box.x0 : box.x1].copy()
-    return BinaryMask(mask.slide_id, mask.level, sub, mask.role)
-
-
-def bounding_box(mask: BinaryMask) -> BoundingBox | None:
-    """Tight bounding box of the set pixels, or None for an empty mask."""
-    ys, xs = np.nonzero(mask.data)
-    if ys.size == 0:
-        return None
-    return BoundingBox(int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1)
-
-
-def normalize_colors(image: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Match per-channel mean/std of ``image`` to a reference tile.
-
-    A zero-variance channel is mapped to the reference mean. Only applied
-    when explicitly requested by a pipeline; no operation calls this
-    implicitly.
-    """
-    img = np.asarray(image, dtype=np.float64)
-    ref = np.asarray(reference, dtype=np.float64)
-    if img.ndim != 3 or img.shape[2] != 3 or ref.ndim != 3 or ref.shape[2] != 3:
-        raise GeometryError("normalize_colors expects (h, w, 3) rasters")
-    out = np.empty_like(img)
-    for c in range(3):
-        mu, sigma = img[..., c].mean(), img[..., c].std()
-        mu_r, sigma_r = ref[..., c].mean(), ref[..., c].std()
-        if sigma == 0.0:
-            out[..., c] = mu_r
-        else:
-            out[..., c] = (img[..., c] - mu) / sigma * sigma_r + mu_r
-    return np.rint(np.clip(out, 0, 255)).astype(np.uint8)
 
 
 def write_mask(mask: BinaryMask, path: str | Path) -> None:

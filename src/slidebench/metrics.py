@@ -1,8 +1,10 @@
 """Segmentation scoring: confusion counts, Dice, accuracy, FNR, FPR.
 
 All counting is exact 64-bit integer arithmetic up to the final division.
-Confusion counting parallelizes over row bands and merges by integer
-addition, so results are identical for any worker count.
+``confusion`` is one in-process tally; ``evaluate_team`` parallelizes over
+slides, one slide per chunk, and keeps sorted slide order, so reports are
+identical for any worker count. Elsewhere, synthesis parallelizes per slide
+and tiling per band of tile rows.
 """
 from __future__ import annotations
 
@@ -51,11 +53,6 @@ class ConfusionCounts:
     def empty_pair(self) -> bool:
         """Both masks empty over the evaluated region."""
         return 2 * self.tp + self.fp + self.fn == 0
-
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.tp + other.tp, self.fp + other.fp, self.fn + other.fn, self.tn + other.tn
-        )
 
 
 @dataclass(frozen=True)
@@ -106,30 +103,8 @@ class TeamReport:
         return float(np.mean([getattr(s, metric) for s in self.scores]))
 
 
-def _band_confusion(band: tuple[int, int]) -> tuple[int, int, int, int]:
-    y0, y1 = band
-    gt = parallel.shared_get("metrics.gt")[y0:y1]
-    pred = parallel.shared_get("metrics.pred")[y0:y1]
-    region = parallel.shared_get("metrics.region")
-    if region is not None:
-        m = region[y0:y1]
-        tp = int(np.count_nonzero(gt & pred & m))
-        fp = int(np.count_nonzero(~gt & pred & m))
-        fn = int(np.count_nonzero(gt & ~pred & m))
-        tn = int(np.count_nonzero(m)) - tp - fp - fn
-    else:
-        tp = int(np.count_nonzero(gt & pred))
-        fp = int(np.count_nonzero(~gt & pred))
-        fn = int(np.count_nonzero(gt & ~pred))
-        tn = gt.size - tp - fp - fn
-    return tp, fp, fn, tn
-
-
 def confusion(
-    gt: BinaryMask,
-    pred: BinaryMask,
-    region: BinaryMask | None = None,
-    workers: int | None = None,
+    gt: BinaryMask, pred: BinaryMask, region: BinaryMask | None = None
 ) -> ConfusionCounts:
     """Exact pixel confusion counts, optionally restricted to a region mask."""
     if gt.level != pred.level or gt.data.shape != pred.data.shape:
@@ -142,22 +117,13 @@ def confusion(
             f"confusion: region is level {region.level} {region.data.shape}, "
             f"gt is level {gt.level} {gt.data.shape}"
         )
-    h = gt.height
-    n_workers = parallel.resolve_workers(workers)
-    n_bands = max(1, min(h, n_workers * 4))
-    edges = np.linspace(0, h, n_bands + 1, dtype=int)
-    bands = [(int(edges[i]), int(edges[i + 1])) for i in range(n_bands)]
-    shared = {
-        "metrics.gt": gt.data,
-        "metrics.pred": pred.data,
-        "metrics.region": region.data if region is not None else None,
-    }
-    parts = parallel.run_chunks(_band_confusion, bands, workers=n_workers, shared=shared)
-    tp = sum(p[0] for p in parts)
-    fp = sum(p[1] for p in parts)
-    fn = sum(p[2] for p in parts)
-    tn = sum(p[3] for p in parts)
-    return ConfusionCounts(tp, fp, fn, tn)
+    g, p, total = gt.data, pred.data, gt.data.size
+    if region is not None:
+        g, p, total = g & region.data, p & region.data, region.count
+    tp = int(np.count_nonzero(g & p))
+    fp = int(np.count_nonzero(p)) - tp
+    fn = int(np.count_nonzero(g)) - tp
+    return ConfusionCounts(tp, fp, fn, total - tp - fp - fn)
 
 
 def dice(c: ConfusionCounts) -> float:
@@ -225,7 +191,7 @@ def aggregate(
         for s in scores:
             groups.setdefault(s.subtype, []).append(s)
     else:
-        raise ValidationError(f"unknown grouping {group_by!r} (use aggregate_teams for teams)")
+        raise ValidationError(f"unknown grouping {group_by!r} (use 'none' or 'subtype')")
     out = []
     for key in sorted(groups):
         values = np.array([getattr(s, metric) for s in groups[key]], dtype=np.float64)
@@ -235,19 +201,17 @@ def aggregate(
     return out
 
 
-def aggregate_teams(reports: list["TeamReport"], metric: str = "dice") -> list[AggregateScore]:
-    """One aggregate per team, in lexicographic team order."""
-    if not reports:
-        raise ValidationError("aggregate_teams: no reports")
-    out = []
-    for rep in sorted(reports, key=lambda r: r.team):
-        values = np.array([getattr(s, metric) for s in rep.scores], dtype=np.float64)
-        if values.size == 0:
-            raise ValidationError(f"report for {rep.team!r} has no scores")
-        agg = AggregateScore(rep.team, float(values.mean()), float(values.std()), len(values))
-        agg.validate()
-        out.append(agg)
-    return out
+def _score_slide(slide_id: str) -> SlideScore:
+    g = parallel.shared_get("metrics.gt")[slide_id]
+    p = parallel.shared_get("metrics.pred")[slide_id]
+    if p.level > g.level:
+        p = upsample_mask(p, g.level, g.width, g.height)
+    elif p.level < g.level:
+        raise GeometryError(
+            f"{slide_id}: prediction level {p.level} finer than ground truth {g.level}"
+        )
+    subtype = parallel.shared_get("metrics.subtypes").get(slide_id, SUBTYPE_UNKNOWN)
+    return score_slide(slide_id, confusion(g, p), subtype)
 
 
 def evaluate_team(
@@ -255,32 +219,21 @@ def evaluate_team(
     gt: dict[str, BinaryMask],
     pred: dict[str, BinaryMask],
     subtypes: dict[str, str] | None = None,
-    region: dict[str, BinaryMask] | None = None,
     workers: int | None = None,
 ) -> TeamReport:
     """Score one team's predictions against ground truth, slide by slide.
 
     Predictions at a coarser level than the ground truth are upsampled by
-    nearest-neighbor first. Slides are scored in sorted id order.
+    nearest-neighbor first. Slides are scored in sorted id order, one slide
+    per chunk on ``workers`` processes.
     """
     if not gt:
         raise ValidationError("evaluate_team: no ground-truth masks")
     missing = sorted(set(gt) - set(pred))
     if missing:
         raise ValidationError(f"team {team!r} is missing predictions for: {', '.join(missing)}")
-    scores = []
-    for slide_id in sorted(gt):
-        g = gt[slide_id]
-        p = pred[slide_id]
-        if p.level > g.level:
-            p = upsample_mask(p, g.level, g.width, g.height)
-        elif p.level < g.level:
-            raise GeometryError(
-                f"{slide_id}: prediction level {p.level} finer than ground truth {g.level}"
-            )
-        c = confusion(g, p, region.get(slide_id) if region else None, workers=workers)
-        subtype = (subtypes or {}).get(slide_id, SUBTYPE_UNKNOWN)
-        scores.append(score_slide(slide_id, c, subtype))
+    shared = {"metrics.gt": gt, "metrics.pred": pred, "metrics.subtypes": subtypes or {}}
+    scores = parallel.run_chunks(_score_slide, sorted(gt), workers=workers, shared=shared)
     return TeamReport(team, scores)
 
 

@@ -8,7 +8,7 @@ the fork so workers inherit them copy-on-write instead of pickling.
 from __future__ import annotations
 
 import multiprocessing as mp
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import ValidationError
 
@@ -51,7 +51,8 @@ def run_chunks(
             return [func(c) for c in chunks]
         ctx = mp.get_context("fork")
         with ctx.Pool(processes=min(n, len(chunks))) as pool:
-            return pool.map(func, chunks)
+            # imap re-raises the first failing chunk in order, as the serial loop does
+            return list(pool.imap(func, chunks))
     finally:
         if shared:
             for key in shared:

@@ -199,9 +199,6 @@ class AnnotationSet:
                 raise ValidationError(f"duplicate annotation name {ann.name!r}")
             seen.add(ann.name)
 
-    def groups(self) -> list[str]:
-        return sorted({a.group for a in self.annotations})
-
 
 def parse_annotations(xml_path: str | Path) -> AnnotationSet:
     """Parse an ASAP-style polygon annotation file.
@@ -282,26 +279,3 @@ def serialize_annotations(aset: AnnotationSet, xml_path: str | Path) -> None:
     tree = ET.ElementTree(root)
     ET.indent(tree)
     tree.write(xml_path, encoding="unicode", xml_declaration=True)
-
-
-def pyramids_equal(a: SlidePyramid, b: SlidePyramid) -> bool:
-    """Byte-level equality of two pyramids."""
-    if a.slide_id != b.slide_id or a.mpp_level0 != b.mpp_level0 or len(a.levels) != len(b.levels):
-        return False
-    return all(
-        la.index == lb.index and np.array_equal(la.pixels, lb.pixels)
-        for la, lb in zip(a.levels, b.levels)
-    )
-
-
-def annotation_sets_equal(a: AnnotationSet, b: AnnotationSet, tol: float = 0.0) -> bool:
-    """Value equality of two annotation sets, with coordinate tolerance."""
-    if a.slide_id != b.slide_id or len(a.annotations) != len(b.annotations):
-        return False
-    for ann_a, ann_b in zip(a.annotations, b.annotations):
-        if ann_a.name != ann_b.name or ann_a.group != ann_b.group:
-            return False
-        va, vb = np.asarray(ann_a.vertices), np.asarray(ann_b.vertices)
-        if va.shape != vb.shape or not np.all(np.abs(va - vb) <= tol):
-            return False
-    return True

@@ -73,7 +73,9 @@ class SynthConfig:
         if sum(self.subtype_ratio) == 0:
             raise ValidationError("subtype ratio weights are all zero")
         if self.annotation_dilation < 0:
-            raise ValidationError(f"annotation_dilation must be >= 0")
+            raise ValidationError(
+                f"annotation_dilation must be >= 0, got {self.annotation_dilation}"
+            )
 
 
 @dataclass
@@ -88,10 +90,6 @@ class CorruptionSpec:
             raise ValidationError("erode/dilate radii must be >= 0")
         if not 0.0 <= self.flip_rate <= 1.0:
             raise ValidationError(f"flip_rate {self.flip_rate} outside [0, 1]")
-
-    @property
-    def is_identity(self) -> bool:
-        return self.erode == 0 and self.dilate == 0 and self.flip_rate == 0.0
 
 
 def slide_name(index: int) -> str:

@@ -46,10 +46,6 @@ class TileRecord:
     total_pixels: int
     label: str
 
-    @property
-    def tumor_fraction(self) -> float:
-        return self.tumor_pixels / self.total_pixels
-
     def validate(self) -> None:
         if self.size < 1:
             raise ValidationError(f"tile at ({self.x},{self.y}): size {self.size} < 1")
@@ -131,26 +127,6 @@ def label_threeclass(tumor_pixels: int, total_pixels: int) -> str:
     if tumor_pixels == 0:
         return LABEL_NORMAL
     return LABEL_MIX
-
-
-def tile_counts(gt: BinaryMask, x: int, y: int, size: int) -> tuple[int, int]:
-    """Exact (tumor_pixels, total_pixels) over one tile window."""
-    if size < 1:
-        raise ValidationError(f"tile size must be >= 1, got {size}")
-    if not (0 <= x and 0 <= y and x + size <= gt.width and y + size <= gt.height):
-        raise GeometryError(
-            f"tile ({x},{y}) size {size} not inside {gt.width}x{gt.height} mask"
-        )
-    tumor = int(np.count_nonzero(gt.data[y : y + size, x : x + size]))
-    return tumor, size * size
-
-
-def label_tile_threshold75(gt: BinaryMask, x: int, y: int, size: int) -> str:
-    return label_threshold75(*tile_counts(gt, x, y, size))
-
-
-def label_tile_threeclass(gt: BinaryMask, x: int, y: int, size: int) -> str:
-    return label_threeclass(*tile_counts(gt, x, y, size))
 
 
 def big_patch_nine(

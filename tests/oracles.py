@@ -1,10 +1,15 @@
 """Independent reference implementations used to validate the package.
 
-Everything here is written straight from the mathematical definition and
-shares no code with the package: ray parity instead of scanline fills,
+The oracles are written straight from the mathematical definition and
+share no code with the package: ray parity instead of scanline fills,
 Fraction arithmetic instead of integer cross-multiplication, explicit
 enumeration of all sign patterns instead of dynamic programming, and a
 from-scratch logistic-regression loop. Deliberately simple and slow.
+
+The helpers at the end compare or measure package objects for the tests:
+pyramid and annotation equality, exact tile-window counts, and
+``gradient_check``, which differentiates the package's own loss
+numerically to check its analytic gradient.
 """
 from __future__ import annotations
 
@@ -12,6 +17,11 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.stats
+
+from slidebench.coteach import PixelBatch, _gradient, pixel_losses
+from slidebench.errors import GeometryError, ValidationError
+from slidebench.masks import BinaryMask
+from slidebench.slide_io import AnnotationSet, SlidePyramid
 
 
 def raster_oracle(polygons, width: int, height: int, scale: float = 1.0) -> np.ndarray:
@@ -150,3 +160,57 @@ def logistic_gd_oracle(
         p = 1.0 / (1.0 + np.exp(-(x @ w)))
         w = w - eta * (x.T @ (p - y)) / len(y)
     return w
+
+
+def pyramids_equal(a: SlidePyramid, b: SlidePyramid) -> bool:
+    """Byte-level equality of two pyramids."""
+    if a.slide_id != b.slide_id or a.mpp_level0 != b.mpp_level0 or len(a.levels) != len(b.levels):
+        return False
+    return all(
+        la.index == lb.index and np.array_equal(la.pixels, lb.pixels)
+        for la, lb in zip(a.levels, b.levels)
+    )
+
+
+def annotation_sets_equal(a: AnnotationSet, b: AnnotationSet, tol: float = 0.0) -> bool:
+    """Value equality of two annotation sets, with coordinate tolerance."""
+    if a.slide_id != b.slide_id or len(a.annotations) != len(b.annotations):
+        return False
+    for ann_a, ann_b in zip(a.annotations, b.annotations):
+        if ann_a.name != ann_b.name or ann_a.group != ann_b.group:
+            return False
+        va, vb = np.asarray(ann_a.vertices), np.asarray(ann_b.vertices)
+        if va.shape != vb.shape or not np.all(np.abs(va - vb) <= tol):
+            return False
+    return True
+
+
+def tile_counts(gt: BinaryMask, x: int, y: int, size: int) -> tuple[int, int]:
+    """Exact (tumor_pixels, total_pixels) over one tile window."""
+    if size < 1:
+        raise ValidationError(f"tile size must be >= 1, got {size}")
+    if not (0 <= x and 0 <= y and x + size <= gt.width and y + size <= gt.height):
+        raise GeometryError(
+            f"tile ({x},{y}) size {size} not inside {gt.width}x{gt.height} mask"
+        )
+    tumor = int(np.count_nonzero(gt.data[y : y + size, x : x + size]))
+    return tumor, size * size
+
+
+def gradient_check(w: np.ndarray, batch: PixelBatch, step: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients."""
+    batch.validate()
+    X, y = batch.flat()
+    analytic = _gradient(w, X, y)
+
+    def loss_at(v: np.ndarray) -> float:
+        return float(np.mean(pixel_losses(v, X, y)))
+
+    worst = 0.0
+    for k in range(len(w)):
+        e = np.zeros_like(w)
+        e[k] = step
+        numeric = (loss_at(w + e) - loss_at(w - e)) / (2.0 * step)
+        denom = max(abs(analytic[k]), abs(numeric), 1e-8)
+        worst = max(worst, abs(analytic[k] - numeric) / denom)
+    return worst

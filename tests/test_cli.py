@@ -1,6 +1,8 @@
 """Exit codes, file outputs, and round trips of the command-line interface."""
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,16 @@ from slidebench import (
     write_probability_map,
 )
 from slidebench.cli import main
-from slidebench.masks import ROLE_PREDICTION, BinaryMask
+from slidebench.masks import ROLE_GROUND_TRUTH, ROLE_PREDICTION, BinaryMask
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(args: list[str]) -> subprocess.CompletedProcess:
+    """Run a command with the package under test importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(args, capture_output=True, text=True, env=env)
 
 
 @pytest.fixture(scope="module")
@@ -236,14 +247,43 @@ def test_corrupt_report_is_data_error(tmp_path, capsys):
     assert "slidebench: error:" in capsys.readouterr().err
 
 
+def test_eval_error_in_pool_worker_is_one_line(tmp_path):
+    (tmp_path / "truth").mkdir()
+    (tmp_path / "pred").mkdir()
+    for sid in ("slide_000", "slide_001"):
+        write_mask(BinaryMask(sid, 1, np.zeros((4, 4), dtype=bool), ROLE_GROUND_TRUTH),
+                   tmp_path / "truth" / f"{sid}.pgm")
+        write_mask(BinaryMask(sid, 0, np.zeros((8, 8), dtype=bool), ROLE_PREDICTION),
+                   tmp_path / "pred" / f"{sid}.pgm")
+    proc = _run([sys.executable, "-m", "slidebench", "eval", "--truth", str(tmp_path / "truth"),
+                 "--pred", str(tmp_path / "pred"), "--team", "t",
+                 "--out", str(tmp_path / "r.json"), "--workers", "2"])
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("slidebench: error:")
+    assert "finer than ground truth" in lines[0]
+
+
 def test_full_pipeline_script(tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "full_pipeline.sh"
-    out = tmp_path / "demo"
-    proc = subprocess.run(["bash", str(script), str(out), "11", "1"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    script = ROOT / "scripts" / "full_pipeline.sh"
+    trees = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"demo_w{workers}"
+        proc = _run(["bash", str(script), str(out), "11", workers])
+        assert proc.returncode == 0, proc.stderr
+        trees[workers] = {p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()}
+    out = tmp_path / "demo_w1"
     assert len(read_manifest(out / "tiles.jsonl")) > 0
     comparison = json.loads((out / "comparison.json").read_text())
     assert comparison["n"] == 5
     board = (out / "leaderboard.csv").read_text().splitlines()
     assert [line.split(",")[1] for line in board[1:]] == ["exact", "flip2", "flip5"]
+
+    # the summary echoes its own out path; everything else must match byte for byte
+    summary = Path("challenge_summary.json")
+    w1, w2 = trees["1"], trees["2"]
+    assert sorted(w1) == sorted(w2)
+    assert [p for p in w1 if p != summary and w1[p] != w2[p]] == []
+    assert w1[summary].replace(b"demo_w1", b"demo_w2") == w2[summary]

@@ -18,9 +18,7 @@ from slidebench.leaderboard import (
     GROUP_MULTI,
     GROUP_SINGLE,
     format_mean_std,
-    render_aggregates,
 )
-from slidebench.metrics import aggregate
 
 
 def _report(team, dices, fnr=0.1):
@@ -175,18 +173,3 @@ def test_group_compare_requires_two_groups():
         group_compare(reports, {"a": GROUP_MULTI, "b": GROUP_MULTI})
     with pytest.raises(ValidationError):
         group_compare(reports, {"a": GROUP_MULTI})
-
-
-def test_render_aggregates_subtype_rows():
-    scores = [
-        SlideScore("a", 0.8, 1, 0, 0, "SCC"),
-        SlideScore("b", 0.7, 1, 0, 0, "SCLC"),
-        SlideScore("c", 0.9, 1, 0, 0, "ADC"),
-    ]
-    aggs = aggregate(scores, group_by="subtype")
-    doc = render_aggregates(aggs, "csv")
-    lines = doc.splitlines()
-    assert lines[0] == "key,mean,std,n"
-    assert [l.split(",")[0] for l in lines[1:]] == ["ADC", "SCC", "SCLC"]
-    text = render_aggregates(aggs, "text")
-    assert "0.9000±0.0000" in text

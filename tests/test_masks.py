@@ -8,7 +8,6 @@ from slidebench import (
     Annotation,
     AnnotationSet,
     BinaryMask,
-    BoundingBox,
     build_pyramid,
     luma,
     otsu_threshold,
@@ -30,9 +29,6 @@ from slidebench.masks import (
     METHOD_GRAY200,
     ROLE_REFINED,
     ROLE_TISSUE,
-    bounding_box,
-    crop,
-    normalize_colors,
 )
 
 
@@ -186,42 +182,6 @@ def test_refine_labels_rejects_mismatched_geometry(rng):
     tissue = BinaryMask("s", 1, np.zeros((8, 8), dtype=bool), ROLE_TISSUE)
     with pytest.raises(GeometryError):
         refine_labels(gt, tissue)
-
-
-def test_crop_and_bounding_box():
-    data = np.zeros((10, 10), dtype=bool)
-    data[3:6, 4:9] = True
-    mask = BinaryMask("s", 0, data)
-    box = bounding_box(mask)
-    assert box == BoundingBox(4, 3, 9, 6)
-    sub = crop(mask, box)
-    assert sub.data.shape == (3, 5)
-    assert sub.data.all()
-    assert bounding_box(BinaryMask("s", 0, np.zeros((4, 4), dtype=bool))) is None
-
-
-def test_crop_rejects_out_of_range():
-    mask = BinaryMask("s", 0, np.zeros((4, 4), dtype=bool))
-    with pytest.raises(GeometryError):
-        crop(mask, BoundingBox(0, 0, 5, 2))
-
-
-def test_normalize_colors_matches_reference_stats(rng):
-    img = rng.integers(10, 100, (24, 24, 3), dtype=np.uint8)
-    ref = rng.integers(100, 220, (24, 24, 3), dtype=np.uint8)
-    out = normalize_colors(img, ref)
-    assert out.dtype == np.uint8
-    for c in range(3):
-        assert abs(out[..., c].mean() - ref[..., c].astype(float).mean()) < 1.0
-        assert abs(out[..., c].std() - ref[..., c].astype(float).std()) < 1.5
-
-
-def test_normalize_colors_flat_channel_maps_to_reference_mean(rng):
-    img = np.full((8, 8, 3), 42, dtype=np.uint8)
-    ref = rng.integers(0, 256, (8, 8, 3), dtype=np.uint8)
-    out = normalize_colors(img, ref)
-    for c in range(3):
-        assert np.all(out[..., c] == np.uint8(round(ref[..., c].astype(float).mean())))
 
 
 def test_mask_round_trip(tmp_path, rng):

@@ -23,7 +23,6 @@ from slidebench.metrics import (
     FLAG_UNDEFINED_FNR,
     FLAG_UNDEFINED_FPR,
     accuracy_fnr_fpr,
-    aggregate_teams,
     report_aggregates,
     score_flags,
     upsample_mask,
@@ -68,9 +67,11 @@ def test_confusion_with_region(rng):
 
 
 def test_confusion_worker_count_invariant(rng):
-    gt = _mask(rng.random((64, 64)) < 0.5)
-    pred = _mask(rng.random((64, 64)) < 0.5)
-    assert confusion(gt, pred, workers=1) == confusion(gt, pred, workers=4)
+    gt = {f"s{i}": _mask(rng.random((64, 64)) < 0.5, slide_id=f"s{i}") for i in range(6)}
+    pred = {k: _mask(rng.random((64, 64)) < 0.5, slide_id=k) for k in gt}
+    assert evaluate_team("t", gt, pred, workers=1).scores == evaluate_team(
+        "t", gt, pred, workers=4
+    ).scores
 
 
 def test_confusion_rejects_mismatched_masks(rng):
@@ -225,15 +226,6 @@ def test_aggregate_empty_raises():
         aggregate([])
 
 
-def test_aggregate_teams_lexicographic():
-    reports = [
-        TeamReport("zeta", [SlideScore("a", 0.5, 1, 0, 0)]),
-        TeamReport("alpha", [SlideScore("a", 0.9, 1, 0, 0)]),
-    ]
-    aggs = aggregate_teams(reports)
-    assert [a.key for a in aggs] == ["alpha", "zeta"]
-
-
 def test_evaluate_team_identity_predictions(rng):
     gt = {f"s{i}": _mask(rng.random((8, 8)) < 0.5, slide_id=f"s{i}") for i in range(3)}
     report = evaluate_team("t", gt, gt)
@@ -251,11 +243,13 @@ def test_evaluate_team_upsamples_coarser_predictions(rng):
     assert report_direct.scores[0].counts == report_auto.scores[0].counts
 
 
-def test_evaluate_team_rejects_finer_predictions(rng):
-    gt = {"s": _mask(np.zeros((4, 4)), level=1)}
-    pred = {"s": _mask(np.zeros((8, 8)), level=0)}
-    with pytest.raises(GeometryError):
-        evaluate_team("t", gt, pred)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_evaluate_team_rejects_finer_predictions(workers):
+    gt = {k: _mask(np.zeros((4, 4)), level=1, slide_id=k) for k in ("a", "b")}
+    pred = {k: _mask(np.zeros((8, 8)), level=0, slide_id=k) for k in gt}
+    # both slides fail; the first in sorted order is reported at any worker count
+    with pytest.raises(GeometryError, match="^a: prediction level 0 finer than ground truth 1$"):
+        evaluate_team("t", gt, pred, workers=workers)
 
 
 def test_evaluate_team_missing_slide(rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import tile_label_threeclass_oracle, tile_label_threshold75_oracle
+from oracles import tile_counts, tile_label_threeclass_oracle, tile_label_threshold75_oracle
 from slidebench import (
     BinaryMask,
     TileRecord,
@@ -27,8 +27,6 @@ from slidebench.tiling import (
     grid_tiles,
     label_threeclass,
     label_threshold75,
-    label_tile_threshold75,
-    tile_counts,
 )
 
 
@@ -89,7 +87,6 @@ def test_tile_counts_window(rng):
     tumor, total = tile_counts(gt, 3, 5, 7)
     assert total == 49
     assert tumor == int(data[5:12, 3:10].sum())
-    assert label_tile_threshold75(gt, 3, 5, 7) == label_threshold75(tumor, total)
 
 
 def test_tile_counts_out_of_range(rng):
