@@ -5,6 +5,13 @@ y+0.5) with half-open scanline crossings, so results match a per-pixel
 point-in-polygon test exactly. Tissue detection thresholds Rec.601 luma,
 either at an Otsu split or at the fixed gray value 200; tissue is the
 darker side in both cases.
+
+Luma and tissue detection stream through blocks of whole rows of about
+``_LUMA_CHUNK_PIXELS`` (2**16) pixels, so each float64 temporary is about
+512 KiB and stays in cache; a level is never held as a float64 or intp
+array. Blocking is bit-exact: luma is computed per pixel by the same
+float64 expression whatever the block, and the Otsu histogram is an exact
+integer sum of per-block counts, so it does not depend on the block size.
 """
 from __future__ import annotations
 
@@ -22,6 +29,7 @@ from .errors import (
     FormatError,
     GeometryError,
     ValidationError,
+    typed_field,
 )
 from .slide_io import AnnotationSet, SlidePyramid
 
@@ -74,30 +82,39 @@ class BinaryMask:
             raise ValidationError(f"mask for {self.slide_id}: negative level {self.level}")
 
 
-_LUMA_CHUNK_PIXELS = 1 << 24
+# Pixels per block. Blocks of 2**15-2**16 pixels measured fastest for luma on a
+# 6144^2 raster (2-vCPU host, 105 MiB LLC): one block's float64 temporaries stay in cache.
+_LUMA_CHUNK_PIXELS = 1 << 16
+
+
+def _row_blocks(height: int, width: int):
+    """Slices of whole rows covering ``height`` rows, about _LUMA_CHUNK_PIXELS each."""
+    rows = max(1, _LUMA_CHUNK_PIXELS // max(1, width))
+    return (slice(y, y + rows) for y in range(0, height, rows))
 
 
 def luma(rgb: np.ndarray) -> np.ndarray:
     """Rec.601 grayscale of an RGB8 raster, rounded to uint8.
 
-    Rounding follows IEEE round-half-to-even. Large rasters are processed in
-    row chunks to bound the float64 working set; chunking is invisible in the
-    result (the computation is per-pixel).
+    Computes ``0.299*r + 0.587*g + 0.114*b`` in float64, left to right, and
+    rounds with IEEE round-half-to-even. Rows are processed in blocks of
+    about 2**16 pixels so the float64 temporaries stay in cache; as the
+    computation is per-pixel, the result is bit-exact with evaluating the
+    whole raster at once.
     """
     arr = np.asarray(rgb)
     if arr.ndim != 3 or arr.shape[-1] != 3:
         raise GeometryError(f"luma expects (..., 3) RGB, got shape {arr.shape}")
     h, w = arr.shape[0], arr.shape[1]
     out = np.empty((h, w), dtype=np.uint8)
-    rows = max(1, _LUMA_CHUNK_PIXELS // max(1, w))
-    for y in range(0, h, rows):
-        chunk = arr[y : y + rows]
+    for rows in _row_blocks(h, w):
+        chunk = arr[rows]
         g = (
             _LUMA_WEIGHTS[0] * chunk[..., 0].astype(np.float64)
             + _LUMA_WEIGHTS[1] * chunk[..., 1]
             + _LUMA_WEIGHTS[2] * chunk[..., 2]
         )
-        out[y : y + rows] = np.rint(g).astype(np.uint8)
+        out[rows] = np.rint(g).astype(np.uint8)
     return out
 
 
@@ -210,18 +227,26 @@ def tissue_mask(pyramid: SlidePyramid, level: int, method: str = METHOD_OTSU) ->
 
     Otsu thresholds at the between-class-variance argmax of the level's luma
     histogram; Gray200 uses the fixed threshold 200. Both include the
-    threshold value itself (g <= t is tissue).
+    threshold value itself (g <= t is tissue). One pass over row blocks:
+    Gray200 writes each block's test straight into the mask; Otsu keeps the
+    uint8 luma and sums per-block histograms exactly in int64.
     """
-    lvl = pyramid.level(level)
-    g = luma(lvl.pixels)
-    if method == METHOD_OTSU:
-        hist = np.bincount(g.ravel(), minlength=256)
-        t = otsu_threshold(hist)
-    elif method == METHOD_GRAY200:
-        t = GRAY200_THRESHOLD
-    else:
+    pixels = pyramid.level(level).pixels
+    if method not in TISSUE_METHODS:
         raise ValidationError(f"unknown tissue method {method!r}")
-    return BinaryMask(pyramid.slide_id, level, g <= t, ROLE_TISSUE)
+    h, w = pixels.shape[:2]
+    if method == METHOD_GRAY200:
+        data = np.empty((h, w), dtype=bool)
+        for rows in _row_blocks(h, w):
+            data[rows] = luma(pixels[rows]) <= GRAY200_THRESHOLD
+    else:
+        g = np.empty((h, w), dtype=np.uint8)
+        hist = np.zeros(256, dtype=np.int64)
+        for rows in _row_blocks(h, w):
+            g[rows] = luma(pixels[rows])
+            hist += np.bincount(g[rows].ravel(), minlength=256)
+        data = g <= otsu_threshold(hist)
+    return BinaryMask(pyramid.slide_id, level, data, ROLE_TISSUE)
 
 
 def refine_labels(gt: BinaryMask, tissue: BinaryMask) -> BinaryMask:
@@ -252,9 +277,12 @@ def read_mask(path: str | Path) -> BinaryMask:
         raise FormatError(f"{path}: missing sidecar {sidecar_path}")
     try:
         meta = json.loads(sidecar_path.read_text())
-        slide_id, level, role = meta["slide_id"], meta["level"], meta["role"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{sidecar_path}: malformed mask sidecar: {exc}") from exc
+    where = f"{sidecar_path}: mask sidecar"
+    slide_id = typed_field(meta, "slide_id", str, where)
+    level = typed_field(meta, "level", int, where)
+    role = typed_field(meta, "role", str, where)
     mask = BinaryMask(slide_id, level, gray > 0, role)
     mask.validate()
     return mask

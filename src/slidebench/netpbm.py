@@ -2,11 +2,15 @@
 
 Writing is canonical and byte-deterministic: a fixed single-line header per
 field, no comments. Reading accepts any conforming header (whitespace and
-``#`` comments between tokens).
+``#`` comments between tokens, of any length) and holds one copy of the
+raster: the header is parsed from the open file and the raster is read
+straight into the returned array.
 """
 from __future__ import annotations
 
+import os
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -40,54 +44,63 @@ def write_p6(path: str | Path, rgb: np.ndarray) -> None:
 def read_p5(path: str | Path) -> np.ndarray:
     """Read a binary PGM file into a (h, w) uint8 array."""
     w, h, payload = _read_binary(path, b"P5", channels=1)
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w).copy()
+    return payload.reshape(h, w)
 
 
 def read_p6(path: str | Path) -> np.ndarray:
     """Read a binary PPM file into a (h, w, 3) uint8 array."""
     w, h, payload = _read_binary(path, b"P6", channels=3)
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).copy()
+    return payload.reshape(h, w, 3)
 
 
-def _read_binary(path: str | Path, magic: bytes, channels: int) -> tuple[int, int, bytes]:
-    data = Path(path).read_bytes()
-    if not data.startswith(magic):
-        raise FormatError(f"{path}: expected {magic.decode()} magic, got {data[:2]!r}")
-    pos = len(magic)
-    fields = []
-    for _ in range(3):
-        value, pos = _next_int(data, pos, path)
-        fields.append(value)
-    w, h, maxval = fields
-    if w < 1 or h < 1:
-        raise FormatError(f"{path}: invalid dimensions {w}x{h}")
-    if maxval != _MAXVAL:
-        raise FormatError(f"{path}: unsupported maxval {maxval}, expected {_MAXVAL}")
-    # exactly one whitespace byte separates the header from the raster
-    pos += 1
-    expected = w * h * channels
-    payload = data[pos:]
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: raster payload is {len(payload)} bytes, expected {expected}"
-        )
+def _read_binary(path: str | Path, magic: bytes, channels: int) -> tuple[int, int, np.ndarray]:
+    """Parse the header, then read the raster straight into one uint8 array.
+
+    The payload length is checked against the file size before the array is
+    allocated, so a header declaring a huge raster costs nothing.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(len(magic))
+        if head != magic:
+            raise FormatError(f"{path}: expected {magic.decode()} magic, got {head!r}")
+        w, h, maxval = _read_header_ints(fh, path)
+        if w < 1 or h < 1:
+            raise FormatError(f"{path}: invalid dimensions {w}x{h}")
+        if maxval != _MAXVAL:
+            raise FormatError(f"{path}: unsupported maxval {maxval}, expected {_MAXVAL}")
+        # the byte that ended maxval, exactly one, separates the header from the raster
+        expected = w * h * channels
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != expected:
+            raise FormatError(f"{path}: raster payload is {size} bytes, expected {expected}")
+        payload = np.empty(expected, dtype=np.uint8)
+        got = fh.readinto(payload)
+    if got != expected:
+        raise FormatError(f"{path}: raster payload is {got} bytes, expected {expected}")
     return w, h, payload
 
 
-def _next_int(data: bytes, pos: int, path: str | Path) -> tuple[int, int]:
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c == b"#":
-            while pos < n and data[pos : pos + 1] != b"\n":
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and data[pos : pos + 1].isdigit():
-        pos += 1
-    if start == pos:
-        raise FormatError(f"{path}: malformed netpbm header")
-    return int(data[start:pos]), pos
+def _read_header_ints(fh: BinaryIO, path: str | Path) -> list[int]:
+    """Width, height and maxval; whitespace and ``#`` comments may precede each.
+
+    Reads one byte past each number, so after the last one the file is
+    positioned at the raster.
+    """
+    fields = []
+    c = fh.read(1)
+    for _ in range(3):
+        while c == b"#" or c.isspace():
+            if c == b"#":
+                while c not in (b"\n", b""):
+                    c = fh.read(1)
+            else:
+                c = fh.read(1)
+        digits = b""
+        while c.isdigit():
+            digits += c
+            c = fh.read(1)
+        try:
+            fields.append(int(digits))
+        except ValueError:  # no digits, or more than int() converts
+            raise FormatError(f"{path}: malformed netpbm header") from None
+    return fields

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import netpbm
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, typed_field
 
 COORD_DECIMALS = 6
 
@@ -132,23 +132,22 @@ def read_pyramid(manifest_path: str | Path) -> SlidePyramid:
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{manifest_path}: cannot read manifest: {exc}") from exc
-    try:
-        slide_id = manifest["slide_id"]
-        mpp = manifest["mpp_level0"]
-        entries = manifest["levels"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{manifest_path}: manifest missing field {exc}") from exc
+    where = f"{manifest_path}: manifest"
+    slide_id = typed_field(manifest, "slide_id", str, where)
+    mpp = typed_field(manifest, "mpp_level0", (int, float, type(None)), where)
+    entries = typed_field(manifest, "levels", list, where)
     if not entries:
         raise FormatError(f"{manifest_path}: manifest declares no levels")
 
     levels = []
+    where = f"{manifest_path}: level entry"
     for entry in entries:
-        try:
-            index, width, height, name = entry["index"], entry["width"], entry["height"], entry["file"]
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"{manifest_path}: level entry missing field {exc}") from exc
+        index = typed_field(entry, "index", int, where)
+        width = typed_field(entry, "width", int, where)
+        height = typed_field(entry, "height", int, where)
+        name = typed_field(entry, "file", str, where)
         raster_path = manifest_path.parent / name
         if not raster_path.exists():
             raise FormatError(f"{manifest_path}: missing level file {raster_path}")

@@ -7,12 +7,13 @@ enumeration of all sign patterns instead of dynamic programming, and a
 from-scratch logistic-regression loop. Deliberately simple and slow.
 
 The helpers at the end compare or measure package objects for the tests:
-pyramid and annotation equality, exact tile-window counts, and
-``gradient_check``, which differentiates the package's own loss
-numerically to check its analytic gradient.
+pyramid and annotation equality, exact tile-window counts, the traced
+allocation peak of a call, and ``gradient_check``, which differentiates
+the package's own loss numerically to check its analytic gradient.
 """
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,13 @@ def raster_oracle(polygons, width: int, height: int, scale: float = 1.0) -> np.n
             inside ^= rows[:, None] & (xi[:, None] <= cx[None, :])
         out |= inside
     return out
+
+
+def luma_reference(rgb: np.ndarray) -> np.ndarray:
+    """Rec.601 luma of the whole raster as one float64 expression, unblocked."""
+    arr = np.asarray(rgb)
+    g = 0.299 * arr[..., 0].astype(np.float64) + 0.587 * arr[..., 1] + 0.114 * arr[..., 2]
+    return np.rint(g).astype(np.uint8)
 
 
 def otsu_oracle(histogram) -> int:
@@ -195,6 +203,16 @@ def tile_counts(gt: BinaryMask, x: int, y: int, size: int) -> tuple[int, int]:
         )
     tumor = int(np.count_nonzero(gt.data[y : y + size, x : x + size]))
     return tumor, size * size
+
+
+def traced_peak(fn):
+    """Result of ``fn()`` and the peak bytes Python and numpy allocated during it."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def gradient_check(w: np.ndarray, batch: PixelBatch, step: float = 1e-5) -> float:

@@ -10,12 +10,14 @@ import pytest
 
 from slidebench import (
     ProbabilityMap,
+    build_pyramid,
     read_manifest,
     read_mask,
     read_report,
     read_truth_table,
     write_mask,
     write_probability_map,
+    write_pyramid,
 )
 from slidebench.cli import main
 from slidebench.masks import ROLE_GROUND_TRUTH, ROLE_PREDICTION, BinaryMask
@@ -263,6 +265,49 @@ def test_eval_error_in_pool_worker_is_one_line(tmp_path):
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("slidebench: error:")
     assert "finer than ground truth" in lines[0]
+
+
+def _string_mask_level(tmp_path):
+    path = tmp_path / "m.pgm"
+    write_mask(BinaryMask("s", 0, np.zeros((4, 4), dtype=bool), ROLE_GROUND_TRUTH), path)
+    path.with_suffix(".json").write_text('{"slide_id": "s", "level": "0", "role": "GroundTruth"}')
+    return ["refine", "--gt", str(path), "--tissue", str(path), "--out", str(tmp_path / "o.pgm")]
+
+
+def _string_manifest_width(tmp_path):
+    manifest = write_pyramid(build_pyramid("s", np.zeros((128, 128, 3), dtype=np.uint8), 1),
+                             tmp_path / "slide")
+    meta = json.loads(manifest.read_text())
+    meta["levels"][0]["width"] = "128"
+    manifest.write_text(json.dumps(meta))
+    return ["tissue", "--slide", str(manifest), "--out", str(tmp_path / "t.pgm")]
+
+
+def _binary_mask_sidecar(tmp_path):
+    args = _string_mask_level(tmp_path)
+    (tmp_path / "m.json").write_bytes(b"\xff\xfe{")
+    return args
+
+
+def _binary_manifest(tmp_path):
+    args = _string_manifest_width(tmp_path)
+    (tmp_path / "slide" / "manifest.json").write_bytes(b"\xff\xfe{")
+    return args
+
+
+@pytest.mark.parametrize("make_args, field", [
+    (_string_mask_level, "'level' is '0', expected int"),
+    (_string_manifest_width, "'width' is '128', expected int"),
+    (_binary_mask_sidecar, "malformed mask sidecar"),
+    (_binary_manifest, "cannot read manifest"),
+])
+def test_malformed_json_field_is_one_line(tmp_path, make_args, field):
+    proc = _run([sys.executable, "-m", "slidebench", *make_args(tmp_path)])
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("slidebench: error:")
+    assert field in lines[0]
 
 
 def test_full_pipeline_script(tmp_path):

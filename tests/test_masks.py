@@ -3,13 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import otsu_oracle, raster_oracle
+from oracles import luma_reference, otsu_oracle, raster_oracle, traced_peak
 from slidebench import (
     Annotation,
     AnnotationSet,
     BinaryMask,
     build_pyramid,
     luma,
+    masks,
     otsu_threshold,
     rasterize,
     read_mask,
@@ -27,6 +28,7 @@ from slidebench.errors import (
 from slidebench.masks import (
     GRAY200_THRESHOLD,
     METHOD_GRAY200,
+    METHOD_OTSU,
     ROLE_REFINED,
     ROLE_TISSUE,
 )
@@ -50,6 +52,30 @@ def test_luma_of_gray_is_identity():
     gray = np.arange(256, dtype=np.uint8).reshape(16, 16)
     rgb = np.stack([gray] * 3, axis=-1)
     assert np.array_equal(luma(rgb), gray)
+
+
+def test_luma_matches_reference_on_every_colour():
+    levels = np.arange(256, dtype=np.uint8)
+    rgb = np.empty((256, 256, 256, 3), dtype=np.uint8)
+    rgb[..., 0] = levels[:, None, None]
+    rgb[..., 1] = levels[None, :, None]
+    rgb[..., 2] = levels[None, None, :]
+    rgb = rgb.reshape(4096, 4096, 3)
+    assert np.array_equal(luma(rgb), luma_reference(rgb))
+
+
+def test_blocking_is_invisible(monkeypatch, rng):
+    # 37 pixels over rows of 5 is blocks of 7 rows; 23 rows end in a block of 2
+    monkeypatch.setattr(masks, "_LUMA_CHUNK_PIXELS", 37)
+    base = rng.integers(0, 256, (23, 5, 3), dtype=np.uint8)
+    g = luma_reference(base)
+    hist = np.bincount(g.ravel(), minlength=256)
+    t = otsu_oracle(hist)
+    p = build_pyramid("s", base, 1)
+    assert np.array_equal(luma(base), g)
+    assert otsu_threshold(hist) == t
+    assert np.array_equal(tissue_mask(p, 0, METHOD_OTSU).data, g <= t)
+    assert np.array_equal(tissue_mask(p, 0, METHOD_GRAY200).data, g <= GRAY200_THRESHOLD)
 
 
 def test_luma_rejects_non_rgb():
@@ -167,6 +193,14 @@ def test_tissue_mask_otsu_separates_bimodal():
     p = build_pyramid("s", base, 1)
     mask = tissue_mask(p, 0)
     assert np.array_equal(mask.data, luma(base) <= 60)
+
+
+def test_tissue_mask_otsu_memory_is_below_the_raster(rng):
+    base = rng.integers(0, 256, (2048, 2048, 3), dtype=np.uint8)
+    p = build_pyramid("s", base, 1)
+    mask, peak = traced_peak(lambda: tissue_mask(p, 0, METHOD_OTSU))
+    assert mask.data.shape == (2048, 2048)
+    assert peak <= 1.0 * base.nbytes, peak / base.nbytes
 
 
 def test_refine_labels_is_intersection(rng):
