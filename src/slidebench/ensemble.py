@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import netpbm
-from .errors import FormatError, GeometryError, ValidationError
+from .errors import FormatError, GeometryError, ValidationError, typed_field
 from .masks import ROLE_PREDICTION, BinaryMask
 
 QUANT_RULE = "round(255*p)"
@@ -127,11 +127,13 @@ def read_probability_map(path: str | Path) -> ProbabilityMap:
         raise FormatError(f"{path}: missing sidecar {sidecar_path}")
     try:
         meta = json.loads(sidecar_path.read_text())
-        slide_id, level = meta["slide_id"], meta["level"]
-        if meta.get("kind") != "probability":
-            raise KeyError("kind != probability")
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{sidecar_path}: malformed probability sidecar: {exc}") from exc
+    where = f"{sidecar_path}: probability sidecar"
+    slide_id = typed_field(meta, "slide_id", str, where)
+    level = typed_field(meta, "level", int, where)
+    if typed_field(meta, "kind", str, where) != "probability":
+        raise FormatError(f"{where} field 'kind' is {meta['kind']!r}, expected 'probability'")
     pm = ProbabilityMap(slide_id, level, gray.astype(np.float64) / 255.0)
     pm.validate()
     return pm

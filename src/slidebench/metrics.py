@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import parallel
-from .errors import FormatError, GeometryError, ValidationError
+from .errors import FormatError, GeometryError, ValidationError, typed_field
 from .masks import BinaryMask
 
 SUBTYPE_SCC = "SCC"
@@ -30,6 +30,7 @@ FLAG_UNDEFINED_FPR = "undefined_fpr"
 FLAG_EMPTY_REGION = "empty_region"
 
 METRIC_FIELDS = ("dice", "accuracy", "fnr", "fpr")
+COUNT_FIELDS = ("tp", "fp", "fn", "tn")
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class ConfusionCounts:
     tn: int
 
     def __post_init__(self) -> None:
-        for name in ("tp", "fp", "fn", "tn"):
+        for name in COUNT_FIELDS:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 0:
                 raise ValidationError(f"confusion count {name}={v!r} must be a non-negative int")
@@ -277,26 +278,27 @@ def write_report(report: TeamReport, path: str | Path) -> None:
 def read_report(path: str | Path) -> TeamReport:
     try:
         payload = json.loads(Path(path).read_text())
-        team = payload["team"]
-        scores = []
-        for s in payload["scores"]:
-            counts = None
-            if "tp" in s:
-                counts = ConfusionCounts(s["tp"], s["fp"], s["fn"], s["tn"])
-            scores.append(
-                SlideScore(
-                    s["slide_id"],
-                    s["dice"],
-                    s["accuracy"],
-                    s["fnr"],
-                    s["fpr"],
-                    s["subtype"],
-                    tuple(s.get("flags", [])),
-                    counts,
-                )
-            )
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: malformed report: {exc}") from exc
+    team = typed_field(payload, "team", str, f"{path}: report")
+    scores = []
+    where = f"{path}: report score"
+    for s in typed_field(payload, "scores", list, f"{path}: report"):
+        counts = None
+        if isinstance(s, dict) and "tp" in s:
+            counts = ConfusionCounts(*(typed_field(s, k, int, where) for k in COUNT_FIELDS))
+        flags = typed_field(s, "flags", list, where) if "flags" in s else []
+        if not all(isinstance(f, str) for f in flags):
+            raise FormatError(f"{where} field 'flags' is {flags!r}, expected strings")
+        scores.append(
+            SlideScore(
+                typed_field(s, "slide_id", str, where),
+                *(typed_field(s, k, (int, float), where) for k in METRIC_FIELDS),
+                typed_field(s, "subtype", str, where),
+                tuple(flags),
+                counts,
+            )
+        )
     report = TeamReport(team, scores)
     for s in report.scores:
         s.validate()

@@ -8,6 +8,12 @@ analytic blob exactly. Everything is a pure function of (config seed, slide
 index); team predictions derive per-slide flip fields from the corruption
 seed, so teams sharing a seed have nested flip sets and their Dice order is
 guaranteed by construction.
+
+The stream seeded with (seed, index) draws a slide's geometry and color
+jitter: subtype, blob, lesions, then the two jitters. Pixels come from one
+stream per 512-row chunk, seeded with (seed, index, chunk): a uint8 noise
+field, one byte per channel, is mapped through a lookup table per class
+(background, tissue, lesion) and channel onto that class's integer range.
 """
 from __future__ import annotations
 
@@ -34,8 +40,12 @@ from .slide_io import (
 SUBTYPE_ORDER = ("SCC", "SCLC", "ADC")  # weights in subtype_ratio follow this order
 DEFAULT_RATIO = (6.0, 3.0, 1.0)
 
-_CHUNK_ROWS = 512
+_CHUNK_ROWS = 512  # rows painted from one noise stream
+_PAINT_PIXELS = 1 << 15  # pixels per table lookup, so numpy's intp copy of the keys stays in cache
 _N_HARMONICS = 4
+_SECTORS = 4096  # angular sectors of the blob-radius table
+_TISSUE_LO = (150, 90, 140)  # per-channel low ends of the color ranges, before jitter
+_LESION_LO = (115, 55, 125)
 
 
 @dataclass
@@ -117,6 +127,88 @@ def _fill_polygons(shape: tuple[int, int], polygons: list[np.ndarray]) -> np.nda
     return out
 
 
+def _blob_mask(
+    size: int, cx: float, cy: float, r0: float, amps: np.ndarray, phases: np.ndarray
+) -> np.ndarray:
+    """The blob: pixels with ``hypot(dx, dy) <= _blob_radius(arctan2(dy, dx))``.
+
+    The exact test is costly, so only pixels near the boundary take it. The
+    radius at the center of each angular sector, minus or plus ``slack``
+    (twice the most the radius moves within a sector, plus rounding), bounds
+    the radius over that sector. Each row is inside up to the smallest bound
+    and outside past the largest; in the annulus between, a pixel whose
+    distance clears its own sector's bounds is settled by them. Squared
+    distances get a pixel of margin against rounding.
+    """
+    width = 2.0 * np.pi / _SECTORS
+    # one sector past pi, the first again, so theta == pi needs no clipping
+    centers = (np.arange(_SECTORS + 1) + 0.5) * width - np.pi
+    sector_radius = _blob_radius(centers, r0, amps, phases)
+    slack = width * r0 * sum(abs(a) * (k + 2) for k, a in enumerate(amps)) + 1e-6 * r0
+    sure_in2 = np.maximum(sector_radius - slack - 1.0, 0.0) ** 2
+    sure_out2 = (sector_radius + slack + 1.0) ** 2
+    dy = np.arange(size, dtype=np.float64) - cy
+
+    def columns(radius2):  # [lo, hi) of the columns within sqrt(radius2) of the center
+        half = np.sqrt(np.maximum(radius2 - dy * dy, 0.0))
+        lo = np.clip(np.ceil(cx - half), 0, size).astype(np.intp)
+        hi = np.clip(np.floor(cx + half) + 1, lo, size).astype(np.intp)
+        empty = dy * dy > radius2
+        hi[empty] = lo[empty]
+        return lo, hi
+
+    out_lo, out_hi = columns(float(sure_out2.max()))
+    in_lo, in_hi = (np.clip(c, out_lo, out_hi) for c in columns(float(sure_in2.min())))
+    blob = np.zeros((size, size), dtype=bool)
+    for y, (x0, x1) in enumerate(zip(in_lo.tolist(), in_hi.tolist())):
+        blob[y, x0:x1] = True
+
+    # the annulus: columns [out_lo, in_lo) and [in_hi, out_hi) of every row
+    for y0 in range(0, size, _CHUNK_ROWS):
+        rows = slice(y0, y0 + _CHUNK_ROWS)
+        starts = np.concatenate([out_lo[rows], in_hi[rows]])
+        lengths = np.concatenate([in_lo[rows], out_hi[rows]]) - starts
+        ys = np.repeat(np.tile(np.arange(size)[rows], 2), lengths)
+        xs = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(len(ys))
+        ddx, ddy = xs - cx, dy[ys]
+        d2 = ddx * ddx + ddy * ddy
+        theta = np.arctan2(ddy, ddx)
+        sector = ((theta + np.pi) / width).astype(np.intp)
+        within = d2 <= sure_in2[sector]
+        near = np.flatnonzero(~within & (d2 <= sure_out2[sector]))
+        radius = _blob_radius(theta[near], r0, amps, phases)
+        within[near] = np.hypot(ddx[near], ddy[near]) <= radius
+        blob[ys, xs] = within
+    return blob
+
+
+def _paint_table(jitter: int, bg_jitter: int) -> np.ndarray:
+    """Color values, indexed by ``class << 10 | channel << 8 | noise byte``.
+
+    Classes are 0 background, 1 tissue and 2 lesion. Each (class, channel)
+    row spreads the 256 noise bytes evenly over the integer range
+    background 230+bg_jitter..250+bg_jitter, tissue lo+jitter..lo+jitter+45
+    or lesion lo+jitter..lo+jitter+50.
+    """
+    u = np.arange(256)
+    table = np.zeros((3, 4, 256), dtype=np.uint8)
+    for c in range(3):
+        lows = (230 + bg_jitter, _TISSUE_LO[c] + jitter, _LESION_LO[c] + jitter)
+        for k, (lo, width) in enumerate(zip(lows, (21, 46, 51))):
+            table[k, c] = lo + (u * width >> 8)
+    return table.ravel()
+
+
+def _paint(out: np.ndarray, cls: np.ndarray, noise: np.ndarray, table: np.ndarray) -> None:
+    """``out[y, x, c] = table[cls[y, x] << 10 | c << 8 | noise[y, x, c]]``."""
+    class_keys = (np.arange(3)[:, None] << 10 | np.arange(3) << 8).astype(np.uint16)
+    key = np.take(class_keys, cls, axis=0)
+    key |= noise
+    rows = max(1, _PAINT_PIXELS // out.shape[1])
+    for r0 in range(0, len(out), rows):
+        np.take(table, key[r0 : r0 + rows], out=out[r0 : r0 + rows], mode="clip")
+
+
 def generate_slide(
     cfg: SynthConfig, index: int
 ) -> tuple[SlidePyramid, AnnotationSet, BinaryMask, str]:
@@ -143,7 +235,6 @@ def generate_slide(
     n_lesions = int(rng.integers(cfg.n_lesions[0], cfg.n_lesions[1] + 1))
     truth_polys: list[np.ndarray] = []
     ann_polys: list[np.ndarray] = []
-    centers: list[tuple[float, float]] = []
     for _ in range(n_lesions):
         radius = float(rng.uniform(*cfg.lesion_radius))
         radius = min(radius, 0.45 * r_inner)
@@ -157,7 +248,6 @@ def generate_slide(
         ly = float(np.clip(cy + rho * np.sin(theta), radius + 2.0, size - radius - 2.0))
         poly = _star_polygon(rng, lx, ly, radius)
         truth_polys.append(poly)
-        centers.append((lx, ly))
         if cfg.annotation_dilation > 0:
             offsets = poly - (lx, ly)
             norms = np.maximum(np.hypot(offsets[:, 0], offsets[:, 1]), 1e-9)
@@ -165,40 +255,21 @@ def generate_slide(
             poly = (lx, ly) + offsets * scale[:, None]
         ann_polys.append(poly)
 
-    blob = np.zeros((size, size), dtype=bool)
-    image = np.empty((size, size, 3), dtype=np.uint8)
     jitter = int(rng.integers(-8, 9))
     bg_jitter = int(rng.integers(-2, 3))
     lesion_raster = _fill_polygons((size, size), truth_polys)
-    asum = float(np.sum(np.abs(amps)))
-    # the angular radius is pinched between these two circles, so the costly
-    # per-angle test only runs inside the annulus where membership is ambiguous
-    r_lo = r0 * (1.0 - asum) - 1e-6
-    r_hi = r0 * (1.0 + asum) + 1e-6
-    for y0 in range(0, size, _CHUNK_ROWS):
+    table = _paint_table(jitter, bg_jitter)
+    blob = _blob_mask(size, cx, cy, r0, amps, phases)
+    image = np.empty((size, size, 3), dtype=np.uint8)
+    for chunk, y0 in enumerate(range(0, size, _CHUNK_ROWS)):
         y1 = min(size, y0 + _CHUNK_ROWS)
-        dy = np.arange(y0, y1, dtype=np.float64)[:, None] - cy
-        dx = np.arange(size, dtype=np.float64)[None, :] - cx
-        rr = np.hypot(dx, dy)
-        inside = rr <= r_lo
-        band = (rr > r_lo) & (rr <= r_hi)
-        if np.any(band):
-            theta = np.arctan2(
-                np.broadcast_to(dy, rr.shape)[band], np.broadcast_to(dx, rr.shape)[band]
-            )
-            inside[band] = rr[band] <= _blob_radius(theta, r0, amps, phases)
-        blob[y0:y1] = inside
-
-        paint = lesion_raster[y0:y1] & inside  # lesion color never leaves the blob
-        chunk = rng.integers(230 + bg_jitter, 251 + bg_jitter, (y1 - y0, size, 3)).astype(np.uint8)
-        n_tis = int(np.count_nonzero(inside))
-        n_les = int(np.count_nonzero(paint))
-        for c, (lo_t, lo_l) in enumerate(((150, 115), (90, 55), (140, 125))):
-            if n_tis:
-                chunk[inside, c] = rng.integers(lo_t + jitter, lo_t + jitter + 46, n_tis)
-            if n_les:
-                chunk[paint, c] = rng.integers(lo_l + jitter, lo_l + jitter + 51, n_les)
-        image[y0:y1] = chunk
+        inside = blob[y0:y1]
+        # class 0 background, 1 tissue, 2 lesion; lesion color never leaves the blob
+        cls = inside.view(np.uint8) + (lesion_raster[y0:y1] & inside).view(np.uint8)
+        noise = np.random.default_rng([cfg.seed, index, chunk]).integers(
+            0, 256, (y1 - y0, size, 3), dtype=np.uint8
+        )
+        _paint(image[y0:y1], cls, noise, table)
 
     truth = lesion_raster & blob if cfg.label_background_inclusion else lesion_raster
     pyramid = build_pyramid(sid, image, cfg.n_levels)
@@ -213,24 +284,33 @@ def generate_slide(
     return pyramid, annotations, BinaryMask(sid, 0, truth, ROLE_GROUND_TRUTH), subtype
 
 
+def _along(axis: int, start=None, stop=None) -> tuple:
+    return (slice(None),) * axis + (slice(start, stop),)
+
+
 def _box_filter_bool(data: np.ndarray, radius: int, require_all: bool) -> np.ndarray:
-    """Separable square-window erosion (require_all) or dilation over bool data."""
+    """Separable square-window erosion (require_all) or dilation over bool data.
+
+    Along each axis the raster is ANDed (erosion) or ORed (dilation) with its
+    shifts by 1..radius; neighbours outside the raster count as False.
+    """
     if radius == 0:
         return data
-    window = 2 * radius + 1
     out = data
     for axis in (0, 1):
-        arr = out.astype(np.int32)
-        pad = [(0, 0), (0, 0)]
-        pad[axis] = (radius, radius)
-        arr = np.pad(arr, pad)
-        cs = np.cumsum(arr, axis=axis)
-        zero = np.zeros_like(np.take(cs, [0], axis=axis))
-        cs = np.concatenate([zero, cs], axis=axis)
-        hi = np.take(cs, range(window, cs.shape[axis]), axis=axis)
-        lo = np.take(cs, range(0, cs.shape[axis] - window), axis=axis)
-        counts = hi - lo
-        out = counts == window if require_all else counts > 0
+        acc = out.copy()
+        for s in range(1, radius + 1):
+            ahead, behind = _along(axis, s), _along(axis, None, -s)
+            if require_all:
+                acc[ahead] &= out[behind]
+                acc[behind] &= out[ahead]
+            else:
+                acc[ahead] |= out[behind]
+                acc[behind] |= out[ahead]
+        if require_all:  # an edge pixel's window reaches past the raster
+            acc[_along(axis, None, radius)] = False
+            acc[_along(axis, -radius)] = False
+        out = acc
     return out
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import parallel
-from .errors import FormatError, GeometryError, ValidationError
+from .errors import FormatError, GeometryError, ValidationError, typed_field
 from .masks import TISSUE_METHODS, BinaryMask, tissue_mask
 from .slide_io import SlidePyramid
 
@@ -276,16 +276,23 @@ def emit_manifest(records: list[TileRecord], path: str | Path) -> None:
 
 
 def read_manifest(path: str | Path) -> list[TileRecord]:
+    try:
+        lines = Path(path).read_text().split("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: cannot read tile manifest: {exc}") from exc
     records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                rec = TileRecord(**{f: obj[f] for f in MANIFEST_FIELDS})
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise FormatError(f"{path}:{lineno}: malformed tile record: {exc}") from exc
-            rec.validate()
-            records.append(rec)
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}:{lineno}: malformed tile record: {exc}") from exc
+        where = f"{path}:{lineno}: tile record"
+        rec = TileRecord(
+            **{f: typed_field(obj, f, str if f in ("slide_id", "label") else int, where)
+               for f in MANIFEST_FIELDS}
+        )
+        rec.validate()
+        records.append(rec)
     return records

@@ -57,6 +57,46 @@ def luma_reference(rgb: np.ndarray) -> np.ndarray:
     return np.rint(g).astype(np.uint8)
 
 
+def blob_oracle(size: int, cx: float, cy: float, r0: float, amps, phases) -> np.ndarray:
+    """The synthetic tissue blob by definition, one test per pixel of the whole raster.
+
+    A pixel is inside when its distance from (cx, cy) is at most
+    r0 * (1 + sum_k amps[k] * cos((k + 2) * theta + phases[k])) at its angle theta.
+    """
+    dy = np.arange(size, dtype=np.float64)[:, None] - cy
+    dx = np.arange(size, dtype=np.float64)[None, :] - cx
+    theta = np.arctan2(dy, dx)
+    r = np.ones((size, size))
+    for k in range(len(amps)):
+        r += amps[k] * np.cos((k + 2) * theta + phases[k])
+    return np.hypot(dx, dy) <= r0 * r
+
+
+def box_filter_bool_reference(data: np.ndarray, radius: int, require_all: bool) -> np.ndarray:
+    """Separable square-window erosion (require_all) or dilation over bool data.
+
+    Window sums from zero-padded cumulative sums: a pixel survives erosion
+    when its window is all True, and dilation when any of it is.
+    """
+    if radius == 0:
+        return data
+    window = 2 * radius + 1
+    out = data
+    for axis in (0, 1):
+        arr = out.astype(np.int32)
+        pad = [(0, 0), (0, 0)]
+        pad[axis] = (radius, radius)
+        arr = np.pad(arr, pad)
+        cs = np.cumsum(arr, axis=axis)
+        zero = np.zeros_like(np.take(cs, [0], axis=axis))
+        cs = np.concatenate([zero, cs], axis=axis)
+        hi = np.take(cs, range(window, cs.shape[axis]), axis=axis)
+        lo = np.take(cs, range(0, cs.shape[axis] - window), axis=axis)
+        counts = hi - lo
+        out = counts == window if require_all else counts > 0
+    return out
+
+
 def otsu_oracle(histogram) -> int:
     """Exhaustive argmax of between-class variance with Fraction arithmetic."""
     counts = [int(c) for c in histogram]

@@ -295,11 +295,31 @@ def _binary_manifest(tmp_path):
     return args
 
 
+def _string_report_dice(tmp_path):
+    score = {"slide_id": "s", "subtype": "SCC", "dice": "0.5", "accuracy": 1.0,
+             "fnr": 0.0, "fpr": 0.0}
+    (tmp_path / "reports").mkdir()
+    (tmp_path / "reports" / "t.json").write_text(json.dumps({"team": "t", "scores": [score]}))
+    return ["leaderboard", "--reports", str(tmp_path / "reports")]
+
+
+def _string_probability_level(tmp_path):
+    path = tmp_path / "p.pgm"
+    write_probability_map(ProbabilityMap("s", 0, np.zeros((4, 4))), path)
+    meta = json.loads(path.with_suffix(".json").read_text())
+    meta["level"] = "0"
+    path.with_suffix(".json").write_text(json.dumps(meta))
+    return ["ensemble", "--mode", "mean", "--inputs", str(path), str(path),
+            "--out", str(tmp_path / "o.pgm")]
+
+
 @pytest.mark.parametrize("make_args, field", [
     (_string_mask_level, "'level' is '0', expected int"),
     (_string_manifest_width, "'width' is '128', expected int"),
     (_binary_mask_sidecar, "malformed mask sidecar"),
     (_binary_manifest, "cannot read manifest"),
+    (_string_report_dice, "'dice' is '0.5', expected int or float"),
+    (_string_probability_level, "'level' is '0', expected int"),
 ])
 def test_malformed_json_field_is_one_line(tmp_path, make_args, field):
     proc = _run([sys.executable, "-m", "slidebench", *make_args(tmp_path)])

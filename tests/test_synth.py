@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import blob_oracle, box_filter_bool_reference
 from slidebench import (
     METHOD_GRAY200,
     METHOD_OTSU,
@@ -18,6 +19,7 @@ from slidebench import (
     dice,
     generate_challenge,
     generate_slide,
+    luma,
     rasterize,
     read_mask,
     read_subtypes,
@@ -26,6 +28,7 @@ from slidebench import (
     tissue_mask,
 )
 from slidebench.masks import ROLE_GROUND_TRUTH, ROLE_PREDICTION
+from slidebench.synth import _LESION_LO, _TISSUE_LO, _blob_mask, _box_filter_bool, _paint_table
 
 _CFG = SynthConfig(seed=5, slides=1, level0_size=192, n_levels=2, lesion_radius=(8.0, 20.0))
 
@@ -36,6 +39,10 @@ def _tree_digest(root: Path) -> dict[str, str]:
         if path.is_file():
             out[str(path.relative_to(root))] = hashlib.sha256(path.read_bytes()).hexdigest()
     return out
+
+
+# sizes that leave the last 512-row chunk partial
+_PROPERTY_CASES = [(size, seed) for size in (700, 1100) for seed in (3, 4, 5)]
 
 
 def test_generate_slide_deterministic():
@@ -152,6 +159,105 @@ def test_erode_shrinks_and_dilate_grows():
     assert np.count_nonzero(dilated.data) > np.count_nonzero(truth.data)
 
 
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (7, 5), (64, 33)])
+@pytest.mark.parametrize("radius", range(7))
+@pytest.mark.parametrize("require_all", [True, False])
+def test_box_filter_matches_reference(shape, radius, require_all):
+    rng = np.random.default_rng([radius, *shape])
+    for density in (0.3, 0.9, 1.0):
+        data = rng.random(shape) < density
+        got = _box_filter_bool(data, radius, require_all)
+        assert got.dtype == bool
+        assert np.array_equal(got, box_filter_bool_reference(data, radius, require_all))
+
+
+@pytest.mark.parametrize("spec", [CorruptionSpec(erode=2), CorruptionSpec(dilate=2),
+                                  CorruptionSpec(erode=1, dilate=3)])
+def test_corrupt_prediction_box_filters_match_reference(spec):
+    _, _, truth, _ = generate_slide(replace(_CFG, level0_size=300), 1)
+    expected = box_filter_bool_reference(truth.data, spec.erode, require_all=True)
+    expected = box_filter_bool_reference(expected, spec.dilate, require_all=False)
+    assert np.array_equal(corrupt_prediction(truth, spec).data, expected)
+
+
+def _blob_geometry(cfg: SynthConfig, index: int):
+    """The blob parameters generate_slide draws first from its (seed, index) stream."""
+    rng = np.random.default_rng([cfg.seed, index])
+    weights = np.asarray(cfg.subtype_ratio, dtype=np.float64)
+    rng.choice(3, p=weights / weights.sum())
+    size = cfg.level0_size
+    cx, cy = size / 2.0 + rng.uniform(-0.05, 0.05, 2) * size
+    r0 = rng.uniform(0.28, 0.34) * size
+    return cx, cy, r0, rng.uniform(-0.06, 0.06, 4), rng.uniform(0.0, 2.0 * np.pi, 4)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_blob_mask_matches_oracle(seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(64, 400))
+    cx, cy = rng.uniform(-0.2, 1.2, 2) * size  # centers off the raster too
+    r0 = rng.uniform(0.1, 0.6) * size
+    amps = rng.uniform(-0.06, 0.06, 4)
+    phases = rng.uniform(0.0, 2.0 * np.pi, 4)
+    assert np.array_equal(_blob_mask(size, cx, cy, r0, amps, phases),
+                          blob_oracle(size, cx, cy, r0, amps, phases))
+
+
+@pytest.mark.parametrize("jitter, bg_jitter", [(-8, -2), (0, 0), (8, 2)])
+def test_paint_table_covers_each_class_range(jitter, bg_jitter):
+    table = _paint_table(jitter, bg_jitter).reshape(3, 4, 256)
+    for c in range(3):
+        ranges = ((230 + bg_jitter, 21), (_TISSUE_LO[c] + jitter, 46), (_LESION_LO[c] + jitter, 51))
+        for k, (lo, width) in enumerate(ranges):
+            assert set(table[k, c].tolist()) == set(range(lo, lo + width))
+
+
+@pytest.mark.parametrize("size, seed", _PROPERTY_CASES)
+def test_slide_luma_separates_blob_from_background(size, seed):
+    cfg = replace(_CFG, seed=seed, level0_size=size)
+    pyr, _, truth, _ = generate_slide(cfg, seed)
+    blob = blob_oracle(size, *_blob_geometry(cfg, seed))
+    pixels = pyr.level(0).pixels
+    gray = luma(pixels)
+    assert np.all(gray[blob] <= 200) and np.all(gray[~blob] > 200)
+    for c in range(3):  # the noise reaches every value of each range
+        assert len(np.unique(pixels[~blob, c])) == 21
+        assert len(np.unique(pixels[blob & ~truth.data, c])) == 46
+    assert np.count_nonzero(truth.data & ~blob) == 0
+    otsu = tissue_mask(pyr, 0, METHOD_OTSU)
+    assert np.array_equal(otsu.data, tissue_mask(pyr, 0, METHOD_GRAY200).data)
+    assert np.array_equal(otsu.data, blob)
+
+
+@pytest.mark.parametrize("size, seed", _PROPERTY_CASES)
+def test_lesion_pixels_stay_in_lesion_ranges(size, seed):
+    pyr, _, truth, _ = generate_slide(replace(_CFG, seed=seed, level0_size=size), 0)
+    lesion = pyr.level(0).pixels[truth.data].astype(int)
+    assert len(lesion) > 0
+    for c, lo in enumerate(_LESION_LO):
+        # one jitter in [-8, 8] shifts the whole 51-value range of a slide
+        assert lo - 8 <= lesion[:, c].min() and lesion[:, c].max() <= lo + 8 + 50
+        assert lesion[:, c].max() - lesion[:, c].min() <= 50
+
+
+@pytest.mark.parametrize("size, seed", _PROPERTY_CASES)
+def test_same_seed_and_index_give_identical_bytes(size, seed):
+    cfg = replace(_CFG, seed=seed, level0_size=size)
+    first, again = generate_slide(cfg, 2)[0], generate_slide(cfg, 2)[0]
+    for level in (0, 1):
+        assert first.level(level).pixels.tobytes() == again.level(level).pixels.tobytes()
+
+
+@pytest.mark.parametrize("size", [700, 1100])
+def test_truth_table_recount_at_partial_chunk_sizes(tmp_path, size):
+    cfg = SynthConfig(seed=size, slides=2, level0_size=size, n_levels=1)
+    teams = [("exact", CorruptionSpec(seed=1)), ("flip", CorruptionSpec(flip_rate=0.04, seed=1)),
+             ("erode", CorruptionSpec(erode=2)), ("dilate", CorruptionSpec(dilate=2))]
+    generate_challenge(cfg, teams, tmp_path, workers=1)
+    assert len(read_truth_table(tmp_path / "truth_table.csv")) == 8
+    _assert_truth_table_recounts(tmp_path)
+
+
 def test_subtype_ratio_degenerate_weights():
     cfg = replace(_CFG, subtype_ratio=(1.0, 0.0, 0.0))
     for index in range(4):
@@ -176,13 +282,16 @@ def test_challenge_layout(challenge_dir):
     assert set(subtypes.values()) <= {"SCC", "SCLC", "ADC"}
 
 
-def test_truth_table_matches_mask_recount(challenge_dir):
-    table = read_truth_table(challenge_dir / "truth_table.csv")
-    for row in table:
-        truth = read_mask(challenge_dir / "truth" / f"{row['slide_id']}.pgm")
-        pred = read_mask(challenge_dir / "predictions" / row["team"] / f"{row['slide_id']}.pgm")
+def _assert_truth_table_recounts(root: Path) -> None:
+    for row in read_truth_table(root / "truth_table.csv"):
+        truth = read_mask(root / "truth" / f"{row['slide_id']}.pgm")
+        pred = read_mask(root / "predictions" / row["team"] / f"{row['slide_id']}.pgm")
         c = confusion(truth, pred)
         assert (c.tp, c.fp, c.fn, c.tn) == (row["tp"], row["fp"], row["fn"], row["tn"])
+
+
+def test_truth_table_matches_mask_recount(challenge_dir):
+    _assert_truth_table_recounts(challenge_dir)
 
 
 def test_identity_team_is_perfect_in_truth_table(challenge_dir):

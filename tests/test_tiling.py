@@ -255,6 +255,14 @@ def test_read_manifest_rejects_malformed_line(tmp_path):
         read_manifest(path)
 
 
+def test_read_manifest_rejects_string_field(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"slide_id": "s", "level": 0, "x": "0", "y": 0, "size": 4, '
+                    '"tumor_pixels": 0, "total_pixels": 16, "label": "Negative"}\n')
+    with pytest.raises(FormatError, match=r"bad.jsonl:1: tile record field 'x' is '0', expected int"):
+        read_manifest(path)
+
+
 def test_tiling_config_validation():
     with pytest.raises(ValidationError):
         TilingConfig(tile_size=0).validate()
