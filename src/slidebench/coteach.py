@@ -348,7 +348,11 @@ def parse_config(path: str | Path) -> CoteachConfig:
     kwargs: dict = {}
     casts = {"eta": float, "t_max": int, "n_max": int, "tau": float,
              "ramp_epochs": int, "seed": int}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -202,16 +203,15 @@ def aggregate(
     return out
 
 
-def _score_slide(slide_id: str) -> SlideScore:
-    g = parallel.shared_get("metrics.gt")[slide_id]
-    p = parallel.shared_get("metrics.pred")[slide_id]
+def _score_slide(gt: dict, pred: dict, subtypes: dict[str, str], slide_id: str) -> SlideScore:
+    g, p = gt[slide_id], pred[slide_id]
     if p.level > g.level:
         p = upsample_mask(p, g.level, g.width, g.height)
     elif p.level < g.level:
         raise GeometryError(
             f"{slide_id}: prediction level {p.level} finer than ground truth {g.level}"
         )
-    subtype = parallel.shared_get("metrics.subtypes").get(slide_id, SUBTYPE_UNKNOWN)
+    subtype = subtypes.get(slide_id, SUBTYPE_UNKNOWN)
     return score_slide(slide_id, confusion(g, p), subtype)
 
 
@@ -233,8 +233,8 @@ def evaluate_team(
     missing = sorted(set(gt) - set(pred))
     if missing:
         raise ValidationError(f"team {team!r} is missing predictions for: {', '.join(missing)}")
-    shared = {"metrics.gt": gt, "metrics.pred": pred, "metrics.subtypes": subtypes or {}}
-    scores = parallel.run_chunks(_score_slide, sorted(gt), workers=workers, shared=shared)
+    score = partial(_score_slide, gt, pred, subtypes or {})
+    scores = parallel.run_chunks(score, sorted(gt), workers=workers)
     return TeamReport(team, scores)
 
 
@@ -284,8 +284,10 @@ def read_report(path: str | Path) -> TeamReport:
     scores = []
     where = f"{path}: report score"
     for s in typed_field(payload, "scores", list, f"{path}: report"):
+        if not isinstance(s, dict):
+            raise FormatError(f"{where} is {s!r}, expected a JSON object")
         counts = None
-        if isinstance(s, dict) and "tp" in s:
+        if "tp" in s:
             counts = ConfusionCounts(*(typed_field(s, k, int, where) for k in COUNT_FIELDS))
         flags = typed_field(s, "flags", list, where) if "flags" in s else []
         if not all(isinstance(f, str) for f in flags):

@@ -20,12 +20,13 @@ from __future__ import annotations
 import csv
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import parallel
-from .errors import ValidationError
+from .errors import FormatError, ValidationError
 from .masks import ROLE_GROUND_TRUTH, ROLE_PREDICTION, BinaryMask, write_mask
 from .masks import _fill_even_odd  # shares the exact fill rule with rasterize
 from .slide_io import (
@@ -39,6 +40,7 @@ from .slide_io import (
 
 SUBTYPE_ORDER = ("SCC", "SCLC", "ADC")  # weights in subtype_ratio follow this order
 DEFAULT_RATIO = (6.0, 3.0, 1.0)
+TRUTH_TABLE_COLUMNS = ("slide_id", "team", "tp", "fp", "fn", "tn")
 
 _CHUNK_ROWS = 512  # rows painted from one noise stream
 _PAINT_PIXELS = 1 << 15  # pixels per table lookup, so numpy's intp copy of the keys stays in cache
@@ -362,10 +364,7 @@ def _normalize_teams(teams) -> list[tuple[str, CorruptionSpec]]:
     return named
 
 
-def _challenge_slide(index: int) -> tuple[str, str, list[tuple[str, int, int, int, int]]]:
-    cfg: SynthConfig = parallel.shared_get("synth.cfg")
-    teams: list[tuple[str, CorruptionSpec]] = parallel.shared_get("synth.teams")
-    out = Path(parallel.shared_get("synth.out"))
+def _challenge_slide(cfg: SynthConfig, teams: list, out: Path, index: int) -> tuple[str, str, list]:
     pyramid, annotations, truth, subtype = generate_slide(cfg, index)
     sid = pyramid.slide_id
     write_pyramid(pyramid, out / "slides" / sid)
@@ -401,9 +400,8 @@ def generate_challenge(
     for name, _ in named:
         (out / "predictions" / name).mkdir(parents=True, exist_ok=True)
 
-    shared = {"synth.cfg": cfg, "synth.teams": named, "synth.out": str(out)}
     results = parallel.run_chunks(
-        _challenge_slide, list(range(cfg.slides)), workers=workers, shared=shared
+        partial(_challenge_slide, cfg, named, out), list(range(cfg.slides)), workers=workers
     )
 
     subtype_rows = []
@@ -417,7 +415,7 @@ def generate_challenge(
 
     with open(out / "truth_table.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["slide_id", "team", "tp", "fp", "fn", "tn"])
+        writer.writerow(TRUTH_TABLE_COLUMNS)
         writer.writerows(table_rows)
     with open(out / "subtypes.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -433,26 +431,36 @@ def generate_challenge(
     }
 
 
-def read_truth_table(path: str | Path) -> list[dict]:
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(
-                {
-                    "slide_id": row["slide_id"],
-                    "team": row["team"],
-                    "tp": int(row["tp"]),
-                    "fp": int(row["fp"]),
-                    "fn": int(row["fn"]),
-                    "tn": int(row["tn"]),
-                }
-            )
+def _read_csv(path: str | Path, columns: tuple[str, ...]) -> list[dict]:
+    """Rows of a CSV file that has every one of ``columns``; FormatError otherwise."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: cannot read CSV: {exc}") from exc
+    missing = [c for c in columns if c not in (reader.fieldnames or [])]
+    if missing:
+        raise FormatError(f"{path}: missing column(s) {', '.join(missing)}")
+    for n, row in enumerate(rows, 1):
+        if any(row[c] is None for c in columns):
+            raise FormatError(f"{path}: row {n} has fewer than {len(reader.fieldnames)} fields")
     return rows
 
 
-def read_subtypes(path: str | Path) -> dict[str, str]:
-    out = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out[row["slide_id"]] = row["subtype"]
+def read_truth_table(path: str | Path) -> list[dict]:
+    out = []
+    for n, row in enumerate(_read_csv(path, TRUTH_TABLE_COLUMNS), 1):
+        rec = {k: row[k] for k in TRUTH_TABLE_COLUMNS}
+        for k in TRUTH_TABLE_COLUMNS[2:]:
+            try:
+                rec[k] = int(rec[k])
+            except ValueError as exc:
+                raise FormatError(f"{path}: row {n} field {k!r} is {rec[k]!r}, "
+                                  "expected an integer") from exc
+        out.append(rec)
     return out
+
+
+def read_subtypes(path: str | Path) -> dict[str, str]:
+    return {row["slide_id"]: row["subtype"] for row in _read_csv(path, ("slide_id", "subtype"))}

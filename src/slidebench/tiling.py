@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -181,15 +183,11 @@ def _window_sums(data: np.ndarray, y: int, size: int, xs: np.ndarray) -> np.ndar
     return cs[xs + size] - cs[xs]
 
 
-def _count_band(rows: list[tuple[int, np.ndarray]]) -> list[tuple[int, np.ndarray, np.ndarray | None]]:
-    gt = parallel.shared_get("tiling.gt")
-    tissue = parallel.shared_get("tiling.tissue")
-    size = parallel.shared_get("tiling.size")
+def _count_band(gt: np.ndarray, tissue: np.ndarray | None, size: int, rows: list) -> list:
     out = []
     for y, xs in rows:
-        tumor = _window_sums(gt, y, size, xs)
         keep = _window_sums(tissue, y, size, xs) if tissue is not None else None
-        out.append((y, tumor, keep))
+        out.append((_window_sums(gt, y, size, xs), keep))
     return out
 
 
@@ -232,30 +230,18 @@ def extract_tiles(
 
     tissue = tissue_mask(p, cfg.level, cfg.tissue_filter).data if cfg.tissue_filter else None
 
-    rows: list[tuple[int, np.ndarray]] = []
-    current_y: int | None = None
-    for x, y in origins:
-        if y != current_y:
-            rows.append((y, []))
-            current_y = y
-        rows[-1][1].append(x)
-    rows = [(y, np.asarray(xs, dtype=np.int64)) for y, xs in rows]
+    rows = [(y, np.array([x for x, _ in row], dtype=np.int64))
+            for y, row in groupby(origins, key=lambda o: o[1])]
 
     n_workers = parallel.resolve_workers(workers)
-    n_bands = max(1, min(len(rows), n_workers * 4))
-    bands = [rows[i::n_bands] for i in range(n_bands)]
-    shared = {"tiling.gt": gt.data, "tiling.tissue": tissue, "tiling.size": size}
-    band_results = parallel.run_chunks(_count_band, bands, workers=n_workers, shared=shared)
-
-    by_y: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
-    for band, result in zip(bands, band_results):
-        for (y, xs), (_, tumor, keep) in zip(band, result):
-            by_y[y] = (xs, tumor, keep)
+    step = max(1, -(-len(rows) // (n_workers * 4)))
+    bands = [rows[i : i + step] for i in range(0, len(rows), step)]
+    count = partial(_count_band, gt.data, tissue, size)
+    counts = [c for band in parallel.run_chunks(count, bands, workers=n_workers) for c in band]
 
     total = size * size
     records = []
-    for y in sorted(by_y):
-        xs, tumor, keep = by_y[y]
+    for (y, xs), (tumor, keep) in zip(rows, counts):
         for i in range(len(xs)):
             if keep is not None and keep[i] == 0:
                 continue

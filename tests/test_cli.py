@@ -21,6 +21,7 @@ from slidebench import (
 )
 from slidebench.cli import main
 from slidebench.masks import ROLE_GROUND_TRUTH, ROLE_PREDICTION, BinaryMask
+from slidebench.netpbm import write_p6
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -328,6 +329,138 @@ def test_malformed_json_field_is_one_line(tmp_path, make_args, field):
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("slidebench: error:")
     assert field in lines[0]
+
+
+def _write(path: Path, data: bytes | str) -> None:
+    path.write_bytes(data.encode() if isinstance(data, str) else data)
+
+
+def _truncate(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[:-5])
+
+
+def _slide(tmp_path) -> Path:
+    """Manifest of a 16x16 one-level slide."""
+    return write_pyramid(build_pyramid("s", np.zeros((16, 16, 3), dtype=np.uint8), 1),
+                         tmp_path / "slide")
+
+
+def _slide_case(mutate):
+    """``tissue`` on a 16x16 one-level slide whose manifest is first passed to ``mutate``."""
+    def make(tmp_path):
+        manifest = _slide(tmp_path)
+        mutate(manifest)
+        return ["tissue", "--slide", str(manifest), "--out", str(tmp_path / "t.pgm")]
+    return make
+
+
+def _mask_case(mutate):
+    """``refine`` on a 16x16 mask whose path is first passed to ``mutate``."""
+    def make(tmp_path):
+        path = tmp_path / "m.pgm"
+        write_mask(BinaryMask("s", 0, np.zeros((16, 16), dtype=bool), ROLE_GROUND_TRUTH), path)
+        mutate(path)
+        return ["refine", "--gt", str(path), "--tissue", str(path),
+                "--out", str(tmp_path / "o.pgm")]
+    return make
+
+
+def _xml_case(text):
+    def make(tmp_path):
+        _write(tmp_path / "s.xml", text)
+        return ["rasterize", "--annotations", str(tmp_path / "s.xml"),
+                "--slide", str(_slide(tmp_path)), "--out", str(tmp_path / "r.pgm")]
+    return make
+
+
+def _report_case(data):
+    def make(tmp_path):
+        _write(tmp_path / "t.json", data)
+        return ["leaderboard", "--reports", str(tmp_path / "t.json")]
+    return make
+
+
+def _subtypes_case(data):
+    def make(tmp_path):
+        for kind in ("truth", "pred"):
+            (tmp_path / kind).mkdir()
+            write_mask(BinaryMask("s", 0, np.zeros((4, 4), dtype=bool), ROLE_GROUND_TRUTH),
+                       tmp_path / kind / "s.pgm")
+        _write(tmp_path / "subtypes.csv", data)
+        return ["eval", "--truth", str(tmp_path / "truth"), "--pred", str(tmp_path / "pred"),
+                "--team", "t", "--subtypes", str(tmp_path / "subtypes.csv"),
+                "--out", str(tmp_path / "r.json")]
+    return make
+
+
+def _config_case(data):
+    def make(tmp_path):
+        _write(tmp_path / "train.cfg", data)
+        return ["coteach", "--out", str(tmp_path / "bench"),
+                "--config", str(tmp_path / "train.cfg")]
+    return make
+
+
+def _ensemble_mean_of_mask(tmp_path):
+    path = tmp_path / "m.pgm"
+    write_mask(BinaryMask("s", 0, np.zeros((4, 4), dtype=bool), ROLE_PREDICTION), path)
+    return ["ensemble", "--mode", "mean", "--inputs", str(path), str(path),
+            "--out", str(tmp_path / "f.pgm")]
+
+
+_LEVEL = "level_00.ppm"
+_POLYGON = ('<ASAP_Annotations><Annotations><Annotation Name="a" Type="Polygon" PartOfGroup="t">'
+            '<Coordinates><Coordinate Order="0" X="1" Y="1"/><Coordinate Order="1" X="{x}" Y="1"/>'
+            '<Coordinate Order="2" X="1" Y="9"/></Coordinates></Annotation></Annotations>'
+            '</ASAP_Annotations>')
+
+# malformed inputs to every file reader the CLI reaches
+MALFORMED_INPUTS = {
+    "ppm_truncated": _slide_case(lambda m: _truncate(m.parent / _LEVEL)),
+    "ppm_smaller_than_manifest": _slide_case(
+        lambda m: write_p6(m.parent / _LEVEL, np.zeros((8, 8, 3), dtype=np.uint8))),
+    "ppm_bad_magic": _slide_case(lambda m: _write(m.parent / _LEVEL, b"P3\n16 16\n255\n0 0 0\n")),
+    "pgm_truncated": _mask_case(_truncate),
+    "pgm_bad_magic": _mask_case(lambda p: _write(p, b"P6\n4 4\n255\n" + bytes(48))),
+    "pgm_bad_maxval": _mask_case(lambda p: _write(p, b"P5\n4 4\n65535\n" + bytes(32))),
+    "pgm_trailing_bytes": _mask_case(lambda p: _write(p, p.read_bytes() + b"\0")),
+    "xml_not_well_formed": _xml_case("<ASAP_Annotations><Annotations>"),
+    "xml_wrong_root": _xml_case("<NotASAP></NotASAP>"),
+    "xml_non_numeric_coordinate": _xml_case(_POLYGON.format(x="nine")),
+    "xml_not_utf8": _xml_case(b"\xff\xfe<ASAP_Annotations/>"),
+    "report_not_json": _report_case('{"team": "t", '),
+    "report_not_utf8": _report_case(b"\xff\xfe{}"),
+    "report_top_level_list": _report_case("[1]"),
+    "report_scores_not_list": _report_case('{"team": "t", "scores": 1}'),
+    "report_score_not_object": _report_case('{"team": "t", "scores": [1]}'),
+    "sidecar_missing": _mask_case(lambda p: p.with_suffix(".json").unlink()),
+    "sidecar_not_json": _mask_case(lambda p: _write(p.with_suffix(".json"), "{")),
+    "sidecar_not_object": _mask_case(lambda p: _write(p.with_suffix(".json"), "[]")),
+    "sidecar_bad_role": _mask_case(lambda p: _write(
+        p.with_suffix(".json"), '{"slide_id": "s", "level": 0, "role": "Nobody"}')),
+    "probability_sidecar_of_a_mask": _ensemble_mean_of_mask,
+    "manifest_not_json": _slide_case(lambda m: _write(m, "{")),
+    "manifest_missing_levels": _slide_case(lambda m: _write(m, '{"slide_id": "s"}')),
+    "manifest_level_not_object": _slide_case(lambda m: _write(
+        m, '{"slide_id": "s", "mpp_level0": null, "levels": [1]}')),
+    "manifest_missing_level_file": _slide_case(lambda m: (m.parent / _LEVEL).unlink()),
+    "subtypes_without_subtype_column": _subtypes_case("slide_id,kind\ns,SCC\n"),
+    "subtypes_not_utf8": _subtypes_case(b"slide_id,subtype\ns,\xff\xfe\n"),
+    "subtypes_short_row": _subtypes_case("slide_id,subtype\ns\n"),
+    "config_not_utf8": _config_case(b"eta=\xff\xfe\n"),
+    "config_unknown_key": _config_case("bogus=1\n"),
+    "config_bad_value": _config_case("t_max=many\n"),
+}
+
+
+@pytest.mark.parametrize("make_args", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_is_one_line(tmp_path, make_args):
+    proc = _run([sys.executable, "-m", "slidebench", *make_args(tmp_path)])
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("slidebench: error:")
 
 
 def test_full_pipeline_script(tmp_path):

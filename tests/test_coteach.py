@@ -207,6 +207,13 @@ def test_parse_config_rejects_bad_input(tmp_path, body):
         parse_config(path)
 
 
+def test_parse_config_rejects_non_utf8(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"eta=\xff\xfe\n")
+    with pytest.raises(ConfigError, match="cannot read config"):
+        parse_config(path)
+
+
 def test_config_validation():
     with pytest.raises(ValidationError):
         CoteachConfig(eta=0.0).validate()

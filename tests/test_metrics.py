@@ -16,7 +16,7 @@ from slidebench import (
     write_report,
     write_scores_csv,
 )
-from slidebench.errors import GeometryError, ValidationError
+from slidebench.errors import FormatError, GeometryError, ValidationError
 from slidebench.metrics import (
     FLAG_EMPTY_PAIR,
     FLAG_EMPTY_REGION,
@@ -277,6 +277,13 @@ def test_report_round_trip(tmp_path, rng):
     back = read_report(path)
     assert back.team == "team_x"
     assert back.scores == report.scores
+
+
+def test_read_report_rejects_non_object_score(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text('{"team": "t", "scores": [1]}')
+    with pytest.raises(FormatError, match="report score is 1, expected a JSON object"):
+        read_report(path)
 
 
 def test_scores_csv_format(tmp_path):

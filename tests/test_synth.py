@@ -12,6 +12,7 @@ from slidebench import (
     METHOD_OTSU,
     BinaryMask,
     CorruptionSpec,
+    FormatError,
     SynthConfig,
     ValidationError,
     confusion,
@@ -346,3 +347,30 @@ def test_synth_config_validation(kwargs):
 def test_corruption_spec_validation(kwargs):
     with pytest.raises(ValidationError):
         CorruptionSpec(**kwargs).validate()
+
+
+_TRUTH_HEADER = b"slide_id,team,tp,fp,fn,tn\n"
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"slide_id,team,tp,fp,fn\ns,t,1,2,3\n", "missing column"),
+    (_TRUTH_HEADER + b"s,t,1,2,three,4\n", "row 1 field 'fn' is 'three', expected an integer"),
+    (_TRUTH_HEADER + b"s,t,1,2\n", "row 1 has fewer than 6 fields"),
+    (_TRUTH_HEADER + b"s,\xff\xfe,1,2,3,4\n", "cannot read CSV"),
+])
+def test_read_truth_table_rejects_malformed_csv(tmp_path, data, message):
+    path = tmp_path / "truth_table.csv"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=message):
+        read_truth_table(path)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"slide_id,kind\ns,SCC\n", "missing column"),
+    (b"slide_id,subtype\ns,\xff\xfe\n", "cannot read CSV"),
+])
+def test_read_subtypes_rejects_malformed_csv(tmp_path, data, message):
+    path = tmp_path / "subtypes.csv"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=message):
+        read_subtypes(path)

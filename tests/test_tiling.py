@@ -263,6 +263,18 @@ def test_read_manifest_rejects_string_field(tmp_path):
         read_manifest(path)
 
 
+@pytest.mark.parametrize("data, message", [
+    (b'{"slide_id": "s",\n', "malformed tile record"),
+    (b"[1]\n", "tile record is not a JSON object"),
+    (b'{"slide_id": "\xff\xfe"}\n', "cannot read tile manifest"),
+])
+def test_read_manifest_rejects_malformed_jsonl(tmp_path, data, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=message):
+        read_manifest(path)
+
+
 def test_tiling_config_validation():
     with pytest.raises(ValidationError):
         TilingConfig(tile_size=0).validate()
