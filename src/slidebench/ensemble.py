@@ -91,10 +91,10 @@ def fuse_vote(masks: list[BinaryMask]) -> BinaryMask:
     _check_geometry(masks, "mask")
     if len(masks) % 2 == 0:
         raise ValidationError(f"fuse_vote needs an odd count, got {len(masks)}")
-    votes = np.zeros(_shape(masks[0]), dtype=np.int64)
+    votes = np.zeros(_shape(masks[0]), dtype=np.min_scalar_type(len(masks)))
     for m in masks:
-        votes += m.data
-    out = 2 * votes > len(masks)
+        votes += m.data.view(np.uint8)
+    out = votes > len(masks) // 2
     return BinaryMask(masks[0].slide_id, masks[0].level, out, ROLE_PREDICTION)
 
 

@@ -47,6 +47,13 @@ def format_mean_std(mean: float, std: float) -> str:
     return f"{mean:.4f}±{std:.4f}"
 
 
+def _check_unique_teams(reports: list[TeamReport]) -> None:
+    teams = [rep.team for rep in reports]
+    repeated = [t for i, t in enumerate(teams) if t in teams[:i]]
+    if repeated:
+        raise ValidationError(f"team {repeated[0]!r} appears in more than one report")
+
+
 def rank_teams(
     reports: list[TeamReport], groups: dict[str, str] | None = None
 ) -> list[LeaderboardEntry]:
@@ -56,6 +63,7 @@ def rank_teams(
     """
     if not reports:
         raise ValidationError("rank_teams: no reports")
+    _check_unique_teams(reports)
     slide_sets = {rep.team: tuple(sorted(rep.slide_ids())) for rep in reports}
     reference = slide_sets[reports[0].team]
     for team, ids in slide_sets.items():
@@ -95,6 +103,7 @@ def group_compare(
     """
     if not reports:
         raise ValidationError("group_compare: no reports")
+    _check_unique_teams(reports)
     names = sorted({grouping[rep.team] for rep in reports if rep.team in grouping})
     missing = [rep.team for rep in reports if rep.team not in grouping]
     if missing:

@@ -90,7 +90,7 @@ _LUMA_CHUNK_PIXELS = 1 << 16
 def _row_blocks(height: int, width: int):
     """Slices of whole rows covering ``height`` rows, about _LUMA_CHUNK_PIXELS each."""
     rows = max(1, _LUMA_CHUNK_PIXELS // max(1, width))
-    return (slice(y, y + rows) for y in range(0, height, rows))
+    return (slice(y, min(y + rows, height)) for y in range(0, height, rows))
 
 
 def luma(rgb: np.ndarray) -> np.ndarray:
@@ -263,7 +263,7 @@ def write_mask(mask: BinaryMask, path: str | Path) -> None:
     """Serialize as binary PGM (0 = background, 255 = set) plus a JSON sidecar."""
     mask.validate()
     path = Path(path)
-    netpbm.write_p5(path, mask.data.astype(np.uint8) * 255)
+    netpbm.write_p5(path, mask.data.view(np.uint8) * np.uint8(255))  # one temporary
     sidecar = {"slide_id": mask.slide_id, "level": mask.level, "role": mask.role}
     path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 

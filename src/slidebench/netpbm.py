@@ -1,10 +1,11 @@
 """Minimal binary netpbm reader/writer (P5 grayscale, P6 RGB, maxval 255).
 
 Writing is canonical and byte-deterministic: a fixed single-line header per
-field, no comments. Reading accepts any conforming header (whitespace and
-``#`` comments between tokens, of any length) and holds one copy of the
-raster: the header is parsed from the open file and the raster is read
-straight into the returned array.
+field, no comments, then the contiguous array's own buffer, never a bytes
+copy of it. Reading accepts any conforming header (whitespace and ``#``
+comments between tokens, of any length) and holds one copy of the raster:
+the header is parsed from the open file and the raster is read straight
+into the returned array.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ def write_p5(path: str | Path, gray: np.ndarray) -> None:
     h, w = arr.shape
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n%d\n" % (w, h, _MAXVAL))
-        fh.write(arr.tobytes())
+        fh.write(arr)
 
 
 def write_p6(path: str | Path, rgb: np.ndarray) -> None:
@@ -38,7 +39,7 @@ def write_p6(path: str | Path, rgb: np.ndarray) -> None:
     h, w = arr.shape[:2]
     with open(path, "wb") as fh:
         fh.write(b"P6\n%d %d\n%d\n" % (w, h, _MAXVAL))
-        fh.write(arr.tobytes())
+        fh.write(arr)
 
 
 def read_p5(path: str | Path) -> np.ndarray:

@@ -5,9 +5,10 @@ few star-polygon lesions inside it. The color ranges are chosen so that
 every tissue or lesion pixel has Rec.601 luma <= 200 and every background
 pixel has luma > 200, which makes the fixed gray-200 tissue rule recover the
 analytic blob exactly. Everything is a pure function of (config seed, slide
-index); team predictions derive per-slide flip fields from the corruption
-seed, so teams sharing a seed have nested flip sets and their Dice order is
-guaranteed by construction.
+index). Team predictions flip pixels where one uniform field per
+(corruption seed, slide), drawn once in cache-sized row blocks, is below
+their rate, so teams sharing a seed have nested flip sets and their Dice
+order is guaranteed by construction.
 
 The stream seeded with (seed, index) draws a slide's geometry and color
 jitter: subtype, blob, lesions, then the two jitters. Pixels come from one
@@ -29,6 +30,7 @@ from . import parallel
 from .errors import FormatError, ValidationError
 from .masks import ROLE_GROUND_TRUTH, ROLE_PREDICTION, BinaryMask, write_mask
 from .masks import _fill_even_odd  # shares the exact fill rule with rasterize
+from .masks import _row_blocks  # the cache-sized row blocks of luma
 from .slide_io import (
     Annotation,
     AnnotationSet,
@@ -316,26 +318,32 @@ def _box_filter_bool(data: np.ndarray, radius: int, require_all: bool) -> np.nda
     return out
 
 
-def corrupt_prediction(true_mask: BinaryMask, spec: CorruptionSpec) -> BinaryMask:
-    """Erode, then dilate, then flip pixels where the shared uniform field
-    falls below flip_rate.
+def corrupt_prediction(true_mask: BinaryMask, specs: list[CorruptionSpec]) -> list[BinaryMask]:
+    """One prediction per spec, in order: erode, then dilate, then flip the
+    pixels where the uniform field of (spec.seed, slide id) is below flip_rate.
 
-    The flip field depends only on (spec.seed, slide id), so specs sharing a
-    seed flip nested pixel sets as flip_rate grows.
+    Specs sharing a seed flip nested pixel sets as flip_rate grows. Each
+    seed's field is drawn once, for all its specs, in row blocks of about
+    2**16 pixels that continue one stream, so the flips equal thresholding
+    the whole field drawn at once.
     """
-    spec.validate()
-    data = true_mask.data
-    if spec.erode:
-        data = _box_filter_bool(data, spec.erode, require_all=True)
-    if spec.dilate:
+    outs = []
+    for spec in specs:
+        spec.validate()
+        data = _box_filter_bool(true_mask.data, spec.erode, require_all=True)
         data = _box_filter_bool(data, spec.dilate, require_all=False)
-    if spec.flip_rate > 0.0:
-        field_rng = np.random.default_rng([spec.seed, zlib.crc32(true_mask.slide_id.encode())])
-        flips = field_rng.random(data.shape) < spec.flip_rate
-        data = data ^ flips
-    elif data is true_mask.data:
-        data = data.copy()
-    return BinaryMask(true_mask.slide_id, true_mask.level, data, ROLE_PREDICTION)
+        outs.append(data.copy() if data is true_mask.data else data)
+    blocks = list(_row_blocks(*true_mask.data.shape))
+    field = np.empty((blocks[0].stop if blocks else 0, true_mask.width))  # one block's draw
+    slide_key = zlib.crc32(true_mask.slide_id.encode())
+    for seed in dict.fromkeys(s.seed for s in specs if s.flip_rate):
+        field_rng = np.random.default_rng([seed, slide_key])
+        flipped = [(o, s.flip_rate) for o, s in zip(outs, specs) if s.flip_rate and s.seed == seed]
+        for rows in blocks:
+            u = field_rng.random(out=field[: rows.stop - rows.start])
+            for out, rate in flipped:
+                out[rows] ^= u < rate
+    return [BinaryMask(true_mask.slide_id, true_mask.level, o, ROLE_PREDICTION) for o in outs]
 
 
 def _tally(gt: np.ndarray, pred: np.ndarray) -> tuple[int, int, int, int]:
@@ -371,8 +379,8 @@ def _challenge_slide(cfg: SynthConfig, teams: list, out: Path, index: int) -> tu
     serialize_annotations(annotations, out / "annotations" / f"{sid}.xml")
     write_mask(truth, out / "truth" / f"{sid}.pgm")
     rows = []
-    for name, spec in teams:
-        pred = corrupt_prediction(truth, spec)
+    preds = corrupt_prediction(truth, [spec for _, spec in teams])
+    for (name, _), pred in zip(teams, preds):
         write_mask(pred, out / "predictions" / name / f"{sid}.pgm")
         rows.append((name, *_tally(truth.data, pred.data)))
     return sid, subtype, rows

@@ -5,6 +5,9 @@ share no code with the package: ray parity instead of scanline fills,
 Fraction arithmetic instead of integer cross-multiplication, explicit
 enumeration of all sign patterns instead of dynamic programming, and a
 from-scratch logistic-regression loop. Deliberately simple and slow.
+``corrupt_prediction_reference`` is the exception: it is the package's
+earlier one-spec ``corrupt_prediction``, which draws the whole flip field
+at once, kept unchanged so the blocked batch can be checked against it.
 
 The helpers at the end compare or measure package objects for the tests:
 pyramid and annotation equality, exact tile-window counts, the traced
@@ -14,6 +17,7 @@ the package's own loss numerically to check its analytic gradient.
 from __future__ import annotations
 
 import tracemalloc
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +25,9 @@ import scipy.stats
 
 from slidebench.coteach import PixelBatch, _gradient, pixel_losses
 from slidebench.errors import GeometryError, ValidationError
-from slidebench.masks import BinaryMask
+from slidebench.masks import ROLE_PREDICTION, BinaryMask
 from slidebench.slide_io import AnnotationSet, SlidePyramid
+from slidebench.synth import CorruptionSpec, _box_filter_bool
 
 
 def raster_oracle(polygons, width: int, height: int, scale: float = 1.0) -> np.ndarray:
@@ -95,6 +100,28 @@ def box_filter_bool_reference(data: np.ndarray, radius: int, require_all: bool) 
         counts = hi - lo
         out = counts == window if require_all else counts > 0
     return out
+
+
+def corrupt_prediction_reference(true_mask: BinaryMask, spec: CorruptionSpec) -> BinaryMask:
+    """Erode, then dilate, then flip pixels where the shared uniform field
+    falls below flip_rate.
+
+    The flip field depends only on (spec.seed, slide id), so specs sharing a
+    seed flip nested pixel sets as flip_rate grows.
+    """
+    spec.validate()
+    data = true_mask.data
+    if spec.erode:
+        data = _box_filter_bool(data, spec.erode, require_all=True)
+    if spec.dilate:
+        data = _box_filter_bool(data, spec.dilate, require_all=False)
+    if spec.flip_rate > 0.0:
+        field_rng = np.random.default_rng([spec.seed, zlib.crc32(true_mask.slide_id.encode())])
+        flips = field_rng.random(data.shape) < spec.flip_rate
+        data = data ^ flips
+    elif data is true_mask.data:
+        data = data.copy()
+    return BinaryMask(true_mask.slide_id, true_mask.level, data, ROLE_PREDICTION)
 
 
 def otsu_oracle(histogram) -> int:

@@ -10,6 +10,8 @@ import pytest
 
 from slidebench import (
     ProbabilityMap,
+    SlideScore,
+    TeamReport,
     build_pyramid,
     read_manifest,
     read_mask,
@@ -18,6 +20,7 @@ from slidebench import (
     write_mask,
     write_probability_map,
     write_pyramid,
+    write_report,
 )
 from slidebench.cli import main
 from slidebench.masks import ROLE_GROUND_TRUTH, ROLE_PREDICTION, BinaryMask
@@ -408,6 +411,17 @@ def _ensemble_mean_of_mask(tmp_path):
             "--out", str(tmp_path / "f.pgm")]
 
 
+def _repeated_report_case(command, *extra):
+    """``command`` on reports of teams a, b and a again, each scoring one slide."""
+    def make(tmp_path):
+        paths = []
+        for team, dice in (("a", 0.9), ("b", 0.5)):
+            paths.append(str(tmp_path / f"{team}.json"))
+            write_report(TeamReport(team, [SlideScore("s", dice, dice, 0.0, 0.0)]), paths[-1])
+        return [command, "--reports", *paths, paths[0], *extra]
+    return make
+
+
 _LEVEL = "level_00.ppm"
 _POLYGON = ('<ASAP_Annotations><Annotations><Annotation Name="a" Type="Polygon" PartOfGroup="t">'
             '<Coordinates><Coordinate Order="0" X="1" Y="1"/><Coordinate Order="1" X="{x}" Y="1"/>'
@@ -433,6 +447,9 @@ MALFORMED_INPUTS = {
     "report_top_level_list": _report_case("[1]"),
     "report_scores_not_list": _report_case('{"team": "t", "scores": 1}'),
     "report_score_not_object": _report_case('{"team": "t", "scores": [1]}'),
+    "leaderboard_repeated_report": _repeated_report_case("leaderboard"),
+    "compare_repeated_report": _repeated_report_case(
+        "compare", "--groups", "a=MultiModel,b=SingleModel", "--out", os.devnull),
     "sidecar_missing": _mask_case(lambda p: p.with_suffix(".json").unlink()),
     "sidecar_not_json": _mask_case(lambda p: _write(p.with_suffix(".json"), "{")),
     "sidecar_not_object": _mask_case(lambda p: _write(p.with_suffix(".json"), "[]")),

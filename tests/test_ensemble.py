@@ -81,6 +81,17 @@ def test_fuse_vote_of_identical_masks_is_identity(rng):
     assert np.array_equal(out.data, data)
 
 
+@pytest.mark.parametrize("n", [3, 257])
+def test_fuse_vote_matches_int64_count(rng, n):
+    data = rng.random((n, 5, 7)) < 0.5
+    data[:, 0, 0] = True  # n votes, past uint8 when n is 257
+    data[:, 0, 1] = np.arange(n) <= n // 2  # the least majority
+    data[:, 0, 2] = np.arange(n) < n // 2  # one vote short
+    out = fuse_vote([_mask(d) for d in data])
+    assert np.array_equal(out.data, 2 * data.sum(axis=0, dtype=np.int64) > n)
+    assert out.data[0, :3].tolist() == [True, True, False]
+
+
 def test_binarize_threshold_is_strict():
     pm = _pm([[0.4, 0.5, 0.6]])
     mask = binarize(pm, 0.5)

@@ -67,6 +67,14 @@ def test_rank_teams_rejects_mismatched_slide_sets():
         rank_teams([good, bad])
 
 
+def test_repeated_team_is_rejected():
+    a, b = _report("a", [0.5, 0.6]), _report("b", [0.4, 0.7])
+    with pytest.raises(ValidationError, match="team 'a' appears in more than one report"):
+        rank_teams([a, b, _report("a", [0.1, 0.2])])
+    with pytest.raises(ValidationError, match="team 'a' appears in more than one report"):
+        group_compare([a, b, a], {"a": GROUP_MULTI, "b": GROUP_SINGLE})
+
+
 def test_rank_teams_groups_applied():
     reports = [_report("fuser", [0.9]), _report("solo", [0.8])]
     entries = rank_teams(reports, {"fuser": GROUP_MULTI})

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import traced_peak
 from slidebench.errors import FormatError
+from slidebench.masks import BinaryMask, read_mask, write_mask
 from slidebench.netpbm import read_p5, read_p6, write_p5, write_p6
 
 
@@ -85,6 +86,27 @@ def test_read_holds_one_copy_of_the_raster(tmp_path, rng, write, read, shape):
     back, peak = traced_peak(lambda: read(path))
     assert np.array_equal(back, raster)
     assert peak <= 1.1 * raster.nbytes, peak / raster.nbytes
+
+
+@pytest.mark.parametrize("write, magic, shape", [
+    (write_p5, b"P5", (700, 1000)),
+    (write_p6, b"P6", (700, 1000, 3)),
+])
+def test_write_holds_no_copy_of_the_raster(tmp_path, rng, write, magic, shape):
+    raster = rng.integers(0, 256, shape, dtype=np.uint8)
+    path = tmp_path / "r.pnm"
+    _, peak = traced_peak(lambda: write(path, raster))
+    assert path.read_bytes() == magic + b"\n1000 700\n255\n" + raster.tobytes()
+    assert peak <= 0.1 * raster.nbytes, peak / raster.nbytes
+
+
+def test_write_mask_holds_one_payload(tmp_path, rng):
+    data = rng.random((700, 1000)) < 0.5
+    path = tmp_path / "m.pgm"
+    _, peak = traced_peak(lambda: write_mask(BinaryMask("s", 0, data), path))
+    assert path.read_bytes() == b"P5\n1000 700\n255\n" + (data.astype(np.uint8) * 255).tobytes()
+    assert np.array_equal(read_mask(path).data, data)
+    assert peak <= 1.1 * data.nbytes, peak / data.nbytes
 
 
 def test_read_rejects_trailing_bytes(tmp_path):

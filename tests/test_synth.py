@@ -6,7 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import blob_oracle, box_filter_bool_reference
+from oracles import (
+    blob_oracle,
+    box_filter_bool_reference,
+    corrupt_prediction_reference,
+    traced_peak,
+)
 from slidebench import (
     METHOD_GRAY200,
     METHOD_OTSU,
@@ -28,6 +33,7 @@ from slidebench import (
     refine_labels,
     tissue_mask,
 )
+from slidebench import masks
 from slidebench.masks import ROLE_GROUND_TRUTH, ROLE_PREDICTION
 from slidebench.synth import _LESION_LO, _TISSUE_LO, _blob_mask, _box_filter_bool, _paint_table
 
@@ -109,7 +115,7 @@ def test_background_inclusion_refines_back_to_truth():
 
 def test_corrupt_identity_copies_truth():
     _, _, truth, _ = generate_slide(_CFG, 0)
-    pred = corrupt_prediction(truth, CorruptionSpec())
+    pred = corrupt_prediction(truth, [CorruptionSpec()])[0]
     assert np.array_equal(pred.data, truth.data)
     assert pred.data is not truth.data
     assert pred.role == ROLE_PREDICTION
@@ -119,22 +125,22 @@ def test_corrupt_identity_copies_truth():
 
 def test_flip_rate_one_complements():
     _, _, truth, _ = generate_slide(_CFG, 0)
-    pred = corrupt_prediction(truth, CorruptionSpec(flip_rate=1.0, seed=3))
+    pred = corrupt_prediction(truth, [CorruptionSpec(flip_rate=1.0, seed=3)])[0]
     assert np.array_equal(pred.data, ~truth.data)
 
 
 def test_flip_fraction_near_rate():
     blank = BinaryMask("s", 0, np.zeros((100, 100), dtype=bool), ROLE_GROUND_TRUTH)
     for seed in range(20):
-        pred = corrupt_prediction(blank, CorruptionSpec(flip_rate=0.1, seed=seed))
+        pred = corrupt_prediction(blank, [CorruptionSpec(flip_rate=0.1, seed=seed)])[0]
         flipped = int(np.count_nonzero(pred.data))
         assert 800 <= flipped <= 1200
 
 
 def test_same_seed_flip_sets_are_nested():
     _, _, truth, _ = generate_slide(_CFG, 0)
-    low = corrupt_prediction(truth, CorruptionSpec(flip_rate=0.02, seed=9))
-    high = corrupt_prediction(truth, CorruptionSpec(flip_rate=0.05, seed=9))
+    low = corrupt_prediction(truth, [CorruptionSpec(flip_rate=0.02, seed=9)])[0]
+    high = corrupt_prediction(truth, [CorruptionSpec(flip_rate=0.05, seed=9)])[0]
     flips_low = low.data ^ truth.data
     flips_high = high.data ^ truth.data
     assert not np.any(flips_low & ~flips_high)
@@ -145,15 +151,15 @@ def test_nested_flips_give_monotone_dice():
     _, _, truth, _ = generate_slide(_CFG, 0)
     scores = []
     for rate in (0.02, 0.05, 0.10):
-        pred = corrupt_prediction(truth, CorruptionSpec(flip_rate=rate, seed=9))
+        pred = corrupt_prediction(truth, [CorruptionSpec(flip_rate=rate, seed=9)])[0]
         scores.append(dice(confusion(truth, pred)))
     assert scores[0] > scores[1] > scores[2]
 
 
 def test_erode_shrinks_and_dilate_grows():
     _, _, truth, _ = generate_slide(_CFG, 0)
-    eroded = corrupt_prediction(truth, CorruptionSpec(erode=1))
-    dilated = corrupt_prediction(truth, CorruptionSpec(dilate=1))
+    eroded = corrupt_prediction(truth, [CorruptionSpec(erode=1)])[0]
+    dilated = corrupt_prediction(truth, [CorruptionSpec(dilate=1)])[0]
     assert not np.any(eroded.data & ~truth.data)
     assert np.count_nonzero(eroded.data) < np.count_nonzero(truth.data)
     assert not np.any(truth.data & ~dilated.data)
@@ -178,7 +184,51 @@ def test_corrupt_prediction_box_filters_match_reference(spec):
     _, _, truth, _ = generate_slide(replace(_CFG, level0_size=300), 1)
     expected = box_filter_bool_reference(truth.data, spec.erode, require_all=True)
     expected = box_filter_bool_reference(expected, spec.dilate, require_all=False)
-    assert np.array_equal(corrupt_prediction(truth, spec).data, expected)
+    assert np.array_equal(corrupt_prediction(truth, [spec])[0].data, expected)
+
+
+# two seeds; rates 0, 0.01 and 1.0; box filters before flips; repeated specs
+_BATCH_SPECS = [
+    CorruptionSpec(),
+    CorruptionSpec(flip_rate=0.01, seed=3),
+    CorruptionSpec(flip_rate=1.0, seed=3),
+    CorruptionSpec(flip_rate=0.01, seed=4),
+    CorruptionSpec(erode=2, flip_rate=0.01, seed=3),
+    CorruptionSpec(dilate=2, flip_rate=0.05, seed=4),
+    CorruptionSpec(flip_rate=0.01, seed=3),
+    CorruptionSpec(),
+]
+
+
+# 700 and 1100 leave the last block of 2**16 pixels partial (93 and 59 rows
+# per block); at 37 pixels per block, 700 wide gives blocks of one row and
+# 5 wide gives blocks of 7 rows, the last of 2
+@pytest.mark.parametrize("shape, chunk_pixels", [
+    ((700, 700), None), ((1100, 1100), None), ((700, 700), 37), ((23, 5), 37),
+])
+def test_batched_predictions_match_reference(monkeypatch, shape, chunk_pixels):
+    if chunk_pixels is not None:
+        monkeypatch.setattr(masks, "_LUMA_CHUNK_PIXELS", chunk_pixels)
+    data = np.random.default_rng(list(shape)).random(shape) < 0.3
+    truth = BinaryMask("slide_004", 0, data, ROLE_GROUND_TRUTH)
+    preds = corrupt_prediction(truth, _BATCH_SPECS)
+    assert len(preds) == len(_BATCH_SPECS)
+    for spec, pred in zip(_BATCH_SPECS, preds):
+        expected = corrupt_prediction_reference(truth, spec)
+        assert np.array_equal(pred.data, expected.data), spec
+        assert (pred.slide_id, pred.level, pred.role) == ("slide_004", 0, ROLE_PREDICTION)
+    # every prediction owns its raster, and the truth is untouched
+    assert len({id(p.data) for p in preds} | {id(data)}) == len(preds) + 1
+    assert np.array_equal(truth.data, np.random.default_rng(list(shape)).random(shape) < 0.3)
+
+
+def test_flip_memory_is_below_one_and_a_half_masks():
+    data = np.random.default_rng(0).random((2048, 2048)) < 0.3
+    truth = BinaryMask("slide_000", 0, data, ROLE_GROUND_TRUTH)
+    spec = CorruptionSpec(flip_rate=0.02, seed=13)
+    (pred,), peak = traced_peak(lambda: corrupt_prediction(truth, [spec]))
+    assert np.array_equal(pred.data, corrupt_prediction_reference(truth, spec).data)
+    assert peak <= 1.5 * data.nbytes, peak / data.nbytes
 
 
 def _blob_geometry(cfg: SynthConfig, index: int):
@@ -308,6 +358,26 @@ def test_challenge_identical_across_worker_counts(tmp_path):
     generate_challenge(cfg, teams, tmp_path / "serial", workers=1)
     generate_challenge(cfg, teams, tmp_path / "forked", workers=2)
     assert _tree_digest(tmp_path / "serial") == _tree_digest(tmp_path / "forked")
+
+
+# the teams of the benchmark's scoring workload
+_SCORING_TEAMS = (("exact", {}), ("flip1", {"flip_rate": 0.01}), ("flip2", {"flip_rate": 0.02}),
+                  ("flip3", {"flip_rate": 0.03}), ("flip5", {"flip_rate": 0.05}),
+                  ("flip8", {"flip_rate": 0.08}), ("erode2", {"erode": 2}),
+                  ("dilate2", {"dilate": 2}))
+# the synthesized bytes; a change here must be deliberate and declared
+_PINNED_TREE_SHA256 = "6c475dacf0906faa17dac124d79e9395c5382693edfee137629a1fbaf1e8da8c"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_challenge_tree_digest_is_pinned(tmp_path, workers):
+    cfg = SynthConfig(seed=13, slides=2, level0_size=256, n_levels=1, lesion_radius=(8.0, 20.0))
+    teams = [(name, CorruptionSpec(seed=13, **kw)) for name, kw in _SCORING_TEAMS]
+    generate_challenge(cfg, teams, tmp_path, workers=workers)
+    files = _tree_digest(tmp_path)
+    assert len(files) == 44
+    digest = hashlib.sha256("".join(f"{k}\0{v}\n" for k, v in files.items()).encode())
+    assert digest.hexdigest() == _PINNED_TREE_SHA256
 
 
 def test_unnamed_teams_get_stable_names(tmp_path):
