@@ -1,30 +1,23 @@
 """Deterministic worker pools.
 
-Work is split into an ordered list of independent chunks; results come back
-in submission order regardless of worker count, so every reduction downstream
-is order-stable. Callers bind their inputs into the callable (for example
-with ``functools.partial``). Workers are forked and inherit that callable, so
-large read-only arrays cross copy-on-write instead of being pickled; only the
-chunks and the results are pickled. A worker that dies (a signal, the OOM
-killer) fails the run with a SlidebenchError instead of hanging it.
+The caller is worker 0 and forks the others; chunk ``i`` runs on worker
+``i % n``, with ``n`` capped at the chunk count and the CPUs this process may use.
+Children inherit the callable (bind inputs with ``functools.partial``), so
+large read-only arrays cross copy-on-write; each result comes back as a
+length-prefixed pickle on the child's pipe, taken in chunk order whatever the
+worker count. The first failing chunk is raised once every chunk before it is
+known, and the other workers are killed. A dead worker (a signal, the OOM
+killer) fails the run with a SlidebenchError, not a hang.
 """
 from __future__ import annotations
 
-import multiprocessing as mp
-from typing import Any, Callable, Sequence
+import os
+import pickle
+import signal
+import sys
+from typing import Any, Callable, NoReturn, Sequence
 
 from .errors import SlidebenchError, ValidationError
-
-_func: Callable[[Any], Any] | None = None  # set only in pool workers, by _bind
-
-
-def _bind(func: Callable[[Any], Any]) -> None:
-    global _func
-    _func = func
-
-
-def _call(chunk: Any) -> Any:
-    return _func(chunk)
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -35,27 +28,74 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def run_chunks(
-    func: Callable[[Any], Any],
-    chunks: Sequence[Any],
-    workers: int | None = None,
-) -> list[Any]:
-    """Apply ``func`` to each chunk, in order, on ``workers`` processes.
+def _serve(func: Callable, chunks: Sequence, worker: int, n: int, fd: int) -> NoReturn:
+    """A child's whole life: send chunks worker, worker + n, ... up to the first failure."""
+    status = 1
+    try:
+        with os.fdopen(fd, "wb") as pipe:
+            for i in range(worker, len(chunks), n):
+                try:
+                    ok, value = True, func(chunks[i])
+                except Exception as exc:
+                    ok, value = False, exc
+                try:
+                    data = pickle.dumps((ok, value), pickle.HIGHEST_PROTOCOL)
+                    if not ok:
+                        pickle.loads(data)  # else the caller would fail on it, unnamed
+                except Exception as exc:
+                    what = "its result" if ok else f"its error {value!r}"
+                    error = SlidebenchError(f"chunk {i}: {what} cannot leave its worker: {exc!r}")
+                    ok, data = False, pickle.dumps((False, error), pickle.HIGHEST_PROTOCOL)
+                for stream in (sys.stdout, sys.stderr):  # first: once read, we may be killed
+                    if stream:
+                        stream.flush()
+                pipe.write(len(data).to_bytes(8, "little") + data)
+                pipe.flush()
+                if not ok:
+                    break
+        status = 0
+    finally:
+        os._exit(status)
 
-    With one worker or one chunk everything runs in-process, which keeps such
-    runs debuggable. A failing chunk re-raises its exception, the first in
-    chunk order, as the serial loop does.
-    """
-    n = resolve_workers(workers)
-    if n == 1 or len(chunks) <= 1:
+
+def run_chunks(func: Callable[[Any], Any], chunks: Sequence, workers: int | None = None) -> list:
+    """``[func(c) for c in chunks]`` on ``workers`` processes, raising as that loop would."""
+    n = min(resolve_workers(workers), len(chunks), len(os.sched_getaffinity(0)))
+    if n <= 1:
         return [func(c) for c in chunks]
-    # imported here: it adds about 20 ms and 1.6 MB to every CLI start that runs no pool
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-    # under fork the initializer's arguments are inherited, not pickled
-    with ProcessPoolExecutor(
-        min(n, len(chunks)), mp_context=mp.get_context("fork"), initializer=_bind, initargs=(func,)
-    ) as pool:
-        try:
-            return list(pool.map(_call, chunks))
-        except BrokenProcessPool as exc:
-            raise SlidebenchError(f"a pool worker died: {exc}") from None
+    for stream in (sys.stdout, sys.stderr):  # else children would write it out again
+        if stream:
+            stream.flush()
+    pids, pipes = {}, {}  # worker -> its pid until reaped, and the read end of its pipe
+    try:
+        for worker in range(1, n):
+            r, w = os.pipe()
+            pipes[worker] = os.fdopen(r, "rb")
+            try:
+                if (pid := os.fork()) == 0:
+                    _serve(func, chunks, worker, n, w)
+            finally:
+                os.close(w)  # only the child holds the write end, so its death reads as EOF
+            pids[worker] = pid
+        results = []
+        for i, chunk in enumerate(chunks):
+            if i % n == 0:
+                results.append(func(chunk))
+                continue
+            head = pipes[i % n].read(8)
+            size = int.from_bytes(head, "little") if len(head) == 8 else 0
+            data = pipes[i % n].read(size)
+            if not data or len(data) < size:  # EOF: the child is gone, so reap it here
+                code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(i % n), 0)[1])
+                raise SlidebenchError(f"a pool worker died (exit code {code}) before chunk {i}")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pipe in pipes.values():
+            pipe.close()
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,22 @@ from slidebench import CorruptionSpec, SynthConfig, generate_challenge
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the processes forked during a test, to show that a multi-worker call ran a pool."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
 
 
 @pytest.fixture(scope="session")

@@ -298,7 +298,7 @@ def test_criterion_08_coteaching_guarantees():
                  f"{wins}/10 wins, {elapsed:.2f}s")
 
 
-def test_criterion_09_worker_count_does_not_change_bytes(tmp_path):
+def test_criterion_09_worker_count_does_not_change_bytes(tmp_path, forks):
     rng = np.random.default_rng(909)
     t0 = time.perf_counter()
     pairs = [_mask_pair(rng, 256, 256) for _ in range(10)]
@@ -306,6 +306,7 @@ def test_criterion_09_worker_count_does_not_change_bytes(tmp_path):
     pred = {f"s{i}": p for i, (_, p) in enumerate(pairs)}
     ok = (evaluate_team("t", gt, pred, workers=1).scores
           == evaluate_team("t", gt, pred, workers=4).scores)
+    pooled = [len(forks)]  # forks so far, after each 4-worker stage: every stage must fork
 
     cfg = SynthConfig(seed=9, slides=1, level0_size=1024, n_levels=1)
     pyr, _, truth, _ = generate_slide(cfg, 0)
@@ -314,6 +315,7 @@ def test_criterion_09_worker_count_does_not_change_bytes(tmp_path):
     emit_manifest(extract_tiles(pyr, truth, tcfg, workers=1), m1)
     emit_manifest(extract_tiles(pyr, truth, tcfg, workers=4), m4)
     ok = ok and m1.read_bytes() == m4.read_bytes()
+    pooled.append(len(forks))
 
     ccfg = SynthConfig(seed=19, slides=3, level0_size=256, n_levels=2,
                        lesion_radius=(10.0, 30.0))
@@ -321,9 +323,11 @@ def test_criterion_09_worker_count_does_not_change_bytes(tmp_path):
     generate_challenge(ccfg, teams, tmp_path / "c1", workers=1)
     generate_challenge(ccfg, teams, tmp_path / "c4", workers=4)
     ok = ok and _tree_digest(tmp_path / "c1") == _tree_digest(tmp_path / "c4")
+    pooled.append(len(forks))
+    ok = ok and 0 < pooled[0] < pooled[1] < pooled[2]
     elapsed = time.perf_counter() - t0
     _verdict(9, "confusion, tiling, and challenge outputs are byte-identical for 1 and 4 workers",
-             ok, f"{elapsed:.2f}s")
+             ok, f"{elapsed:.2f}s, {len(forks)} processes forked")
 
 
 def test_criterion_10_large_slide_tiling_throughput():

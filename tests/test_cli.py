@@ -29,10 +29,17 @@ from slidebench.netpbm import write_p6
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(args: list[str]) -> subprocess.CompletedProcess:
-    """Run a command with the package under test importable."""
+def _run(args: list[str], fork_log: Path | None = None) -> subprocess.CompletedProcess:
+    """Run a command with the package under test importable.
+
+    With ``fork_log``, each Python process it starts appends a line there per fork.
+    """
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    paths = [str(ROOT / "src"), env.get("PYTHONPATH")]
+    if fork_log:
+        paths.insert(0, str(ROOT / "tests" / "fork_probe"))
+        env["SLIDEBENCH_TEST_FORK_LOG"] = str(fork_log)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
     return subprocess.run(args, capture_output=True, text=True, env=env)
 
 
@@ -485,8 +492,13 @@ def test_full_pipeline_script(tmp_path):
     trees = {}
     for workers in ("1", "2"):
         out = tmp_path / f"demo_w{workers}"
-        proc = _run(["bash", str(script), str(out), "11", workers])
+        fork_log = tmp_path / f"forks_w{workers}.log"
+        fork_log.touch()
+        proc = _run(["bash", str(script), str(out), "11", workers], fork_log=fork_log)
         assert proc.returncode == 0, proc.stderr
+        # synth, tile and each eval fork a pool at 2 workers; nothing forks at 1
+        forked = len(fork_log.read_text().splitlines())
+        assert forked >= 5 if workers == "2" else forked == 0
         trees[workers] = {p.relative_to(out): p.read_bytes()
                           for p in sorted(out.rglob("*")) if p.is_file()}
     out = tmp_path / "demo_w1"

@@ -66,12 +66,13 @@ def test_confusion_with_region(rng):
     assert c.total == 100
 
 
-def test_confusion_worker_count_invariant(rng):
+def test_confusion_worker_count_invariant(rng, forks):
     gt = {f"s{i}": _mask(rng.random((64, 64)) < 0.5, slide_id=f"s{i}") for i in range(6)}
     pred = {k: _mask(rng.random((64, 64)) < 0.5, slide_id=k) for k in gt}
     assert evaluate_team("t", gt, pred, workers=1).scores == evaluate_team(
         "t", gt, pred, workers=4
     ).scores
+    assert forks
 
 
 def test_confusion_rejects_mismatched_masks(rng):

@@ -352,11 +352,12 @@ def test_identity_team_is_perfect_in_truth_table(challenge_dir):
             assert row["tp"] > 0
 
 
-def test_challenge_identical_across_worker_counts(tmp_path):
+def test_challenge_identical_across_worker_counts(tmp_path, forks):
     cfg = SynthConfig(seed=2, slides=2, level0_size=128, n_levels=2, lesion_radius=(8.0, 16.0))
     teams = [("a", CorruptionSpec(seed=2)), ("b", CorruptionSpec(flip_rate=0.03, seed=2))]
     generate_challenge(cfg, teams, tmp_path / "serial", workers=1)
     generate_challenge(cfg, teams, tmp_path / "forked", workers=2)
+    assert forks
     assert _tree_digest(tmp_path / "serial") == _tree_digest(tmp_path / "forked")
 
 

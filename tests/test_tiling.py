@@ -196,12 +196,13 @@ def test_extract_tiles_tissue_filter_is_subset(rng):
         assert tissue[rec.y : rec.y + 16, rec.x : rec.x + 16].any()
 
 
-def test_extract_tiles_worker_count_invariant(rng):
+def test_extract_tiles_worker_count_invariant(rng, forks):
     data = rng.random((80, 80)) < 0.4
     p = _pyramid(80, 80)
     gt = _gt(data)
     cfg = TilingConfig(tile_size=16, stride=8)
     assert extract_tiles(p, gt, cfg, workers=1) == extract_tiles(p, gt, cfg, workers=4)
+    assert forks
 
 
 def test_extract_tiles_geometry_mismatch(rng):
