@@ -7,11 +7,14 @@ either at an Otsu split or at the fixed gray value 200; tissue is the
 darker side in both cases.
 
 Luma and tissue detection stream through blocks of whole rows of about
-``_LUMA_CHUNK_PIXELS`` (2**16) pixels, so each float64 temporary is about
-512 KiB and stays in cache; a level is never held as a float64 or intp
-array. Blocking is bit-exact: luma is computed per pixel by the same
-float64 expression whatever the block, and the Otsu histogram is an exact
-integer sum of per-block counts, so it does not depend on the block size.
+``_LUMA_CHUNK_PIXELS`` (2**16) pixels, so each temporary stays in cache; a
+level is never held as a float, luma or intp array. The tissue test
+``luma <= t`` never rounds luma: ``s = 299r + 587g + 114b`` is an integer
+below 2**24, so a float32 dot product gives it exactly, and the pixel is
+tissue iff ``s < 1000t + 500``. Only pixels with ``s == 1000t + 500``, where
+rounding decides, take the float64 luma expression. Blocking is bit-exact:
+every test is per pixel, and the Otsu histogram is an exact integer sum of
+per-block counts, so nothing depends on the block size.
 """
 from __future__ import annotations
 
@@ -46,6 +49,8 @@ TISSUE_METHODS = (METHOD_OTSU, METHOD_GRAY200)
 GRAY200_THRESHOLD = 200
 
 _LUMA_WEIGHTS = (0.299, 0.587, 0.114)
+# 1000 x the weights: every 299r + 587g + 114b is an integer below 2**24, exact in float32
+_LUMA_SUMS = np.float32([299, 587, 114])
 
 
 @dataclass(eq=False)
@@ -108,14 +113,27 @@ def luma(rgb: np.ndarray) -> np.ndarray:
     h, w = arr.shape[0], arr.shape[1]
     out = np.empty((h, w), dtype=np.uint8)
     for rows in _row_blocks(h, w):
-        chunk = arr[rows]
-        g = (
-            _LUMA_WEIGHTS[0] * chunk[..., 0].astype(np.float64)
-            + _LUMA_WEIGHTS[1] * chunk[..., 1]
-            + _LUMA_WEIGHTS[2] * chunk[..., 2]
-        )
-        out[rows] = np.rint(g).astype(np.uint8)
+        out[rows] = _luma_f64(arr[rows])
     return out
+
+
+def _luma_f64(rgb: np.ndarray) -> np.ndarray:
+    """``0.299*r + 0.587*g + 0.114*b`` in float64, left to right, rounded half to even."""
+    g = rgb[..., 0] * _LUMA_WEIGHTS[0]
+    g += rgb[..., 1] * _LUMA_WEIGHTS[1]
+    g += rgb[..., 2] * _LUMA_WEIGHTS[2]
+    return np.rint(g, out=g)
+
+
+def _dark(rgb: np.ndarray, threshold: int) -> np.ndarray:
+    """``luma(rgb) <= threshold`` exactly; luma is computed only where ``s`` ties the cut."""
+    s = rgb.astype(np.float32) @ _LUMA_SUMS
+    cut = 1000 * threshold + 500
+    dark = s < cut
+    tie = s == cut
+    if tie.any():
+        dark[tie] = _luma_f64(rgb[tie]) <= threshold
+    return dark
 
 
 def rasterize(
@@ -222,30 +240,38 @@ def otsu_threshold(histogram) -> int:
     return best_t
 
 
+def tissue_rows(pixels: np.ndarray, method: str):
+    """``(rows, tissue)`` for each row block of an RGB level, top to bottom.
+
+    ``tissue`` is the bool test ``luma <= t`` of the block's pixels. Gray200
+    uses t = 200; Otsu first sums the level's luma histogram exactly in
+    int64 over row blocks and takes its ``otsu_threshold``. The threshold
+    is fixed before this returns; the blocks are computed as they are read.
+    """
+    if method not in TISSUE_METHODS:
+        raise ValidationError(f"unknown tissue method {method!r}")
+    h, w = pixels.shape[:2]
+    if method == METHOD_GRAY200:
+        t = GRAY200_THRESHOLD
+    else:
+        hist = np.zeros(256, dtype=np.int64)
+        for rows in _row_blocks(h, w):
+            hist += np.bincount(luma(pixels[rows]).ravel(), minlength=256)
+        t = otsu_threshold(hist)
+    return ((rows, _dark(pixels[rows], t)) for rows in _row_blocks(h, w))
+
+
 def tissue_mask(pyramid: SlidePyramid, level: int, method: str = METHOD_OTSU) -> BinaryMask:
     """Tissue mask of one level: pixels whose luma falls on the dark side.
 
     Otsu thresholds at the between-class-variance argmax of the level's luma
     histogram; Gray200 uses the fixed threshold 200. Both include the
-    threshold value itself (g <= t is tissue). One pass over row blocks:
-    Gray200 writes each block's test straight into the mask; Otsu keeps the
-    uint8 luma and sums per-block histograms exactly in int64.
+    threshold value itself (g <= t is tissue). See ``tissue_rows``.
     """
     pixels = pyramid.level(level).pixels
-    if method not in TISSUE_METHODS:
-        raise ValidationError(f"unknown tissue method {method!r}")
-    h, w = pixels.shape[:2]
-    if method == METHOD_GRAY200:
-        data = np.empty((h, w), dtype=bool)
-        for rows in _row_blocks(h, w):
-            data[rows] = luma(pixels[rows]) <= GRAY200_THRESHOLD
-    else:
-        g = np.empty((h, w), dtype=np.uint8)
-        hist = np.zeros(256, dtype=np.int64)
-        for rows in _row_blocks(h, w):
-            g[rows] = luma(pixels[rows])
-            hist += np.bincount(g[rows].ravel(), minlength=256)
-        data = g <= otsu_threshold(hist)
+    data = np.empty(pixels.shape[:2], dtype=bool)
+    for rows, tissue in tissue_rows(pixels, method):
+        data[rows] = tissue
     return BinaryMask(pyramid.slide_id, level, data, ROLE_TISSUE)
 
 

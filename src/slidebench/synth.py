@@ -348,8 +348,8 @@ def corrupt_prediction(true_mask: BinaryMask, specs: list[CorruptionSpec]) -> li
 
 def _tally(gt: np.ndarray, pred: np.ndarray) -> tuple[int, int, int, int]:
     tp = int(np.count_nonzero(gt & pred))
-    fp = int(np.count_nonzero(~gt & pred))
-    fn = int(np.count_nonzero(gt & ~pred))
+    fp = int(np.count_nonzero(pred)) - tp
+    fn = int(np.count_nonzero(gt)) - tp
     tn = gt.size - tp - fp - fn
     return tp, fp, fn, tn
 

@@ -5,10 +5,15 @@ strict 3/4 tumor fraction, Negative at exactly zero, Unused between) and an
 all-or-nothing three-class rule (Tumor / Normal / Mix), optionally applied to
 the nine uniform 256-pixel sub-patches of a 768-pixel big patch. Tumor
 fractions are exact integer pixel counts, never floats.
+
+A tissue filter keeps the tiles whose window holds at least one tissue
+pixel. It is counted in one streamed pass over the level's RGB rows, with a
+running per-column count, so no level-sized tissue mask is built.
 """
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import groupby
@@ -18,7 +23,7 @@ import numpy as np
 
 from . import parallel
 from .errors import FormatError, GeometryError, ValidationError, typed_field
-from .masks import TISSUE_METHODS, BinaryMask, tissue_mask
+from .masks import TISSUE_METHODS, BinaryMask, tissue_rows
 from .slide_io import SlidePyramid
 
 LABEL_POSITIVE = "Positive"
@@ -176,19 +181,43 @@ def rebalance_mix(records: list[TileRecord], seed: int) -> list[TileRecord]:
     return [r for i, r in enumerate(folded) if i in keep or r.label not in (LABEL_TUMOR, LABEL_NORMAL)]
 
 
-def _window_sums(data: np.ndarray, y: int, size: int, xs: np.ndarray) -> np.ndarray:
-    """Sums of ``size``-square windows with top edge ``y`` at each x origin."""
-    colsum = data[y : y + size, :].sum(axis=0, dtype=np.int64)
-    cs = np.concatenate(([0], np.cumsum(colsum)))
+def _window_sums(colsum: np.ndarray, size: int, xs: np.ndarray) -> np.ndarray:
+    """Sums of ``size`` consecutive column totals starting at each x origin."""
+    cs = np.concatenate(([0], np.cumsum(colsum, dtype=np.int64)))
     return cs[xs + size] - cs[xs]
 
 
-def _count_band(gt: np.ndarray, tissue: np.ndarray | None, size: int, rows: list) -> list:
-    out = []
-    for y, xs in rows:
-        keep = _window_sums(tissue, y, size, xs) if tissue is not None else None
-        out.append((_window_sums(gt, y, size, xs), keep))
-    return out
+def _count_band(gt: np.ndarray, size: int, rows: list) -> list:
+    """Tumor pixels of each ``size``-square window, per tile row ``(y, xs)``."""
+    return [_window_sums(gt[y : y + size].sum(axis=0, dtype=np.int64), size, xs)
+            for y, xs in rows]
+
+
+def _tissue_keep(pixels: np.ndarray, method: str, size: int, rows: list) -> list:
+    """Per tile row, whether each window holds a tissue pixel, from one pass over the rows.
+
+    ``acc`` counts tissue pixels per column over the pixel rows streamed so
+    far. It is snapshot at each tile row's top edge ``y``; when row
+    ``y + size`` is reached, ``acc`` minus that snapshot gives the tile row's
+    column totals and the snapshot is dropped. Every pixel row is tested
+    once, whatever the stride.
+    """
+    ends = {y + size: (y, xs) for y, xs in rows}
+    tops = {y for y, _ in rows}
+    marks = sorted(tops | ends.keys())
+    acc = np.zeros(pixels.shape[1], dtype=np.int32)
+    snaps, keep = {}, {}
+    for block, tissue in tissue_rows(pixels, method):
+        inner = marks[bisect_right(marks, block.start) : bisect_left(marks, block.stop)]
+        cuts = [block.start, *inner, block.stop]
+        for a, b in zip(cuts, cuts[1:]):
+            if a in tops:
+                snaps[a] = acc.copy()
+            acc += tissue[a - block.start : b - block.start].sum(axis=0, dtype=np.int32)
+            if b in ends:
+                y, xs = ends[b]
+                keep[y] = _window_sums(acc - snaps.pop(y), size, xs) > 0
+    return [keep[y] for y, _ in rows]
 
 
 def extract_tiles(
@@ -199,9 +228,12 @@ def extract_tiles(
 ) -> list[TileRecord]:
     """Label every grid tile of one level against a ground-truth mask.
 
-    With a tissue filter configured, tiles that do not intersect the tissue
-    mask are dropped. Counting parallelizes over bands of tile rows; the
-    result is sorted by (slide_id, y, x) and independent of worker count.
+    With a tissue filter configured, tiles whose window holds no tissue
+    pixel (``luma <= t``, as in ``tissue_mask``) are dropped. The caller
+    counts tissue serially, in one streamed pass over row blocks that never
+    builds a level-sized mask; tumor pixels are counted in parallel over
+    bands of tile rows. The result is sorted by (slide_id, y, x) and
+    independent of worker count.
     """
     cfg.validate()
     lvl = p.level(cfg.level)
@@ -228,22 +260,22 @@ def extract_tiles(
         size = cfg.tile_size
         label_fn = label_threshold75 if cfg.rule == RULE_THRESHOLD75 else label_threeclass
 
-    tissue = tissue_mask(p, cfg.level, cfg.tissue_filter).data if cfg.tissue_filter else None
-
     rows = [(y, np.array([x for x, _ in row], dtype=np.int64))
             for y, row in groupby(origins, key=lambda o: o[1])]
+    keep = (_tissue_keep(lvl.pixels, cfg.tissue_filter, size, rows) if cfg.tissue_filter
+            else [None] * len(rows))
 
     n_workers = parallel.resolve_workers(workers)
     step = max(1, -(-len(rows) // (n_workers * 4)))
     bands = [rows[i : i + step] for i in range(0, len(rows), step)]
-    count = partial(_count_band, gt.data, tissue, size)
+    count = partial(_count_band, gt.data, size)
     counts = [c for band in parallel.run_chunks(count, bands, workers=n_workers) for c in band]
 
     total = size * size
     records = []
-    for (y, xs), (tumor, keep) in zip(rows, counts):
+    for (y, xs), tumor, kept in zip(rows, counts, keep):
         for i in range(len(xs)):
-            if keep is not None and keep[i] == 0:
+            if kept is not None and not kept[i]:
                 continue
             t = int(tumor[i])
             records.append(

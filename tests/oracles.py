@@ -5,9 +5,14 @@ share no code with the package: ray parity instead of scanline fills,
 Fraction arithmetic instead of integer cross-multiplication, explicit
 enumeration of all sign patterns instead of dynamic programming, and a
 from-scratch logistic-regression loop. Deliberately simple and slow.
-``corrupt_prediction_reference`` is the exception: it is the package's
-earlier one-spec ``corrupt_prediction``, which draws the whole flip field
-at once, kept unchanged so the blocked batch can be checked against it.
+``corrupt_prediction_reference`` and ``extract_tiles_reference`` are the
+exceptions. The first is the package's earlier one-spec
+``corrupt_prediction``, which draws the whole flip field at once, kept
+unchanged so the blocked batch can be checked against it. The second is
+the package's earlier ``extract_tiles``, which builds a level-sized tissue
+mask by rounding ``luma`` and sums it per tile; with its ``tissue_mask`` it
+is kept unchanged so the streamed, exact tissue count can be checked
+against it.
 
 The helpers at the end compare or measure package objects for the tests:
 pyramid and annotation equality, exact tile-window counts, the traced
@@ -19,15 +24,39 @@ from __future__ import annotations
 import tracemalloc
 import zlib
 from fractions import Fraction
+from functools import partial
+from itertools import groupby
 
 import numpy as np
 import scipy.stats
 
 from slidebench.coteach import PixelBatch, _gradient, pixel_losses
 from slidebench.errors import GeometryError, ValidationError
-from slidebench.masks import ROLE_PREDICTION, BinaryMask
+from slidebench import parallel
+from slidebench.masks import (
+    GRAY200_THRESHOLD,
+    METHOD_GRAY200,
+    METHOD_OTSU,
+    ROLE_PREDICTION,
+    ROLE_TISSUE,
+    TISSUE_METHODS,
+    BinaryMask,
+    _row_blocks,
+    luma,
+    otsu_threshold,
+)
 from slidebench.slide_io import AnnotationSet, SlidePyramid
 from slidebench.synth import CorruptionSpec, _box_filter_bool
+from slidebench.tiling import (
+    RULE_BIG_PATCH_NINE,
+    RULE_THRESHOLD75,
+    TileRecord,
+    TilingConfig,
+    big_patch_nine,
+    grid_tiles,
+    label_threeclass,
+    label_threshold75,
+)
 
 
 def raster_oracle(polygons, width: int, height: int, scale: float = 1.0) -> np.ndarray:
@@ -122,6 +151,109 @@ def corrupt_prediction_reference(true_mask: BinaryMask, spec: CorruptionSpec) ->
     elif data is true_mask.data:
         data = data.copy()
     return BinaryMask(true_mask.slide_id, true_mask.level, data, ROLE_PREDICTION)
+
+
+def tissue_mask_reference(pyramid: SlidePyramid, level: int, method: str = METHOD_OTSU) -> BinaryMask:
+    """Tissue mask of one level: pixels whose luma falls on the dark side.
+
+    Otsu thresholds at the between-class-variance argmax of the level's luma
+    histogram; Gray200 uses the fixed threshold 200. Both include the
+    threshold value itself (g <= t is tissue). One pass over row blocks:
+    Gray200 writes each block's test straight into the mask; Otsu keeps the
+    uint8 luma and sums per-block histograms exactly in int64.
+    """
+    pixels = pyramid.level(level).pixels
+    if method not in TISSUE_METHODS:
+        raise ValidationError(f"unknown tissue method {method!r}")
+    h, w = pixels.shape[:2]
+    if method == METHOD_GRAY200:
+        data = np.empty((h, w), dtype=bool)
+        for rows in _row_blocks(h, w):
+            data[rows] = luma(pixels[rows]) <= GRAY200_THRESHOLD
+    else:
+        g = np.empty((h, w), dtype=np.uint8)
+        hist = np.zeros(256, dtype=np.int64)
+        for rows in _row_blocks(h, w):
+            g[rows] = luma(pixels[rows])
+            hist += np.bincount(g[rows].ravel(), minlength=256)
+        data = g <= otsu_threshold(hist)
+    return BinaryMask(pyramid.slide_id, level, data, ROLE_TISSUE)
+
+
+def _window_sums(data: np.ndarray, y: int, size: int, xs: np.ndarray) -> np.ndarray:
+    """Sums of ``size``-square windows with top edge ``y`` at each x origin."""
+    colsum = data[y : y + size, :].sum(axis=0, dtype=np.int64)
+    cs = np.concatenate(([0], np.cumsum(colsum)))
+    return cs[xs + size] - cs[xs]
+
+
+def _count_band(gt: np.ndarray, tissue: np.ndarray | None, size: int, rows: list) -> list:
+    out = []
+    for y, xs in rows:
+        keep = _window_sums(tissue, y, size, xs) if tissue is not None else None
+        out.append((_window_sums(gt, y, size, xs), keep))
+    return out
+
+
+def extract_tiles_reference(
+    p: SlidePyramid,
+    gt: BinaryMask,
+    cfg: TilingConfig,
+    workers: int | None = None,
+) -> list[TileRecord]:
+    """Label every grid tile of one level against a ground-truth mask.
+
+    With a tissue filter configured, tiles that do not intersect the tissue
+    mask are dropped. Counting parallelizes over bands of tile rows; the
+    result is sorted by (slide_id, y, x) and independent of worker count.
+    """
+    cfg.validate()
+    lvl = p.level(cfg.level)
+    if gt.level != cfg.level or gt.data.shape != (lvl.height, lvl.width):
+        raise GeometryError(
+            f"ground truth is level {gt.level} {gt.data.shape}, "
+            f"config wants level {cfg.level} ({lvl.height}, {lvl.width})"
+        )
+
+    if cfg.rule == RULE_BIG_PATCH_NINE:
+        sub = cfg.tile_size // 3
+        origins = sorted(
+            {
+                o
+                for big in grid_tiles(p, cfg)
+                for o in big_patch_nine(p, big, cfg.tile_size, cfg.level)
+            },
+            key=lambda o: (o[1], o[0]),
+        )
+        size = sub
+        label_fn = label_threeclass
+    else:
+        origins = grid_tiles(p, cfg)
+        size = cfg.tile_size
+        label_fn = label_threshold75 if cfg.rule == RULE_THRESHOLD75 else label_threeclass
+
+    tissue = tissue_mask_reference(p, cfg.level, cfg.tissue_filter).data if cfg.tissue_filter else None
+
+    rows = [(y, np.array([x for x, _ in row], dtype=np.int64))
+            for y, row in groupby(origins, key=lambda o: o[1])]
+
+    n_workers = parallel.resolve_workers(workers)
+    step = max(1, -(-len(rows) // (n_workers * 4)))
+    bands = [rows[i : i + step] for i in range(0, len(rows), step)]
+    count = partial(_count_band, gt.data, tissue, size)
+    counts = [c for band in parallel.run_chunks(count, bands, workers=n_workers) for c in band]
+
+    total = size * size
+    records = []
+    for (y, xs), (tumor, keep) in zip(rows, counts):
+        for i in range(len(xs)):
+            if keep is not None and keep[i] == 0:
+                continue
+            t = int(tumor[i])
+            records.append(
+                TileRecord(p.slide_id, cfg.level, int(xs[i]), y, size, t, total, label_fn(t, total))
+            )
+    return records
 
 
 def otsu_oracle(histogram) -> int:

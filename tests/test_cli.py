@@ -487,6 +487,19 @@ def test_malformed_input_is_one_line(tmp_path, make_args):
     assert lines[0].startswith("slidebench: error:")
 
 
+def test_tile_otsu_on_uniform_slide_is_one_line(tmp_path):
+    gt = tmp_path / "gt.pgm"
+    write_mask(BinaryMask("s", 0, np.zeros((16, 16), dtype=bool), ROLE_GROUND_TRUTH), gt)
+    proc = _run([sys.executable, "-m", "slidebench", "tile", "--slide", str(_slide(tmp_path)),
+                 "--gt", str(gt), "--size", "8", "--tissue-filter", "otsu",
+                 "--out", str(tmp_path / "tiles.jsonl")])
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("slidebench: error:")
+    assert "single bin" in lines[0]
+
+
 def test_full_pipeline_script(tmp_path):
     script = ROOT / "scripts" / "full_pipeline.sh"
     trees = {}
