@@ -9,6 +9,12 @@ states, so the learners are exchangeable by construction: identical states
 stay bit-identical. Agreement masking and loss-based dropping are
 independently switchable; with both off a step is exactly one plain
 logistic-regression step.
+
+Selection contract: a learner's update keeps the first ``n - floor(R * n)``
+of its ``n`` candidate pixels in ascending order of the peer's loss, ties
+broken by pixel index, and sums their gradient terms in that order. Each
+learner's scores ``X @ w`` are computed once per step and serve both its
+peer's selection and its own gradient.
 """
 from __future__ import annotations
 
@@ -91,12 +97,10 @@ class LearnerState:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.where(pos, -z, z))  # not -|z|, which would flip the sign bit of a NaN
+    d = 1.0 + e
+    return np.where(pos, 1.0 / d, e / d)
 
 
 def _box3_mean(img: np.ndarray) -> np.ndarray:
@@ -151,35 +155,42 @@ def pseudo_label(state: LearnerState, batch: PixelBatch) -> BinaryMask:
     return BinaryMask(batch.name, 0, pm.values > 0.5, ROLE_PREDICTION)
 
 
+def _losses(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.logaddexp(0.0, z) - y * z
+
+
 def pixel_losses(w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-pixel logistic cross-entropy log(1+e^z) - y*z."""
-    z = X @ w
-    return np.logaddexp(0.0, z) - y * z
+    return _losses(X @ w, y)
+
+
+def _mean_loss(w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
+    losses = pixel_losses(w, X, y)
+    return float(losses.sum() / losses.size)  # the bits of np.mean, without its wrapper
 
 
 def batch_loss(w: np.ndarray, batch: PixelBatch) -> float:
     X, y = batch.flat()
-    return float(np.mean(pixel_losses(w, X, y)))
+    return _mean_loss(w, X, y)
 
 
-def _gradient(w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return X.T @ (_sigmoid(X @ w) - y) / len(y)
+def _gradient(X: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean logistic-loss gradient at the scores ``z = X @ w``."""
+    return X.T @ (_sigmoid(z) - y) / len(y)
 
 
 def _select(
-    peer_w: np.ndarray,
-    X: np.ndarray,
+    z_peer: np.ndarray,
     y: np.ndarray,
     rate: float,
     use_agreement: bool,
 ) -> np.ndarray | None:
-    """Indices kept for one learner's update, chosen by its peer.
+    """Indices kept for one learner's update, chosen by its peer's scores ``z_peer``.
 
     Returns None when the whole batch is kept, which lets the caller take the
     plain full-batch gradient path (bit-identical to ordinary logistic
     regression).
     """
-    z_peer = X @ peer_w
     if use_agreement:
         agree = (_sigmoid(z_peer) > 0.5) == (y > 0.5)
         candidates = np.flatnonzero(agree)
@@ -187,29 +198,51 @@ def _select(
         candidates = None
     n_cand = len(candidates) if candidates is not None else len(y)
     n_keep = n_cand - math.floor(rate * n_cand)
-    if candidates is None and n_keep == n_cand:
-        return None
-    if candidates is None:
-        candidates = np.arange(len(y))
     if n_keep >= n_cand:
         return candidates
-    losses = np.logaddexp(0.0, z_peer[candidates]) - y[candidates] * z_peer[candidates]
-    order = np.argsort(losses, kind="stable")
-    return candidates[order[:n_keep]]
+    if candidates is None:
+        losses = _losses(z_peer, y)
+    else:
+        losses = _losses(z_peer[candidates], y[candidates])
+    order = np.argsort(losses)
+    ranked = losses[order]
+    # strictly increasing sorted losses have one order, so any sort gives the
+    # stable one; ties and NaN fall back to the stable sort
+    if not (ranked[1:] > ranked[:-1]).all():
+        order = np.argsort(losses, kind="stable")
+    kept = order[:n_keep]
+    return kept if candidates is None else candidates[kept]
 
 
-def _update(w: np.ndarray, sel: np.ndarray | None, X, y, eta: float) -> tuple[np.ndarray, int]:
+def _update(w: np.ndarray, sel: np.ndarray | None, X, z, y, eta: float) -> tuple[np.ndarray, int]:
     if sel is None:
-        grad = _gradient(w, X, y)
+        grad = _gradient(X, z, y)
         n_sel = len(y)
     elif len(sel) == 0:
         return w.copy(), 0
     else:
-        grad = _gradient(w, X[sel], y[sel])
+        grad = _gradient(X[sel], z[sel], y[sel])
         n_sel = len(sel)
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise DivergenceError("non-finite gradient; lower eta or check features")
     return w - eta * grad, n_sel
+
+
+def _flat_dataset(dataset: list[PixelBatch], caller: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Validate each batch once and return its flat (X, y); every batch has the first one's dim."""
+    if not dataset:
+        raise ValidationError(f"{caller}: empty dataset")
+    flat = []
+    for batch in dataset:
+        batch.validate()
+        X, y = batch.flat()
+        if flat and X.shape[1] != flat[0][0].shape[1]:
+            raise GeometryError(
+                f"{caller}: batch {batch.name} has feature dim {X.shape[1]}, "
+                f"the first batch has {flat[0][0].shape[1]}"
+            )
+        flat.append((X, y))
+    return flat
 
 
 def coteach_step(
@@ -222,28 +255,32 @@ def coteach_step(
     use_agreement: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One simultaneous co-teaching update of both learners."""
-    wf2, wg2, _ = _step_full(wf, wg, batch, epoch, cfg, use_drop, use_agreement)
+    cfg.validate()
+    batch.validate()
+    X, y = batch.flat()
+    wf2, wg2, _ = _step_full(wf, wg, X, y, epoch, cfg, use_drop, use_agreement)
     return wf2, wg2
 
 
 def _step_full(
     wf: np.ndarray,
     wg: np.ndarray,
-    batch: PixelBatch,
+    X: np.ndarray,
+    y: np.ndarray,
     epoch: int,
     cfg: CoteachConfig,
     use_drop: bool,
     use_agreement: bool,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    cfg.validate()
-    batch.validate()
-    X, y = batch.flat()
+    """One step on a validated, flattened batch; each learner's scores serve both roles."""
     rate = drop_rate(cfg, epoch) if use_drop else 0.0
-    sel_f = _select(wg, X, y, rate, use_agreement)  # g picks pixels for f
-    sel_g = _select(wf, X, y, rate, use_agreement)  # f picks pixels for g
-    wf2, n_f = _update(wf, sel_f, X, y, cfg.eta)
-    wg2, n_g = _update(wg, sel_g, X, y, cfg.eta)
-    if not (np.all(np.isfinite(wf2)) and np.all(np.isfinite(wg2))):
+    zf = X @ wf
+    zg = X @ wg
+    sel_f = _select(zg, y, rate, use_agreement)  # g picks pixels for f
+    sel_g = _select(zf, y, rate, use_agreement)  # f picks pixels for g
+    wf2, n_f = _update(wf, sel_f, X, zf, y, cfg.eta)
+    wg2, n_g = _update(wg, sel_g, X, zg, y, cfg.eta)
+    if not (np.isfinite(wf2).all() and np.isfinite(wg2).all()):
         raise DivergenceError("learner parameters diverged")
     info = {
         "drop_rate": rate,
@@ -266,11 +303,8 @@ def train(
     post-step batch losses, the drop rate, and the mean selected fraction.
     """
     cfg.validate()
-    if not dataset:
-        raise ValidationError("train: empty dataset")
-    for b in dataset:
-        b.validate()
-    d = dataset[0].features.shape[2]
+    flat = _flat_dataset(dataset, "train")
+    d = flat[0][0].shape[1]
     rng = np.random.default_rng(cfg.seed)
     wf = rng.normal(0.0, 0.01, d)
     wg = rng.normal(0.0, 0.01, d)
@@ -280,10 +314,10 @@ def train(
         losses_f, losses_g, fracs = [], [], []
         rate = 0.0
         for i in range(cfg.n_max):
-            batch = dataset[perm[i % len(dataset)]]
-            wf, wg, info = _step_full(wf, wg, batch, epoch, cfg, use_drop, use_agreement)
-            losses_f.append(batch_loss(wf, batch))
-            losses_g.append(batch_loss(wg, batch))
+            X, y = flat[perm[i % len(dataset)]]
+            wf, wg, info = _step_full(wf, wg, X, y, epoch, cfg, use_drop, use_agreement)
+            losses_f.append(_mean_loss(wf, X, y))
+            losses_g.append(_mean_loss(wg, X, y))
             fracs.append(info["selected_fraction"])
             rate = info["drop_rate"]
         history.append(
@@ -305,9 +339,8 @@ def train(
 def train_single(dataset: list[PixelBatch], cfg: CoteachConfig) -> tuple[LearnerState, list[dict]]:
     """Plain logistic-regression baseline with the same schedule and init as f."""
     cfg.validate()
-    if not dataset:
-        raise ValidationError("train_single: empty dataset")
-    d = dataset[0].features.shape[2]
+    flat = _flat_dataset(dataset, "train_single")
+    d = flat[0][0].shape[1]
     rng = np.random.default_rng(cfg.seed)
     w = rng.normal(0.0, 0.01, d)
     rng.normal(0.0, 0.01, d)  # keep the stream aligned with train()'s g draw
@@ -316,10 +349,9 @@ def train_single(dataset: list[PixelBatch], cfg: CoteachConfig) -> tuple[Learner
         perm = rng.permutation(len(dataset))
         losses = []
         for i in range(cfg.n_max):
-            batch = dataset[perm[i % len(dataset)]]
-            X, y = batch.flat()
-            w, _ = _update(w, None, X, y, cfg.eta)
-            losses.append(batch_loss(w, batch))
+            X, y = flat[perm[i % len(dataset)]]
+            w, _ = _update(w, None, X, X @ w, y, cfg.eta)
+            losses.append(_mean_loss(w, X, y))
         history.append({"epoch": epoch, "loss": float(np.mean(losses))})
     state = LearnerState(w)
     state.validate()

@@ -5,14 +5,18 @@ share no code with the package: ray parity instead of scanline fills,
 Fraction arithmetic instead of integer cross-multiplication, explicit
 enumeration of all sign patterns instead of dynamic programming, and a
 from-scratch logistic-regression loop. Deliberately simple and slow.
-``corrupt_prediction_reference`` and ``extract_tiles_reference`` are the
-exceptions. The first is the package's earlier one-spec
-``corrupt_prediction``, which draws the whole flip field at once, kept
-unchanged so the blocked batch can be checked against it. The second is
-the package's earlier ``extract_tiles``, which builds a level-sized tissue
-mask by rounding ``luma`` and sums it per tile; with its ``tissue_mask`` it
-is kept unchanged so the streamed, exact tissue count can be checked
-against it.
+``corrupt_prediction_reference``, ``extract_tiles_reference`` and the
+co-teaching step references are the exceptions. The first is the package's
+earlier one-spec ``corrupt_prediction``, which draws the whole flip field at
+once, kept unchanged so the blocked batch can be checked against it. The
+second is the package's earlier ``extract_tiles``, which builds a
+level-sized tissue mask by rounding ``luma`` and sums it per tile; with its
+``tissue_mask`` it is kept unchanged so the streamed, exact tissue count can
+be checked against it. ``sigmoid_reference``, ``select_reference`` and
+``step_reference`` are the package's earlier masked sigmoid, stable-sort
+selection and co-teaching step, which recompute each learner's scores where
+they are used; they are kept unchanged so the step that reuses the scores
+can be checked against them bit for bit.
 
 The helpers at the end compare or measure package objects for the tests:
 pyramid and annotation equality, exact tile-window counts, the traced
@@ -21,6 +25,7 @@ the package's own loss numerically to check its analytic gradient.
 """
 from __future__ import annotations
 
+import math
 import tracemalloc
 import zlib
 from fractions import Fraction
@@ -30,8 +35,8 @@ from itertools import groupby
 import numpy as np
 import scipy.stats
 
-from slidebench.coteach import PixelBatch, _gradient, pixel_losses
-from slidebench.errors import GeometryError, ValidationError
+from slidebench.coteach import CoteachConfig, PixelBatch, _gradient, drop_rate, pixel_losses
+from slidebench.errors import DivergenceError, GeometryError, ValidationError
 from slidebench import parallel
 from slidebench.masks import (
     GRAY200_THRESHOLD,
@@ -369,6 +374,95 @@ def logistic_gd_oracle(
     return w
 
 
+def sigmoid_reference(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _gradient_reference(w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return X.T @ (sigmoid_reference(X @ w) - y) / len(y)
+
+
+def select_reference(
+    peer_w: np.ndarray,
+    X: np.ndarray,
+    y: np.ndarray,
+    rate: float,
+    use_agreement: bool,
+) -> np.ndarray | None:
+    """Indices kept for one learner's update, chosen by its peer.
+
+    Returns None when the whole batch is kept, which lets the caller take the
+    plain full-batch gradient path (bit-identical to ordinary logistic
+    regression).
+    """
+    z_peer = X @ peer_w
+    if use_agreement:
+        agree = (sigmoid_reference(z_peer) > 0.5) == (y > 0.5)
+        candidates = np.flatnonzero(agree)
+    else:
+        candidates = None
+    n_cand = len(candidates) if candidates is not None else len(y)
+    n_keep = n_cand - math.floor(rate * n_cand)
+    if candidates is None and n_keep == n_cand:
+        return None
+    if candidates is None:
+        candidates = np.arange(len(y))
+    if n_keep >= n_cand:
+        return candidates
+    losses = np.logaddexp(0.0, z_peer[candidates]) - y[candidates] * z_peer[candidates]
+    order = np.argsort(losses, kind="stable")
+    return candidates[order[:n_keep]]
+
+
+def _update_reference(
+    w: np.ndarray, sel: np.ndarray | None, X, y, eta: float
+) -> tuple[np.ndarray, int]:
+    if sel is None:
+        grad = _gradient_reference(w, X, y)
+        n_sel = len(y)
+    elif len(sel) == 0:
+        return w.copy(), 0
+    else:
+        grad = _gradient_reference(w, X[sel], y[sel])
+        n_sel = len(sel)
+    if not np.all(np.isfinite(grad)):
+        raise DivergenceError("non-finite gradient; lower eta or check features")
+    return w - eta * grad, n_sel
+
+
+def step_reference(
+    wf: np.ndarray,
+    wg: np.ndarray,
+    batch: PixelBatch,
+    epoch: int,
+    cfg: CoteachConfig,
+    use_drop: bool,
+    use_agreement: bool,
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    cfg.validate()
+    batch.validate()
+    X, y = batch.flat()
+    rate = drop_rate(cfg, epoch) if use_drop else 0.0
+    sel_f = select_reference(wg, X, y, rate, use_agreement)  # g picks pixels for f
+    sel_g = select_reference(wf, X, y, rate, use_agreement)  # f picks pixels for g
+    wf2, n_f = _update_reference(wf, sel_f, X, y, cfg.eta)
+    wg2, n_g = _update_reference(wg, sel_g, X, y, cfg.eta)
+    if not (np.all(np.isfinite(wf2)) and np.all(np.isfinite(wg2))):
+        raise DivergenceError("learner parameters diverged")
+    info = {
+        "drop_rate": rate,
+        "selected_fraction": n_f / len(y),
+        "n_selected_f": n_f,
+        "n_selected_g": n_g,
+    }
+    return wf2, wg2, info
+
+
 def pyramids_equal(a: SlidePyramid, b: SlidePyramid) -> bool:
     """Byte-level equality of two pyramids."""
     if a.slide_id != b.slide_id or a.mpp_level0 != b.mpp_level0 or len(a.levels) != len(b.levels):
@@ -418,7 +512,7 @@ def gradient_check(w: np.ndarray, batch: PixelBatch, step: float = 1e-5) -> floa
     """Max relative error between analytic and central-difference gradients."""
     batch.validate()
     X, y = batch.flat()
-    analytic = _gradient(w, X, y)
+    analytic = _gradient(X, X @ w, y)
 
     def loss_at(v: np.ndarray) -> float:
         return float(np.mean(pixel_losses(v, X, y)))

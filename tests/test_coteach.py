@@ -1,12 +1,27 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from oracles import gradient_check, logistic_gd_oracle
+from oracles import (
+    gradient_check,
+    logistic_gd_oracle,
+    select_reference,
+    sigmoid_reference,
+    step_reference,
+)
 from slidebench import CoteachConfig, PixelBatch, coteach_step, pixel_features, train, train_single
+from slidebench import coteach
+from slidebench.cli import main
 from slidebench.coteach import (
     FEATURE_DIM,
     FEATURE_NAMES,
+    NOISE_BENCHMARK_CONFIG,
     LearnerState,
+    _select,
+    _sigmoid,
+    _step_full,
     batch_loss,
     clean_accuracy,
     drop_rate,
@@ -25,6 +40,13 @@ def _batch(rng, h=8, w=8, name="b"):
     img = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
     labels = rng.random((h, w)) < 0.5
     return PixelBatch(name, pixel_features(img), labels)
+
+
+def _tied_batch(rng, h=8, w=8, distinct=6, name="tied"):
+    """A batch of few distinct pixel rows, so equal (row, label) pairs tie on every loss."""
+    rows = np.column_stack([np.ones(distinct), rng.random((distinct, FEATURE_DIM - 1))])
+    feats = rows[rng.integers(0, distinct, (h, w))]
+    return PixelBatch(name, feats, rng.random((h, w)) < 0.5)
 
 
 def test_pixel_features_shape_and_bias(rng):
@@ -290,3 +312,128 @@ def test_batch_loss_decreases_under_training(rng):
     sf, _, history = train([batch], cfg, use_drop=False, use_agreement=False)
     assert history[-1]["loss_f"] < history[0]["loss_f"]
     assert batch_loss(sf.w, batch) == pytest.approx(history[-1]["loss_f"])
+
+
+# the co-teaching bytes; a change here must be deliberate and declared
+_PINNED_COTEACH_SHA256 = "878a29a124716da2963db662a166a265f03e868151402f1bca47c07c8d72422e"
+
+
+def test_coteach_outputs_digest_is_pinned(tmp_path):
+    assert main(["coteach", "--out", str(tmp_path), "--seeds", "3"]) == 0
+    h = hashlib.sha256()
+    for name in ("summary.json", "history.csv"):
+        h.update((tmp_path / name).read_bytes())
+    train_set, _, _ = make_noise_benchmark(5)
+    _, _, history = train(train_set, replace(NOISE_BENCHMARK_CONFIG, seed=5), use_agreement=True)
+    h.update(repr(history).encode())
+    assert h.hexdigest() == _PINNED_COTEACH_SHA256
+
+
+def test_sigmoid_matches_reference_bit_for_bit(rng):
+    nan = np.float64(np.nan)
+    edges = np.array([0.0, -0.0, 35.0, -35.0, 745.0, -745.0, np.inf, -np.inf, nan, -nan])
+    for z in (edges, rng.normal(0.0, 20.0, 4096)):
+        assert _sigmoid(z).tobytes() == sigmoid_reference(z).tobytes()
+
+
+@pytest.mark.parametrize("use_agreement", [False, True])
+@pytest.mark.parametrize("rate", [0.0, 0.05, 0.3, 0.9])
+def test_select_matches_stable_reference_on_ties(rng, use_agreement, rate):
+    batch = _tied_batch(rng)
+    X, y = batch.flat()
+    for _ in range(20):
+        peer = rng.normal(0.0, 2.0, FEATURE_DIM)
+        z = X @ peer
+        losses = pixel_losses(peer, X, y)
+        assert len(np.unique(losses)) < len(losses)  # ties, so the stable fallback runs
+        got = _select(z, y, rate, use_agreement)
+        want = select_reference(peer, X, y, rate, use_agreement)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in logaddexp")
+def test_select_orders_nan_losses_as_the_stable_sort(rng):
+    X, y = _batch(rng).flat()
+    X = X.copy()
+    X[[3, 9, 40]] = np.nan
+    peer = rng.normal(0.0, 1.0, FEATURE_DIM)
+    got = _select(X @ peer, y, 0.1, False)
+    assert np.array_equal(got, select_reference(peer, X, y, 0.1, False))
+
+
+@pytest.mark.parametrize("use_agreement", [False, True])
+@pytest.mark.parametrize("use_drop", [False, True])
+@pytest.mark.parametrize("tied", [False, True])
+def test_step_matches_reference_bit_for_bit(rng, use_drop, use_agreement, tied):
+    batches = [_tied_batch(rng, name=f"t{i}") if tied else _batch(rng, name=f"b{i}")
+               for i in range(3)]
+    cfg = CoteachConfig(eta=2.0, tau=0.4, ramp_epochs=4)
+    wf = rng.normal(0.0, 0.5, FEATURE_DIM)
+    wg = rng.normal(0.0, 0.5, FEATURE_DIM)
+    ref_f, ref_g = wf.copy(), wg.copy()
+    for step in range(30):
+        batch = batches[step % 3]
+        X, y = batch.flat()
+        wf, wg, info = _step_full(wf, wg, X, y, step // 3, cfg, use_drop, use_agreement)
+        ref_f, ref_g, ref_info = step_reference(ref_f, ref_g, batch, step // 3, cfg,
+                                                use_drop, use_agreement)
+        assert wf.tobytes() == ref_f.tobytes()
+        assert wg.tobytes() == ref_g.tobytes()
+        assert info == ref_info
+
+
+def test_step_with_no_agreeing_pixels_matches_reference(rng):
+    feats = _batch(rng).features
+    batch = PixelBatch("all_tumor", feats, np.ones(feats.shape[:2], dtype=bool))
+    X, y = batch.flat()
+    cfg = CoteachConfig(eta=1.0, tau=0.3, ramp_epochs=2)
+    wf = rng.normal(0.0, 0.1, FEATURE_DIM)
+    wg = np.zeros(FEATURE_DIM)
+    wg[0] = -50.0  # g calls every pixel background, so f gets no candidates
+    got = _step_full(wf, wg, X, y, 1, cfg, True, True)
+    want = step_reference(wf, wg, batch, 1, cfg, True, True)
+    assert got[2]["n_selected_f"] == 0
+    assert np.array_equal(got[0], wf)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2] == want[2]
+
+
+def test_train_runs_one_step_call_per_step(rng, monkeypatch):
+    # the benchmark's tracer times and counts steps by wrapping coteach._step_full
+    calls = []
+    real = coteach._step_full
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(coteach, "_step_full", counting)
+    cfg = CoteachConfig(eta=0.5, t_max=7, n_max=5, tau=0.2, ramp_epochs=3, seed=2)
+    train([_batch(rng, name=f"b{i}") for i in range(3)], cfg)
+    assert len(calls) == cfg.t_max * cfg.n_max
+
+
+@pytest.mark.parametrize("trainer", [train, train_single])
+def test_trainers_reject_labels_that_do_not_match_features(rng, trainer):
+    good = _batch(rng, name="good")
+    bad = PixelBatch("bad", np.zeros((4, 5, FEATURE_DIM)), np.zeros((4, 4), dtype=bool))
+    with pytest.raises(GeometryError, match="batch bad"):
+        trainer([good, bad], CoteachConfig(t_max=1))
+
+
+@pytest.mark.parametrize("trainer", [train, train_single])
+def test_trainers_reject_a_batch_of_another_feature_dim(rng, trainer):
+    good = _batch(rng, name="good")
+    narrow = PixelBatch("narrow", np.zeros((8, 8, FEATURE_DIM - 1)), np.zeros((8, 8), dtype=bool))
+    with pytest.raises(GeometryError, match="batch narrow has feature dim 5"):
+        trainer([good, narrow], CoteachConfig(t_max=1))
+
+
+@pytest.mark.parametrize("trainer", [train, train_single])
+def test_trainers_reject_an_empty_dataset(trainer):
+    with pytest.raises(ValidationError, match="empty dataset"):
+        trainer([], CoteachConfig())
