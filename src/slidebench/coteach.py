@@ -169,11 +169,6 @@ def _mean_loss(w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     return float(losses.sum() / losses.size)  # the bits of np.mean, without its wrapper
 
 
-def batch_loss(w: np.ndarray, batch: PixelBatch) -> float:
-    X, y = batch.flat()
-    return _mean_loss(w, X, y)
-
-
 def _gradient(X: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mean logistic-loss gradient at the scores ``z = X @ w``."""
     return X.T @ (_sigmoid(z) - y) / len(y)

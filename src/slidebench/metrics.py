@@ -18,6 +18,7 @@ import numpy as np
 from . import parallel
 from .errors import FormatError, GeometryError, ValidationError, typed_field
 from .masks import BinaryMask
+from .slide_io import level_dimensions
 
 SUBTYPE_SCC = "SCC"
 SUBTYPE_SCLC = "SCLC"
@@ -205,12 +206,18 @@ def aggregate(
 
 def _score_slide(gt: dict, pred: dict, subtypes: dict[str, str], slide_id: str) -> SlideScore:
     g, p = gt[slide_id], pred[slide_id]
-    if p.level > g.level:
-        p = upsample_mask(p, g.level, g.width, g.height)
-    elif p.level < g.level:
+    if p.level < g.level:
         raise GeometryError(
             f"{slide_id}: prediction level {p.level} finer than ground truth {g.level}"
         )
+    want = level_dimensions(g.width, g.height, p.level - g.level)
+    if (p.width, p.height) != want:
+        raise GeometryError(
+            f"{slide_id}: prediction is {p.width}x{p.height} at level {p.level}, but the "
+            f"{g.width}x{g.height} level-{g.level} ground truth is {want[0]}x{want[1]} there"
+        )
+    if p.level > g.level:
+        p = upsample_mask(p, g.level, g.width, g.height)
     subtype = subtypes.get(slide_id, SUBTYPE_UNKNOWN)
     return score_slide(slide_id, confusion(g, p), subtype)
 
@@ -224,9 +231,10 @@ def evaluate_team(
 ) -> TeamReport:
     """Score one team's predictions against ground truth, slide by slide.
 
-    Predictions at a coarser level than the ground truth are upsampled by
-    nearest-neighbor first. Slides are scored in sorted id order, one slide
-    per chunk on ``workers`` processes.
+    A prediction at level k over ground truth at level g must have the
+    truth's dimensions halved k - g times with ceiling; a coarser one is
+    upsampled by nearest-neighbor first. Slides are scored in sorted id
+    order, one slide per chunk on ``workers`` processes.
     """
     if not gt:
         raise ValidationError("evaluate_team: no ground-truth masks")

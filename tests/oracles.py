@@ -10,18 +10,21 @@ co-teaching step references are the exceptions. The first is the package's
 earlier one-spec ``corrupt_prediction``, which draws the whole flip field at
 once, kept unchanged so the blocked batch can be checked against it. The
 second is the package's earlier ``extract_tiles``, which builds a
-level-sized tissue mask by rounding ``luma`` and sums it per tile; with its
-``tissue_mask`` it is kept unchanged so the streamed, exact tissue count can
-be checked against it. ``sigmoid_reference``, ``select_reference`` and
+level-sized tissue mask and sums it per tile; it is kept so the streamed,
+exact tissue count can be checked against it. Its ``tissue_mask_reference``
+thresholds ``luma_reference`` of the whole level, so neither uses the
+package's luma kernel. ``sigmoid_reference``, ``select_reference`` and
 ``step_reference`` are the package's earlier masked sigmoid, stable-sort
 selection and co-teaching step, which recompute each learner's scores where
 they are used; they are kept unchanged so the step that reuses the scores
 can be checked against them bit for bit.
 
-The helpers at the end compare or measure package objects for the tests:
-pyramid and annotation equality, exact tile-window counts, the traced
-allocation peak of a call, and ``gradient_check``, which differentiates
-the package's own loss numerically to check its analytic gradient.
+The helpers at the end make inputs for, compare or measure package objects
+in the tests: pyramid and annotation equality, exact tile-window counts,
+rasters whose tissue test turns on luma's rounding ties, the traced
+allocation peak of a call, a batch's mean loss, and ``gradient_check``,
+which differentiates the package's own loss numerically to check its
+analytic gradient.
 """
 from __future__ import annotations
 
@@ -46,8 +49,6 @@ from slidebench.masks import (
     ROLE_TISSUE,
     TISSUE_METHODS,
     BinaryMask,
-    _row_blocks,
-    luma,
     otsu_threshold,
 )
 from slidebench.slide_io import AnnotationSet, SlidePyramid
@@ -163,26 +164,17 @@ def tissue_mask_reference(pyramid: SlidePyramid, level: int, method: str = METHO
 
     Otsu thresholds at the between-class-variance argmax of the level's luma
     histogram; Gray200 uses the fixed threshold 200. Both include the
-    threshold value itself (g <= t is tissue). One pass over row blocks:
-    Gray200 writes each block's test straight into the mask; Otsu keeps the
-    uint8 luma and sums per-block histograms exactly in int64.
+    threshold value itself (g <= t is tissue). Luma is ``luma_reference``
+    of the whole level, so the package's blocked luma kernel is not used.
     """
-    pixels = pyramid.level(level).pixels
     if method not in TISSUE_METHODS:
         raise ValidationError(f"unknown tissue method {method!r}")
-    h, w = pixels.shape[:2]
+    g = luma_reference(pyramid.level(level).pixels)
     if method == METHOD_GRAY200:
-        data = np.empty((h, w), dtype=bool)
-        for rows in _row_blocks(h, w):
-            data[rows] = luma(pixels[rows]) <= GRAY200_THRESHOLD
+        t = GRAY200_THRESHOLD
     else:
-        g = np.empty((h, w), dtype=np.uint8)
-        hist = np.zeros(256, dtype=np.int64)
-        for rows in _row_blocks(h, w):
-            g[rows] = luma(pixels[rows])
-            hist += np.bincount(g[rows].ravel(), minlength=256)
-        data = g <= otsu_threshold(hist)
-    return BinaryMask(pyramid.slide_id, level, data, ROLE_TISSUE)
+        t = otsu_threshold(np.bincount(g.ravel(), minlength=256))
+    return BinaryMask(pyramid.slide_id, level, g <= t, ROLE_TISSUE)
 
 
 def _window_sums(data: np.ndarray, y: int, size: int, xs: np.ndarray) -> np.ndarray:
@@ -498,6 +490,57 @@ def tile_counts(gt: BinaryMask, x: int, y: int, size: int) -> tuple[int, int]:
     return tumor, size * size
 
 
+def _tie_colours(t: int) -> np.ndarray:
+    """Every colour with 299r + 587g + 114b == 1000t + 500: its rounding decides luma <= t."""
+    r, g = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+    rest = 1000 * t + 500 - 299 * r - 587 * g
+    ok = (rest >= 0) & (rest % 114 == 0) & (rest <= 114 * 255)
+    return np.column_stack((r[ok], g[ok], rest[ok] // 114)).astype(np.uint8)
+
+
+def _tie_raster(t: int, black_rows: int, h: int, w: int) -> np.ndarray:
+    """White raster with ``black_rows`` black rows on top, sparse random colours and tie colours.
+
+    Half the tie pixels round down to luma t and half up to t + 1, where t
+    has tie colours of both kinds.
+    """
+    rng = np.random.default_rng(5)
+    base = np.full((h, w, 3), 255, dtype=np.uint8)
+    base[:black_rows] = 0
+    u = rng.random((h, w))
+    dark = u < 0.002
+    base[dark] = rng.integers(0, 256, (int(dark.sum()), 3))
+    ties = _tie_colours(t)
+    down = luma_reference(ties[None])[0] <= t
+    kinds = [k for k in (ties[down], ties[~down]) if len(k)]
+    for i, kind in enumerate(kinds):
+        tie = (u >= 0.002 + 0.004 * i) & (u < 0.006 + 0.004 * i)
+        base[tie] = kind[rng.integers(0, len(kind), int(tie.sum()))]
+    return base
+
+
+def tie_slide(method: str, h: int = 96, w: int = 104):
+    """A tie raster of threshold t, and t.
+
+    For Otsu, t depends on the raster, so ties are drawn for a guess of t
+    until the raster's split is the guess, trying black tops of about half
+    the rows until the split settles on a t with tie colours of both kinds.
+    """
+    if method == METHOD_GRAY200:
+        return _tie_raster(GRAY200_THRESHOLD, h // 2, h, w), GRAY200_THRESHOLD
+    for black_rows in range(h // 2 - 8, h // 2 + 8):
+        t = 127
+        for _ in range(10):
+            base = _tie_raster(t, black_rows, h, w)
+            split = otsu_oracle(np.bincount(luma_reference(base).ravel(), minlength=256))
+            if split == t:
+                if len(np.unique(luma_reference(_tie_colours(t)[None]))) == 2:
+                    return base, t
+                break
+            t = split
+    raise AssertionError("no Otsu split with both kinds of ties settled")
+
+
 def traced_peak(fn):
     """Result of ``fn()`` and the peak bytes Python and numpy allocated during it."""
     tracemalloc.start()
@@ -506,6 +549,12 @@ def traced_peak(fn):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def batch_loss(w: np.ndarray, batch: PixelBatch) -> float:
+    """Mean logistic loss of one batch at weights ``w``."""
+    X, y = batch.flat()
+    return float(np.mean(pixel_losses(w, X, y)))
 
 
 def gradient_check(w: np.ndarray, batch: PixelBatch, step: float = 1e-5) -> float:

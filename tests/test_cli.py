@@ -1,4 +1,5 @@
 """Exit codes, file outputs, and round trips of the command-line interface."""
+import hashlib
 import json
 import os
 import subprocess
@@ -403,6 +404,18 @@ def _subtypes_case(data):
     return make
 
 
+def _prediction_level_case(level):
+    """``eval`` of a 16x16 level-0 truth against the same bits declared to be at ``level``."""
+    def make(tmp_path):
+        for kind, lvl, role in (("truth", 0, ROLE_GROUND_TRUTH), ("pred", level, ROLE_PREDICTION)):
+            (tmp_path / kind).mkdir()
+            mask = BinaryMask("s", lvl, np.eye(16, dtype=bool), role)
+            write_mask(mask, tmp_path / kind / "s.pgm")
+        return ["eval", "--truth", str(tmp_path / "truth"), "--pred", str(tmp_path / "pred"),
+                "--team", "t", "--out", str(tmp_path / "r.json")]
+    return make
+
+
 def _config_case(data):
     def make(tmp_path):
         _write(tmp_path / "train.cfg", data)
@@ -471,6 +484,8 @@ MALFORMED_INPUTS = {
     "subtypes_without_subtype_column": _subtypes_case("slide_id,kind\ns,SCC\n"),
     "subtypes_not_utf8": _subtypes_case(b"slide_id,subtype\ns,\xff\xfe\n"),
     "subtypes_short_row": _subtypes_case("slide_id,subtype\ns\n"),
+    "prediction_level_too_coarse": _prediction_level_case(4),
+    "prediction_level_far_too_coarse": _prediction_level_case(9),
     "config_not_utf8": _config_case(b"eta=\xff\xfe\n"),
     "config_unknown_key": _config_case("bogus=1\n"),
     "config_bad_value": _config_case("t_max=many\n"),
@@ -527,3 +542,44 @@ def test_full_pipeline_script(tmp_path):
     assert sorted(w1) == sorted(w2)
     assert [p for p in w1 if p != summary and w1[p] != w2[p]] == []
     assert w1[summary].replace(b"demo_w1", b"demo_w2") == w2[summary]
+
+
+def _tie_colour_slide(root: Path) -> Path:
+    """A 160x160 slide: every colour with 299r + 587g + 114b == 1000t + 500, and random ones."""
+    rgb = np.stack(np.meshgrid(*[np.arange(256, dtype=np.uint8)] * 3, indexing="ij"), -1)
+    rgb = rgb.reshape(-1, 3)
+    ties = rgb[(rgb.astype(np.int64) @ np.array([299, 587, 114])) % 1000 == 500]
+    rng = np.random.default_rng(3)
+    noise = rng.integers(0, 256, (160 * 160 - len(ties), 3), dtype=np.uint8)
+    pixels = rng.permutation(np.concatenate([ties, noise])).reshape(160, 160, 3)
+    return write_pyramid(build_pyramid("ties", pixels, 2), root)
+
+
+# the tissue masks and tile manifests of the slides below; a change here must be deliberate
+_PINNED_TISSUE_TILE_SHA256 = "775895aeca1ff4ec66607b26cf5b60f485010bf4c41ec06ccef32c6d20e34cf8"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_tissue_and_tile_outputs_are_pinned(tmp_path, workers):
+    # 300 px rows are blocks of 218 rows, so the level ends in a partial block
+    assert main(["synth", "--out", str(tmp_path / "c"), "--slides", "1", "--size", "300",
+                 "--levels", "2", "--radius", "10", "30", "--seed", "3", "--team", "exact"]) == 0
+    synth = (tmp_path / "c" / "slides" / "slide_000" / "manifest.json",
+             tmp_path / "c" / "truth" / "slide_000.pgm")
+    gt = tmp_path / "ties.pgm"
+    write_mask(BinaryMask("ties", 0, np.eye(160, dtype=bool), ROLE_GROUND_TRUTH), gt)
+    ties = (_tie_colour_slide(tmp_path / "t"), gt)
+    outputs = []
+    for name, (slide, truth) in {"synth": synth, "ties": ties}.items():
+        for method in ("otsu", "gray200"):
+            out = tmp_path / f"{name}_tissue_{method}.pgm"
+            assert main(["tissue", "--slide", str(slide), "--method", method,
+                         "--workers", workers, "--out", str(out)]) == 0
+            outputs += [out, out.with_suffix(".json")]
+            out = tmp_path / f"{name}_tiles_{method}.jsonl"
+            assert main(["tile", "--slide", str(slide), "--gt", str(truth), "--size", "48",
+                         "--stride", "40", "--tissue-filter", method, "--workers", workers,
+                         "--out", str(out)]) == 0
+            outputs.append(out)
+    digest = hashlib.sha256(b"".join(hashlib.sha256(p.read_bytes()).digest() for p in outputs))
+    assert digest.hexdigest() == _PINNED_TISSUE_TILE_SHA256

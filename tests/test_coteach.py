@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    batch_loss,
     gradient_check,
     logistic_gd_oracle,
     select_reference,
@@ -22,7 +23,6 @@ from slidebench.coteach import (
     _select,
     _sigmoid,
     _step_full,
-    batch_loss,
     clean_accuracy,
     drop_rate,
     make_noise_benchmark,

@@ -3,7 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import luma_reference, otsu_oracle, raster_oracle, traced_peak
+from oracles import (
+    luma_reference,
+    otsu_oracle,
+    raster_oracle,
+    tie_slide,
+    tissue_mask_reference,
+    traced_peak,
+)
 from slidebench import (
     Annotation,
     AnnotationSet,
@@ -79,18 +86,60 @@ def test_tissue_test_is_exact_on_every_colour():
         assert np.array_equal(dark, g <= t), t
 
 
-def test_tissue_test_is_exact_at_every_tie():
-    # a colour with 299r + 587g + 114b == 1000t + 500 sits on the rounding edge of threshold t
+@pytest.fixture(scope="module")
+def every_tie():
+    """The 16,782 colours with 299r + 587g + 114b == 1000t + 500, and each one's t.
+
+    Such a colour sits on the rounding edge of luma, and of the tissue test at threshold t.
+    """
     rgb = _every_colour().reshape(-1, 3)
     s = rgb.astype(np.int64) @ np.array([299, 587, 114])
-    ties = rgb[s % 1000 == 500]
-    t = (s[s % 1000 == 500] - 500) // 1000
+    tie = s % 1000 == 500
+    return rgb[tie], (s[tie] - 500) // 1000
+
+
+def test_tissue_test_is_exact_at_every_tie(every_tie):
+    ties, t = every_tie
     assert len(ties) == 16782
     expected = luma_reference(ties[None])[0] <= t
+    # the float64 expression rounds ties both ways: to t and to t + 1
     assert 0 < np.count_nonzero(expected) < len(ties)
     for threshold in np.unique(t):
         at = t == threshold
         assert np.array_equal(masks._dark(ties[at], int(threshold)), expected[at]), threshold
+
+
+# the tie colours as one row, as rows of 6, and as a strided view with rows of 6
+TIE_LAYOUTS = {
+    "one_row": lambda ties: ties.reshape(1, -1, 3),
+    "rows_of_6": lambda ties: ties.reshape(-1, 6, 3),
+    "rows_of_6_strided": lambda ties: ties.reshape(6, -1, 3).transpose(1, 0, 2),
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 37], ids=["default_blocks", "blocks_of_37"])
+@pytest.mark.parametrize("layout", TIE_LAYOUTS.values(), ids=TIE_LAYOUTS.keys())
+def test_luma_matches_reference_at_every_tie(monkeypatch, every_tie, chunk, layout):
+    # rows of 6 in 37-pixel blocks are 467 blocks; any other case is one block
+    if chunk:
+        monkeypatch.setattr(masks, "_LUMA_CHUNK_PIXELS", chunk)
+    rgb = layout(every_tie[0])
+    assert np.array_equal(luma(rgb), luma_reference(rgb))
+
+
+@pytest.mark.parametrize("chunk", [None, 37], ids=["default_blocks", "blocks_of_37"])
+@pytest.mark.parametrize("method", [METHOD_OTSU, METHOD_GRAY200])
+def test_tissue_mask_at_a_tie_threshold_matches_reference(monkeypatch, chunk, method):
+    # the raster's threshold t has tie colours that round to t and to t + 1
+    base, t = tie_slide(method)
+    if chunk:
+        monkeypatch.setattr(masks, "_LUMA_CHUNK_PIXELS", chunk)
+    p = build_pyramid("s", base, 1)
+    mask = tissue_mask(p, 0, method)
+    s = base.astype(np.int64) @ np.array([299, 587, 114])
+    tie = s == 1000 * t + 500
+    assert mask.data[tie].any() and not mask.data[tie].all()
+    assert np.array_equal(mask.data, tissue_mask_reference(p, 0, method).data)
 
 
 def test_blocking_is_invisible(monkeypatch, rng):

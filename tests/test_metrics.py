@@ -244,6 +244,17 @@ def test_evaluate_team_upsamples_coarser_predictions(rng):
     assert report_direct.scores[0].counts == report_auto.scores[0].counts
 
 
+def test_evaluate_team_requires_ceil_halved_prediction_dims():
+    gt = {"s": _mask(np.ones((5, 7)))}
+    # 7x5 at level 0 is 4x3 at level 1 and 2x2 at level 2
+    for shape, level in (((3, 4), 1), ((2, 2), 2)):
+        report = evaluate_team("t", gt, {"s": _mask(np.ones(shape), level=level)})
+        assert report.scores[0].dice == 1.0
+    for shape, level in (((3, 3), 1), ((4, 4), 1), ((3, 4), 2), ((5, 7), 1), ((6, 8), 0)):
+        with pytest.raises(GeometryError, match="^s: prediction is"):
+            evaluate_team("t", gt, {"s": _mask(np.ones(shape), level=level)})
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_evaluate_team_rejects_finer_predictions(workers):
     gt = {k: _mask(np.zeros((4, 4)), level=1, slide_id=k) for k in ("a", "b")}

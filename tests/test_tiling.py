@@ -6,10 +6,10 @@ import pytest
 from oracles import (
     extract_tiles_reference,
     luma_reference,
-    otsu_oracle,
     tile_counts,
     tile_label_threeclass_oracle,
     tile_label_threshold75_oracle,
+    tie_slide,
     traced_peak,
 )
 from slidebench import (
@@ -25,7 +25,7 @@ from slidebench import (
 )
 from slidebench import masks
 from slidebench.errors import DegenerateHistogramError, FormatError, GeometryError, ValidationError
-from slidebench.masks import GRAY200_THRESHOLD, METHOD_GRAY200, METHOD_OTSU
+from slidebench.masks import METHOD_GRAY200, METHOD_OTSU
 from slidebench.tiling import (
     LABEL_MIX,
     LABEL_NEGATIVE,
@@ -193,57 +193,6 @@ def test_extract_tiles_big_patch_rule(rng):
         assert rec.label == label_threeclass(tumor, total)
 
 
-def _tie_colours(t):
-    """Every colour with 299r + 587g + 114b == 1000t + 500: its rounding decides luma <= t."""
-    r, g = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
-    rest = 1000 * t + 500 - 299 * r - 587 * g
-    ok = (rest >= 0) & (rest % 114 == 0) & (rest <= 114 * 255)
-    return np.column_stack((r[ok], g[ok], rest[ok] // 114)).astype(np.uint8)
-
-
-def _tie_raster(t, black_rows, h, w):
-    """White raster with ``black_rows`` black rows on top, sparse random colours and tie colours.
-
-    Half the tie pixels round down to luma t and half up to t + 1, where t
-    has tie colours of both kinds.
-    """
-    rng = np.random.default_rng(5)
-    base = np.full((h, w, 3), 255, dtype=np.uint8)
-    base[:black_rows] = 0
-    u = rng.random((h, w))
-    dark = u < 0.002
-    base[dark] = rng.integers(0, 256, (int(dark.sum()), 3))
-    ties = _tie_colours(t)
-    down = luma_reference(ties[None])[0] <= t
-    kinds = [k for k in (ties[down], ties[~down]) if len(k)]
-    for i, kind in enumerate(kinds):
-        tie = (u >= 0.002 + 0.004 * i) & (u < 0.006 + 0.004 * i)
-        base[tie] = kind[rng.integers(0, len(kind), int(tie.sum()))]
-    return base
-
-
-def _tie_slide(method, h=96, w=104):
-    """A tie raster of threshold t, and t.
-
-    For Otsu, t depends on the raster, so ties are drawn for a guess of t
-    until the raster's split is the guess, trying black tops of about half
-    the rows until the split settles on a t with tie colours of both kinds.
-    """
-    if method == METHOD_GRAY200:
-        return _tie_raster(GRAY200_THRESHOLD, h // 2, h, w), GRAY200_THRESHOLD
-    for black_rows in range(h // 2 - 8, h // 2 + 8):
-        t = 127
-        for _ in range(10):
-            base = _tie_raster(t, black_rows, h, w)
-            split = otsu_oracle(np.bincount(luma_reference(base).ravel(), minlength=256))
-            if split == t:
-                if len(np.unique(luma_reference(_tie_colours(t)[None]))) == 2:
-                    return base, t
-                break
-            t = split
-    raise AssertionError("no Otsu split with both kinds of ties settled")
-
-
 TISSUE_GRIDS = {
     "stride_below_size": dict(tile_size=8, stride=5),
     "stride_equal_size": dict(tile_size=8),
@@ -255,7 +204,7 @@ TISSUE_GRIDS = {
 @pytest.mark.parametrize("method", [METHOD_GRAY200, METHOD_OTSU])
 @pytest.mark.parametrize("grid", TISSUE_GRIDS.values(), ids=TISSUE_GRIDS.keys())
 def test_extract_tiles_keeps_exactly_the_tiles_holding_tissue(rng, method, grid):
-    base, t = _tie_slide(method)
+    base, t = tie_slide(method)
     p = build_pyramid("s", base, 1)
     gt = _gt(rng.random(base.shape[:2]) < 0.3)
     cfg = TilingConfig(**grid, tissue_filter=method)
@@ -277,7 +226,7 @@ def test_extract_tiles_keeps_exactly_the_tiles_holding_tissue(rng, method, grid)
 def test_extract_tiles_tissue_blocking_is_invisible(monkeypatch, rng, method):
     # 37 pixels over rows of 104 is one row per block, so tile edges fall at every block edge
     monkeypatch.setattr(masks, "_LUMA_CHUNK_PIXELS", 37)
-    base, _ = _tie_slide(method)
+    base, _ = tie_slide(method)
     p = build_pyramid("s", base, 1)
     gt = _gt(rng.random(base.shape[:2]) < 0.3)
     for grid in TISSUE_GRIDS.values():
