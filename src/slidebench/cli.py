@@ -136,10 +136,12 @@ def _load_mask_dir(directory: str | Path) -> dict:
     directory = Path(directory)
     if not directory.is_dir():
         raise FormatError(f"{directory}: not a directory")
-    masks = {}
+    masks, paths = {}, {}
     for path in sorted(directory.glob("*.pgm")):
         mask = read_mask(path)
-        masks[mask.slide_id] = mask
+        if mask.slide_id in paths:
+            raise FormatError(f"{paths[mask.slide_id]} and {path} both hold slide {mask.slide_id!r}")
+        masks[mask.slide_id], paths[mask.slide_id] = mask, path
     if not masks:
         raise FormatError(f"{directory}: no .pgm masks found")
     return masks

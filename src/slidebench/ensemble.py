@@ -15,7 +15,7 @@ import numpy as np
 
 from . import netpbm
 from .errors import FormatError, GeometryError, ValidationError, typed_field
-from .masks import ROLE_PREDICTION, BinaryMask
+from .masks import ROLE_PREDICTION, BinaryMask, read_pgm_sidecar
 
 QUANT_RULE = "round(255*p)"
 
@@ -120,20 +120,9 @@ def write_probability_map(pm: ProbabilityMap, path: str | Path) -> None:
 
 
 def read_probability_map(path: str | Path) -> ProbabilityMap:
-    path = Path(path)
-    gray = netpbm.read_p5(path)
-    sidecar_path = path.with_suffix(".json")
-    if not sidecar_path.exists():
-        raise FormatError(f"{path}: missing sidecar {sidecar_path}")
-    try:
-        meta = json.loads(sidecar_path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{sidecar_path}: malformed probability sidecar: {exc}") from exc
-    where = f"{sidecar_path}: probability sidecar"
-    slide_id = typed_field(meta, "slide_id", str, where)
-    level = typed_field(meta, "level", int, where)
+    gray, meta, where = read_pgm_sidecar(path, "probability")
     if typed_field(meta, "kind", str, where) != "probability":
         raise FormatError(f"{where} field 'kind' is {meta['kind']!r}, expected 'probability'")
-    pm = ProbabilityMap(slide_id, level, gray.astype(np.float64) / 255.0)
+    pm = ProbabilityMap(meta["slide_id"], meta["level"], gray.astype(np.float64) / 255.0)
     pm.validate()
     return pm

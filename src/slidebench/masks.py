@@ -271,15 +271,20 @@ def tissue_rows(pixels: np.ndarray, method: str):
     """
     if method not in TISSUE_METHODS:
         raise ValidationError(f"unknown tissue method {method!r}")
-    h, w = pixels.shape[:2]
-    if method == METHOD_GRAY200:
-        t = GRAY200_THRESHOLD
-    else:
-        hist = np.zeros(256, dtype=np.int64)
-        for rows in _row_blocks(h, w):
-            hist += np.bincount(luma(pixels[rows]).ravel(), minlength=256)
-        t = otsu_threshold(hist)
-    return ((rows, _dark(pixels[rows], t)) for rows in _row_blocks(h, w))
+    t = GRAY200_THRESHOLD if method == METHOD_GRAY200 else _level_otsu(pixels)
+    return ((rows, _dark(pixels[rows], t)) for rows in _row_blocks(*pixels.shape[:2]))
+
+
+def _level_otsu(pixels: np.ndarray, keep: np.ndarray | None = None) -> int:
+    """``otsu_threshold`` of an RGB level's luma histogram, summed in int64 over row blocks;
+    with ``keep``, an (h, w) uint8 array, each block's luma is also stored there."""
+    hist = np.zeros(256, dtype=np.int64)
+    for rows in _row_blocks(*pixels.shape[:2]):
+        g = luma(pixels[rows])
+        if keep is not None:
+            keep[rows] = g
+        hist += np.bincount(g.ravel(), minlength=256)
+    return otsu_threshold(hist)
 
 
 def tissue_mask(pyramid: SlidePyramid, level: int, method: str = METHOD_OTSU) -> BinaryMask:
@@ -293,28 +298,29 @@ def tissue_mask(pyramid: SlidePyramid, level: int, method: str = METHOD_OTSU) ->
     mask is then thresholded in place.
     """
     pixels = pyramid.level(level).pixels
-    h, w = pixels.shape[:2]
-    data = np.empty((h, w), dtype=bool)
+    data = np.empty(pixels.shape[:2], dtype=bool)
     if method == METHOD_OTSU:
         g = data.view(np.uint8)
-        hist = np.zeros(256, dtype=np.int64)
-        for rows in _row_blocks(h, w):
-            g[rows] = luma(pixels[rows])
-            hist += np.bincount(g[rows].ravel(), minlength=256)
-        np.less_equal(g, otsu_threshold(hist), out=data)  # in place, element for element
+        np.less_equal(g, _level_otsu(pixels, keep=g), out=data)  # in place, element for element
     else:
         for rows, tissue in tissue_rows(pixels, method):
             data[rows] = tissue
     return BinaryMask(pyramid.slide_id, level, data, ROLE_TISSUE)
 
 
+def check_same_grid(operation: str, **masks: BinaryMask) -> None:
+    """GeometryError unless the two named masks share one level and shape."""
+    (a_name, a), (b_name, b) = masks.items()
+    if a.level != b.level or a.data.shape != b.data.shape:
+        raise GeometryError(
+            f"{operation}: {a_name} is level {a.level} {a.data.shape}, "
+            f"{b_name} is level {b.level} {b.data.shape}"
+        )
+
+
 def refine_labels(gt: BinaryMask, tissue: BinaryMask) -> BinaryMask:
     """Intersect a noisy ground-truth mask with a tissue mask."""
-    if gt.level != tissue.level or gt.data.shape != tissue.data.shape:
-        raise GeometryError(
-            f"refine_labels: gt is level {gt.level} {gt.data.shape}, "
-            f"tissue is level {tissue.level} {tissue.data.shape}"
-        )
+    check_same_grid("refine_labels", gt=gt, tissue=tissue)
     return BinaryMask(gt.slide_id, gt.level, gt.data & tissue.data, ROLE_REFINED)
 
 
@@ -329,6 +335,16 @@ def write_mask(mask: BinaryMask, path: str | Path) -> None:
 
 def read_mask(path: str | Path) -> BinaryMask:
     """Load a PGM mask and its sidecar metadata."""
+    gray, meta, where = read_pgm_sidecar(path, "mask")
+    role = typed_field(meta, "role", str, where)
+    mask = BinaryMask(meta["slide_id"], meta["level"], gray > 0, role)
+    mask.validate()
+    return mask
+
+
+def read_pgm_sidecar(path: str | Path, kind: str) -> tuple[np.ndarray, dict, str]:
+    """A PGM raster, its ``kind`` JSON sidecar, which must hold a str ``slide_id`` and an
+    int ``level``, and the prefix of that sidecar's field errors."""
     path = Path(path)
     gray = netpbm.read_p5(path)
     sidecar_path = path.with_suffix(".json")
@@ -337,11 +353,8 @@ def read_mask(path: str | Path) -> BinaryMask:
     try:
         meta = json.loads(sidecar_path.read_text())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{sidecar_path}: malformed mask sidecar: {exc}") from exc
-    where = f"{sidecar_path}: mask sidecar"
-    slide_id = typed_field(meta, "slide_id", str, where)
-    level = typed_field(meta, "level", int, where)
-    role = typed_field(meta, "role", str, where)
-    mask = BinaryMask(slide_id, level, gray > 0, role)
-    mask.validate()
-    return mask
+        raise FormatError(f"{sidecar_path}: malformed {kind} sidecar: {exc}") from exc
+    where = f"{sidecar_path}: {kind} sidecar"
+    typed_field(meta, "slide_id", str, where)
+    typed_field(meta, "level", int, where)
+    return gray, meta, where

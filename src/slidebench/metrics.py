@@ -17,7 +17,7 @@ import numpy as np
 
 from . import parallel
 from .errors import FormatError, GeometryError, ValidationError, typed_field
-from .masks import BinaryMask
+from .masks import BinaryMask, check_same_grid
 from .slide_io import level_dimensions
 
 SUBTYPE_SCC = "SCC"
@@ -110,18 +110,10 @@ def confusion(
     gt: BinaryMask, pred: BinaryMask, region: BinaryMask | None = None
 ) -> ConfusionCounts:
     """Exact pixel confusion counts, optionally restricted to a region mask."""
-    if gt.level != pred.level or gt.data.shape != pred.data.shape:
-        raise GeometryError(
-            f"confusion: gt is level {gt.level} {gt.data.shape}, "
-            f"pred is level {pred.level} {pred.data.shape}"
-        )
-    if region is not None and (region.level != gt.level or region.data.shape != gt.data.shape):
-        raise GeometryError(
-            f"confusion: region is level {region.level} {region.data.shape}, "
-            f"gt is level {gt.level} {gt.data.shape}"
-        )
+    check_same_grid("confusion", gt=gt, pred=pred)
     g, p, total = gt.data, pred.data, gt.data.size
     if region is not None:
+        check_same_grid("confusion", region=region, gt=gt)
         g, p, total = g & region.data, p & region.data, region.count
     tp = int(np.count_nonzero(g & p))
     fp = int(np.count_nonzero(p)) - tp
@@ -165,20 +157,6 @@ def score_slide(slide_id: str, c: ConfusionCounts, subtype: str = SUBTYPE_UNKNOW
     return score
 
 
-def upsample_mask(mask: BinaryMask, to_level: int, width: int, height: int) -> BinaryMask:
-    """Nearest-neighbor upsample of a coarser mask to a finer level's grid."""
-    if to_level > mask.level:
-        raise GeometryError(f"cannot upsample level {mask.level} to coarser level {to_level}")
-    f = 2 ** (mask.level - to_level)
-    if mask.height * f < height or mask.width * f < width:
-        raise GeometryError(
-            f"mask {mask.width}x{mask.height} at level {mask.level} cannot cover "
-            f"{width}x{height} at level {to_level}"
-        )
-    data = np.repeat(np.repeat(mask.data, f, axis=0), f, axis=1)[:height, :width]
-    return BinaryMask(mask.slide_id, to_level, np.ascontiguousarray(data), mask.role)
-
-
 def aggregate(
     scores: list[SlideScore], group_by: str = "none", metric: str = "dice"
 ) -> list[AggregateScore]:
@@ -216,10 +194,29 @@ def _score_slide(gt: dict, pred: dict, subtypes: dict[str, str], slide_id: str) 
             f"{slide_id}: prediction is {p.width}x{p.height} at level {p.level}, but the "
             f"{g.width}x{g.height} level-{g.level} ground truth is {want[0]}x{want[1]} there"
         )
-    if p.level > g.level:
-        p = upsample_mask(p, g.level, g.width, g.height)
-    subtype = subtypes.get(slide_id, SUBTYPE_UNKNOWN)
-    return score_slide(slide_id, confusion(g, p), subtype)
+    counts = confusion(g, p) if p.level == g.level else _coarse_confusion(g, p)
+    return score_slide(slide_id, counts, subtypes.get(slide_id, SUBTYPE_UNKNOWN))
+
+
+# Truth pixels per band when a coarse prediction is scored, so each band's temporaries stay in cache
+_BAND_PIXELS = 1 << 16
+
+
+def _coarse_confusion(gt: BinaryMask, pred: BinaryMask) -> ConfusionCounts:
+    """``confusion`` of ``gt`` and ``pred`` repeated 2**(pred.level - gt.level) times on both
+    axes and cropped to gt's grid, counted in bands of whole truth rows without that copy."""
+    f = 1 << min(pred.level - gt.level, 62)
+    fy, fx = min(f, gt.height), min(f, gt.width)  # no pixel covers more than the whole truth
+    m = max(1, _BAND_PIXELS // (fy * gt.width))
+    tp = positives = 0
+    for y in range(0, pred.height, m):
+        truth = gt.data[y * fy : (y + m) * fy]
+        band = np.repeat(np.repeat(pred.data[y : y + m], fy, axis=0), fx, axis=1)
+        band = band[: len(truth), : gt.width]
+        tp += int(np.count_nonzero(band & truth))
+        positives += int(np.count_nonzero(band))
+    fp, fn = positives - tp, gt.count - tp
+    return ConfusionCounts(tp, fp, fn, gt.data.size - tp - fp - fn)
 
 
 def evaluate_team(
@@ -232,8 +229,9 @@ def evaluate_team(
     """Score one team's predictions against ground truth, slide by slide.
 
     A prediction at level k over ground truth at level g must have the
-    truth's dimensions halved k - g times with ceiling; a coarser one is
-    upsampled by nearest-neighbor first. Slides are scored in sorted id
+    truth's dimensions halved k - g times with ceiling. Each pixel of a
+    coarser prediction counts for the 2**(k - g) by 2**(k - g) truth pixels
+    it covers, cut at the truth's edge. Slides are scored in sorted id
     order, one slide per chunk on ``workers`` processes.
     """
     if not gt:

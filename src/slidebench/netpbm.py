@@ -9,6 +9,7 @@ into the returned array.
 """
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 from typing import BinaryIO
@@ -22,39 +23,36 @@ _MAXVAL = 255
 
 def write_p5(path: str | Path, gray: np.ndarray) -> None:
     """Write a (h, w) uint8 array as binary PGM."""
-    arr = np.ascontiguousarray(gray, dtype=np.uint8)
-    if arr.ndim != 2:
-        raise FormatError(f"P5 payload must be 2-D, got shape {arr.shape}")
-    h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n%d\n" % (w, h, _MAXVAL))
-        fh.write(arr)
+    _write_binary(path, b"P5", gray, (), "2-D")
 
 
 def write_p6(path: str | Path, rgb: np.ndarray) -> None:
     """Write a (h, w, 3) uint8 array as binary PPM."""
-    arr = np.ascontiguousarray(rgb, dtype=np.uint8)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise FormatError(f"P6 payload must be (h, w, 3), got shape {arr.shape}")
+    _write_binary(path, b"P6", rgb, (3,), "(h, w, 3)")
+
+
+def _write_binary(path: str | Path, magic: bytes, pixels, channels: tuple, shape: str) -> None:
+    """The canonical header, then the contiguous array's own buffer."""
+    arr = np.ascontiguousarray(pixels, dtype=np.uint8)
+    if arr.ndim != 2 + len(channels) or arr.shape[2:] != channels:
+        raise FormatError(f"{magic.decode()} payload must be {shape}, got shape {arr.shape}")
     h, w = arr.shape[:2]
     with open(path, "wb") as fh:
-        fh.write(b"P6\n%d %d\n%d\n" % (w, h, _MAXVAL))
+        fh.write(b"%s\n%d %d\n%d\n" % (magic, w, h, _MAXVAL))
         fh.write(arr)
 
 
 def read_p5(path: str | Path) -> np.ndarray:
     """Read a binary PGM file into a (h, w) uint8 array."""
-    w, h, payload = _read_binary(path, b"P5", channels=1)
-    return payload.reshape(h, w)
+    return _read_binary(path, b"P5", ())
 
 
 def read_p6(path: str | Path) -> np.ndarray:
     """Read a binary PPM file into a (h, w, 3) uint8 array."""
-    w, h, payload = _read_binary(path, b"P6", channels=3)
-    return payload.reshape(h, w, 3)
+    return _read_binary(path, b"P6", (3,))
 
 
-def _read_binary(path: str | Path, magic: bytes, channels: int) -> tuple[int, int, np.ndarray]:
+def _read_binary(path: str | Path, magic: bytes, channels: tuple) -> np.ndarray:
     """Parse the header, then read the raster straight into one uint8 array.
 
     The payload length is checked against the file size before the array is
@@ -70,7 +68,7 @@ def _read_binary(path: str | Path, magic: bytes, channels: int) -> tuple[int, in
         if maxval != _MAXVAL:
             raise FormatError(f"{path}: unsupported maxval {maxval}, expected {_MAXVAL}")
         # the byte that ended maxval, exactly one, separates the header from the raster
-        expected = w * h * channels
+        expected = w * h * math.prod(channels)
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         if size != expected:
             raise FormatError(f"{path}: raster payload is {size} bytes, expected {expected}")
@@ -78,7 +76,7 @@ def _read_binary(path: str | Path, magic: bytes, channels: int) -> tuple[int, in
         got = fh.readinto(payload)
     if got != expected:
         raise FormatError(f"{path}: raster payload is {got} bytes, expected {expected}")
-    return w, h, payload
+    return payload.reshape(h, w, *channels)
 
 
 def _read_header_ints(fh: BinaryIO, path: str | Path) -> list[int]:

@@ -82,9 +82,8 @@ class SlidePyramid:
 
 
 def level_dimensions(width0: int, height0: int, level: int) -> tuple[int, int]:
-    """Expected (width, height) of a level under the ceil-halving rule."""
-    f = 2**level
-    return math.ceil(width0 / f), math.ceil(height0 / f)
+    """Expected (width, height) of a level under the ceil-halving rule, exact at any level."""
+    return -(-width0 >> level), -(-height0 >> level)
 
 
 def build_pyramid(
@@ -208,7 +207,7 @@ def parse_annotations(xml_path: str | Path) -> AnnotationSet:
     xml_path = Path(xml_path)
     try:
         root = ET.parse(xml_path).getroot()
-    except (OSError, ET.ParseError) as exc:
+    except (OSError, ET.ParseError, LookupError) as exc:  # LookupError: unknown encoding
         raise FormatError(f"{xml_path}: malformed XML: {exc}") from exc
     if root.tag != "ASAP_Annotations":
         raise FormatError(f"{xml_path}: root element is {root.tag!r}, expected 'ASAP_Annotations'")

@@ -28,8 +28,7 @@ import numpy as np
 
 from . import parallel
 from .errors import FormatError, ValidationError
-from .masks import ROLE_GROUND_TRUTH, ROLE_PREDICTION, BinaryMask, write_mask
-from .masks import _fill_even_odd  # shares the exact fill rule with rasterize
+from .masks import ROLE_PREDICTION, BinaryMask, rasterize, write_mask
 from .masks import _row_blocks  # the cache-sized row blocks of luma
 from .slide_io import (
     Annotation,
@@ -122,13 +121,6 @@ def _star_polygon(rng: np.random.Generator, cx: float, cy: float, radius: float)
     angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
     radii = radius * rng.uniform(0.55, 1.0, n)
     return np.column_stack((cx + radii * np.cos(angles), cy + radii * np.sin(angles)))
-
-
-def _fill_polygons(shape: tuple[int, int], polygons: list[np.ndarray]) -> np.ndarray:
-    out = np.zeros(shape, dtype=bool)
-    for verts in polygons:
-        _fill_even_odd(out, verts)
-    return out
 
 
 def _blob_mask(
@@ -237,9 +229,8 @@ def generate_slide(
     r_inner = r0 * (1.0 - float(np.sum(np.abs(amps))))  # disk guaranteed inside the blob
 
     n_lesions = int(rng.integers(cfg.n_lesions[0], cfg.n_lesions[1] + 1))
-    truth_polys: list[np.ndarray] = []
-    ann_polys: list[np.ndarray] = []
-    for _ in range(n_lesions):
+    truth_set, annotations = AnnotationSet(sid), AnnotationSet(sid)
+    for i in range(n_lesions):
         radius = float(rng.uniform(*cfg.lesion_radius))
         radius = min(radius, 0.45 * r_inner)
         theta = float(rng.uniform(0.0, 2.0 * np.pi))
@@ -251,17 +242,18 @@ def generate_slide(
         lx = float(np.clip(cx + rho * np.cos(theta), radius + 2.0, size - radius - 2.0))
         ly = float(np.clip(cy + rho * np.sin(theta), radius + 2.0, size - radius - 2.0))
         poly = _star_polygon(rng, lx, ly, radius)
-        truth_polys.append(poly)
+        name = f"lesion_{i:02d}"
+        truth_set.annotations.append(Annotation(name, "tumor", poly))
         if cfg.annotation_dilation > 0:
             offsets = poly - (lx, ly)
             norms = np.maximum(np.hypot(offsets[:, 0], offsets[:, 1]), 1e-9)
             scale = (norms + cfg.annotation_dilation) / norms
             poly = (lx, ly) + offsets * scale[:, None]
-        ann_polys.append(poly)
+        annotations.annotations.append(Annotation(name, "tumor", poly))
 
     jitter = int(rng.integers(-8, 9))
     bg_jitter = int(rng.integers(-2, 3))
-    lesion_raster = _fill_polygons((size, size), truth_polys)
+    truth = rasterize(truth_set, 0, size, size)
     table = _paint_table(jitter, bg_jitter)
     blob = _blob_mask(size, cx, cy, r0, amps, phases)
     image = np.empty((size, size, 3), dtype=np.uint8)
@@ -269,23 +261,17 @@ def generate_slide(
         y1 = min(size, y0 + _CHUNK_ROWS)
         inside = blob[y0:y1]
         # class 0 background, 1 tissue, 2 lesion; lesion color never leaves the blob
-        cls = inside.view(np.uint8) + (lesion_raster[y0:y1] & inside).view(np.uint8)
+        cls = inside.view(np.uint8) + (truth.data[y0:y1] & inside).view(np.uint8)
         noise = np.random.default_rng([cfg.seed, index, chunk]).integers(
             0, 256, (y1 - y0, size, 3), dtype=np.uint8
         )
         _paint(image[y0:y1], cls, noise, table)
 
-    truth = lesion_raster & blob if cfg.label_background_inclusion else lesion_raster
+    if cfg.label_background_inclusion:
+        truth.data &= blob
     pyramid = build_pyramid(sid, image, cfg.n_levels)
-    annotations = AnnotationSet(
-        sid,
-        [
-            Annotation(f"lesion_{i:02d}", "tumor", verts)
-            for i, verts in enumerate(ann_polys)
-        ],
-    )
     annotations.validate()
-    return pyramid, annotations, BinaryMask(sid, 0, truth, ROLE_GROUND_TRUTH), subtype
+    return pyramid, annotations, truth, subtype
 
 
 def _along(axis: int, start=None, stop=None) -> tuple:
@@ -303,7 +289,7 @@ def _box_filter_bool(data: np.ndarray, radius: int, require_all: bool) -> np.nda
     out = data
     for axis in (0, 1):
         acc = out.copy()
-        for s in range(1, radius + 1):
+        for s in range(1, min(radius, out.shape[axis] - 1) + 1):  # longer shifts change nothing
             ahead, behind = _along(axis, s), _along(axis, None, -s)
             if require_all:
                 acc[ahead] &= out[behind]
@@ -444,15 +430,15 @@ def _read_csv(path: str | Path, columns: tuple[str, ...]) -> list[dict]:
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            rows = list(reader)
+            rows, fields = list(reader), reader.fieldnames or []  # an empty file has no header
     except (UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"{path}: cannot read CSV: {exc}") from exc
-    missing = [c for c in columns if c not in (reader.fieldnames or [])]
+    missing = [c for c in columns if c not in fields]
     if missing:
         raise FormatError(f"{path}: missing column(s) {', '.join(missing)}")
     for n, row in enumerate(rows, 1):
         if any(row[c] is None for c in columns):
-            raise FormatError(f"{path}: row {n} has fewer than {len(reader.fieldnames)} fields")
+            raise FormatError(f"{path}: row {n} has fewer than {len(fields)} fields")
     return rows
 
 

@@ -17,7 +17,9 @@ package's luma kernel. ``sigmoid_reference``, ``select_reference`` and
 ``step_reference`` are the package's earlier masked sigmoid, stable-sort
 selection and co-teaching step, which recompute each learner's scores where
 they are used; they are kept unchanged so the step that reuses the scores
-can be checked against them bit for bit.
+can be checked against them bit for bit. ``upsample_mask`` is the
+package's earlier way of scoring a coarser prediction: it builds the
+upsampled copy whose counts the banded scoring must equal.
 
 The helpers at the end make inputs for, compare or measure package objects
 in the tests: pyramid and annotation equality, exact tile-window counts,
@@ -296,6 +298,20 @@ def confusion_oracle(gt: np.ndarray, pred: np.ndarray, region: np.ndarray | None
             else:
                 tn += 1
     return tp, fp, fn, tn
+
+
+def upsample_mask(mask: BinaryMask, to_level: int, width: int, height: int) -> BinaryMask:
+    """Nearest-neighbor upsample of a coarser mask to a finer level's grid."""
+    if to_level > mask.level:
+        raise GeometryError(f"cannot upsample level {mask.level} to coarser level {to_level}")
+    f = 2 ** (mask.level - to_level)
+    if mask.height * f < height or mask.width * f < width:
+        raise GeometryError(
+            f"mask {mask.width}x{mask.height} at level {mask.level} cannot cover "
+            f"{width}x{height} at level {to_level}"
+        )
+    data = np.repeat(np.repeat(mask.data, f, axis=0), f, axis=1)[:height, :width]
+    return BinaryMask(mask.slide_id, to_level, np.ascontiguousarray(data), mask.role)
 
 
 def dice_oracle(tp: int, fp: int, fn: int) -> Fraction:

@@ -416,6 +416,25 @@ def _prediction_level_case(level):
     return make
 
 
+def _duplicate_slide_case(tmp_path):
+    """``eval`` of a perfect ``a.pgm`` and an empty ``b.pgm`` that both name slide s0."""
+    truth = np.eye(16, dtype=bool)
+    for kind in ("truth", "pred"):
+        (tmp_path / kind).mkdir()
+    write_mask(BinaryMask("s0", 0, truth, ROLE_GROUND_TRUTH), tmp_path / "truth" / "s0.pgm")
+    for name, data in (("a", truth), ("b", np.zeros_like(truth))):
+        write_mask(BinaryMask("s0", 0, data, ROLE_PREDICTION), tmp_path / "pred" / f"{name}.pgm")
+    return ["eval", "--truth", str(tmp_path / "truth"), "--pred", str(tmp_path / "pred"),
+            "--team", "t", "--out", str(tmp_path / "r.json")]
+
+
+def test_two_masks_of_one_slide_are_named(tmp_path, capsys):
+    assert main(_duplicate_slide_case(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "pred" / "a.pgm") in err and str(tmp_path / "pred" / "b.pgm") in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def _config_case(data):
     def make(tmp_path):
         _write(tmp_path / "train.cfg", data)
@@ -462,6 +481,7 @@ MALFORMED_INPUTS = {
     "xml_wrong_root": _xml_case("<NotASAP></NotASAP>"),
     "xml_non_numeric_coordinate": _xml_case(_POLYGON.format(x="nine")),
     "xml_not_utf8": _xml_case(b"\xff\xfe<ASAP_Annotations/>"),
+    "xml_unknown_encoding": _xml_case('<?xml version="1.0" encoding="utf-9"?><ASAP_Annotations/>'),
     "report_not_json": _report_case('{"team": "t", '),
     "report_not_utf8": _report_case(b"\xff\xfe{}"),
     "report_top_level_list": _report_case("[1]"),
@@ -484,8 +504,10 @@ MALFORMED_INPUTS = {
     "subtypes_without_subtype_column": _subtypes_case("slide_id,kind\ns,SCC\n"),
     "subtypes_not_utf8": _subtypes_case(b"slide_id,subtype\ns,\xff\xfe\n"),
     "subtypes_short_row": _subtypes_case("slide_id,subtype\ns\n"),
+    "subtypes_empty": _subtypes_case(""),
     "prediction_level_too_coarse": _prediction_level_case(4),
     "prediction_level_far_too_coarse": _prediction_level_case(9),
+    "two_masks_of_one_slide": _duplicate_slide_case,
     "config_not_utf8": _config_case(b"eta=\xff\xfe\n"),
     "config_unknown_key": _config_case("bogus=1\n"),
     "config_bad_value": _config_case("t_max=many\n"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import confusion_oracle, dice_oracle, rates_oracle
+from oracles import confusion_oracle, dice_oracle, rates_oracle, traced_peak, upsample_mask
 from slidebench import (
     BinaryMask,
     ConfusionCounts,
@@ -16,6 +16,7 @@ from slidebench import (
     write_report,
     write_scores_csv,
 )
+from slidebench import metrics
 from slidebench.errors import FormatError, GeometryError, ValidationError
 from slidebench.metrics import (
     FLAG_EMPTY_PAIR,
@@ -25,8 +26,8 @@ from slidebench.metrics import (
     accuracy_fnr_fpr,
     report_aggregates,
     score_flags,
-    upsample_mask,
 )
+from slidebench.slide_io import level_dimensions
 
 
 def _mask(data, level=0, slide_id="s"):
@@ -235,13 +236,36 @@ def test_evaluate_team_identity_predictions(rng):
     assert all(s.dice == 1.0 for s in report.scores)
 
 
-def test_evaluate_team_upsamples_coarser_predictions(rng):
-    data = rng.random((8, 8)) < 0.5
-    gt = {"s": _mask(data)}
-    pred_fine = upsample_mask(_mask(data[::2, ::2], level=1), 0, 8, 8)
-    report_direct = evaluate_team("t", gt, {"s": pred_fine})
-    report_auto = evaluate_team("t", gt, {"s": _mask(data[::2, ::2], level=1)})
-    assert report_direct.scores[0].counts == report_auto.scores[0].counts
+@pytest.mark.parametrize("band_pixels", [1, metrics._BAND_PIXELS])
+@pytest.mark.parametrize("gt_level", [0, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_evaluate_team_counts_coarser_predictions_as_upsampled(rng, monkeypatch, k, gt_level,
+                                                                band_pixels):
+    """Counts of a prediction k levels coarser equal the oracle's upsampled copy, edges included."""
+    monkeypatch.setattr(metrics, "_BAND_PIXELS", band_pixels)
+    for h, w in ((1, 1), (1, 9), (7, 5), (33, 18), (64, 40), (301, 1003)):
+        gt = _mask(rng.random((h, w)) < 0.5, level=gt_level)
+        pw, ph = level_dimensions(w, h, k)
+        pred = _mask(rng.random((ph, pw)) < 0.5, level=gt_level + k)
+        report = evaluate_team("t", {"s": gt}, {"s": pred})
+        assert report.scores[0].counts == confusion(gt, upsample_mask(pred, gt_level, w, h))
+
+
+def test_evaluate_team_scores_a_one_pixel_prediction_at_any_level(rng):
+    data = rng.random((3, 5)) < 0.5
+    for level in (3, 62, 63, 2000, 10**12):
+        report = evaluate_team("t", {"s": _mask(data)}, {"s": _mask([[1]], level=level)})
+        assert report.scores[0].counts == ConfusionCounts(data.sum(), (~data).sum(), 0, 0)
+
+
+def test_coarse_prediction_scoring_peaks_below_the_truth_bytes(rng):
+    h, w = 2049, 2047
+    gt = _mask(rng.random((h, w)) < 0.5)
+    pw, ph = level_dimensions(w, h, 2)
+    pred = _mask(rng.random((ph, pw)) < 0.5, level=2)
+    report, peak = traced_peak(lambda: evaluate_team("t", {"s": gt}, {"s": pred}))
+    assert peak < gt.data.nbytes
+    assert report.scores[0].counts == confusion(gt, upsample_mask(pred, 0, w, h))
 
 
 def test_evaluate_team_requires_ceil_halved_prediction_dims():

@@ -23,6 +23,8 @@ def test_level_dimensions_ceil_halving():
     # odd sizes round up at every step
     assert level_dimensions(125, 75, 1) == (63, 38)
     assert level_dimensions(1, 1, 5) == (1, 1)
+    assert level_dimensions(16, 16, 2000) == (1, 1)
+    assert level_dimensions(5, 3, 10**12) == (1, 1)
 
 
 def test_build_pyramid_dims_and_subsampling(rng):

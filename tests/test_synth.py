@@ -1,5 +1,6 @@
 """Synthetic challenge generation: analytic guarantees and corruption models."""
 import hashlib
+import signal
 from dataclasses import replace
 from pathlib import Path
 
@@ -167,7 +168,7 @@ def test_erode_shrinks_and_dilate_grows():
 
 
 @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (7, 5), (64, 33)])
-@pytest.mark.parametrize("radius", range(7))
+@pytest.mark.parametrize("radius", [*range(7), 9, 64, 100])
 @pytest.mark.parametrize("require_all", [True, False])
 def test_box_filter_matches_reference(shape, radius, require_all):
     rng = np.random.default_rng([radius, *shape])
@@ -185,6 +186,24 @@ def test_corrupt_prediction_box_filters_match_reference(spec):
     expected = box_filter_bool_reference(truth.data, spec.erode, require_all=True)
     expected = box_filter_bool_reference(expected, spec.dilate, require_all=False)
     assert np.array_equal(corrupt_prediction(truth, [spec])[0].data, expected)
+
+
+def test_box_filter_radius_past_the_raster_returns_at_once():
+    _, _, truth, _ = generate_slide(_CFG, 0)
+    reach = max(truth.data.shape)
+
+    def too_slow(signum, frame):
+        raise TimeoutError("a box filter radius of 10**9 took over 1 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)  # fails, not hangs, if every shift is looped over
+    try:
+        huge = corrupt_prediction(truth, [CorruptionSpec(erode=10**9), CorruptionSpec(dilate=10**9)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    wide = corrupt_prediction(truth, [CorruptionSpec(erode=reach), CorruptionSpec(dilate=reach)])
+    assert all(np.array_equal(a.data, b.data) for a, b in zip(huge, wide))
 
 
 # two seeds; rates 0, 0.01 and 1.0; box filters before flips; repeated specs
