@@ -346,10 +346,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except SlidebenchError as exc:
-        print(f"slidebench: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SlidebenchError, OSError) as exc:
         print(f"slidebench: error: {exc}", file=sys.stderr)
         return 1
 

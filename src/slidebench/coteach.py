@@ -57,6 +57,8 @@ class CoteachConfig:
             raise ValidationError(f"tau must be in [0, 1), got {self.tau}")
         if self.ramp_epochs < 1:
             raise ValidationError(f"ramp_epochs must be >= 1, got {self.ramp_epochs}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 # settings of the noisy-label benchmark; ``noise_benchmark`` and the CLI copy it per seed
@@ -223,8 +225,12 @@ def _update(w: np.ndarray, sel: np.ndarray | None, X, z, y, eta: float) -> tuple
     return w - eta * grad, n_sel
 
 
-def _flat_dataset(dataset: list[PixelBatch], caller: str) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Validate each batch once and return its flat (X, y); every batch has the first one's dim."""
+def _schedule(dataset: list[PixelBatch], cfg: CoteachConfig, caller: str):
+    """Validate ``cfg`` and the batches (all of the first one's feature dim), then draw from
+    one ``cfg.seed`` stream f's and g's initial weights and, lazily, each epoch's batch
+    permutation. Returns ``((wf, wg), epochs)``; ``epochs`` yields ``(epoch, steps)``, the
+    flat ``(X, y)`` of the epoch's ``n_max`` steps. ``train`` and ``train_single`` share it."""
+    cfg.validate()
     if not dataset:
         raise ValidationError(f"{caller}: empty dataset")
     flat = []
@@ -237,7 +243,16 @@ def _flat_dataset(dataset: list[PixelBatch], caller: str) -> list[tuple[np.ndarr
                 f"the first batch has {flat[0][0].shape[1]}"
             )
         flat.append((X, y))
-    return flat
+    rng = np.random.default_rng(cfg.seed)
+    d = flat[0][0].shape[1]
+    init = rng.normal(0.0, 0.01, d), rng.normal(0.0, 0.01, d)
+
+    def epochs():
+        for epoch in range(1, cfg.t_max + 1):
+            perm = rng.permutation(len(flat))
+            yield epoch, [flat[perm[i % len(flat)]] for i in range(cfg.n_max)]
+
+    return init, epochs()
 
 
 def coteach_step(
@@ -297,19 +312,12 @@ def train(
     Returns both learner states and one history row per epoch with the mean
     post-step batch losses, the drop rate, and the mean selected fraction.
     """
-    cfg.validate()
-    flat = _flat_dataset(dataset, "train")
-    d = flat[0][0].shape[1]
-    rng = np.random.default_rng(cfg.seed)
-    wf = rng.normal(0.0, 0.01, d)
-    wg = rng.normal(0.0, 0.01, d)
+    (wf, wg), epochs = _schedule(dataset, cfg, "train")
     history: list[dict] = []
-    for epoch in range(1, cfg.t_max + 1):
-        perm = rng.permutation(len(dataset))
+    for epoch, steps in epochs:
         losses_f, losses_g, fracs = [], [], []
         rate = 0.0
-        for i in range(cfg.n_max):
-            X, y = flat[perm[i % len(dataset)]]
+        for X, y in steps:
             wf, wg, info = _step_full(wf, wg, X, y, epoch, cfg, use_drop, use_agreement)
             losses_f.append(_mean_loss(wf, X, y))
             losses_g.append(_mean_loss(wg, X, y))
@@ -333,18 +341,11 @@ def train(
 
 def train_single(dataset: list[PixelBatch], cfg: CoteachConfig) -> tuple[LearnerState, list[dict]]:
     """Plain logistic-regression baseline with the same schedule and init as f."""
-    cfg.validate()
-    flat = _flat_dataset(dataset, "train_single")
-    d = flat[0][0].shape[1]
-    rng = np.random.default_rng(cfg.seed)
-    w = rng.normal(0.0, 0.01, d)
-    rng.normal(0.0, 0.01, d)  # keep the stream aligned with train()'s g draw
+    (w, _), epochs = _schedule(dataset, cfg, "train_single")
     history: list[dict] = []
-    for epoch in range(1, cfg.t_max + 1):
-        perm = rng.permutation(len(dataset))
+    for epoch, steps in epochs:
         losses = []
-        for i in range(cfg.n_max):
-            X, y = flat[perm[i % len(dataset)]]
+        for X, y in steps:
             w, _ = _update(w, None, X, X @ w, y, cfg.eta)
             losses.append(_mean_loss(w, X, y))
         history.append({"epoch": epoch, "loss": float(np.mean(losses))})
@@ -403,7 +404,6 @@ def make_noise_benchmark(
     n_train: int = 4,
     n_test: int = 2,
     tile: int = 32,
-    noise_rate: float = 0.3,
 ) -> tuple[list[PixelBatch], list[PixelBatch], list[np.ndarray]]:
     """Synthetic two-color tile benchmark with symmetric label noise.
 
@@ -412,7 +412,7 @@ def make_noise_benchmark(
     Symmetric flips on the asymmetric clusters pull a plain logistic fit off
     the class margin, which is what the noise-dropping mechanism repairs,
     while the clean geometry stays linearly separable. Training labels are
-    flipped independently at ``noise_rate``; test labels stay clean. Returns
+    flipped independently at rate 0.3; test labels stay clean. Returns
     (train set, test set, clean test labels).
     """
     rng = np.random.default_rng([seed, 0xC0])
@@ -431,7 +431,7 @@ def make_noise_benchmark(
         img = np.clip(np.rint(color), 0, 255).astype(np.uint8)
         labels = truth.copy()
         if not clean:
-            flips = rng.random((tile, tile)) < noise_rate
+            flips = rng.random((tile, tile)) < 0.3
             labels = labels ^ flips
         return PixelBatch(f"tile_{idx}", pixel_features(img), labels), truth
 

@@ -74,7 +74,8 @@ def _shape(m) -> tuple[int, int]:
 
 
 def fuse_mean(maps: list[ProbabilityMap]) -> ProbabilityMap:
-    """Pixelwise arithmetic mean, summed in input order."""
+    """Pixelwise arithmetic mean, summed in input order; within [0, 1] unclipped, since
+    a rounded running sum of values in [0, 1] never exceeds its count."""
     _check_geometry(maps, "map")
     for m in maps:
         m.validate()
@@ -82,7 +83,6 @@ def fuse_mean(maps: list[ProbabilityMap]) -> ProbabilityMap:
     for m in maps:
         acc += m.values
     acc /= len(maps)
-    np.clip(acc, 0.0, 1.0, out=acc)
     return ProbabilityMap(maps[0].slide_id, maps[0].level, acc)
 
 

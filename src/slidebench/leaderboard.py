@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoInformationError, ValidationError
-from .metrics import TeamReport
+from .metrics import TeamReport, aggregate
 from .stats import MODE_AUTO, PairedSample, wilcoxon_signed_rank
 
 GROUP_MULTI = "MultiModel"
@@ -47,11 +47,21 @@ def format_mean_std(mean: float, std: float) -> str:
     return f"{mean:.4f}±{std:.4f}"
 
 
-def _check_unique_teams(reports: list[TeamReport]) -> None:
+def _slide_set(reports: list[TeamReport], caller: str) -> tuple[str, ...]:
+    """The sorted slide ids that every report scores; each team must have one report."""
+    if not reports:
+        raise ValidationError(f"{caller}: no reports")
     teams = [rep.team for rep in reports]
     repeated = [t for i, t in enumerate(teams) if t in teams[:i]]
     if repeated:
         raise ValidationError(f"team {repeated[0]!r} appears in more than one report")
+    reference = tuple(sorted(reports[0].slide_ids()))
+    for rep in reports:
+        if tuple(sorted(rep.slide_ids())) != reference:
+            raise ValidationError(
+                f"team {rep.team!r} scores a different slide set than {reports[0].team!r}"
+            )
+    return reference
 
 
 def rank_teams(
@@ -61,25 +71,16 @@ def rank_teams(
 
     Teams without an explicit group are treated as single-model entries.
     """
-    if not reports:
-        raise ValidationError("rank_teams: no reports")
-    _check_unique_teams(reports)
-    slide_sets = {rep.team: tuple(sorted(rep.slide_ids())) for rep in reports}
-    reference = slide_sets[reports[0].team]
-    for team, ids in slide_sets.items():
-        if ids != reference:
-            raise ValidationError(
-                f"team {team!r} scores a different slide set than {reports[0].team!r}"
-            )
+    _slide_set(reports, "rank_teams")
     rows = []
     for rep in reports:
-        dices = np.array([s.dice for s in rep.scores], dtype=np.float64)
+        (dice,) = aggregate(rep.scores)
         rows.append(
             {
                 "team": rep.team,
                 "group": (groups or {}).get(rep.team, GROUP_SINGLE),
-                "mean_dice": float(dices.mean()),
-                "std_dice": float(dices.std()),
+                "mean_dice": dice.mean,
+                "std_dice": dice.std,
                 "accuracy": rep.mean("accuracy"),
                 "fnr": rep.mean("fnr"),
                 "fpr": rep.mean("fpr"),
@@ -101,9 +102,7 @@ def group_compare(
     slide contributes one paired observation (the group means of its Dice
     scores, as in a per-slide group-average comparison).
     """
-    if not reports:
-        raise ValidationError("group_compare: no reports")
-    _check_unique_teams(reports)
+    slide_ids = _slide_set(reports, "group_compare")
     names = sorted({grouping[rep.team] for rep in reports if rep.team in grouping})
     missing = [rep.team for rep in reports if rep.team not in grouping]
     if missing:
@@ -111,19 +110,11 @@ def group_compare(
     if len(names) != 2:
         raise ValidationError(f"need exactly 2 groups, got {len(names)}: {names}")
     group_a, group_b = names
-    members = {g: [rep for rep in reports if grouping[rep.team] == g] for g in names}
-    for g in names:
-        if not members[g]:
-            raise ValidationError(f"group {g!r} is empty")
 
-    slide_ids = tuple(sorted(members[group_a][0].slide_ids()))
     per_slide: dict[str, dict[str, list[float]]] = {g: {} for g in names}
-    for g in names:
-        for rep in members[g]:
-            if tuple(sorted(rep.slide_ids())) != slide_ids:
-                raise ValidationError(f"team {rep.team!r} scores a different slide set")
-            for s in rep.scores:
-                per_slide[g].setdefault(s.slide_id, []).append(s.dice)
+    for rep in reports:
+        for s in rep.scores:
+            per_slide[grouping[rep.team]].setdefault(s.slide_id, []).append(s.dice)
     a_means = tuple(float(np.mean(per_slide[group_a][sid])) for sid in slide_ids)
     b_means = tuple(float(np.mean(per_slide[group_b][sid])) for sid in slide_ids)
 

@@ -4,7 +4,7 @@ All counting is exact 64-bit integer arithmetic up to the final division.
 ``confusion`` is one in-process tally; ``evaluate_team`` parallelizes over
 slides, one slide per chunk, and keeps sorted slide order, so reports are
 identical for any worker count. Elsewhere, synthesis parallelizes per slide
-and tiling per band of tile rows.
+and tiling per tile row.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import parallel
 from .errors import FormatError, GeometryError, ValidationError, typed_field
-from .masks import BinaryMask, check_same_grid
+from .masks import BinaryMask, _row_blocks, check_same_grid
 from .slide_io import level_dimensions
 
 SUBTYPE_SCC = "SCC"
@@ -106,19 +106,13 @@ class TeamReport:
         return float(np.mean([getattr(s, metric) for s in self.scores]))
 
 
-def confusion(
-    gt: BinaryMask, pred: BinaryMask, region: BinaryMask | None = None
-) -> ConfusionCounts:
-    """Exact pixel confusion counts, optionally restricted to a region mask."""
+def confusion(gt: BinaryMask, pred: BinaryMask) -> ConfusionCounts:
+    """Exact pixel confusion counts of two masks on one grid."""
     check_same_grid("confusion", gt=gt, pred=pred)
-    g, p, total = gt.data, pred.data, gt.data.size
-    if region is not None:
-        check_same_grid("confusion", region=region, gt=gt)
-        g, p, total = g & region.data, p & region.data, region.count
-    tp = int(np.count_nonzero(g & p))
-    fp = int(np.count_nonzero(p)) - tp
-    fn = int(np.count_nonzero(g)) - tp
-    return ConfusionCounts(tp, fp, fn, total - tp - fp - fn)
+    tp = int(np.count_nonzero(gt.data & pred.data))
+    fp = int(np.count_nonzero(pred.data)) - tp
+    fn = int(np.count_nonzero(gt.data)) - tp
+    return ConfusionCounts(tp, fp, fn, gt.data.size - tp - fp - fn)
 
 
 def dice(c: ConfusionCounts) -> float:
@@ -157,14 +151,10 @@ def score_slide(slide_id: str, c: ConfusionCounts, subtype: str = SUBTYPE_UNKNOW
     return score
 
 
-def aggregate(
-    scores: list[SlideScore], group_by: str = "none", metric: str = "dice"
-) -> list[AggregateScore]:
-    """Mean and population std per group, in lexicographic group order."""
+def aggregate(scores: list[SlideScore], group_by: str = "none") -> list[AggregateScore]:
+    """Mean and population std of Dice per group, in lexicographic group order."""
     if not scores:
         raise ValidationError("aggregate: no scores")
-    if metric not in METRIC_FIELDS:
-        raise ValidationError(f"unknown metric {metric!r}")
     if group_by == "none":
         groups = {"all": scores}
     elif group_by == "subtype":
@@ -175,7 +165,7 @@ def aggregate(
         raise ValidationError(f"unknown grouping {group_by!r} (use 'none' or 'subtype')")
     out = []
     for key in sorted(groups):
-        values = np.array([getattr(s, metric) for s in groups[key]], dtype=np.float64)
+        values = np.array([s.dice for s in groups[key]], dtype=np.float64)
         agg = AggregateScore(key, float(values.mean()), float(values.std()), len(values))
         agg.validate()
         out.append(agg)
@@ -198,20 +188,16 @@ def _score_slide(gt: dict, pred: dict, subtypes: dict[str, str], slide_id: str) 
     return score_slide(slide_id, counts, subtypes.get(slide_id, SUBTYPE_UNKNOWN))
 
 
-# Truth pixels per band when a coarse prediction is scored, so each band's temporaries stay in cache
-_BAND_PIXELS = 1 << 16
-
-
 def _coarse_confusion(gt: BinaryMask, pred: BinaryMask) -> ConfusionCounts:
     """``confusion`` of ``gt`` and ``pred`` repeated 2**(pred.level - gt.level) times on both
-    axes and cropped to gt's grid, counted in bands of whole truth rows without that copy."""
+    axes and cropped to gt's grid, counted without that copy in cache-sized bands of whole
+    truth rows, one per ``_row_blocks`` block of prediction rows."""
     f = 1 << min(pred.level - gt.level, 62)
     fy, fx = min(f, gt.height), min(f, gt.width)  # no pixel covers more than the whole truth
-    m = max(1, _BAND_PIXELS // (fy * gt.width))
     tp = positives = 0
-    for y in range(0, pred.height, m):
-        truth = gt.data[y * fy : (y + m) * fy]
-        band = np.repeat(np.repeat(pred.data[y : y + m], fy, axis=0), fx, axis=1)
+    for rows in _row_blocks(pred.height, fy * gt.width):
+        truth = gt.data[rows.start * fy : rows.stop * fy]
+        band = np.repeat(np.repeat(pred.data[rows], fy, axis=0), fx, axis=1)
         band = band[: len(truth), : gt.width]
         tp += int(np.count_nonzero(band & truth))
         positives += int(np.count_nonzero(band))
@@ -246,9 +232,9 @@ def evaluate_team(
 
 def report_aggregates(report: TeamReport) -> list[AggregateScore]:
     """Overall Dice aggregate followed by per-subtype rows."""
-    aggs = aggregate(report.scores, "none", "dice")
+    aggs = aggregate(report.scores)
     if any(s.subtype != SUBTYPE_UNKNOWN for s in report.scores):
-        aggs += aggregate(report.scores, "subtype", "dice")
+        aggs += aggregate(report.scores, "subtype")
     return aggs
 
 
@@ -307,6 +293,8 @@ def read_report(path: str | Path) -> TeamReport:
                 counts,
             )
         )
+    if not scores:
+        raise FormatError(f"{path}: report has no scores")
     report = TeamReport(team, scores)
     for s in report.scores:
         s.validate()

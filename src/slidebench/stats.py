@@ -53,18 +53,11 @@ class SignedRankResult:
 
 
 def _doubled_ranks(abs_diffs: np.ndarray) -> np.ndarray:
-    """Average ranks of |d|, times two (integers even with ties)."""
-    order = np.argsort(abs_diffs, kind="stable")
-    doubled = np.empty(len(abs_diffs), dtype=np.int64)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and abs_diffs[order[j + 1]] == abs_diffs[order[i]]:
-            j += 1
-        # 1-based ranks i+1 .. j+1 share average rank (i+j+2)/2
-        doubled[order[i : j + 1]] = i + j + 2
-        i = j + 1
-    return doubled
+    """Average ranks of |d|, times two (integers even with ties): a tie group of ``k``
+    values ending at 1-based rank ``e`` has doubled rank ``2e - k + 1``."""
+    _, group, k = np.unique(abs_diffs, return_inverse=True, return_counts=True)
+    e = np.cumsum(k, dtype=np.int64)
+    return (2 * e - k + 1)[group]
 
 
 def _exact_tails(doubled: np.ndarray, w_plus_doubled: int) -> tuple[float, float]:

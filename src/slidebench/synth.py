@@ -44,7 +44,6 @@ DEFAULT_RATIO = (6.0, 3.0, 1.0)
 TRUTH_TABLE_COLUMNS = ("slide_id", "team", "tp", "fp", "fn", "tn")
 
 _CHUNK_ROWS = 512  # rows painted from one noise stream
-_PAINT_PIXELS = 1 << 15  # pixels per table lookup, so numpy's intp copy of the keys stays in cache
 _N_HARMONICS = 4
 _SECTORS = 4096  # angular sectors of the blob-radius table
 _TISSUE_LO = (150, 90, 140)  # per-channel low ends of the color ranges, before jitter
@@ -64,6 +63,8 @@ class SynthConfig:
     label_background_inclusion: bool = False
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.slides < 1:
             raise ValidationError(f"slides must be >= 1, got {self.slides}")
         if self.level0_size < 64:
@@ -81,8 +82,9 @@ class SynthConfig:
                 f"lesion radius {rhi} too large for a {self.level0_size}-pixel slide "
                 f"(must fit inside the tissue blob; limit is {0.18 * self.level0_size:.0f})"
             )
-        if len(self.subtype_ratio) != 3 or any(w < 0 for w in self.subtype_ratio):
-            raise ValidationError(f"bad subtype ratio {self.subtype_ratio}")
+        ratio = self.subtype_ratio
+        if len(ratio) != 3 or any(w < 0 for w in ratio) or not np.isfinite(sum(ratio)):
+            raise ValidationError(f"bad subtype ratio {ratio}")
         if sum(self.subtype_ratio) == 0:
             raise ValidationError("subtype ratio weights are all zero")
         if self.annotation_dilation < 0:
@@ -103,6 +105,8 @@ class CorruptionSpec:
             raise ValidationError("erode/dilate radii must be >= 0")
         if not 0.0 <= self.flip_rate <= 1.0:
             raise ValidationError(f"flip_rate {self.flip_rate} outside [0, 1]")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def slide_name(index: int) -> str:
@@ -196,13 +200,13 @@ def _paint_table(jitter: int, bg_jitter: int) -> np.ndarray:
 
 
 def _paint(out: np.ndarray, cls: np.ndarray, noise: np.ndarray, table: np.ndarray) -> None:
-    """``out[y, x, c] = table[cls[y, x] << 10 | c << 8 | noise[y, x, c]]``."""
+    """``out[y, x, c] = table[cls[y, x] << 10 | c << 8 | noise[y, x, c]]``, looked up per
+    ``_row_blocks`` block so that numpy's intp copy of the keys stays in cache."""
     class_keys = (np.arange(3)[:, None] << 10 | np.arange(3) << 8).astype(np.uint16)
     key = np.take(class_keys, cls, axis=0)
     key |= noise
-    rows = max(1, _PAINT_PIXELS // out.shape[1])
-    for r0 in range(0, len(out), rows):
-        np.take(table, key[r0 : r0 + rows], out=out[r0 : r0 + rows], mode="clip")
+    for rows in _row_blocks(*out.shape[:2]):
+        np.take(table, key[rows], out=out[rows], mode="clip")
 
 
 def generate_slide(
@@ -343,13 +347,7 @@ def _tally(gt: np.ndarray, pred: np.ndarray) -> tuple[int, int, int, int]:
 def _normalize_teams(teams) -> list[tuple[str, CorruptionSpec]]:
     if not teams:
         raise ValidationError("generate_challenge: no teams")
-    named = []
-    for i, item in enumerate(teams):
-        if isinstance(item, CorruptionSpec):
-            named.append((f"team_{i + 1:02d}", item))
-        else:
-            name, spec = item
-            named.append((str(name), spec))
+    named = [(str(name), spec) for name, spec in teams]
     names = [n for n, _ in named]
     if len(set(names)) != len(names):
         raise ValidationError(f"duplicate team names: {names}")
@@ -374,16 +372,17 @@ def _challenge_slide(cfg: SynthConfig, teams: list, out: Path, index: int) -> tu
 
 def generate_challenge(
     cfg: SynthConfig,
-    teams,
+    teams: list[tuple[str, CorruptionSpec]],
     out_dir: str | Path,
     workers: int | None = None,
 ) -> dict:
     """Write a full synthetic challenge tree with a brute-force truth table.
 
-    Layout: slides/<id>/, annotations/<id>.xml, truth/<id>.pgm,
+    ``teams`` are ``(name, spec)`` pairs with distinct names. Layout:
+    slides/<id>/, annotations/<id>.xml, truth/<id>.pgm,
     predictions/<team>/<id>.pgm, truth_table.csv, subtypes.csv. Slides are
     generated independently (parallelizable); all outputs are functions of
-    the config alone.
+    the config and teams alone.
     """
     cfg.validate()
     named = _normalize_teams(teams)

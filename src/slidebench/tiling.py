@@ -161,6 +161,8 @@ def rebalance_mix(records: list[TileRecord], seed: int) -> list[TileRecord]:
     without replacement) to the smaller one's count; survivors keep their
     original relative order.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     folded = []
     for rec in records:
         if rec.label == LABEL_MIX:
@@ -187,10 +189,10 @@ def _window_sums(colsum: np.ndarray, size: int, xs: np.ndarray) -> np.ndarray:
     return cs[xs + size] - cs[xs]
 
 
-def _count_band(gt: np.ndarray, size: int, rows: list) -> list:
-    """Tumor pixels of each ``size``-square window, per tile row ``(y, xs)``."""
-    return [_window_sums(gt[y : y + size].sum(axis=0, dtype=np.int64), size, xs)
-            for y, xs in rows]
+def _count_row(gt: np.ndarray, size: int, row: tuple) -> np.ndarray:
+    """Tumor pixels of each ``size``-square window of one tile row ``(y, xs)``."""
+    y, xs = row
+    return _window_sums(gt[y : y + size].sum(axis=0, dtype=np.int64), size, xs)
 
 
 def _tissue_keep(pixels: np.ndarray, method: str, size: int, rows: list) -> list:
@@ -231,8 +233,8 @@ def extract_tiles(
     With a tissue filter configured, tiles whose window holds no tissue
     pixel (``luma <= t``, as in ``tissue_mask``) are dropped. The caller
     counts tissue serially, in one streamed pass over row blocks that never
-    builds a level-sized mask; tumor pixels are counted in parallel over
-    bands of tile rows. The result is sorted by (slide_id, y, x) and
+    builds a level-sized mask; tumor pixels are counted in parallel, one
+    tile row per chunk. The result is sorted by (slide_id, y, x) and
     independent of worker count.
     """
     cfg.validate()
@@ -265,11 +267,7 @@ def extract_tiles(
     keep = (_tissue_keep(lvl.pixels, cfg.tissue_filter, size, rows) if cfg.tissue_filter
             else [None] * len(rows))
 
-    n_workers = parallel.resolve_workers(workers)
-    step = max(1, -(-len(rows) // (n_workers * 4)))
-    bands = [rows[i : i + step] for i in range(0, len(rows), step)]
-    count = partial(_count_band, gt.data, size)
-    counts = [c for band in parallel.run_chunks(count, bands, workers=n_workers) for c in band]
+    counts = parallel.run_chunks(partial(_count_row, gt.data, size), rows, workers=workers)
 
     total = size * size
     records = []

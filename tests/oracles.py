@@ -279,14 +279,12 @@ def otsu_oracle(histogram) -> int:
     return best_t
 
 
-def confusion_oracle(gt: np.ndarray, pred: np.ndarray, region: np.ndarray | None = None):
+def confusion_oracle(gt: np.ndarray, pred: np.ndarray):
     """Per-pixel tally with explicit Python loops."""
     tp = fp = fn = tn = 0
     h, w = gt.shape
     for j in range(h):
         for i in range(w):
-            if region is not None and not region[j, i]:
-                continue
             g = bool(gt[j, i])
             p = bool(pred[j, i])
             if g and p:

@@ -1,4 +1,5 @@
 """Exit codes, file outputs, and round trips of the command-line interface."""
+import argparse
 import hashlib
 import json
 import os
@@ -23,7 +24,7 @@ from slidebench import (
     write_pyramid,
     write_report,
 )
-from slidebench.cli import main
+from slidebench.cli import build_parser, main
 from slidebench.masks import ROLE_GROUND_TRUTH, ROLE_PREDICTION, BinaryMask
 from slidebench.netpbm import write_p6
 
@@ -487,6 +488,7 @@ MALFORMED_INPUTS = {
     "report_top_level_list": _report_case("[1]"),
     "report_scores_not_list": _report_case('{"team": "t", "scores": 1}'),
     "report_score_not_object": _report_case('{"team": "t", "scores": [1]}'),
+    "report_no_scores": _report_case('{"team": "t", "scores": []}'),
     "leaderboard_repeated_report": _repeated_report_case("leaderboard"),
     "compare_repeated_report": _repeated_report_case(
         "compare", "--groups", "a=MultiModel,b=SingleModel", "--out", os.devnull),
@@ -511,10 +513,38 @@ MALFORMED_INPUTS = {
     "config_not_utf8": _config_case(b"eta=\xff\xfe\n"),
     "config_unknown_key": _config_case("bogus=1\n"),
     "config_bad_value": _config_case("t_max=many\n"),
+    "config_negative_seed": _config_case("seed=-1\n"),
 }
 
 
-@pytest.mark.parametrize("make_args", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+def _synth_flags(*flags):
+    def make(tmp_path):
+        return ["synth", "--out", str(tmp_path / "c"), "--slides", "1", "--size", "64",
+                "--levels", "1", "--radius", "4", "8", *flags]
+    return make
+
+
+def _rebalance_negative_seed(tmp_path):
+    gt = tmp_path / "gt.pgm"
+    write_mask(BinaryMask("s", 0, np.eye(16, dtype=bool), ROLE_GROUND_TRUTH), gt)
+    return ["tile", "--slide", str(_slide(tmp_path)), "--gt", str(gt), "--size", "8",
+            "--rule", "three_class", "--rebalance", "--seed", "-1",
+            "--out", str(tmp_path / "tiles.jsonl")]
+
+
+# flag values that every file is well-formed for, but that no run can use
+MALFORMED_FLAGS = {
+    "synth_negative_seed": _synth_flags("--seed", "-1"),
+    "synth_negative_team_seed": _synth_flags("--team", "a:flip_rate=0.5,seed=-3"),
+    "synth_nan_ratio": _synth_flags("--ratio", "nan", "1", "1"),
+    "synth_inf_ratio": _synth_flags("--ratio", "inf", "1", "1"),
+    "synth_ratio_sum_overflows": _synth_flags("--ratio", "1e308", "1e308", "1"),
+    "tile_rebalance_negative_seed": _rebalance_negative_seed,
+}
+
+
+@pytest.mark.parametrize("make_args", [*MALFORMED_INPUTS.values(), *MALFORMED_FLAGS.values()],
+                         ids=[*MALFORMED_INPUTS, *MALFORMED_FLAGS])
 def test_malformed_input_is_one_line(tmp_path, make_args):
     proc = _run([sys.executable, "-m", "slidebench", *make_args(tmp_path)])
     assert proc.returncode == 1, proc.stderr
@@ -605,3 +635,112 @@ def test_tissue_and_tile_outputs_are_pinned(tmp_path, workers):
             outputs.append(out)
     digest = hashlib.sha256(b"".join(hashlib.sha256(p.read_bytes()).digest() for p in outputs))
     assert digest.hexdigest() == _PINNED_TISSUE_TILE_SHA256
+
+
+# every subcommand's flags as (flag, default, choices, nargs, required), in parser order
+CLI_OPTIONS = {
+    "synth": [
+        ("--seed", 0, None, None, False),
+        ("--workers", 1, None, None, False),
+        ("--out", None, None, None, True),
+        ("--slides", 5, None, None, False),
+        ("--size", 2048, None, None, False),
+        ("--levels", 3, None, None, False),
+        ("--lesions", (2, 5), None, 2, False),
+        ("--radius", (20.0, 60.0), None, 2, False),
+        ("--ratio", (6.0, 3.0, 1.0), None, 3, False),
+        ("--dilation", 0, None, None, False),
+        ("--include-background", False, None, 0, False),
+        ("--team", None, None, None, False),
+    ],
+    "tissue": [
+        ("--seed", 0, None, None, False),
+        ("--workers", 1, None, None, False),
+        ("--slide", None, None, None, True),
+        ("--level", 0, None, None, False),
+        ("--method", "otsu", ("otsu", "gray200"), None, False),
+        ("--out", None, None, None, True),
+    ],
+    "rasterize": [
+        ("--seed", 0, None, None, False),
+        ("--workers", 1, None, None, False),
+        ("--annotations", None, None, None, True),
+        ("--slide", None, None, None, True),
+        ("--level", 0, None, None, False),
+        ("--out", None, None, None, True),
+    ],
+    "refine": [
+        ("--seed", 0, None, None, False),
+        ("--workers", 1, None, None, False),
+        ("--gt", None, None, None, True),
+        ("--tissue", None, None, None, True),
+        ("--out", None, None, None, True),
+    ],
+    "tile": [
+        ("--seed", 0, None, None, False),
+        ("--workers", 1, None, None, False),
+        ("--slide", None, None, None, True),
+        ("--gt", None, None, None, True),
+        ("--size", 256, None, None, False),
+        ("--stride", None, None, None, False),
+        ("--level", 0, None, None, False),
+        ("--rule", "threshold75", ("threshold75", "three_class", "big_patch_nine"), None, False),
+        ("--tissue-filter", None, ("otsu", "gray200"), None, False),
+        ("--rebalance", False, None, 0, False),
+        ("--out", None, None, None, True),
+    ],
+    "eval": [
+        ("--seed", 0, None, None, False),
+        ("--workers", 1, None, None, False),
+        ("--truth", None, None, None, True),
+        ("--pred", None, None, None, True),
+        ("--team", None, None, None, True),
+        ("--subtypes", None, None, None, False),
+        ("--out", None, None, None, True),
+        ("--csv", None, None, None, False),
+    ],
+    "ensemble": [
+        ("--seed", 0, None, None, False),
+        ("--workers", 1, None, None, False),
+        ("--inputs", None, None, "+", True),
+        ("--mode", "mean", ("mean", "vote"), None, False),
+        ("--binarize", None, None, None, False),
+        ("--out", None, None, None, True),
+    ],
+    "coteach": [
+        ("--seed", 0, None, None, False),
+        ("--workers", 1, None, None, False),
+        ("--out", None, None, None, True),
+        ("--config", None, None, None, False),
+        ("--seeds", 10, None, None, False),
+    ],
+    "compare": [
+        ("--seed", 0, None, None, False),
+        ("--workers", 1, None, None, False),
+        ("--reports", None, None, "+", True),
+        ("--groups", None, None, None, True),
+        ("--mode", "auto", ("exact", "normal-approx", "auto"), None, False),
+        ("--out", None, None, None, True),
+    ],
+    "leaderboard": [
+        ("--seed", 0, None, None, False),
+        ("--workers", 1, None, None, False),
+        ("--reports", None, None, "+", True),
+        ("--groups", None, None, None, False),
+        ("--format", "text", ("csv", "json", "text"), None, False),
+        ("--out", None, None, None, False),
+    ],
+}
+
+
+def test_cli_option_surface_is_pinned():
+    """A new, removed or changed flag must show up as an edit of ``CLI_OPTIONS``."""
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: [(a.option_strings[0], a.default, None if a.choices is None else tuple(a.choices),
+                a.nargs, a.required)
+               for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        for name, sub in commands.choices.items()
+    }
+    assert surface == CLI_OPTIONS

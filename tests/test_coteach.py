@@ -190,13 +190,15 @@ def test_train_deterministic(rng):
 
 
 def test_train_single_shares_init_with_f(rng):
-    batches = [_batch(rng)]
-    cfg = CoteachConfig(eta=0.0001, t_max=1, tau=0.0, seed=3)
-    sf, _, _ = train(batches, cfg, use_drop=False, use_agreement=False)
+    batches = [_batch(rng, name=f"b{i}") for i in range(3)]
+    cfg = CoteachConfig(eta=0.5, t_max=5, n_max=3, tau=0.0, seed=3)
+    sf, _, history_f = train(batches, cfg, use_drop=False, use_agreement=False)
     single, history = train_single(batches, cfg)
-    # same init, same schedule, no selection: identical single step
-    assert np.array_equal(sf.w, single.w)
-    assert len(history) == 1
+    # same init, same batch order, no selection: f and the single learner take identical steps
+    assert sf.w.tobytes() == single.w.tobytes()
+    assert [h["epoch"] for h in history] == [1, 2, 3, 4, 5]
+    for row, row_f in zip(history, history_f, strict=True):
+        assert row["loss"].hex() == row_f["loss_f"].hex()
 
 
 def test_write_history_format(tmp_path):

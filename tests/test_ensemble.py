@@ -43,6 +43,14 @@ def test_fuse_mean_deterministic(rng):
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n", range(1, 34))
+def test_fuse_mean_never_leaves_the_unit_interval(rng, n):
+    assert np.all(fuse_mean([_pm(np.ones((3, 3)))] * n).values == 1.0)
+    # values within a few ulps of 1, where rounding could push an unclipped mean past 1
+    near_one = [_pm(1.0 - rng.integers(0, 4, (64, 64)) * 2.0**-53) for _ in range(n)]
+    assert fuse_mean(near_one).values.max() <= 1.0
+
+
 def test_fuse_mean_rejects_geometry_mismatch(rng):
     with pytest.raises(GeometryError):
         fuse_mean([_pm(np.zeros((4, 4))), _pm(np.zeros((4, 5)))])

@@ -16,7 +16,7 @@ from slidebench import (
     write_report,
     write_scores_csv,
 )
-from slidebench import metrics
+from slidebench import masks
 from slidebench.errors import FormatError, GeometryError, ValidationError
 from slidebench.metrics import (
     FLAG_EMPTY_PAIR,
@@ -55,16 +55,6 @@ def test_confusion_matches_oracle(rng):
         pred = rng.random((32, 32)) < rng.random()
         c = confusion(_mask(gt), _mask(pred))
         assert (c.tp, c.fp, c.fn, c.tn) == confusion_oracle(gt, pred)
-
-
-def test_confusion_with_region(rng):
-    gt = rng.random((20, 20)) < 0.5
-    pred = rng.random((20, 20)) < 0.5
-    region = np.zeros((20, 20), dtype=bool)
-    region[5:15, 5:15] = True
-    c = confusion(_mask(gt), _mask(pred), _mask(region))
-    assert (c.tp, c.fp, c.fn, c.tn) == confusion_oracle(gt, pred, region)
-    assert c.total == 100
 
 
 def test_confusion_worker_count_invariant(rng, forks):
@@ -236,13 +226,13 @@ def test_evaluate_team_identity_predictions(rng):
     assert all(s.dice == 1.0 for s in report.scores)
 
 
-@pytest.mark.parametrize("band_pixels", [1, metrics._BAND_PIXELS])
+@pytest.mark.parametrize("chunk_pixels", [1, masks._LUMA_CHUNK_PIXELS])
 @pytest.mark.parametrize("gt_level", [0, 2])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_evaluate_team_counts_coarser_predictions_as_upsampled(rng, monkeypatch, k, gt_level,
-                                                                band_pixels):
+                                                                chunk_pixels):
     """Counts of a prediction k levels coarser equal the oracle's upsampled copy, edges included."""
-    monkeypatch.setattr(metrics, "_BAND_PIXELS", band_pixels)
+    monkeypatch.setattr(masks, "_LUMA_CHUNK_PIXELS", chunk_pixels)
     for h, w in ((1, 1), (1, 9), (7, 5), (33, 18), (64, 40), (301, 1003)):
         gt = _mask(rng.random((h, w)) < 0.5, level=gt_level)
         pw, ph = level_dimensions(w, h, k)

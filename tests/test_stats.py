@@ -5,7 +5,7 @@ import scipy.stats
 from oracles import wilcoxon_oracle
 from slidebench import PairedSample, wilcoxon_signed_rank
 from slidebench.errors import NoInformationError, ValidationError
-from slidebench.stats import MODE_APPROX, MODE_AUTO, MODE_EXACT
+from slidebench.stats import MODE_APPROX, MODE_AUTO, MODE_EXACT, _doubled_ranks
 
 
 def _sample(a, b):
@@ -45,6 +45,26 @@ def test_exact_handles_tied_magnitudes():
     w, p = wilcoxon_oracle([2, -2, 3, 3])
     assert result.w_statistic == w
     assert result.p_two_sided == float(p)
+
+
+def test_doubled_ranks_on_tie_heavy_samples(rng):
+    for _ in range(2000):
+        a = rng.integers(0, rng.integers(1, 8), int(rng.integers(1, 200))).astype(np.float64)
+        doubled = _doubled_ranks(a)
+        assert doubled.dtype == np.int64
+        assert np.array_equal(doubled, 2 * scipy.stats.rankdata(a))
+
+
+def test_exact_matches_enumeration_oracle_on_tie_heavy_samples(rng):
+    for _ in range(200):
+        m = int(rng.integers(1, 13))
+        d = rng.integers(-3, 4, m).astype(np.float64)  # few magnitudes, so mostly ties
+        if not d.any():
+            continue
+        result = wilcoxon_signed_rank(_sample(d, np.zeros(m)), mode=MODE_EXACT)
+        w, p = wilcoxon_oracle(d)
+        assert result.w_statistic == w
+        assert result.p_two_sided == float(p)
 
 
 def test_exact_matches_scipy_without_ties(rng):

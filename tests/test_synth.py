@@ -400,14 +400,6 @@ def test_challenge_tree_digest_is_pinned(tmp_path, workers):
     assert digest.hexdigest() == _PINNED_TREE_SHA256
 
 
-def test_unnamed_teams_get_stable_names(tmp_path):
-    cfg = SynthConfig(seed=2, slides=1, level0_size=128, n_levels=1, lesion_radius=(8.0, 16.0))
-    summary = generate_challenge(cfg, [CorruptionSpec(), CorruptionSpec(flip_rate=0.1)],
-                                 tmp_path, workers=1)
-    assert summary["teams"] == ["team_01", "team_02"]
-    assert summary["slides"] == ["slide_000"]
-
-
 def test_duplicate_team_names_rejected(tmp_path):
     cfg = SynthConfig(seed=2, slides=1, level0_size=128, n_levels=1, lesion_radius=(8.0, 16.0))
     teams = [("a", CorruptionSpec()), ("a", CorruptionSpec(flip_rate=0.1))]
