@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -27,7 +28,6 @@ from .errors import FormatError, SlidebenchError, ValidationError
 from .leaderboard import FORMATS, group_compare, rank_teams, render_leaderboard
 from .masks import (
     METHOD_OTSU,
-    ROLE_GROUND_TRUTH,
     TISSUE_METHODS,
     rasterize,
     read_mask,
@@ -37,6 +37,7 @@ from .masks import (
 )
 from .metrics import evaluate_team, read_report, write_report, write_scores_csv
 from .slide_io import parse_annotations, read_pyramid
+from .stats import MODE_AUTO, MODES
 from .synth import (
     CorruptionSpec,
     SynthConfig,
@@ -102,8 +103,12 @@ def cmd_tissue(args: argparse.Namespace) -> int:
 def cmd_rasterize(args: argparse.Namespace) -> int:
     pyramid = read_pyramid(args.slide)
     aset = parse_annotations(args.annotations)
+    if aset.slide_id != pyramid.slide_id:
+        raise ValidationError(
+            f"{args.annotations} annotates slide {aset.slide_id!r}, not {pyramid.slide_id!r}"
+        )
     lvl = pyramid.level(args.level)
-    mask = rasterize(aset, args.level, lvl.width, lvl.height, ROLE_GROUND_TRUTH)
+    mask = rasterize(aset, args.level, lvl.width, lvl.height)
     write_mask(mask, args.out)
     return 0
 
@@ -159,6 +164,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_ensemble(args: argparse.Namespace) -> int:
+    if args.mode == "vote" and args.binarize is not None:
+        raise ValidationError("--binarize applies only to --mode mean")
     if args.mode == "mean":
         maps = [read_probability_map(p) for p in args.inputs]
         fused = fuse_mean(maps)
@@ -231,18 +238,33 @@ def cmd_leaderboard(args: argparse.Namespace) -> int:
     return 0
 
 
+# flags that more than one subcommand takes, as (flag, add_argument keywords)
+SEED = ("--seed", {"type": int, "default": 0, "help": "global random seed"})
+WORKERS = ("--workers", {"type": int, "default": 1, "help": "worker process count"})
+SLIDE = ("--slide", {"required": True, "help": "pyramid manifest.json"})
+LEVEL = ("--level", {"type": int, "default": 0})
+GT = ("--gt", {"required": True, "help": "ground-truth mask .pgm"})
+REPORTS = ("--reports", {"required": True, "nargs": "+",
+                         "help": "report .json files or a directory"})
+
+
+def _add(parser: argparse.ArgumentParser, *options: tuple[str, dict]) -> None:
+    for flag, kwargs in options:
+        parser.add_argument(flag, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slidebench",
         description="Synthetic whole-slide segmentation benchmark toolkit.",
     )
     parser.add_argument("--version", action="version", version=f"slidebench {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="global random seed")
-    common.add_argument("--workers", type=int, default=1, help="worker process count")
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    # no abbreviations: coteach's --seed must not be taken for --seeds
+    no_abbrev = partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", metavar="command", parser_class=no_abbrev)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic challenge tree")
+    p = sub.add_parser("synth", help="generate a synthetic challenge tree")
+    _add(p, SEED, WORKERS)
     p.add_argument("--out", required=True)
     p.add_argument("--slides", type=int, default=5)
     p.add_argument("--size", type=int, default=2048, help="level-0 square size in pixels")
@@ -259,32 +281,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="NAME[:erode=E,dilate=D,flip_rate=F,seed=S]; repeatable")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("tissue", parents=[common], help="compute a tissue mask")
-    p.add_argument("--slide", required=True, help="pyramid manifest.json")
-    p.add_argument("--level", type=int, default=0)
+    p = sub.add_parser("tissue", help="compute a tissue mask")
+    _add(p, SLIDE, LEVEL)
     p.add_argument("--method", choices=TISSUE_METHODS, default=METHOD_OTSU)
     p.add_argument("--out", required=True, help="output mask .pgm")
     p.set_defaults(func=cmd_tissue)
 
-    p = sub.add_parser("rasterize", parents=[common], help="rasterize annotation polygons")
+    p = sub.add_parser("rasterize", help="rasterize annotation polygons")
     p.add_argument("--annotations", required=True, help="annotation .xml")
-    p.add_argument("--slide", required=True, help="pyramid manifest.json")
-    p.add_argument("--level", type=int, default=0)
+    _add(p, SLIDE, LEVEL)
     p.add_argument("--out", required=True, help="output mask .pgm")
     p.set_defaults(func=cmd_rasterize)
 
-    p = sub.add_parser("refine", parents=[common], help="intersect labels with tissue")
-    p.add_argument("--gt", required=True, help="ground-truth mask .pgm")
+    p = sub.add_parser("refine", help="intersect labels with tissue")
+    _add(p, GT)
     p.add_argument("--tissue", required=True, help="tissue mask .pgm")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_refine)
 
-    p = sub.add_parser("tile", parents=[common], help="extract labeled tiles")
-    p.add_argument("--slide", required=True, help="pyramid manifest.json")
-    p.add_argument("--gt", required=True, help="ground-truth mask .pgm")
+    p = sub.add_parser("tile", help="extract labeled tiles")
+    _add(p, SEED, WORKERS, SLIDE, GT)
     p.add_argument("--size", type=int, default=256)
     p.add_argument("--stride", type=int, default=None)
-    p.add_argument("--level", type=int, default=0)
+    _add(p, LEVEL)
     p.add_argument("--rule", choices=RULES, default=RULE_THRESHOLD75)
     p.add_argument("--tissue-filter", choices=TISSUE_METHODS, default=None)
     p.add_argument("--rebalance", action="store_true",
@@ -292,7 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output manifest .jsonl")
     p.set_defaults(func=cmd_tile)
 
-    p = sub.add_parser("eval", parents=[common], help="score a team against ground truth")
+    p = sub.add_parser("eval", help="score a team against ground truth")
+    p.add_argument("--seed", type=int, default=0,
+                   help="unused; accepted so one --seed can go to every stage")
+    _add(p, WORKERS)
     p.add_argument("--truth", required=True, help="directory of ground-truth masks")
     p.add_argument("--pred", required=True, help="directory of prediction masks")
     p.add_argument("--team", required=True)
@@ -301,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="optional per-slide scores .csv")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ensemble", parents=[common], help="fuse probability maps or masks")
+    p = sub.add_parser("ensemble", help="fuse probability maps or masks")
     p.add_argument("--inputs", required=True, nargs="+")
     p.add_argument("--mode", choices=("mean", "vote"), default="mean")
     p.add_argument("--binarize", type=float, default=None,
@@ -309,22 +331,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ensemble)
 
-    p = sub.add_parser("coteach", parents=[common],
-                       help="run the noisy-label co-teaching benchmark")
+    p = sub.add_parser("coteach", help="run the noisy-label co-teaching benchmark")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", default=None, help="key=value training config file")
     p.add_argument("--seeds", type=int, default=10)
     p.set_defaults(func=cmd_coteach)
 
-    p = sub.add_parser("compare", parents=[common], help="signed-rank group comparison")
-    p.add_argument("--reports", required=True, nargs="+", help="report .json files or a directory")
+    p = sub.add_parser("compare", help="signed-rank group comparison")
+    _add(p, REPORTS)
     p.add_argument("--groups", required=True, help="team=Group[,team=Group...]")
-    p.add_argument("--mode", choices=("exact", "normal-approx", "auto"), default="auto")
+    p.add_argument("--mode", choices=MODES, default=MODE_AUTO)
     p.add_argument("--out", required=True, help="output comparison .json")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("leaderboard", parents=[common], help="rank team reports")
-    p.add_argument("--reports", required=True, nargs="+", help="report .json files or a directory")
+    p = sub.add_parser("leaderboard", help="rank team reports")
+    _add(p, REPORTS)
     p.add_argument("--groups", default=None, help="team=Group[,team=Group...]")
     p.add_argument("--format", choices=FORMATS, default="text")
     p.add_argument("--out", default=None, help="output file (default: stdout)")

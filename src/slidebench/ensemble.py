@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from . import netpbm
-from .errors import FormatError, GeometryError, ValidationError, typed_field
-from .masks import ROLE_PREDICTION, BinaryMask, read_pgm_sidecar
+from .errors import FormatError, ValidationError, typed_field
+from .masks import ROLE_PREDICTION, BinaryMask, check_same_grid, read_pgm_sidecar
 
 QUANT_RULE = "round(255*p)"
 
@@ -52,31 +52,10 @@ class ProbabilityMap:
             )
 
 
-def _check_geometry(items, kind: str) -> None:
-    if not items:
-        raise ValidationError(f"fuse: no {kind}s given")
-    first = items[0]
-    for m in items[1:]:
-        if m.level != first.level or _shape(m) != _shape(first):
-            raise GeometryError(
-                f"fuse: {kind} geometry mismatch: level {m.level} {_shape(m)} vs "
-                f"level {first.level} {_shape(first)}"
-            )
-        if m.slide_id != first.slide_id:
-            raise ValidationError(
-                f"fuse: {kind}s belong to different slides "
-                f"({m.slide_id!r} vs {first.slide_id!r})"
-            )
-
-
-def _shape(m) -> tuple[int, int]:
-    return (m.height, m.width)
-
-
 def fuse_mean(maps: list[ProbabilityMap]) -> ProbabilityMap:
     """Pixelwise arithmetic mean, summed in input order; within [0, 1] unclipped, since
     a rounded running sum of values in [0, 1] never exceeds its count."""
-    _check_geometry(maps, "map")
+    check_same_grid("fuse_mean", *maps)
     for m in maps:
         m.validate()
     acc = np.zeros_like(maps[0].values)
@@ -88,10 +67,10 @@ def fuse_mean(maps: list[ProbabilityMap]) -> ProbabilityMap:
 
 def fuse_vote(masks: list[BinaryMask]) -> BinaryMask:
     """Strict per-pixel majority vote over an odd number of masks."""
-    _check_geometry(masks, "mask")
+    check_same_grid("fuse_vote", *masks)
     if len(masks) % 2 == 0:
         raise ValidationError(f"fuse_vote needs an odd count, got {len(masks)}")
-    votes = np.zeros(_shape(masks[0]), dtype=np.min_scalar_type(len(masks)))
+    votes = np.zeros(masks[0].data.shape, dtype=np.min_scalar_type(len(masks)))
     for m in masks:
         votes += m.data.view(np.uint8)
     out = votes > len(masks) // 2

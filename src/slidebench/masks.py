@@ -157,14 +157,8 @@ def _dark(rgb: np.ndarray, threshold: int) -> np.ndarray:
     return dark
 
 
-def rasterize(
-    aset: AnnotationSet,
-    level: int,
-    width: int,
-    height: int,
-    role: str = ROLE_GROUND_TRUTH,
-) -> BinaryMask:
-    """Rasterize the union of polygons onto a level-k grid.
+def rasterize(aset: AnnotationSet, level: int, width: int, height: int) -> BinaryMask:
+    """Rasterize the union of polygons onto a level-k grid as a ground-truth mask.
 
     Vertices are scaled by 1/2**level before filling. A pixel is set iff its
     center lies inside at least one polygon under the even-odd rule; geometry
@@ -185,7 +179,7 @@ def rasterize(
             )
             continue
         _fill_even_odd(data, verts)
-    return BinaryMask(aset.slide_id, level, data, role)
+    return BinaryMask(aset.slide_id, level, data, ROLE_GROUND_TRUTH)
 
 
 def _polygon_area(verts: np.ndarray) -> float:
@@ -308,19 +302,27 @@ def tissue_mask(pyramid: SlidePyramid, level: int, method: str = METHOD_OTSU) ->
     return BinaryMask(pyramid.slide_id, level, data, ROLE_TISSUE)
 
 
-def check_same_grid(operation: str, **masks: BinaryMask) -> None:
-    """GeometryError unless the two named masks share one level and shape."""
-    (a_name, a), (b_name, b) = masks.items()
-    if a.level != b.level or a.data.shape != b.data.shape:
-        raise GeometryError(
-            f"{operation}: {a_name} is level {a.level} {a.data.shape}, "
-            f"{b_name} is level {b.level} {b.data.shape}"
-        )
+def check_same_grid(operation: str, *items) -> None:
+    """Masks or probability maps combined pixel for pixel: GeometryError unless they share
+    one level and shape, ValidationError unless they share one slide id."""
+    if not items:
+        raise ValidationError(f"{operation}: no inputs given")
+    first = items[0]
+    for item in items[1:]:
+        if (item.level, item.height, item.width) != (first.level, first.height, first.width):
+            raise GeometryError(
+                f"{operation}: level {item.level} {item.width}x{item.height} does not match "
+                f"level {first.level} {first.width}x{first.height}"
+            )
+        if item.slide_id != first.slide_id:
+            raise ValidationError(
+                f"{operation}: slide {item.slide_id!r} does not match slide {first.slide_id!r}"
+            )
 
 
 def refine_labels(gt: BinaryMask, tissue: BinaryMask) -> BinaryMask:
     """Intersect a noisy ground-truth mask with a tissue mask."""
-    check_same_grid("refine_labels", gt=gt, tissue=tissue)
+    check_same_grid("refine_labels", gt, tissue)
     return BinaryMask(gt.slide_id, gt.level, gt.data & tissue.data, ROLE_REFINED)
 
 

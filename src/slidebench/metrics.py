@@ -17,7 +17,7 @@ import numpy as np
 
 from . import parallel
 from .errors import FormatError, GeometryError, ValidationError, typed_field
-from .masks import BinaryMask, _row_blocks, check_same_grid
+from .masks import BinaryMask, _row_blocks
 from .slide_io import level_dimensions
 
 SUBTYPE_SCC = "SCC"
@@ -107,11 +107,37 @@ class TeamReport:
 
 
 def confusion(gt: BinaryMask, pred: BinaryMask) -> ConfusionCounts:
-    """Exact pixel confusion counts of two masks on one grid."""
-    check_same_grid("confusion", gt=gt, pred=pred)
-    tp = int(np.count_nonzero(gt.data & pred.data))
-    fp = int(np.count_nonzero(pred.data)) - tp
-    fn = int(np.count_nonzero(gt.data)) - tp
+    """Exact pixel confusion counts of a prediction against the ground truth of its slide.
+
+    A prediction at level k over ground truth at level g must have the truth's
+    dimensions halved k - g times with ceiling. Each pixel of a coarser
+    prediction counts for the 2**(k - g) by 2**(k - g) truth pixels it covers,
+    cut at the truth's edge. Counting goes in cache-sized bands of whole truth
+    rows, one per ``_row_blocks`` block of prediction rows; pixels are
+    repeated only when the prediction is coarser, one band at a time.
+    """
+    if pred.level < gt.level:
+        raise GeometryError(
+            f"{gt.slide_id}: prediction level {pred.level} finer than ground truth {gt.level}"
+        )
+    want = level_dimensions(gt.width, gt.height, pred.level - gt.level)
+    if (pred.width, pred.height) != want:
+        raise GeometryError(
+            f"{gt.slide_id}: prediction is {pred.width}x{pred.height} at level {pred.level}, but "
+            f"the {gt.width}x{gt.height} level-{gt.level} ground truth is {want[0]}x{want[1]} there"
+        )
+    if pred.slide_id != gt.slide_id:
+        raise ValidationError(f"{gt.slide_id}: prediction is for slide {pred.slide_id!r}")
+    f = 1 << min(pred.level - gt.level, 62)
+    fy, fx = min(f, gt.height), min(f, gt.width)  # no pixel covers more than the whole truth
+    tp = positives = 0
+    for rows in _row_blocks(pred.height, fy * gt.width):
+        truth, band = gt.data[rows.start * fy : rows.stop * fy], pred.data[rows]
+        if f > 1:
+            band = np.repeat(np.repeat(band, fy, axis=0), fx, axis=1)[: len(truth), : gt.width]
+        tp += int(np.count_nonzero(band & truth))
+        positives += int(np.count_nonzero(band))
+    fp, fn = positives - tp, gt.count - tp
     return ConfusionCounts(tp, fp, fn, gt.data.size - tp - fp - fn)
 
 
@@ -173,36 +199,8 @@ def aggregate(scores: list[SlideScore], group_by: str = "none") -> list[Aggregat
 
 
 def _score_slide(gt: dict, pred: dict, subtypes: dict[str, str], slide_id: str) -> SlideScore:
-    g, p = gt[slide_id], pred[slide_id]
-    if p.level < g.level:
-        raise GeometryError(
-            f"{slide_id}: prediction level {p.level} finer than ground truth {g.level}"
-        )
-    want = level_dimensions(g.width, g.height, p.level - g.level)
-    if (p.width, p.height) != want:
-        raise GeometryError(
-            f"{slide_id}: prediction is {p.width}x{p.height} at level {p.level}, but the "
-            f"{g.width}x{g.height} level-{g.level} ground truth is {want[0]}x{want[1]} there"
-        )
-    counts = confusion(g, p) if p.level == g.level else _coarse_confusion(g, p)
+    counts = confusion(gt[slide_id], pred[slide_id])
     return score_slide(slide_id, counts, subtypes.get(slide_id, SUBTYPE_UNKNOWN))
-
-
-def _coarse_confusion(gt: BinaryMask, pred: BinaryMask) -> ConfusionCounts:
-    """``confusion`` of ``gt`` and ``pred`` repeated 2**(pred.level - gt.level) times on both
-    axes and cropped to gt's grid, counted without that copy in cache-sized bands of whole
-    truth rows, one per ``_row_blocks`` block of prediction rows."""
-    f = 1 << min(pred.level - gt.level, 62)
-    fy, fx = min(f, gt.height), min(f, gt.width)  # no pixel covers more than the whole truth
-    tp = positives = 0
-    for rows in _row_blocks(pred.height, fy * gt.width):
-        truth = gt.data[rows.start * fy : rows.stop * fy]
-        band = np.repeat(np.repeat(pred.data[rows], fy, axis=0), fx, axis=1)
-        band = band[: len(truth), : gt.width]
-        tp += int(np.count_nonzero(band & truth))
-        positives += int(np.count_nonzero(band))
-    fp, fn = positives - tp, gt.count - tp
-    return ConfusionCounts(tp, fp, fn, gt.data.size - tp - fp - fn)
 
 
 def evaluate_team(
@@ -212,13 +210,9 @@ def evaluate_team(
     subtypes: dict[str, str] | None = None,
     workers: int | None = None,
 ) -> TeamReport:
-    """Score one team's predictions against ground truth, slide by slide.
+    """Score one team's predictions against ground truth with ``confusion``, slide by slide.
 
-    A prediction at level k over ground truth at level g must have the
-    truth's dimensions halved k - g times with ceiling. Each pixel of a
-    coarser prediction counts for the 2**(k - g) by 2**(k - g) truth pixels
-    it covers, cut at the truth's edge. Slides are scored in sorted id
-    order, one slide per chunk on ``workers`` processes.
+    Slides are scored in sorted id order, one slide per chunk on ``workers`` processes.
     """
     if not gt:
         raise ValidationError("evaluate_team: no ground-truth masks")

@@ -76,10 +76,18 @@ def test_no_arguments_prints_usage(capsys):
     assert "usage:" in capsys.readouterr().err
 
 
-def test_unknown_command_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+def test_unknown_command_is_usage_error(capsys, tmp_path):
+    for args in (
+        ["frobnicate"],
+        # a subcommand takes no flag that it does not read
+        ["coteach", "--out", str(tmp_path / "bench"), "--seed", "5"],
+        ["tissue", "--slide", "x.json", "--out", "t.pgm", "--workers", "2"],
+        ["leaderboard", "--reports", "r.json", "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2, args
+        assert "usage:" in capsys.readouterr().err
 
 
 def test_missing_required_flag_is_usage_error():
@@ -166,6 +174,15 @@ def test_eval_matches_truth_table(cli_tree, report_dir):
         assert score.counts.fp == row["fp"]
     exact = read_report(report_dir / "exact.json")
     assert all(s.dice == 1.0 for s in exact.scores)
+
+
+def test_eval_accepts_an_unused_seed(cli_tree, report_dir, tmp_path):
+    out = tmp_path / "flip2.json"
+    assert main(["eval", "--truth", str(cli_tree / "truth"),
+                 "--pred", str(cli_tree / "predictions" / "flip2"), "--team", "flip2",
+                 "--subtypes", str(cli_tree / "subtypes.csv"), "--out", str(out),
+                 "--seed", "3"]) == 0
+    assert out.read_bytes() == (report_dir / "flip2.json").read_bytes()
 
 
 def test_leaderboard_csv_ranks_by_dice(cli_tree, report_dir, tmp_path):
@@ -377,12 +394,22 @@ def _mask_case(mutate):
     return make
 
 
-def _xml_case(text):
+def _xml_case(text, name="s"):
+    """``rasterize`` of ``name``.xml holding ``text`` onto slide s."""
     def make(tmp_path):
-        _write(tmp_path / "s.xml", text)
-        return ["rasterize", "--annotations", str(tmp_path / "s.xml"),
+        _write(tmp_path / f"{name}.xml", text)
+        return ["rasterize", "--annotations", str(tmp_path / f"{name}.xml"),
                 "--slide", str(_slide(tmp_path)), "--out", str(tmp_path / "r.pgm")]
     return make
+
+
+def _refine_other_slide(tmp_path):
+    """``refine`` of slide_001 labels with slide_000 tissue of the same size."""
+    for sid in ("slide_000", "slide_001"):
+        write_mask(BinaryMask(sid, 0, np.ones((16, 16), dtype=bool), ROLE_GROUND_TRUTH),
+                   tmp_path / f"{sid}.pgm")
+    return ["refine", "--gt", str(tmp_path / "slide_001.pgm"),
+            "--tissue", str(tmp_path / "slide_000.pgm"), "--out", str(tmp_path / "o.pgm")]
 
 
 def _report_case(data):
@@ -483,6 +510,7 @@ MALFORMED_INPUTS = {
     "xml_non_numeric_coordinate": _xml_case(_POLYGON.format(x="nine")),
     "xml_not_utf8": _xml_case(b"\xff\xfe<ASAP_Annotations/>"),
     "xml_unknown_encoding": _xml_case('<?xml version="1.0" encoding="utf-9"?><ASAP_Annotations/>'),
+    "xml_of_another_slide": _xml_case(_POLYGON.format(x="9"), name="other"),
     "report_not_json": _report_case('{"team": "t", '),
     "report_not_utf8": _report_case(b"\xff\xfe{}"),
     "report_top_level_list": _report_case("[1]"),
@@ -510,6 +538,7 @@ MALFORMED_INPUTS = {
     "prediction_level_too_coarse": _prediction_level_case(4),
     "prediction_level_far_too_coarse": _prediction_level_case(9),
     "two_masks_of_one_slide": _duplicate_slide_case,
+    "refine_masks_of_two_slides": _refine_other_slide,
     "config_not_utf8": _config_case(b"eta=\xff\xfe\n"),
     "config_unknown_key": _config_case("bogus=1\n"),
     "config_bad_value": _config_case("t_max=many\n"),
@@ -532,6 +561,13 @@ def _rebalance_negative_seed(tmp_path):
             "--out", str(tmp_path / "tiles.jsonl")]
 
 
+def _ensemble_vote_binarize(tmp_path):
+    path = tmp_path / "m.pgm"
+    write_mask(BinaryMask("s", 0, np.eye(4, dtype=bool), ROLE_PREDICTION), path)
+    return ["ensemble", "--mode", "vote", "--binarize", "0.5", "--inputs", str(path),
+            "--out", str(tmp_path / "v.pgm")]
+
+
 # flag values that every file is well-formed for, but that no run can use
 MALFORMED_FLAGS = {
     "synth_negative_seed": _synth_flags("--seed", "-1"),
@@ -540,6 +576,7 @@ MALFORMED_FLAGS = {
     "synth_inf_ratio": _synth_flags("--ratio", "inf", "1", "1"),
     "synth_ratio_sum_overflows": _synth_flags("--ratio", "1e308", "1e308", "1"),
     "tile_rebalance_negative_seed": _rebalance_negative_seed,
+    "ensemble_vote_with_binarize": _ensemble_vote_binarize,
 }
 
 
@@ -626,7 +663,7 @@ def test_tissue_and_tile_outputs_are_pinned(tmp_path, workers):
         for method in ("otsu", "gray200"):
             out = tmp_path / f"{name}_tissue_{method}.pgm"
             assert main(["tissue", "--slide", str(slide), "--method", method,
-                         "--workers", workers, "--out", str(out)]) == 0
+                         "--out", str(out)]) == 0
             outputs += [out, out.with_suffix(".json")]
             out = tmp_path / f"{name}_tiles_{method}.jsonl"
             assert main(["tile", "--slide", str(slide), "--gt", str(truth), "--size", "48",
@@ -654,24 +691,18 @@ CLI_OPTIONS = {
         ("--team", None, None, None, False),
     ],
     "tissue": [
-        ("--seed", 0, None, None, False),
-        ("--workers", 1, None, None, False),
         ("--slide", None, None, None, True),
         ("--level", 0, None, None, False),
         ("--method", "otsu", ("otsu", "gray200"), None, False),
         ("--out", None, None, None, True),
     ],
     "rasterize": [
-        ("--seed", 0, None, None, False),
-        ("--workers", 1, None, None, False),
         ("--annotations", None, None, None, True),
         ("--slide", None, None, None, True),
         ("--level", 0, None, None, False),
         ("--out", None, None, None, True),
     ],
     "refine": [
-        ("--seed", 0, None, None, False),
-        ("--workers", 1, None, None, False),
         ("--gt", None, None, None, True),
         ("--tissue", None, None, None, True),
         ("--out", None, None, None, True),
@@ -700,31 +731,23 @@ CLI_OPTIONS = {
         ("--csv", None, None, None, False),
     ],
     "ensemble": [
-        ("--seed", 0, None, None, False),
-        ("--workers", 1, None, None, False),
         ("--inputs", None, None, "+", True),
         ("--mode", "mean", ("mean", "vote"), None, False),
         ("--binarize", None, None, None, False),
         ("--out", None, None, None, True),
     ],
     "coteach": [
-        ("--seed", 0, None, None, False),
-        ("--workers", 1, None, None, False),
         ("--out", None, None, None, True),
         ("--config", None, None, None, False),
         ("--seeds", 10, None, None, False),
     ],
     "compare": [
-        ("--seed", 0, None, None, False),
-        ("--workers", 1, None, None, False),
         ("--reports", None, None, "+", True),
         ("--groups", None, None, None, True),
         ("--mode", "auto", ("exact", "normal-approx", "auto"), None, False),
         ("--out", None, None, None, True),
     ],
     "leaderboard": [
-        ("--seed", 0, None, None, False),
-        ("--workers", 1, None, None, False),
         ("--reports", None, None, "+", True),
         ("--groups", None, None, None, False),
         ("--format", "text", ("csv", "json", "text"), None, False),

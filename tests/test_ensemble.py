@@ -77,6 +77,17 @@ def test_fuse_vote_majority():
     assert out.data.tolist() == [[True, False, False, False]]
 
 
+def test_fuse_vote_rejects_mismatched_or_missing_masks():
+    with pytest.raises(GeometryError):
+        fuse_vote([_mask(np.zeros((4, 4)))] * 2 + [_mask(np.zeros((4, 5)))])
+    with pytest.raises(GeometryError):
+        fuse_vote([_mask(np.zeros((4, 4)))] * 2 + [_mask(np.zeros((4, 4)), level=1)])
+    with pytest.raises(ValidationError, match="slide 'b' does not match slide 'a'"):
+        fuse_vote([_mask(np.zeros((4, 4)), "a")] * 2 + [_mask(np.zeros((4, 4)), "b")])
+    with pytest.raises(ValidationError, match="no inputs"):
+        fuse_vote([])
+
+
 def test_fuse_vote_requires_odd_count(rng):
     masks = [_mask(rng.random((4, 4)) < 0.5) for _ in range(4)]
     with pytest.raises(ValidationError):

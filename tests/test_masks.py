@@ -295,6 +295,9 @@ def test_refine_labels_rejects_mismatched_geometry(rng):
     tissue = BinaryMask("s", 1, np.zeros((8, 8), dtype=bool), ROLE_TISSUE)
     with pytest.raises(GeometryError):
         refine_labels(gt, tissue)
+    other = BinaryMask("t", 0, np.zeros((8, 8), dtype=bool), ROLE_TISSUE)
+    with pytest.raises(ValidationError, match="slide 't' does not match slide 's'"):
+        refine_labels(gt, other)
 
 
 def test_mask_round_trip(tmp_path, rng):

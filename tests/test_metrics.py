@@ -71,6 +71,25 @@ def test_confusion_rejects_mismatched_masks(rng):
         confusion(_mask(np.zeros((4, 4))), _mask(np.zeros((4, 5))))
     with pytest.raises(GeometryError):
         confusion(_mask(np.zeros((4, 4))), _mask(np.zeros((4, 4)), level=1))
+    with pytest.raises(ValidationError, match="^a: prediction is for slide 'b'$"):
+        confusion(_mask(np.zeros((4, 4)), slide_id="a"), _mask(np.zeros((4, 4)), slide_id="b"))
+
+
+@pytest.mark.parametrize("chunk_pixels", [1, 37, masks._LUMA_CHUNK_PIXELS])
+def test_confusion_banding_is_invisible(rng, monkeypatch, chunk_pixels):
+    """Same-level counts in bands of any height, the last one partial, equal the oracle's."""
+    monkeypatch.setattr(masks, "_LUMA_CHUNK_PIXELS", chunk_pixels)
+    for h, w in ((1, 1), (7, 5), (33, 18), (97, 130)):
+        gt, pred = rng.random((h, w)) < 0.5, rng.random((h, w)) < 0.5
+        c = confusion(_mask(gt), _mask(pred))
+        assert (c.tp, c.fp, c.fn, c.tn) == confusion_oracle(gt, pred)
+
+
+def test_confusion_counts_a_coarser_prediction_as_upsampled(rng):
+    gt = rng.random((33, 18)) < 0.5
+    pred = _mask(rng.random(level_dimensions(18, 33, 2)[::-1]) < 0.5, level=2)
+    c = confusion(_mask(gt), pred)
+    assert (c.tp, c.fp, c.fn, c.tn) == confusion_oracle(gt, upsample_mask(pred, 0, 18, 33).data)
 
 
 def test_confusion_counts_validation():
