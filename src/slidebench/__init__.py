@@ -5,99 +5,63 @@ storage, polygon annotations, label refinement against tissue masks, tile
 extraction, pixel-level scoring, signed-rank comparisons and leaderboards,
 multi-model fusion, a noisy-label co-teaching demo, and a synthetic slide
 generator that makes every one of those steps testable against exact truth.
+
+``import slidebench`` runs none of its submodules. Each one is registered in
+``sys.modules`` through ``importlib.util.LazyLoader`` and runs on first use,
+so a CLI start runs only what its subcommand calls. The names below are
+looked up in the submodule that defines them on every access (PEP 562), so
+``slidebench.tissue_mask`` always is ``slidebench.masks.tissue_mask``, even
+while that attribute is patched.
 """
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
+
 __version__ = "1.0.0"
 
-from .errors import (
-    ConfigError,
-    DegenerateHistogramError,
-    DegeneratePolygonWarning,
-    DivergenceError,
-    FormatError,
-    GeometryError,
-    NoInformationError,
-    SlidebenchError,
-    ValidationError,
-)
-from .slide_io import (
-    Annotation,
-    AnnotationSet,
-    PyramidLevel,
-    SlidePyramid,
-    build_pyramid,
-    level_dimensions,
-    parse_annotations,
-    read_pyramid,
-    serialize_annotations,
-    write_pyramid,
-)
-from .masks import (
-    METHOD_GRAY200,
-    METHOD_OTSU,
-    TISSUE_METHODS,
-    BinaryMask,
-    luma,
-    otsu_threshold,
-    rasterize,
-    read_mask,
-    refine_labels,
-    tissue_mask,
-    write_mask,
-)
-from .tiling import (
-    TileRecord,
-    TilingConfig,
-    big_patch_nine,
-    emit_manifest,
-    extract_tiles,
-    read_manifest,
-    rebalance_mix,
-)
-from .metrics import (
-    ConfusionCounts,
-    SlideScore,
-    TeamReport,
-    aggregate,
-    confusion,
-    dice,
-    evaluate_team,
-    read_report,
-    report_aggregates,
-    score_slide,
-    write_report,
-    write_scores_csv,
-)
-from .stats import PairedSample, SignedRankResult, wilcoxon_signed_rank
-from .leaderboard import (
-    LeaderboardEntry,
-    group_compare,
-    rank_teams,
-    render_leaderboard,
-)
-from .ensemble import (
-    ProbabilityMap,
-    binarize,
-    fuse_mean,
-    fuse_vote,
-    read_probability_map,
-    write_probability_map,
-)
-from .coteach import (
-    CoteachConfig,
-    PixelBatch,
-    coteach_step,
-    noise_benchmark,
-    pixel_features,
-    train,
-    train_single,
-)
-from .synth import (
-    CorruptionSpec,
-    SynthConfig,
-    corrupt_prediction,
-    generate_challenge,
-    generate_slide,
-    read_subtypes,
-    read_truth_table,
-    slide_name,
-)
+# the public names, by the submodule that defines them
+_EXPORTS = {
+    "errors": """ConfigError DegenerateHistogramError DegeneratePolygonWarning DivergenceError
+        FormatError GeometryError NoInformationError SlidebenchError ValidationError
+        METHOD_GRAY200 METHOD_OTSU TISSUE_METHODS""",
+    "slide_io": """Annotation AnnotationSet PyramidLevel SlidePyramid build_pyramid
+        level_dimensions parse_annotations read_pyramid serialize_annotations write_pyramid""",
+    "masks": "BinaryMask luma otsu_threshold rasterize read_mask refine_labels tissue_mask write_mask",
+    "tiling": """TileRecord TilingConfig big_patch_nine emit_manifest extract_tiles read_manifest
+        rebalance_mix""",
+    "metrics": """ConfusionCounts SlideScore TeamReport aggregate confusion dice evaluate_team
+        read_report report_aggregates score_slide write_report write_scores_csv""",
+    "stats": "PairedSample SignedRankResult wilcoxon_signed_rank",
+    "leaderboard": "LeaderboardEntry group_compare rank_teams render_leaderboard",
+    "ensemble": """ProbabilityMap binarize fuse_mean fuse_vote read_probability_map
+        write_probability_map""",
+    "coteach": "CoteachConfig PixelBatch coteach_step noise_benchmark pixel_features train train_single",
+    "synth": """CorruptionSpec SynthConfig corrupt_prediction generate_challenge generate_slide
+        read_subtypes read_truth_table slide_name""",
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = list(_ORIGIN)
+
+
+def _register(*names: str) -> None:
+    """Put each submodule in ``sys.modules`` and in this package, to run on first use."""
+    for name in names:
+        spec = find_spec(f"{__name__}.{name}")
+        spec.loader = LazyLoader(spec.loader)
+        module = module_from_spec(spec)
+        sys.modules[spec.name] = globals()[name] = module
+        spec.loader.exec_module(module)
+
+
+_register("cli", "coteach", "ensemble", "errors", "leaderboard", "masks", "metrics", "netpbm",
+          "parallel", "slide_io", "stats", "synth", "tiling")
+
+
+def __getattr__(name: str):
+    # not cached in this module: the name must follow its submodule's attribute
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_ORIGIN[name]], name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

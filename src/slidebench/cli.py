@@ -4,51 +4,24 @@ Every subcommand is fully specified by its flags: same flags and inputs give
 byte-identical outputs, regardless of --workers. Exit codes: 0 success,
 1 data error (bad file contents, failed invariants), 2 usage error.
 Diagnostics go to stderr; machine-readable output goes to files or stdout.
+Each ``cmd_*`` imports its stage's functions itself, so a start runs only
+the modules its subcommand calls: ``--version`` and ``--help`` need no numpy.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .coteach import NOISE_BENCHMARK_CONFIG, make_noise_benchmark, noise_benchmark
-from .coteach import parse_config, train, write_history
-from .ensemble import (
-    binarize,
-    fuse_mean,
-    fuse_vote,
-    read_probability_map,
-    write_probability_map,
-)
+from .errors import FORMATS, METHOD_OTSU, MODE_AUTO, MODES, RULE_THRESHOLD75, RULES, TISSUE_METHODS
 from .errors import FormatError, SlidebenchError, ValidationError
-from .leaderboard import FORMATS, group_compare, rank_teams, render_leaderboard
-from .masks import (
-    METHOD_OTSU,
-    TISSUE_METHODS,
-    rasterize,
-    read_mask,
-    refine_labels,
-    tissue_mask,
-    write_mask,
-)
-from .metrics import evaluate_team, read_report, write_report, write_scores_csv
-from .slide_io import parse_annotations, read_pyramid
-from .stats import MODE_AUTO, MODES
-from .synth import (
-    CorruptionSpec,
-    SynthConfig,
-    generate_challenge,
-    read_subtypes,
-)
-from .tiling import RULE_THRESHOLD75, RULES, TilingConfig, emit_manifest, extract_tiles
-from .tiling import rebalance_mix
 
 
 def _parse_team(text: str, default_seed: int) -> tuple[str, CorruptionSpec]:
+    from .synth import CorruptionSpec
+
     name, _, rest = text.partition(":")
     if not name:
         raise ValidationError(f"--team {text!r}: empty team name")
@@ -69,6 +42,8 @@ def _parse_team(text: str, default_seed: int) -> tuple[str, CorruptionSpec]:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import CorruptionSpec, SynthConfig, generate_challenge
+
     cfg = SynthConfig(
         seed=args.seed,
         slides=args.slides,
@@ -94,6 +69,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_tissue(args: argparse.Namespace) -> int:
+    from .masks import tissue_mask, write_mask
+    from .slide_io import read_pyramid
+
     pyramid = read_pyramid(args.slide)
     mask = tissue_mask(pyramid, args.level, args.method)
     write_mask(mask, args.out)
@@ -101,6 +79,9 @@ def cmd_tissue(args: argparse.Namespace) -> int:
 
 
 def cmd_rasterize(args: argparse.Namespace) -> int:
+    from .masks import rasterize, write_mask
+    from .slide_io import parse_annotations, read_pyramid
+
     pyramid = read_pyramid(args.slide)
     aset = parse_annotations(args.annotations)
     if aset.slide_id != pyramid.slide_id:
@@ -114,6 +95,8 @@ def cmd_rasterize(args: argparse.Namespace) -> int:
 
 
 def cmd_refine(args: argparse.Namespace) -> int:
+    from .masks import read_mask, refine_labels, write_mask
+
     gt = read_mask(args.gt)
     tissue = read_mask(args.tissue)
     write_mask(refine_labels(gt, tissue), args.out)
@@ -121,6 +104,10 @@ def cmd_refine(args: argparse.Namespace) -> int:
 
 
 def cmd_tile(args: argparse.Namespace) -> int:
+    from .masks import read_mask
+    from .slide_io import read_pyramid
+    from .tiling import TilingConfig, emit_manifest, extract_tiles, rebalance_mix
+
     pyramid = read_pyramid(args.slide)
     gt = read_mask(args.gt)
     cfg = TilingConfig(
@@ -138,6 +125,8 @@ def cmd_tile(args: argparse.Namespace) -> int:
 
 
 def _load_mask_dir(directory: str | Path) -> dict:
+    from .masks import read_mask
+
     directory = Path(directory)
     if not directory.is_dir():
         raise FormatError(f"{directory}: not a directory")
@@ -153,6 +142,9 @@ def _load_mask_dir(directory: str | Path) -> dict:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .metrics import evaluate_team, write_report, write_scores_csv
+    from .synth import read_subtypes
+
     gt = _load_mask_dir(args.truth)
     pred = _load_mask_dir(args.pred)
     subtypes = read_subtypes(args.subtypes) if args.subtypes else None
@@ -164,6 +156,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_ensemble(args: argparse.Namespace) -> int:
+    from .ensemble import binarize, fuse_mean, fuse_vote, read_probability_map
+    from .ensemble import write_probability_map
+    from .masks import read_mask, write_mask
+
     if args.mode == "vote" and args.binarize is not None:
         raise ValidationError("--binarize applies only to --mode mean")
     if args.mode == "mean":
@@ -180,6 +176,11 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
 
 
 def cmd_coteach(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
+    from .coteach import NOISE_BENCHMARK_CONFIG, make_noise_benchmark, noise_benchmark
+    from .coteach import parse_config, train, write_history
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     base = parse_config(args.config) if args.config else NOISE_BENCHMARK_CONFIG
@@ -194,6 +195,8 @@ def cmd_coteach(args: argparse.Namespace) -> int:
 
 
 def _load_reports(paths: list[str]) -> list:
+    from .metrics import read_report
+
     expanded = []
     for p in paths:
         path = Path(p)
@@ -219,6 +222,8 @@ def _parse_groups(text: str | None) -> dict[str, str]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .leaderboard import group_compare
+
     reports = _load_reports(args.reports)
     grouping = _parse_groups(args.groups)
     result = group_compare(reports, grouping, mode=args.mode)
@@ -227,6 +232,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_leaderboard(args: argparse.Namespace) -> int:
+    from .leaderboard import rank_teams, render_leaderboard
+
     reports = _load_reports(args.reports)
     grouping = _parse_groups(args.groups)
     entries = rank_teams(reports, grouping)
@@ -248,6 +255,20 @@ REPORTS = ("--reports", {"required": True, "nargs": "+",
                          "help": "report .json files or a directory"})
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: no abbreviated flags (coteach's --seed must not be
+    taken for --seeds), and unknown flags reported with its own usage line."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _add(parser: argparse.ArgumentParser, *options: tuple[str, dict]) -> None:
     for flag, kwargs in options:
         parser.add_argument(flag, **kwargs)
@@ -259,9 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Synthetic whole-slide segmentation benchmark toolkit.",
     )
     parser.add_argument("--version", action="version", version=f"slidebench {__version__}")
-    # no abbreviations: coteach's --seed must not be taken for --seeds
-    no_abbrev = partial(argparse.ArgumentParser, allow_abbrev=False)
-    sub = parser.add_subparsers(dest="command", metavar="command", parser_class=no_abbrev)
+    sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_SubcommandParser)
 
     p = sub.add_parser("synth", help="generate a synthetic challenge tree")
     _add(p, SEED, WORKERS)

@@ -102,6 +102,6 @@ def read_probability_map(path: str | Path) -> ProbabilityMap:
     gray, meta, where = read_pgm_sidecar(path, "probability")
     if typed_field(meta, "kind", str, where) != "probability":
         raise FormatError(f"{where} field 'kind' is {meta['kind']!r}, expected 'probability'")
-    pm = ProbabilityMap(meta["slide_id"], meta["level"], gray.astype(np.float64) / 255.0)
+    pm = ProbabilityMap(meta["slide_id"], meta["level"], np.divide(gray, 255.0))
     pm.validate()
     return pm

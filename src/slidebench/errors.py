@@ -1,4 +1,26 @@
-"""Exception types shared across the toolkit, and the typed-field check of its JSON readers."""
+"""Exception types shared across the toolkit, the typed-field check of its JSON
+readers, and the option values the CLI offers.
+
+The option values live here, beside the exceptions, so that the CLI parser
+(``--help``, ``--version``) runs without numpy. ``masks``, ``tiling``,
+``stats`` and ``leaderboard`` re-export the ones they use.
+"""
+
+METHOD_OTSU = "otsu"
+METHOD_GRAY200 = "gray200"
+TISSUE_METHODS = (METHOD_OTSU, METHOD_GRAY200)
+
+RULE_THRESHOLD75 = "threshold75"
+RULE_THREECLASS = "three_class"
+RULE_BIG_PATCH_NINE = "big_patch_nine"
+RULES = (RULE_THRESHOLD75, RULE_THREECLASS, RULE_BIG_PATCH_NINE)
+
+MODE_EXACT = "exact"
+MODE_APPROX = "normal-approx"
+MODE_AUTO = "auto"
+MODES = (MODE_EXACT, MODE_APPROX, MODE_AUTO)
+
+FORMATS = ("csv", "json", "text")
 
 
 class SlidebenchError(Exception):

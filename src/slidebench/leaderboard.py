@@ -11,15 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoInformationError, ValidationError
+from .errors import FORMATS, MODE_AUTO, NoInformationError, ValidationError
 from .metrics import TeamReport, aggregate
-from .stats import MODE_AUTO, PairedSample, wilcoxon_signed_rank
+from .stats import PairedSample, wilcoxon_signed_rank
 
 GROUP_MULTI = "MultiModel"
 GROUP_SINGLE = "SingleModel"
 GROUPS = (GROUP_MULTI, GROUP_SINGLE)
-
-FORMATS = ("csv", "json", "text")
 
 CSV_HEADER = "rank,team,group,mean_dice,std_dice,accuracy,fnr,fpr"
 

@@ -30,14 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import netpbm
-from .errors import (
-    DegenerateHistogramError,
-    DegeneratePolygonWarning,
-    FormatError,
-    GeometryError,
-    ValidationError,
-    typed_field,
-)
+from .errors import METHOD_GRAY200, METHOD_OTSU, TISSUE_METHODS
+from .errors import DegenerateHistogramError, DegeneratePolygonWarning, FormatError, GeometryError
+from .errors import ValidationError, typed_field
 from .slide_io import AnnotationSet, SlidePyramid
 
 ROLE_GROUND_TRUTH = "GroundTruth"
@@ -45,10 +40,6 @@ ROLE_PREDICTION = "Prediction"
 ROLE_TISSUE = "Tissue"
 ROLE_REFINED = "Refined"
 ROLES = (ROLE_GROUND_TRUTH, ROLE_PREDICTION, ROLE_TISSUE, ROLE_REFINED)
-
-METHOD_OTSU = "otsu"
-METHOD_GRAY200 = "gray200"
-TISSUE_METHODS = (METHOD_OTSU, METHOD_GRAY200)
 
 GRAY200_THRESHOLD = 200
 

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoInformationError, ValidationError
-
-MODE_EXACT = "exact"
-MODE_APPROX = "normal-approx"
-MODE_AUTO = "auto"
-MODES = (MODE_EXACT, MODE_APPROX, MODE_AUTO)
+from .errors import MODE_APPROX, MODE_AUTO, MODE_EXACT, MODES, NoInformationError, ValidationError
 
 EXACT_LIMIT = 20
 

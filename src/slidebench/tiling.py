@@ -22,8 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import parallel
+from .errors import RULE_BIG_PATCH_NINE, RULE_THREECLASS, RULE_THRESHOLD75, RULES, TISSUE_METHODS
 from .errors import FormatError, GeometryError, ValidationError, typed_field
-from .masks import TISSUE_METHODS, BinaryMask, tissue_rows
+from .masks import BinaryMask, tissue_rows
 from .slide_io import SlidePyramid
 
 LABEL_POSITIVE = "Positive"
@@ -33,11 +34,6 @@ LABEL_TUMOR = "Tumor"
 LABEL_NORMAL = "Normal"
 LABEL_MIX = "Mix"
 LABELS = (LABEL_POSITIVE, LABEL_NEGATIVE, LABEL_UNUSED, LABEL_TUMOR, LABEL_NORMAL, LABEL_MIX)
-
-RULE_THRESHOLD75 = "threshold75"
-RULE_THREECLASS = "three_class"
-RULE_BIG_PATCH_NINE = "big_patch_nine"
-RULES = (RULE_THRESHOLD75, RULE_THREECLASS, RULE_BIG_PATCH_NINE)
 
 MANIFEST_FIELDS = ("slide_id", "level", "x", "y", "size", "tumor_pixels", "total_pixels", "label")
 

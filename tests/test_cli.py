@@ -3,6 +3,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -90,6 +91,21 @@ def test_unknown_command_is_usage_error(capsys, tmp_path):
         assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["coteach", "--out", "bench", "--seed", "5"],
+    ["tissue", "--slide", "x.json", "--out", "t.pgm", "--workers", "2"],
+    ["leaderboard", "--reports", "r.json", "--seed", "1"],
+])
+def test_unknown_flag_shows_the_subcommand_usage(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"usage: slidebench {args[0]} ")
+    assert [line for line in err if "error:" in line] == [
+        f"slidebench {args[0]}: error: unrecognized arguments: {' '.join(args[-2:])}"]
+
+
 def test_missing_required_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["tissue", "--slide", "x.json"])
@@ -101,6 +117,13 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("slidebench ")
+
+
+def test_version_is_the_project_version():
+    version = re.search(r'^version = "(.+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    proc = _run([sys.executable, "-m", "slidebench", "--version"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"slidebench {version.group(1)}\n"
 
 
 def test_synth_layout_and_summary(tmp_path, capsys):
