@@ -28,8 +28,9 @@ _EXPORTS = {
     "masks": "BinaryMask luma otsu_threshold rasterize read_mask refine_labels tissue_mask write_mask",
     "tiling": """TileRecord TilingConfig big_patch_nine emit_manifest extract_tiles read_manifest
         rebalance_mix""",
-    "metrics": """ConfusionCounts SlideScore TeamReport aggregate confusion dice evaluate_team
-        read_report report_aggregates score_slide write_report write_scores_csv""",
+    "reports": "ConfusionCounts SlideScore TeamReport aggregate read_report",
+    "metrics": """confusion dice evaluate_team report_aggregates score_slide write_report
+        write_scores_csv""",
     "stats": "PairedSample SignedRankResult wilcoxon_signed_rank",
     "leaderboard": "LeaderboardEntry group_compare rank_teams render_leaderboard",
     "ensemble": """ProbabilityMap binarize fuse_mean fuse_vote read_probability_map
@@ -53,7 +54,7 @@ def _register(*names: str) -> None:
 
 
 _register("cli", "coteach", "ensemble", "errors", "leaderboard", "masks", "metrics", "netpbm",
-          "parallel", "slide_io", "stats", "synth", "tiling")
+          "parallel", "reports", "slide_io", "stats", "synth", "tiling")
 
 
 def __getattr__(name: str):

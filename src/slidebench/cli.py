@@ -195,7 +195,7 @@ def cmd_coteach(args: argparse.Namespace) -> int:
 
 
 def _load_reports(paths: list[str]) -> list:
-    from .metrics import read_report
+    from .reports import read_report
 
     expanded = []
     for p in paths:
@@ -214,10 +214,12 @@ def _parse_groups(text: str | None) -> dict[str, str]:
         return {}
     groups = {}
     for part in text.split(","):
-        team, sep, group = part.partition("=")
-        if not sep:
+        team, sep, group = (s.strip() for s in part.partition("="))
+        if not sep or not team or not group:
             raise ValidationError(f"--groups: expected team=Group, got {part!r}")
-        groups[team.strip()] = group.strip()
+        if team in groups:
+            raise ValidationError(f"--groups: team {team!r} is named twice")
+        groups[team] = group
     return groups
 
 

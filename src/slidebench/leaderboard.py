@@ -2,17 +2,16 @@
 
 Leaderboards sort by mean Dice (descending), breaking ties by lower FNR and
 then team id. Group comparison pairs per-slide group-mean Dice values and
-runs the signed-rank test on them.
+runs the signed-rank test on them. A grouping names only teams with a report.
+No numpy here, so ``compare`` and ``leaderboard`` start without it.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import FORMATS, MODE_AUTO, NoInformationError, ValidationError
-from .metrics import TeamReport, aggregate
+from .reports import TeamReport, _mean, aggregate
 from .stats import PairedSample, wilcoxon_signed_rank
 
 GROUP_MULTI = "MultiModel"
@@ -45,14 +44,18 @@ def format_mean_std(mean: float, std: float) -> str:
     return f"{mean:.4f}±{std:.4f}"
 
 
-def _slide_set(reports: list[TeamReport], caller: str) -> tuple[str, ...]:
-    """The sorted slide ids that every report scores; each team must have one report."""
+def _slide_set(reports: list[TeamReport], grouping: dict, caller: str) -> tuple[str, ...]:
+    """The sorted slide ids that every report scores; each team must have one report,
+    and every team that ``grouping`` names must have one."""
     if not reports:
         raise ValidationError(f"{caller}: no reports")
     teams = [rep.team for rep in reports]
     repeated = [t for i, t in enumerate(teams) if t in teams[:i]]
     if repeated:
         raise ValidationError(f"team {repeated[0]!r} appears in more than one report")
+    unknown = sorted(set(grouping) - set(teams))
+    if unknown:
+        raise ValidationError(f"groups name teams with no report: {', '.join(unknown)}")
     reference = tuple(sorted(reports[0].slide_ids()))
     for rep in reports:
         if tuple(sorted(rep.slide_ids())) != reference:
@@ -69,14 +72,15 @@ def rank_teams(
 
     Teams without an explicit group are treated as single-model entries.
     """
-    _slide_set(reports, "rank_teams")
+    groups = groups or {}
+    _slide_set(reports, groups, "rank_teams")
     rows = []
     for rep in reports:
         (dice,) = aggregate(rep.scores)
         rows.append(
             {
                 "team": rep.team,
-                "group": (groups or {}).get(rep.team, GROUP_SINGLE),
+                "group": groups.get(rep.team, GROUP_SINGLE),
                 "mean_dice": dice.mean,
                 "std_dice": dice.std,
                 "accuracy": rep.mean("accuracy"),
@@ -100,7 +104,7 @@ def group_compare(
     slide contributes one paired observation (the group means of its Dice
     scores, as in a per-slide group-average comparison).
     """
-    slide_ids = _slide_set(reports, "group_compare")
+    slide_ids = _slide_set(reports, grouping, "group_compare")
     names = sorted({grouping[rep.team] for rep in reports if rep.team in grouping})
     missing = [rep.team for rep in reports if rep.team not in grouping]
     if missing:
@@ -113,8 +117,8 @@ def group_compare(
     for rep in reports:
         for s in rep.scores:
             per_slide[grouping[rep.team]].setdefault(s.slide_id, []).append(s.dice)
-    a_means = tuple(float(np.mean(per_slide[group_a][sid])) for sid in slide_ids)
-    b_means = tuple(float(np.mean(per_slide[group_b][sid])) for sid in slide_ids)
+    a_means = tuple(_mean(per_slide[group_a][sid]) for sid in slide_ids)
+    b_means = tuple(_mean(per_slide[group_b][sid]) for sid in slide_ids)
 
     sample = PairedSample(slide_ids, a_means, b_means)
     try:
@@ -132,8 +136,8 @@ def group_compare(
         "p_two_sided": result.p_two_sided,
         "zeros_discarded": result.zeros_discarded,
         "mode": result.mode,
-        "group_a_mean": f"{np.mean(a_means):.4f}",
-        "group_b_mean": f"{np.mean(b_means):.4f}",
+        "group_a_mean": f"{_mean(a_means):.4f}",
+        "group_b_mean": f"{_mean(b_means):.4f}",
     }
 
 

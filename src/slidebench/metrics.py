@@ -1,109 +1,31 @@
 """Segmentation scoring: confusion counts, Dice, accuracy, FNR, FPR.
 
-All counting is exact 64-bit integer arithmetic up to the final division.
-``confusion`` is one in-process tally; ``evaluate_team`` parallelizes over
-slides, one slide per chunk, and keeps sorted slide order, so reports are
-identical for any worker count. Elsewhere, synthesis parallelizes per slide
-and tiling per tile row.
+The report types, ``aggregate`` and ``read_report`` come from the numpy-free
+``reports``. All counting is exact 64-bit integer arithmetic up to the final
+division. ``confusion`` is one in-process tally; ``evaluate_team``
+parallelizes over slides, one slide per chunk, and keeps sorted slide order,
+so reports are identical for any worker count. Elsewhere, synthesis
+parallelizes per slide and tiling per tile row.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import parallel
-from .errors import FormatError, GeometryError, ValidationError, typed_field
+from .errors import GeometryError, ValidationError
 from .masks import BinaryMask, _row_blocks
+from .reports import COUNT_FIELDS, METRIC_FIELDS, SUBTYPE_UNKNOWN, AggregateScore, ConfusionCounts
+from .reports import SlideScore, TeamReport, aggregate, read_report
 from .slide_io import level_dimensions
-
-SUBTYPE_SCC = "SCC"
-SUBTYPE_SCLC = "SCLC"
-SUBTYPE_ADC = "ADC"
-SUBTYPE_UNKNOWN = "Unknown"
-SUBTYPES = (SUBTYPE_SCC, SUBTYPE_SCLC, SUBTYPE_ADC, SUBTYPE_UNKNOWN)
 
 FLAG_EMPTY_PAIR = "empty_pair"
 FLAG_UNDEFINED_FNR = "undefined_fnr"
 FLAG_UNDEFINED_FPR = "undefined_fpr"
 FLAG_EMPTY_REGION = "empty_region"
-
-METRIC_FIELDS = ("dice", "accuracy", "fnr", "fpr")
-COUNT_FIELDS = ("tp", "fp", "fn", "tn")
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-    def __post_init__(self) -> None:
-        for name in COUNT_FIELDS:
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 0:
-                raise ValidationError(f"confusion count {name}={v!r} must be a non-negative int")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-    @property
-    def empty_pair(self) -> bool:
-        """Both masks empty over the evaluated region."""
-        return 2 * self.tp + self.fp + self.fn == 0
-
-
-@dataclass(frozen=True)
-class SlideScore:
-    slide_id: str
-    dice: float
-    accuracy: float
-    fnr: float
-    fpr: float
-    subtype: str = SUBTYPE_UNKNOWN
-    flags: tuple[str, ...] = ()
-    counts: ConfusionCounts | None = None
-
-    def validate(self) -> None:
-        for name in METRIC_FIELDS:
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{self.slide_id}: {name}={v} outside [0, 1]")
-        if self.subtype not in SUBTYPES:
-            raise ValidationError(f"{self.slide_id}: unknown subtype {self.subtype!r}")
-
-
-@dataclass(frozen=True)
-class AggregateScore:
-    key: str
-    mean: float
-    std: float
-    n: int
-
-    def validate(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"aggregate {self.key!r}: n must be >= 1")
-        if self.std < 0:
-            raise ValidationError(f"aggregate {self.key!r}: negative std")
-
-
-@dataclass
-class TeamReport:
-    team: str
-    scores: list[SlideScore] = field(default_factory=list)
-
-    def slide_ids(self) -> tuple[str, ...]:
-        return tuple(s.slide_id for s in self.scores)
-
-    def mean(self, metric: str) -> float:
-        if not self.scores:
-            raise ValidationError(f"report for {self.team!r} has no scores")
-        return float(np.mean([getattr(s, metric) for s in self.scores]))
 
 
 def confusion(gt: BinaryMask, pred: BinaryMask) -> ConfusionCounts:
@@ -177,27 +99,6 @@ def score_slide(slide_id: str, c: ConfusionCounts, subtype: str = SUBTYPE_UNKNOW
     return score
 
 
-def aggregate(scores: list[SlideScore], group_by: str = "none") -> list[AggregateScore]:
-    """Mean and population std of Dice per group, in lexicographic group order."""
-    if not scores:
-        raise ValidationError("aggregate: no scores")
-    if group_by == "none":
-        groups = {"all": scores}
-    elif group_by == "subtype":
-        groups = {}
-        for s in scores:
-            groups.setdefault(s.subtype, []).append(s)
-    else:
-        raise ValidationError(f"unknown grouping {group_by!r} (use 'none' or 'subtype')")
-    out = []
-    for key in sorted(groups):
-        values = np.array([s.dice for s in groups[key]], dtype=np.float64)
-        agg = AggregateScore(key, float(values.mean()), float(values.std()), len(values))
-        agg.validate()
-        out.append(agg)
-    return out
-
-
 def _score_slide(gt: dict, pred: dict, subtypes: dict[str, str], slide_id: str) -> SlideScore:
     counts = confusion(gt[slide_id], pred[slide_id])
     return score_slide(slide_id, counts, subtypes.get(slide_id, SUBTYPE_UNKNOWN))
@@ -234,65 +135,17 @@ def report_aggregates(report: TeamReport) -> list[AggregateScore]:
 
 def write_report(report: TeamReport, path: str | Path) -> None:
     """Serialize a team report as JSON (scores, counts, Dice aggregates)."""
-    payload = {
-        "team": report.team,
-        "scores": [
-            {
-                "slide_id": s.slide_id,
-                "subtype": s.subtype,
-                "dice": s.dice,
-                "accuracy": s.accuracy,
-                "fnr": s.fnr,
-                "fpr": s.fpr,
-                "flags": list(s.flags),
-                **(
-                    {"tp": s.counts.tp, "fp": s.counts.fp, "fn": s.counts.fn, "tn": s.counts.tn}
-                    if s.counts is not None
-                    else {}
-                ),
-            }
-            for s in report.scores
-        ],
-        "aggregates": [
-            {"key": a.key, "mean": a.mean, "std": a.std, "n": a.n}
-            for a in report_aggregates(report)
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def read_report(path: str | Path) -> TeamReport:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: malformed report: {exc}") from exc
-    team = typed_field(payload, "team", str, f"{path}: report")
     scores = []
-    where = f"{path}: report score"
-    for s in typed_field(payload, "scores", list, f"{path}: report"):
-        if not isinstance(s, dict):
-            raise FormatError(f"{where} is {s!r}, expected a JSON object")
-        counts = None
-        if "tp" in s:
-            counts = ConfusionCounts(*(typed_field(s, k, int, where) for k in COUNT_FIELDS))
-        flags = typed_field(s, "flags", list, where) if "flags" in s else []
-        if not all(isinstance(f, str) for f in flags):
-            raise FormatError(f"{where} field 'flags' is {flags!r}, expected strings")
-        scores.append(
-            SlideScore(
-                typed_field(s, "slide_id", str, where),
-                *(typed_field(s, k, (int, float), where) for k in METRIC_FIELDS),
-                typed_field(s, "subtype", str, where),
-                tuple(flags),
-                counts,
-            )
-        )
-    if not scores:
-        raise FormatError(f"{path}: report has no scores")
-    report = TeamReport(team, scores)
     for s in report.scores:
-        s.validate()
-    return report
+        score = {"slide_id": s.slide_id, "subtype": s.subtype}
+        score.update((k, getattr(s, k)) for k in METRIC_FIELDS)
+        score["flags"] = list(s.flags)
+        if s.counts is not None:
+            score.update((k, getattr(s.counts, k)) for k in COUNT_FIELDS)
+        scores.append(score)
+    aggregates = [vars(a) for a in report_aggregates(report)]
+    payload = {"team": report.team, "scores": scores, "aggregates": aggregates}
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def write_scores_csv(report: TeamReport, path: str | Path) -> None:

@@ -6,14 +6,14 @@ ranks under random signs) is built by subset-sum counting, which enumerates
 the same 2^m sign assignments as the brute-force definition; counts are
 Python ints so no m overflows. The normal approximation uses the
 tie-corrected variance sum(r_i^2)/4, a lattice-aware continuity correction,
-and an Edgeworth fourth-cumulant refinement.
+and an Edgeworth fourth-cumulant refinement. Ranks, W, W+ and the moments
+are exact integer sums, converted to float once; no numpy is imported.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import groupby
 
 from .errors import MODE_APPROX, MODE_AUTO, MODE_EXACT, MODES, NoInformationError, ValidationError
 
@@ -47,25 +47,29 @@ class SignedRankResult:
     mode: str  # "exact" or "normal-approx"
 
 
-def _doubled_ranks(abs_diffs: np.ndarray) -> np.ndarray:
+def _doubled_ranks(abs_diffs) -> list[int]:
     """Average ranks of |d|, times two (integers even with ties): a tie group of ``k``
     values ending at 1-based rank ``e`` has doubled rank ``2e - k + 1``."""
-    _, group, k = np.unique(abs_diffs, return_inverse=True, return_counts=True)
-    e = np.cumsum(k, dtype=np.int64)
-    return (2 * e - k + 1)[group]
+    order = sorted(range(len(abs_diffs)), key=abs_diffs.__getitem__)
+    doubled, e = [0] * len(order), 0
+    for _, tied in groupby(order, key=abs_diffs.__getitem__):
+        tied = list(tied)
+        e += len(tied)
+        for i in tied:
+            doubled[i] = 2 * e - len(tied) + 1
+    return doubled
 
 
-def _exact_tails(doubled: np.ndarray, w_plus_doubled: int) -> tuple[float, float]:
+def _exact_tails(doubled: list[int], w_plus_doubled: int) -> tuple[float, float]:
     """(P[W+ >= w], P[W+ <= w]) under random signs, exact.
 
     Builds the count of sign assignments per achievable doubled W+ value by
     dynamic programming; equivalent to enumerating all 2^m assignments.
     """
-    total = sum(int(r) for r in doubled)
+    total = sum(doubled)
     counts = [0] * (total + 1)
     counts[0] = 1
     for r in doubled:
-        r = int(r)
         for s in range(total, r - 1, -1):
             if counts[s - r]:
                 counts[s] += counts[s - r]
@@ -75,7 +79,7 @@ def _exact_tails(doubled: np.ndarray, w_plus_doubled: int) -> tuple[float, float
     return upper / n_patterns, lower / n_patterns
 
 
-def _approx_tails(doubled: np.ndarray, w_plus_doubled: int) -> tuple[float, float]:
+def _approx_tails(doubled: list[int], w_plus_doubled: int) -> tuple[float, float]:
     """Edgeworth-refined normal tails of W+ on the doubled-rank lattice.
 
     W+ doubled lives on a lattice with spacing gcd(doubled ranks), so the
@@ -84,11 +88,11 @@ def _approx_tails(doubled: np.ndarray, w_plus_doubled: int) -> tuple[float, floa
     flat-topped shape of the null; without it the plain normal misses exact
     mid-range p values by more than 0.01 even at m = 12.
     """
-    mu = sum(int(r) for r in doubled) / 2.0
-    var = float(np.sum(doubled.astype(np.float64) ** 2)) / 4.0
+    mu = sum(doubled) / 2.0
+    var = float(sum(r**2 for r in doubled)) / 4.0
     sigma = math.sqrt(var)
-    gamma2 = -(float(np.sum(doubled.astype(np.float64) ** 4)) / 8.0) / (var * var)
-    half_step = math.gcd(*(int(r) for r in doubled), 0) / 2.0
+    gamma2 = -(float(sum(r**4 for r in doubled)) / 8.0) / (var * var)
+    half_step = math.gcd(*doubled, 0) / 2.0
 
     def cdf(x: float) -> float:
         z = (x - mu) / sigma
@@ -111,19 +115,18 @@ def wilcoxon_signed_rank(sample: PairedSample, mode: str = MODE_AUTO) -> SignedR
     sample.validate()
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}")
-    d = np.asarray(sample.a, dtype=np.float64) - np.asarray(sample.b, dtype=np.float64)
-    if not np.all(np.isfinite(d)):
+    d = [float(a) - float(b) for a, b in zip(sample.a, sample.b)]
+    if not all(map(math.isfinite, d)):
         raise ValidationError("paired sample contains non-finite values")
-    nonzero = d != 0.0
-    zeros_discarded = int(np.count_nonzero(~nonzero))
-    d = d[nonzero]
+    zeros_discarded = d.count(0.0)
+    d = [x for x in d if x != 0.0]
     m = len(d)
     if m == 0:
         raise NoInformationError("all paired differences are zero; nothing to rank")
 
-    doubled = _doubled_ranks(np.abs(d))
-    w_doubled = int(np.sum(np.where(d > 0, doubled, -doubled)))
-    w_plus_doubled = int(np.sum(doubled[d > 0]))
+    doubled = _doubled_ranks([abs(x) for x in d])
+    w_plus_doubled = sum(r for r, x in zip(doubled, d) if x > 0)
+    w_doubled = 2 * w_plus_doubled - sum(doubled)
 
     exact = mode == MODE_EXACT or (mode == MODE_AUTO and m <= EXACT_LIMIT)
     if exact:

@@ -20,6 +20,10 @@ they are used; they are kept unchanged so the step that reuses the scores
 can be checked against them bit for bit. ``upsample_mask`` is the
 package's earlier way of scoring a coarser prediction: it builds the
 upsampled copy whose counts the banded scoring must equal.
+``doubled_ranks_reference`` and ``wilcoxon_signed_rank_reference`` are the
+package's earlier numpy signed-rank test, with ranks from ``np.unique`` and
+float64 ``np.sum`` moments; they are kept unchanged so the pure-Python test
+can be checked against them bit for bit.
 
 The helpers at the end make inputs for, compare or measure package objects
 in the tests: pyramid and annotation equality, exact tile-window counts,
@@ -41,6 +45,7 @@ import numpy as np
 import scipy.stats
 
 from slidebench.coteach import CoteachConfig, PixelBatch, _gradient, drop_rate, pixel_losses
+from slidebench.errors import MODE_APPROX, MODE_AUTO, MODE_EXACT, MODES, NoInformationError
 from slidebench.errors import DivergenceError, GeometryError, ValidationError
 from slidebench import parallel
 from slidebench.masks import (
@@ -54,6 +59,7 @@ from slidebench.masks import (
     otsu_threshold,
 )
 from slidebench.slide_io import AnnotationSet, SlidePyramid
+from slidebench.stats import EXACT_LIMIT, PairedSample, SignedRankResult
 from slidebench.synth import CorruptionSpec, _box_filter_bool
 from slidebench.tiling import (
     RULE_BIG_PATCH_NINE,
@@ -365,6 +371,76 @@ def wilcoxon_oracle(diffs) -> tuple[float, Fraction]:
     le = int(np.count_nonzero(w_all2 <= w_plus2))
     p = 2 * Fraction(min(ge, le), 1 << m)
     return w_signed, min(Fraction(1), p)
+
+
+def doubled_ranks_reference(abs_diffs: np.ndarray) -> np.ndarray:
+    """Average ranks of |d|, times two (integers even with ties): a tie group of ``k``
+    values ending at 1-based rank ``e`` has doubled rank ``2e - k + 1``."""
+    _, group, k = np.unique(abs_diffs, return_inverse=True, return_counts=True)
+    e = np.cumsum(k, dtype=np.int64)
+    return (2 * e - k + 1)[group]
+
+
+def _exact_tails_reference(doubled: np.ndarray, w_plus_doubled: int) -> tuple[float, float]:
+    total = sum(int(r) for r in doubled)
+    counts = [0] * (total + 1)
+    counts[0] = 1
+    for r in doubled:
+        r = int(r)
+        for s in range(total, r - 1, -1):
+            if counts[s - r]:
+                counts[s] += counts[s - r]
+    n_patterns = 1 << len(doubled)
+    upper = sum(counts[w_plus_doubled:])
+    lower = sum(counts[: w_plus_doubled + 1])
+    return upper / n_patterns, lower / n_patterns
+
+
+def _approx_tails_reference(doubled: np.ndarray, w_plus_doubled: int) -> tuple[float, float]:
+    mu = sum(int(r) for r in doubled) / 2.0
+    var = float(np.sum(doubled.astype(np.float64) ** 2)) / 4.0
+    sigma = math.sqrt(var)
+    gamma2 = -(float(np.sum(doubled.astype(np.float64) ** 4)) / 8.0) / (var * var)
+    half_step = math.gcd(*(int(r) for r in doubled), 0) / 2.0
+
+    def cdf(x: float) -> float:
+        z = (x - mu) / sigma
+        phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        value = 0.5 * math.erfc(-z / math.sqrt(2.0)) - gamma2 / 24.0 * (z**3 - 3.0 * z) * phi
+        return min(1.0, max(0.0, value))
+
+    upper = 1.0 - cdf(w_plus_doubled - half_step)
+    lower = cdf(w_plus_doubled + half_step)
+    return upper, lower
+
+
+def wilcoxon_signed_rank_reference(sample: PairedSample, mode: str = MODE_AUTO) -> SignedRankResult:
+    sample.validate()
+    if mode not in MODES:
+        raise ValidationError(f"unknown mode {mode!r}")
+    d = np.asarray(sample.a, dtype=np.float64) - np.asarray(sample.b, dtype=np.float64)
+    if not np.all(np.isfinite(d)):
+        raise ValidationError("paired sample contains non-finite values")
+    nonzero = d != 0.0
+    zeros_discarded = int(np.count_nonzero(~nonzero))
+    d = d[nonzero]
+    m = len(d)
+    if m == 0:
+        raise NoInformationError("all paired differences are zero; nothing to rank")
+
+    doubled = doubled_ranks_reference(np.abs(d))
+    w_doubled = int(np.sum(np.where(d > 0, doubled, -doubled)))
+    w_plus_doubled = int(np.sum(doubled[d > 0]))
+
+    exact = mode == MODE_EXACT or (mode == MODE_AUTO and m <= EXACT_LIMIT)
+    if exact:
+        upper, lower = _exact_tails_reference(doubled, w_plus_doubled)
+        used = MODE_EXACT
+    else:
+        upper, lower = _approx_tails_reference(doubled, w_plus_doubled)
+        used = MODE_APPROX
+    p = min(1.0, 2.0 * min(upper, lower))
+    return SignedRankResult(w_doubled / 2.0, p, m, zeros_discarded, used)
 
 
 def logistic_gd_oracle(

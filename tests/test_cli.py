@@ -501,15 +501,20 @@ def _ensemble_mean_of_mask(tmp_path):
             "--out", str(tmp_path / "f.pgm")]
 
 
-def _repeated_report_case(command, *extra):
-    """``command`` on reports of teams a, b and a again, each scoring one slide."""
+def _two_reports_case(command, *extra, repeat=False):
+    """``command`` on reports of teams a and b, each scoring one slide; with ``repeat``,
+    a's report is given twice."""
     def make(tmp_path):
         paths = []
         for team, dice in (("a", 0.9), ("b", 0.5)):
             paths.append(str(tmp_path / f"{team}.json"))
             write_report(TeamReport(team, [SlideScore("s", dice, dice, 0.0, 0.0)]), paths[-1])
-        return [command, "--reports", *paths, paths[0], *extra]
+        return [command, "--reports", *paths, *(paths[:1] if repeat else []), *extra]
     return make
+
+
+def _compare_groups_case(groups):
+    return _two_reports_case("compare", "--groups", groups, "--out", os.devnull)
 
 
 _LEVEL = "level_00.ppm"
@@ -540,9 +545,19 @@ MALFORMED_INPUTS = {
     "report_scores_not_list": _report_case('{"team": "t", "scores": 1}'),
     "report_score_not_object": _report_case('{"team": "t", "scores": [1]}'),
     "report_no_scores": _report_case('{"team": "t", "scores": []}'),
-    "leaderboard_repeated_report": _repeated_report_case("leaderboard"),
-    "compare_repeated_report": _repeated_report_case(
-        "compare", "--groups", "a=MultiModel,b=SingleModel", "--out", os.devnull),
+    "leaderboard_repeated_report": _two_reports_case("leaderboard", repeat=True),
+    "compare_repeated_report": _two_reports_case(
+        "compare", "--groups", "a=MultiModel,b=SingleModel", "--out", os.devnull, repeat=True),
+    "leaderboard_groups_misspelled_team": _two_reports_case(
+        "leaderboard", "--groups", "aa=MultiModel"),
+    "leaderboard_groups_team_named_twice": _two_reports_case(
+        "leaderboard", "--groups", "a=MultiModel,a=SingleModel"),
+    "leaderboard_groups_empty_team": _two_reports_case("leaderboard", "--groups", "=MultiModel"),
+    "compare_groups_empty_group": _compare_groups_case("a=MultiModel,b="),
+    "compare_groups_team_named_twice": _compare_groups_case(
+        "a=MultiModel,b=MultiModel,b=SingleModel"),
+    "compare_groups_team_without_report": _compare_groups_case(
+        "a=MultiModel,b=SingleModel,ghost=SingleModel"),
     "sidecar_missing": _mask_case(lambda p: p.with_suffix(".json").unlink()),
     "sidecar_not_json": _mask_case(lambda p: _write(p.with_suffix(".json"), "{")),
     "sidecar_not_object": _mask_case(lambda p: _write(p.with_suffix(".json"), "[]")),
@@ -627,15 +642,22 @@ def test_tile_otsu_on_uniform_slide_is_one_line(tmp_path):
     assert "single bin" in lines[0]
 
 
+# the pipeline's reports, comparison and csv and text leaderboards at seed 11; a change
+# here must be deliberate
+_PINNED_REPORTS_SHA256 = "74420ebd0e19236c7e6bfe0253f8edc7601983764989ea6dff66c10bad632fe6"
+
+
 def test_full_pipeline_script(tmp_path):
     script = ROOT / "scripts" / "full_pipeline.sh"
-    trees = {}
+    trees, text_boards = {}, {}
     for workers in ("1", "2"):
         out = tmp_path / f"demo_w{workers}"
         fork_log = tmp_path / f"forks_w{workers}.log"
         fork_log.touch()
         proc = _run(["bash", str(script), str(out), "11", workers], fork_log=fork_log)
         assert proc.returncode == 0, proc.stderr
+        board = proc.stdout.split("[6/6] leaderboard\n")[1]
+        text_boards[workers] = board.split("pipeline complete")[0]
         # synth, tile and each eval fork a pool at 2 workers; nothing forks at 1
         forked = len(fork_log.read_text().splitlines())
         assert forked >= 5 if workers == "2" else forked == 0
@@ -654,6 +676,13 @@ def test_full_pipeline_script(tmp_path):
     assert sorted(w1) == sorted(w2)
     assert [p for p in w1 if p != summary and w1[p] != w2[p]] == []
     assert w1[summary].replace(b"demo_w1", b"demo_w2") == w2[summary]
+
+    assert text_boards["1"] == text_boards["2"]
+    pinned = [*sorted((out / "reports").glob("*.json")), *sorted((out / "reports").glob("*.csv")),
+              out / "comparison.json", out / "leaderboard.csv"]
+    blobs = [p.read_bytes() for p in pinned] + [text_boards["1"].encode()]
+    digest = hashlib.sha256(b"".join(hashlib.sha256(b).digest() for b in blobs))
+    assert digest.hexdigest() == _PINNED_REPORTS_SHA256
 
 
 def _tie_colour_slide(root: Path) -> Path:

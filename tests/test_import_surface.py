@@ -12,17 +12,22 @@ from pathlib import Path
 
 import pytest
 
+from slidebench.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 
-# runs ``python -m slidebench ARGS`` and prints, as its last line, the executed modules
+# runs ``python -m slidebench ARGS`` and prints, as its last line, its exit code and the
+# executed modules
 CLI_PROBE = """
 import json, runpy, sys, types
+code = None
 try:
     runpy.run_module("slidebench", run_name="__main__", alter_sys=True)
-except SystemExit:
-    pass
-print(json.dumps(sorted(n for n, m in sys.modules.items()
-                        if type(m) is types.ModuleType and n.split(".")[0] in ("numpy", "slidebench"))))
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(n for n, m in sys.modules.items()
+                               if type(m) is types.ModuleType
+                               and n.split(".")[0] in ("numpy", "slidebench"))]))
 """
 
 
@@ -35,22 +40,77 @@ def _python(code: str, *args: str) -> subprocess.CompletedProcess:
     return proc
 
 
-def _executed(*args: str) -> set[str]:
-    return set(json.loads(_python(CLI_PROBE, *args).stdout.splitlines()[-1]))
-
-
-@pytest.mark.parametrize("args", [["--version"], ["--help"], ["tissue", "--help"]])
-def test_version_and_help_load_no_numpy(args):
-    assert _executed(*args) == {"slidebench", "slidebench.cli", "slidebench.errors"}
-
-
-def test_tissue_executes_only_what_it_calls(challenge_dir, tmp_path):
+@pytest.fixture(scope="module")
+def inputs(challenge_dir, tmp_path_factory):
+    """The challenge, with a tissue mask of slide_000 and the reports of two teams."""
+    out = tmp_path_factory.mktemp("inputs")
     slide = challenge_dir / "slides" / "slide_000" / "manifest.json"
-    executed = _executed("tissue", "--slide", str(slide), "--out", str(tmp_path / "t.pgm"))
-    assert {n for n in executed if n.startswith("slidebench.")} == {
-        "slidebench.cli", "slidebench.errors", "slidebench.masks", "slidebench.slide_io",
-        "slidebench.netpbm"}
-    assert (tmp_path / "t.pgm").is_file()
+    assert main(["tissue", "--slide", str(slide), "--out", str(out / "tissue.pgm")]) == 0
+    for team in ("exact", "flip2"):
+        assert main(["eval", "--truth", str(challenge_dir / "truth"),
+                     "--pred", str(challenge_dir / "predictions" / team), "--team", team,
+                     "--out", str(out / f"{team}.json")]) == 0
+    return challenge_dir, out
+
+
+def _slide(c):
+    return str(c / "slides" / "slide_000" / "manifest.json")
+
+
+def _reports(w):
+    return ["--reports", str(w / "exact.json"), str(w / "flip2.json")]
+
+
+IO = "masks netpbm slide_io"
+# each start's arguments, given the challenge ``c``, the inputs ``w`` and an output directory
+# ``o``; the slidebench submodules besides ``cli`` and ``errors`` that it runs; and whether it
+# loads numpy
+STARTS = {
+    "version": (lambda c, w, o: ["--version"], "", False),
+    "help": (lambda c, w, o: ["--help"], "", False),
+    "tissue-help": (lambda c, w, o: ["tissue", "--help"], "", False),
+    "synth": (lambda c, w, o: ["synth", "--out", str(o / "s"), "--slides", "1", "--size", "64",
+                               "--levels", "1", "--radius", "4", "8"],
+              f"{IO} parallel synth", True),
+    "tissue": (lambda c, w, o: ["tissue", "--slide", _slide(c), "--out", str(o / "t.pgm")],
+               IO, True),
+    "rasterize": (lambda c, w, o: ["rasterize", "--annotations",
+                                   str(c / "annotations" / "slide_000.xml"),
+                                   "--slide", _slide(c), "--out", str(o / "r.pgm")], IO, True),
+    "refine": (lambda c, w, o: ["refine", "--gt", str(c / "truth" / "slide_000.pgm"),
+                                "--tissue", str(w / "tissue.pgm"), "--out", str(o / "f.pgm")],
+               IO, True),
+    "tile": (lambda c, w, o: ["tile", "--slide", _slide(c), "--gt",
+                              str(c / "truth" / "slide_000.pgm"), "--size", "64",
+                              "--out", str(o / "t.jsonl")], f"{IO} parallel tiling", True),
+    "eval": (lambda c, w, o: ["eval", "--truth", str(c / "truth"),
+                              "--pred", str(c / "predictions" / "flip5"), "--team", "flip5",
+                              "--subtypes", str(c / "subtypes.csv"), "--out", str(o / "f.json")],
+             f"{IO} metrics parallel reports synth", True),
+    "ensemble": (lambda c, w, o: ["ensemble", "--mode", "vote", "--inputs",
+                                  *(str(c / "predictions" / t / "slide_000.pgm")
+                                    for t in ("exact", "flip2", "flip5")),
+                                  "--out", str(o / "v.pgm")], f"{IO} ensemble", True),
+    "coteach": (lambda c, w, o: ["coteach", "--out", str(o / "co"), "--seeds", "1"],
+                "coteach ensemble masks slide_io", True),
+    "compare": (lambda c, w, o: ["compare", *_reports(w), "--groups",
+                                 "exact=MultiModel,flip2=SingleModel", "--out", str(o / "c.json")],
+                "leaderboard reports stats", False),
+    "leaderboard": (lambda c, w, o: ["leaderboard", *_reports(w), "--format", "text"],
+                    "leaderboard reports stats", False),
+}
+
+
+@pytest.mark.parametrize("start", STARTS)
+def test_start_executes_only_what_it_uses(inputs, tmp_path, start):
+    make_args, modules, numpy = STARTS[start]
+    proc = _python(CLI_PROBE, *make_args(*inputs, tmp_path))
+    code, executed = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert {n for n in executed if n.startswith("slidebench")} == {
+        "slidebench", "slidebench.cli", "slidebench.errors",
+        *(f"slidebench.{m}" for m in modules.split())}
+    assert any(n.startswith("numpy") for n in executed) == numpy
 
 
 def test_a_submodule_runs_on_first_use():

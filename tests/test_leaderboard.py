@@ -75,6 +75,14 @@ def test_repeated_team_is_rejected():
         group_compare([a, b, a], {"a": GROUP_MULTI, "b": GROUP_SINGLE})
 
 
+def test_grouping_of_a_team_without_report_is_rejected():
+    a, b = _report("a", [0.5, 0.6]), _report("b", [0.4, 0.7])
+    with pytest.raises(ValidationError, match="groups name teams with no report: aa"):
+        rank_teams([a, b], {"aa": GROUP_MULTI})
+    with pytest.raises(ValidationError, match="groups name teams with no report: ghost"):
+        group_compare([a, b], {"a": GROUP_MULTI, "b": GROUP_SINGLE, "ghost": GROUP_SINGLE})
+
+
 def test_rank_teams_groups_applied():
     reports = [_report("fuser", [0.9]), _report("solo", [0.8])]
     entries = rank_teams(reports, {"fuser": GROUP_MULTI})

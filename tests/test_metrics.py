@@ -27,6 +27,7 @@ from slidebench.metrics import (
     report_aggregates,
     score_flags,
 )
+from slidebench.reports import _mean, _std
 from slidebench.slide_io import level_dimensions
 
 
@@ -97,6 +98,11 @@ def test_confusion_counts_validation():
         ConfusionCounts(-1, 0, 0, 0)
     with pytest.raises(ValidationError):
         ConfusionCounts(0.5, 0, 0, 0)
+    with pytest.raises(ValidationError):
+        ConfusionCounts(True, False, 0, 3)
+    with pytest.raises(ValidationError):
+        ConfusionCounts(1, 0, np.bool_(True), 3)
+    assert ConfusionCounts(np.int64(2), np.uint8(1), 0, 3).total == 6
 
 
 def test_dice_hand_values():
@@ -216,6 +222,17 @@ def test_aggregate_population_std():
     aggs = aggregate(scores)
     assert aggs[0].mean == 0.75
     assert aggs[0].std == 0.25
+
+
+def test_mean_and_std_equal_numpy_bit_for_bit(rng):
+    for n in range(1, 301):
+        spread = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-6, 7, n)
+        for values in (rng.random(n), spread, rng.integers(0, 4, n) / 3):  # last: tie-heavy
+            values = values.tolist()
+            assert _mean(values) == float(np.mean(values))
+            assert _std(values) == float(np.std(values))
+    for n in (1, 9, 130):  # numpy's reduction starts from 0.0, so a -0.0 sum reads 0.0
+        assert repr(_mean([-0.0] * n)) == repr(float(np.mean([-0.0] * n))) == "0.0"
 
 
 def test_aggregate_by_subtype_fixed_order():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from oracles import wilcoxon_oracle
+from oracles import doubled_ranks_reference, wilcoxon_oracle, wilcoxon_signed_rank_reference
 from slidebench import PairedSample, wilcoxon_signed_rank
 from slidebench.errors import NoInformationError, ValidationError
 from slidebench.stats import MODE_APPROX, MODE_AUTO, MODE_EXACT, _doubled_ranks
@@ -51,8 +51,29 @@ def test_doubled_ranks_on_tie_heavy_samples(rng):
     for _ in range(2000):
         a = rng.integers(0, rng.integers(1, 8), int(rng.integers(1, 200))).astype(np.float64)
         doubled = _doubled_ranks(a)
-        assert doubled.dtype == np.int64
+        assert all(type(r) is int for r in doubled)
         assert np.array_equal(doubled, 2 * scipy.stats.rankdata(a))
+        assert doubled == doubled_ranks_reference(a).tolist()
+
+
+@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_APPROX])
+def test_signed_rank_equals_the_numpy_reference(rng, mode):
+    # exact tails take O(m^3) steps, here and in the reference; past m = 40, two sizes do
+    sizes = range(1, 301) if mode == MODE_APPROX else [*range(1, 41), 80, 150]
+    for m in sizes:
+        a = rng.random(m)
+        random_pairs = (a + rng.normal(0.0, 0.3, m), a)
+        tie_heavy = (rng.integers(0, 5, m) / 4, rng.integers(0, 5, m) / 4)  # ties and zeros
+        for s in (_sample(*random_pairs), _sample(*tie_heavy)):
+            d = np.abs(np.array(s.a) - np.array(s.b))
+            assert _doubled_ranks(d) == doubled_ranks_reference(d).tolist()
+            try:
+                want = wilcoxon_signed_rank_reference(s, mode)
+            except NoInformationError:
+                with pytest.raises(NoInformationError):
+                    wilcoxon_signed_rank(s, mode)
+                continue
+            assert wilcoxon_signed_rank(s, mode) == want
 
 
 def test_exact_matches_enumeration_oracle_on_tie_heavy_samples(rng):
