@@ -28,7 +28,8 @@ _EXPORTS = {
     "masks": "BinaryMask luma otsu_threshold rasterize read_mask refine_labels tissue_mask write_mask",
     "tiling": """TileRecord TilingConfig big_patch_nine emit_manifest extract_tiles read_manifest
         rebalance_mix""",
-    "reports": "ConfusionCounts SlideScore TeamReport aggregate read_report",
+    "reports": """ConfusionCounts SlideScore TeamReport aggregate read_report read_subtypes
+        read_truth_table""",
     "metrics": """confusion dice evaluate_team report_aggregates score_slide write_report
         write_scores_csv""",
     "stats": "PairedSample SignedRankResult wilcoxon_signed_rank",
@@ -37,7 +38,7 @@ _EXPORTS = {
         write_probability_map""",
     "coteach": "CoteachConfig PixelBatch coteach_step noise_benchmark pixel_features train train_single",
     "synth": """CorruptionSpec SynthConfig corrupt_prediction generate_challenge generate_slide
-        read_subtypes read_truth_table slide_name""",
+        slide_name""",
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_ORIGIN)

@@ -36,9 +36,7 @@ def _parse_team(text: str, default_seed: int) -> tuple[str, CorruptionSpec]:
                 kwargs[key] = float(value) if key == "flip_rate" else int(value)
             except ValueError as exc:
                 raise ValidationError(f"--team {text!r}: bad value in {part!r}") from exc
-    spec = CorruptionSpec(**kwargs)
-    spec.validate()
-    return name, spec
+    return name, CorruptionSpec(**kwargs)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -143,7 +141,7 @@ def _load_mask_dir(directory: str | Path) -> dict:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     from .metrics import evaluate_team, write_report, write_scores_csv
-    from .synth import read_subtypes
+    from .reports import read_subtypes
 
     gt = _load_mask_dir(args.truth)
     pred = _load_mask_dir(args.pred)

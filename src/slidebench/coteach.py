@@ -37,7 +37,7 @@ _LOGIT_CLIP = 35.0  # sigma(+/-35) is still strictly inside (0, 1) in float64
 HISTORY_FIELDS = ("epoch", "loss_f", "loss_g", "drop_rate", "selected_fraction")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoteachConfig:
     eta: float = 1.0
     t_max: int = 30
@@ -59,6 +59,8 @@ class CoteachConfig:
             raise ValidationError(f"ramp_epochs must be >= 1, got {self.ramp_epochs}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+
+    __post_init__ = validate
 
 
 # settings of the noisy-label benchmark; ``noise_benchmark`` and the CLI copy it per seed
@@ -82,6 +84,8 @@ class PixelBatch:
                 f"do not match features {self.features.shape[:2]}"
             )
 
+    __post_init__ = validate
+
     def flat(self) -> tuple[np.ndarray, np.ndarray]:
         d = self.features.shape[2]
         return self.features.reshape(-1, d), self.labels.reshape(-1).astype(np.float64)
@@ -96,6 +100,8 @@ class LearnerState:
             raise ValidationError("learner parameters must be a vector")
         if not np.all(np.isfinite(self.w)):
             raise DivergenceError("learner parameters are non-finite")
+
+    __post_init__ = validate
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -141,7 +147,6 @@ def drop_rate(cfg: CoteachConfig, epoch: int) -> float:
 
 def predict(state: LearnerState, batch: PixelBatch) -> ProbabilityMap:
     """Per-pixel sigmoid(w . x), strictly inside (0, 1)."""
-    batch.validate()
     if state.w.shape[0] != batch.features.shape[2]:
         raise GeometryError(
             f"parameter dim {state.w.shape[0]} != feature dim {batch.features.shape[2]}"
@@ -226,16 +231,14 @@ def _update(w: np.ndarray, sel: np.ndarray | None, X, z, y, eta: float) -> tuple
 
 
 def _schedule(dataset: list[PixelBatch], cfg: CoteachConfig, caller: str):
-    """Validate ``cfg`` and the batches (all of the first one's feature dim), then draw from
+    """Check that the batches all have the first one's feature dim, then draw from
     one ``cfg.seed`` stream f's and g's initial weights and, lazily, each epoch's batch
     permutation. Returns ``((wf, wg), epochs)``; ``epochs`` yields ``(epoch, steps)``, the
     flat ``(X, y)`` of the epoch's ``n_max`` steps. ``train`` and ``train_single`` share it."""
-    cfg.validate()
     if not dataset:
         raise ValidationError(f"{caller}: empty dataset")
     flat = []
     for batch in dataset:
-        batch.validate()
         X, y = batch.flat()
         if flat and X.shape[1] != flat[0][0].shape[1]:
             raise GeometryError(
@@ -265,8 +268,6 @@ def coteach_step(
     use_agreement: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One simultaneous co-teaching update of both learners."""
-    cfg.validate()
-    batch.validate()
     X, y = batch.flat()
     wf2, wg2, _ = _step_full(wf, wg, X, y, epoch, cfg, use_drop, use_agreement)
     return wf2, wg2
@@ -332,11 +333,7 @@ def train(
                 "selected_fraction": float(np.mean(fracs)),
             }
         )
-    sf = LearnerState(wf)
-    sg = LearnerState(wg)
-    sf.validate()
-    sg.validate()
-    return sf, sg, history
+    return LearnerState(wf), LearnerState(wg), history
 
 
 def train_single(dataset: list[PixelBatch], cfg: CoteachConfig) -> tuple[LearnerState, list[dict]]:
@@ -349,9 +346,7 @@ def train_single(dataset: list[PixelBatch], cfg: CoteachConfig) -> tuple[Learner
             w, _ = _update(w, None, X, X @ w, y, cfg.eta)
             losses.append(_mean_loss(w, X, y))
         history.append({"epoch": epoch, "loss": float(np.mean(losses))})
-    state = LearnerState(w)
-    state.validate()
-    return state, history
+    return LearnerState(w), history
 
 
 def write_history(history: list[dict], path: str | Path) -> None:
@@ -394,9 +389,7 @@ def parse_config(path: str | Path) -> CoteachConfig:
             kwargs[key] = casts[key](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-    cfg = CoteachConfig(**kwargs)
-    cfg.validate()
-    return cfg
+    return CoteachConfig(**kwargs)
 
 
 def make_noise_benchmark(

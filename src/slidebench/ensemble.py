@@ -44,20 +44,18 @@ class ProbabilityMap:
             )
         if self.level < 0:
             raise ValidationError(f"probability map for {self.slide_id}: negative level")
-        if self.values.size and not (
-            np.all(self.values >= 0.0) and np.all(self.values <= 1.0)
-        ):
+        if self.values.size and not (self.values.min() >= 0.0 and self.values.max() <= 1.0):
             raise ValidationError(
                 f"probability map for {self.slide_id} has values outside [0, 1]"
             )
+
+    __post_init__ = validate
 
 
 def fuse_mean(maps: list[ProbabilityMap]) -> ProbabilityMap:
     """Pixelwise arithmetic mean, summed in input order; within [0, 1] unclipped, since
     a rounded running sum of values in [0, 1] never exceeds its count."""
     check_same_grid("fuse_mean", *maps)
-    for m in maps:
-        m.validate()
     acc = np.zeros_like(maps[0].values)
     for m in maps:
         acc += m.values
@@ -86,7 +84,6 @@ def binarize(pm: ProbabilityMap, threshold: float = 0.5) -> BinaryMask:
 
 def write_probability_map(pm: ProbabilityMap, path: str | Path) -> None:
     """Serialize as 8-bit PGM (value = round(255*p)) plus a quantization sidecar."""
-    pm.validate()
     path = Path(path)
     netpbm.write_p5(path, np.rint(pm.values * 255.0).astype(np.uint8))
     sidecar = {
@@ -102,6 +99,4 @@ def read_probability_map(path: str | Path) -> ProbabilityMap:
     gray, meta, where = read_pgm_sidecar(path, "probability")
     if typed_field(meta, "kind", str, where) != "probability":
         raise FormatError(f"{where} field 'kind' is {meta['kind']!r}, expected 'probability'")
-    pm = ProbabilityMap(meta["slide_id"], meta["level"], np.divide(gray, 255.0))
-    pm.validate()
-    return pm
+    return ProbabilityMap(meta["slide_id"], meta["level"], np.divide(gray, 255.0))

@@ -38,6 +38,8 @@ class LeaderboardEntry:
         if self.rank < 1:
             raise ValidationError(f"team {self.team!r}: rank must be 1-based")
 
+    __post_init__ = validate
+
 
 def format_mean_std(mean: float, std: float) -> str:
     """Four-decimal mean-and-spread cell, e.g. '0.8372±0.0858'."""
@@ -89,10 +91,7 @@ def rank_teams(
             }
         )
     rows.sort(key=lambda r: (-r["mean_dice"], r["fnr"], r["team"]))
-    entries = [LeaderboardEntry(rank=i + 1, **row) for i, row in enumerate(rows)]
-    for e in entries:
-        e.validate()
-    return entries
+    return [LeaderboardEntry(rank=i + 1, **row) for i, row in enumerate(rows)]
 
 
 def group_compare(

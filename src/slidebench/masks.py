@@ -81,6 +81,8 @@ class BinaryMask:
         if self.level < 0:
             raise ValidationError(f"mask for {self.slide_id}: negative level {self.level}")
 
+    __post_init__ = validate
+
 
 # Pixels per block. Blocks of 2**16-2**17 pixels measured fastest for luma on a 6144^2
 # raster (2-core host, 2 MiB L2 per core, 300 MiB L3): one block's float32 temporaries
@@ -155,7 +157,6 @@ def rasterize(aset: AnnotationSet, level: int, width: int, height: int) -> Binar
     center lies inside at least one polygon under the even-odd rule; geometry
     outside the grid is clamped by discarding.
     """
-    aset.validate()
     if width < 1 or height < 1:
         raise GeometryError(f"rasterize: empty target grid {width}x{height}")
     data = np.zeros((height, width), dtype=bool)
@@ -319,7 +320,6 @@ def refine_labels(gt: BinaryMask, tissue: BinaryMask) -> BinaryMask:
 
 def write_mask(mask: BinaryMask, path: str | Path) -> None:
     """Serialize as binary PGM (0 = background, 255 = set) plus a JSON sidecar."""
-    mask.validate()
     path = Path(path)
     netpbm.write_p5(path, mask.data.view(np.uint8) * np.uint8(255))  # one temporary
     sidecar = {"slide_id": mask.slide_id, "level": mask.level, "role": mask.role}
@@ -330,9 +330,7 @@ def read_mask(path: str | Path) -> BinaryMask:
     """Load a PGM mask and its sidecar metadata."""
     gray, meta, where = read_pgm_sidecar(path, "mask")
     role = typed_field(meta, "role", str, where)
-    mask = BinaryMask(meta["slide_id"], meta["level"], gray > 0, role)
-    mask.validate()
-    return mask
+    return BinaryMask(meta["slide_id"], meta["level"], gray > 0, role)
 
 
 def read_pgm_sidecar(path: str | Path, kind: str) -> tuple[np.ndarray, dict, str]:

@@ -94,9 +94,7 @@ def score_flags(c: ConfusionCounts) -> tuple[str, ...]:
 
 def score_slide(slide_id: str, c: ConfusionCounts, subtype: str = SUBTYPE_UNKNOWN) -> SlideScore:
     accuracy, fnr, fpr = accuracy_fnr_fpr(c)
-    score = SlideScore(slide_id, dice(c), accuracy, fnr, fpr, subtype, score_flags(c), c)
-    score.validate()
-    return score
+    return SlideScore(slide_id, dice(c), accuracy, fnr, fpr, subtype, score_flags(c), c)
 
 
 def _score_slide(gt: dict, pred: dict, subtypes: dict[str, str], slide_id: str) -> SlideScore:

@@ -1,10 +1,12 @@
-"""Team reports, the report reader and Dice aggregates, in plain Python.
+"""Team reports, the report reader, Dice aggregates and the subtype and truth-table CSV
+readers, in plain Python.
 
 No numpy, so ``compare`` and ``leaderboard`` start without it; the mean and
 population std still equal numpy's float64 ``np.mean`` and ``np.std`` bit for bit.
 """
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,6 +22,7 @@ SUBTYPES = ("SCC", "SCLC", "ADC", SUBTYPE_UNKNOWN)
 
 METRIC_FIELDS = ("dice", "accuracy", "fnr", "fpr")
 COUNT_FIELDS = ("tp", "fp", "fn", "tn")
+TRUTH_TABLE_COLUMNS = ("slide_id", "team", "tp", "fp", "fn", "tn")
 
 
 def _pairwise_sum(x: list[float]) -> float:
@@ -57,11 +60,13 @@ class ConfusionCounts:
     fn: int
     tn: int
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         for name in COUNT_FIELDS:
             v = getattr(self, name)
             if not isinstance(v, Integral) or isinstance(v, bool) or v < 0:
                 raise ValidationError(f"confusion count {name}={v!r} must be a non-negative int")
+
+    __post_init__ = validate
 
     @property
     def total(self) -> int:
@@ -92,6 +97,8 @@ class SlideScore:
         if self.subtype not in SUBTYPES:
             raise ValidationError(f"{self.slide_id}: unknown subtype {self.subtype!r}")
 
+    __post_init__ = validate
+
 
 @dataclass(frozen=True)
 class AggregateScore:
@@ -105,6 +112,15 @@ class AggregateScore:
 class TeamReport:
     team: str
     scores: list[SlideScore] = field(default_factory=list)
+
+    def validate(self) -> None:
+        seen = set()
+        for sid in self.slide_ids():
+            if sid in seen:
+                raise ValidationError(f"report for {self.team!r} scores slide {sid!r} twice")
+            seen.add(sid)
+
+    __post_init__ = validate
 
     def slide_ids(self) -> tuple[str, ...]:
         return tuple(s.slide_id for s in self.scores)
@@ -162,6 +178,39 @@ def read_report(path: str | Path) -> TeamReport:
         )
     if not scores:
         raise FormatError(f"{path}: report has no scores")
-    for s in scores:
-        s.validate()
     return TeamReport(team, scores)
+
+
+def _read_csv(path: str | Path, columns: tuple[str, ...]) -> list[dict]:
+    """Rows of a CSV file that has every one of ``columns``; FormatError otherwise."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows, fields = list(reader), reader.fieldnames or []  # an empty file has no header
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: cannot read CSV: {exc}") from exc
+    missing = [c for c in columns if c not in fields]
+    if missing:
+        raise FormatError(f"{path}: missing column(s) {', '.join(missing)}")
+    for n, row in enumerate(rows, 1):
+        if any(row[c] is None for c in columns):
+            raise FormatError(f"{path}: row {n} has fewer than {len(fields)} fields")
+    return rows
+
+
+def read_truth_table(path: str | Path) -> list[dict]:
+    out = []
+    for n, row in enumerate(_read_csv(path, TRUTH_TABLE_COLUMNS), 1):
+        rec = {k: row[k] for k in TRUTH_TABLE_COLUMNS}
+        for k in TRUTH_TABLE_COLUMNS[2:]:
+            try:
+                rec[k] = int(rec[k])
+            except ValueError as exc:
+                raise FormatError(f"{path}: row {n} field {k!r} is {rec[k]!r}, "
+                                  "expected an integer") from exc
+        out.append(rec)
+    return out
+
+
+def read_subtypes(path: str | Path) -> dict[str, str]:
+    return {row["slide_id"]: row["subtype"] for row in _read_csv(path, ("slide_id", "subtype"))}

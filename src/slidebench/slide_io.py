@@ -8,7 +8,6 @@ coordinates, read and written in the ASAP XML dialect.
 from __future__ import annotations
 
 import json
-import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,23 +22,27 @@ COORD_DECIMALS = 6
 
 @dataclass(eq=False)
 class PyramidLevel:
-    """One resolution level: an RGB8 raster plus its index in the pyramid."""
+    """One resolution level, an RGB8 raster; its index is its position in the pyramid."""
 
-    index: int
-    width: int
-    height: int
     pixels: np.ndarray  # (height, width, 3) uint8
 
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
+
     def validate(self) -> None:
-        if self.index < 0:
-            raise ValidationError(f"level index {self.index} is negative")
-        if self.width < 1 or self.height < 1:
-            raise ValidationError(f"level {self.index}: empty dimensions {self.width}x{self.height}")
-        if self.pixels.shape != (self.height, self.width, 3) or self.pixels.dtype != np.uint8:
+        shape = self.pixels.shape
+        if len(shape) != 3 or shape[2] != 3 or min(shape) < 1 or self.pixels.dtype != np.uint8:
             raise ValidationError(
-                f"level {self.index}: raster shape {self.pixels.shape} ({self.pixels.dtype}) "
-                f"does not match {self.height}x{self.width}x3 uint8"
+                f"level raster shape {shape} ({self.pixels.dtype}) is not a non-empty "
+                "height x width x 3 uint8"
             )
+
+    __post_init__ = validate
 
 
 @dataclass(eq=False)
@@ -70,15 +73,14 @@ class SlidePyramid:
             raise ValidationError(f"slide {self.slide_id}: mpp_level0 must be positive")
         w0, h0 = self.levels[0].width, self.levels[0].height
         for k, lvl in enumerate(self.levels):
-            lvl.validate()
-            if lvl.index != k:
-                raise ValidationError(f"slide {self.slide_id}: level indices not contiguous at {k}")
             ew, eh = level_dimensions(w0, h0, k)
             if (lvl.width, lvl.height) != (ew, eh):
                 raise ValidationError(
                     f"slide {self.slide_id} level {k}: {lvl.width}x{lvl.height} violates the "
                     f"halving rule (expected {ew}x{eh})"
                 )
+
+    __post_init__ = validate
 
 
 def level_dimensions(width0: int, height0: int, level: int) -> tuple[int, int]:
@@ -94,13 +96,8 @@ def build_pyramid(
 ) -> SlidePyramid:
     """Build a pyramid from a level-0 raster by 2x nearest-neighbor subsampling."""
     base = np.ascontiguousarray(level0, dtype=np.uint8)
-    levels = []
-    for k in range(n_levels):
-        arr = base[:: 2**k, :: 2**k]
-        levels.append(PyramidLevel(k, arr.shape[1], arr.shape[0], np.ascontiguousarray(arr)))
-    pyramid = SlidePyramid(slide_id, levels, mpp_level0)
-    pyramid.validate()
-    return pyramid
+    levels = [PyramidLevel(np.ascontiguousarray(base[:: 2**k, :: 2**k])) for k in range(n_levels)]
+    return SlidePyramid(slide_id, levels, mpp_level0)
 
 
 def write_pyramid(pyramid: SlidePyramid, directory: str | Path) -> Path:
@@ -108,14 +105,13 @@ def write_pyramid(pyramid: SlidePyramid, directory: str | Path) -> Path:
 
     Output bytes are deterministic for equal inputs.
     """
-    pyramid.validate()
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
-    for lvl in pyramid.levels:
-        name = f"level_{lvl.index:02d}.ppm"
+    for k, lvl in enumerate(pyramid.levels):
+        name = f"level_{k:02d}.ppm"
         netpbm.write_p6(directory / name, lvl.pixels)
-        entries.append({"index": lvl.index, "width": lvl.width, "height": lvl.height, "file": name})
+        entries.append({"index": k, "width": lvl.width, "height": lvl.height, "file": name})
     manifest = {
         "slide_id": pyramid.slide_id,
         "mpp_level0": pyramid.mpp_level0,
@@ -142,8 +138,11 @@ def read_pyramid(manifest_path: str | Path) -> SlidePyramid:
 
     levels = []
     where = f"{manifest_path}: level entry"
-    for entry in entries:
-        index = typed_field(entry, "index", int, where)
+    for k, entry in enumerate(entries):
+        if typed_field(entry, "index", int, where) != k:
+            raise FormatError(
+                f"{manifest_path}: slide {slide_id}: level indices not contiguous at {k}"
+            )
         width = typed_field(entry, "width", int, where)
         height = typed_field(entry, "height", int, where)
         name = typed_field(entry, "file", str, where)
@@ -156,14 +155,12 @@ def read_pyramid(manifest_path: str | Path) -> SlidePyramid:
                 f"{raster_path}: raster is {pixels.shape[1]}x{pixels.shape[0]}, "
                 f"manifest declares {width}x{height}"
             )
-        levels.append(PyramidLevel(index, width, height, pixels))
+        levels.append(PyramidLevel(pixels))
 
-    pyramid = SlidePyramid(slide_id, levels, mpp)
     try:
-        pyramid.validate()
+        return SlidePyramid(slide_id, levels, mpp)
     except ValidationError as exc:
         raise FormatError(f"{manifest_path}: {exc}") from exc
-    return pyramid
 
 
 @dataclass(eq=False)
@@ -176,10 +173,14 @@ class Annotation:
 
     def validate(self) -> None:
         verts = np.asarray(self.vertices, dtype=np.float64)
-        if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
-            raise ValidationError(f"annotation {self.name!r}: needs >= 3 (x, y) vertices")
         if not np.all(np.isfinite(verts)):
-            raise ValidationError(f"annotation {self.name!r}: non-finite coordinate")
+            raise ValidationError(f"annotation {self.name!r} has a non-finite coordinate")
+        if verts.ndim != 2 or verts.shape[1] != 2:
+            raise ValidationError(f"annotation {self.name!r}: vertices are not (x, y) pairs")
+        if len(verts) < 3:
+            raise ValidationError(f"annotation {self.name!r} has fewer than 3 vertices")
+
+    __post_init__ = validate
 
 
 @dataclass(eq=False)
@@ -192,10 +193,11 @@ class AnnotationSet:
     def validate(self) -> None:
         seen = set()
         for ann in self.annotations:
-            ann.validate()
             if ann.name in seen:
                 raise ValidationError(f"duplicate annotation name {ann.name!r}")
             seen.add(ann.name)
+
+    __post_init__ = validate
 
 
 def parse_annotations(xml_path: str | Path) -> AnnotationSet:
@@ -213,7 +215,6 @@ def parse_annotations(xml_path: str | Path) -> AnnotationSet:
         raise FormatError(f"{xml_path}: root element is {root.tag!r}, expected 'ASAP_Annotations'")
 
     annotations = []
-    names = set()
     container = root.find("Annotations")
     elements = [] if container is None else container.findall("Annotation")
     for el in elements:
@@ -224,9 +225,6 @@ def parse_annotations(xml_path: str | Path) -> AnnotationSet:
             raise FormatError(f"{xml_path}: Annotation element missing Name or PartOfGroup")
         if a_type != "Polygon":
             raise FormatError(f"{xml_path}: annotation {name!r} has unsupported Type {a_type!r}")
-        if name in names:
-            raise FormatError(f"{xml_path}: duplicate annotation name {name!r}")
-        names.add(name)
 
         coords = el.find("Coordinates")
         points = [] if coords is None else coords.findall("Coordinate")
@@ -240,21 +238,19 @@ def parse_annotations(xml_path: str | Path) -> AnnotationSet:
                 raise FormatError(
                     f"{xml_path}: annotation {name!r} has a non-numeric coordinate"
                 ) from exc
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise FormatError(f"{xml_path}: annotation {name!r} has a non-finite coordinate")
             parsed.append((order, x, y))
-        if len(parsed) < 3:
-            raise FormatError(f"{xml_path}: annotation {name!r} has fewer than 3 vertices")
         parsed.sort(key=lambda t: t[0])
-        vertices = np.array([(x, y) for _, x, y in parsed], dtype=np.float64)
-        annotations.append(Annotation(name, group, vertices))
+        vertices = np.array([(x, y) for _, x, y in parsed], dtype=np.float64).reshape(-1, 2)
+        annotations.append((name, group, vertices))
 
-    return AnnotationSet(slide_id=xml_path.stem, annotations=annotations)
+    try:
+        return AnnotationSet(xml_path.stem, [Annotation(*a) for a in annotations])
+    except ValidationError as exc:
+        raise FormatError(f"{xml_path}: {exc}") from exc
 
 
 def serialize_annotations(aset: AnnotationSet, xml_path: str | Path) -> None:
     """Write an annotation set as ASAP XML; coordinates printed to 6 decimals."""
-    aset.validate()
     root = ET.Element("ASAP_Annotations")
     container = ET.SubElement(root, "Annotations")
     for ann in aset.annotations:

@@ -37,6 +37,8 @@ class PairedSample:
         if len(self.a) < 1:
             raise ValidationError("paired sample is empty")
 
+    __post_init__ = validate
+
 
 @dataclass(frozen=True)
 class SignedRankResult:
@@ -112,7 +114,6 @@ def wilcoxon_signed_rank(sample: PairedSample, mode: str = MODE_AUTO) -> SignedR
     enumerates exactly up to m = 20 pairs and switches to the normal
     approximation beyond.
     """
-    sample.validate()
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}")
     d = [float(a) - float(b) for a, b in zip(sample.a, sample.b)]

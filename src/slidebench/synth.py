@@ -27,9 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from . import parallel
-from .errors import FormatError, ValidationError
+from .errors import ValidationError
 from .masks import ROLE_PREDICTION, BinaryMask, rasterize, write_mask
 from .masks import _row_blocks  # the cache-sized row blocks of luma
+from .reports import TRUTH_TABLE_COLUMNS
 from .slide_io import (
     Annotation,
     AnnotationSet,
@@ -41,7 +42,6 @@ from .slide_io import (
 
 SUBTYPE_ORDER = ("SCC", "SCLC", "ADC")  # weights in subtype_ratio follow this order
 DEFAULT_RATIO = (6.0, 3.0, 1.0)
-TRUTH_TABLE_COLUMNS = ("slide_id", "team", "tp", "fp", "fn", "tn")
 
 _CHUNK_ROWS = 512  # rows painted from one noise stream
 _N_HARMONICS = 4
@@ -50,7 +50,7 @@ _TISSUE_LO = (150, 90, 140)  # per-channel low ends of the color ranges, before 
 _LESION_LO = (115, 55, 125)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     seed: int = 0
     slides: int = 5
@@ -92,8 +92,10 @@ class SynthConfig:
                 f"annotation_dilation must be >= 0, got {self.annotation_dilation}"
             )
 
+    __post_init__ = validate
 
-@dataclass
+
+@dataclass(frozen=True)
 class CorruptionSpec:
     erode: int = 0
     dilate: int = 0
@@ -107,6 +109,8 @@ class CorruptionSpec:
             raise ValidationError(f"flip_rate {self.flip_rate} outside [0, 1]")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
+
+    __post_init__ = validate
 
 
 def slide_name(index: int) -> str:
@@ -218,7 +222,6 @@ def generate_slide(
     cancer mask, and the drawn subtype. With both noise knobs off the
     annotations rasterize exactly to the true mask.
     """
-    cfg.validate()
     rng = np.random.default_rng([cfg.seed, index])
     size = cfg.level0_size
     sid = slide_name(index)
@@ -233,7 +236,7 @@ def generate_slide(
     r_inner = r0 * (1.0 - float(np.sum(np.abs(amps))))  # disk guaranteed inside the blob
 
     n_lesions = int(rng.integers(cfg.n_lesions[0], cfg.n_lesions[1] + 1))
-    truth_set, annotations = AnnotationSet(sid), AnnotationSet(sid)
+    truth_polygons, annotations = [], []
     for i in range(n_lesions):
         radius = float(rng.uniform(*cfg.lesion_radius))
         radius = min(radius, 0.45 * r_inner)
@@ -247,17 +250,17 @@ def generate_slide(
         ly = float(np.clip(cy + rho * np.sin(theta), radius + 2.0, size - radius - 2.0))
         poly = _star_polygon(rng, lx, ly, radius)
         name = f"lesion_{i:02d}"
-        truth_set.annotations.append(Annotation(name, "tumor", poly))
+        truth_polygons.append(Annotation(name, "tumor", poly))
         if cfg.annotation_dilation > 0:
             offsets = poly - (lx, ly)
             norms = np.maximum(np.hypot(offsets[:, 0], offsets[:, 1]), 1e-9)
             scale = (norms + cfg.annotation_dilation) / norms
             poly = (lx, ly) + offsets * scale[:, None]
-        annotations.annotations.append(Annotation(name, "tumor", poly))
+        annotations.append(Annotation(name, "tumor", poly))
 
     jitter = int(rng.integers(-8, 9))
     bg_jitter = int(rng.integers(-2, 3))
-    truth = rasterize(truth_set, 0, size, size)
+    truth = rasterize(AnnotationSet(sid, truth_polygons), 0, size, size)
     table = _paint_table(jitter, bg_jitter)
     blob = _blob_mask(size, cx, cy, r0, amps, phases)
     image = np.empty((size, size, 3), dtype=np.uint8)
@@ -274,8 +277,7 @@ def generate_slide(
     if cfg.label_background_inclusion:
         truth.data &= blob
     pyramid = build_pyramid(sid, image, cfg.n_levels)
-    annotations.validate()
-    return pyramid, annotations, truth, subtype
+    return pyramid, AnnotationSet(sid, annotations), truth, subtype
 
 
 def _along(axis: int, start=None, stop=None) -> tuple:
@@ -319,7 +321,6 @@ def corrupt_prediction(true_mask: BinaryMask, specs: list[CorruptionSpec]) -> li
     """
     outs = []
     for spec in specs:
-        spec.validate()
         data = _box_filter_bool(true_mask.data, spec.erode, require_all=True)
         data = _box_filter_bool(data, spec.dilate, require_all=False)
         outs.append(data.copy() if data is true_mask.data else data)
@@ -351,8 +352,6 @@ def _normalize_teams(teams) -> list[tuple[str, CorruptionSpec]]:
     names = [n for n, _ in named]
     if len(set(names)) != len(names):
         raise ValidationError(f"duplicate team names: {names}")
-    for _, spec in named:
-        spec.validate()
     return named
 
 
@@ -384,7 +383,6 @@ def generate_challenge(
     generated independently (parallelizable); all outputs are functions of
     the config and teams alone.
     """
-    cfg.validate()
     named = _normalize_teams(teams)
     out = Path(out_dir)
     (out / "slides").mkdir(parents=True, exist_ok=True)
@@ -422,38 +420,3 @@ def generate_challenge(
         "truth_table": str(out / "truth_table.csv"),
         "subtypes": str(out / "subtypes.csv"),
     }
-
-
-def _read_csv(path: str | Path, columns: tuple[str, ...]) -> list[dict]:
-    """Rows of a CSV file that has every one of ``columns``; FormatError otherwise."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows, fields = list(reader), reader.fieldnames or []  # an empty file has no header
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise FormatError(f"{path}: cannot read CSV: {exc}") from exc
-    missing = [c for c in columns if c not in fields]
-    if missing:
-        raise FormatError(f"{path}: missing column(s) {', '.join(missing)}")
-    for n, row in enumerate(rows, 1):
-        if any(row[c] is None for c in columns):
-            raise FormatError(f"{path}: row {n} has fewer than {len(fields)} fields")
-    return rows
-
-
-def read_truth_table(path: str | Path) -> list[dict]:
-    out = []
-    for n, row in enumerate(_read_csv(path, TRUTH_TABLE_COLUMNS), 1):
-        rec = {k: row[k] for k in TRUTH_TABLE_COLUMNS}
-        for k in TRUTH_TABLE_COLUMNS[2:]:
-            try:
-                rec[k] = int(rec[k])
-            except ValueError as exc:
-                raise FormatError(f"{path}: row {n} field {k!r} is {rec[k]!r}, "
-                                  "expected an integer") from exc
-        out.append(rec)
-    return out
-
-
-def read_subtypes(path: str | Path) -> dict[str, str]:
-    return {row["slide_id"]: row["subtype"] for row in _read_csv(path, ("slide_id", "subtype"))}

@@ -65,8 +65,10 @@ class TileRecord:
         if self.label not in LABELS:
             raise ValidationError(f"tile at ({self.x},{self.y}): unknown label {self.label!r}")
 
+    __post_init__ = validate
 
-@dataclass
+
+@dataclass(frozen=True)
 class TilingConfig:
     tile_size: int = 256
     stride: int | None = None
@@ -94,13 +96,14 @@ class TilingConfig:
         if self.tissue_filter is not None and self.tissue_filter not in TISSUE_METHODS:
             raise ValidationError(f"unknown tissue filter {self.tissue_filter!r}")
 
+    __post_init__ = validate
+
 
 def grid_tiles(p: SlidePyramid, cfg: TilingConfig) -> list[tuple[int, int]]:
     """Row-major origins of all tiles fully inside the configured level.
 
     Partial edge tiles are dropped, never padded.
     """
-    cfg.validate()
     lvl = p.level(cfg.level)
     size, stride = cfg.tile_size, cfg.effective_stride
     if size > lvl.width or size > lvl.height:
@@ -233,7 +236,6 @@ def extract_tiles(
     tile row per chunk. The result is sorted by (slide_id, y, x) and
     independent of worker count.
     """
-    cfg.validate()
     lvl = p.level(cfg.level)
     if gt.level != cfg.level or gt.data.shape != (lvl.height, lvl.width):
         raise GeometryError(
@@ -283,7 +285,6 @@ def emit_manifest(records: list[TileRecord], path: str | Path) -> None:
     ordered = sorted(records, key=lambda r: (r.slide_id, r.y, r.x))
     with open(path, "w") as fh:
         for rec in ordered:
-            rec.validate()
             fh.write(json.dumps({f: getattr(rec, f) for f in MANIFEST_FIELDS}) + "\n")
 
 
@@ -301,10 +302,8 @@ def read_manifest(path: str | Path) -> list[TileRecord]:
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}:{lineno}: malformed tile record: {exc}") from exc
         where = f"{path}:{lineno}: tile record"
-        rec = TileRecord(
+        records.append(TileRecord(
             **{f: typed_field(obj, f, str if f in ("slide_id", "label") else int, where)
                for f in MANIFEST_FIELDS}
-        )
-        rec.validate()
-        records.append(rec)
+        ))
     return records

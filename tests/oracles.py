@@ -549,10 +549,7 @@ def pyramids_equal(a: SlidePyramid, b: SlidePyramid) -> bool:
     """Byte-level equality of two pyramids."""
     if a.slide_id != b.slide_id or a.mpp_level0 != b.mpp_level0 or len(a.levels) != len(b.levels):
         return False
-    return all(
-        la.index == lb.index and np.array_equal(la.pixels, lb.pixels)
-        for la, lb in zip(a.levels, b.levels)
-    )
+    return all(np.array_equal(la.pixels, lb.pixels) for la, lb in zip(a.levels, b.levels))
 
 
 def annotation_sets_equal(a: AnnotationSet, b: AnnotationSet, tol: float = 0.0) -> bool:

@@ -426,6 +426,19 @@ def _xml_case(text, name="s"):
     return make
 
 
+def _edit_manifest(edit):
+    """A ``_slide_case`` mutation: ``edit`` changes the manifest's JSON in place."""
+    def mutate(manifest):
+        meta = json.loads(manifest.read_text())
+        edit(meta)
+        manifest.write_text(json.dumps(meta))
+    return mutate
+
+
+def _second_level_of_full_size(meta):
+    meta["levels"].append({**meta["levels"][0], "index": 1})
+
+
 def _refine_other_slide(tmp_path):
     """``refine`` of slide_001 labels with slide_000 tissue of the same size."""
     for sid in ("slide_000", "slide_001"):
@@ -513,15 +526,28 @@ def _two_reports_case(command, *extra, repeat=False):
     return make
 
 
+def _slide_scored_twice_case(command, *extra):
+    """``command`` on reports of teams a and b that each score slide s twice."""
+    def make(tmp_path):
+        paths = []
+        for team, dice in (("a", 0.9), ("b", 0.5)):
+            score = {"slide_id": "s", "subtype": "Unknown", "dice": dice, "accuracy": dice,
+                     "fnr": 0.0, "fpr": 0.0}
+            paths.append(str(tmp_path / f"{team}.json"))
+            _write(Path(paths[-1]), json.dumps({"team": team, "scores": [score, score]}))
+        return [command, "--reports", *paths, *extra]
+    return make
+
+
 def _compare_groups_case(groups):
     return _two_reports_case("compare", "--groups", groups, "--out", os.devnull)
 
 
 _LEVEL = "level_00.ppm"
-_POLYGON = ('<ASAP_Annotations><Annotations><Annotation Name="a" Type="Polygon" PartOfGroup="t">'
-            '<Coordinates><Coordinate Order="0" X="1" Y="1"/><Coordinate Order="1" X="{x}" Y="1"/>'
-            '<Coordinate Order="2" X="1" Y="9"/></Coordinates></Annotation></Annotations>'
-            '</ASAP_Annotations>')
+_TRIANGLE = ('<Annotation Name="a" Type="Polygon" PartOfGroup="t"><Coordinates>'
+             '<Coordinate Order="0" X="1" Y="1"/><Coordinate Order="1" X="{x}" Y="1"/>'
+             '<Coordinate Order="2" X="1" Y="9"/></Coordinates></Annotation>')
+_POLYGON = f"<ASAP_Annotations><Annotations>{_TRIANGLE}</Annotations></ASAP_Annotations>"
 
 # malformed inputs to every file reader the CLI reaches
 MALFORMED_INPUTS = {
@@ -539,6 +565,10 @@ MALFORMED_INPUTS = {
     "xml_not_utf8": _xml_case(b"\xff\xfe<ASAP_Annotations/>"),
     "xml_unknown_encoding": _xml_case('<?xml version="1.0" encoding="utf-9"?><ASAP_Annotations/>'),
     "xml_of_another_slide": _xml_case(_POLYGON.format(x="9"), name="other"),
+    "xml_non_finite_coordinate": _xml_case(_POLYGON.format(x="inf")),
+    "xml_two_vertices": _xml_case(_POLYGON.format(x="9").replace(
+        '<Coordinate Order="2" X="1" Y="9"/>', "")),
+    "xml_duplicate_name": _xml_case(_POLYGON.replace(_TRIANGLE, 2 * _TRIANGLE).format(x="9")),
     "report_not_json": _report_case('{"team": "t", '),
     "report_not_utf8": _report_case(b"\xff\xfe{}"),
     "report_top_level_list": _report_case("[1]"),
@@ -548,6 +578,9 @@ MALFORMED_INPUTS = {
     "leaderboard_repeated_report": _two_reports_case("leaderboard", repeat=True),
     "compare_repeated_report": _two_reports_case(
         "compare", "--groups", "a=MultiModel,b=SingleModel", "--out", os.devnull, repeat=True),
+    "leaderboard_slide_scored_twice": _slide_scored_twice_case("leaderboard"),
+    "compare_slide_scored_twice": _slide_scored_twice_case(
+        "compare", "--groups", "a=MultiModel,b=SingleModel", "--out", os.devnull),
     "leaderboard_groups_misspelled_team": _two_reports_case(
         "leaderboard", "--groups", "aa=MultiModel"),
     "leaderboard_groups_team_named_twice": _two_reports_case(
@@ -569,6 +602,11 @@ MALFORMED_INPUTS = {
     "manifest_level_not_object": _slide_case(lambda m: _write(
         m, '{"slide_id": "s", "mpp_level0": null, "levels": [1]}')),
     "manifest_missing_level_file": _slide_case(lambda m: (m.parent / _LEVEL).unlink()),
+    "manifest_level_index_not_contiguous": _slide_case(
+        _edit_manifest(lambda meta: meta["levels"][0].update(index=1))),
+    "manifest_levels_break_halving": _slide_case(_edit_manifest(_second_level_of_full_size)),
+    "manifest_mpp_not_positive": _slide_case(
+        _edit_manifest(lambda meta: meta.update(mpp_level0=0))),
     "subtypes_without_subtype_column": _subtypes_case("slide_id,kind\ns,SCC\n"),
     "subtypes_not_utf8": _subtypes_case(b"slide_id,subtype\ns,\xff\xfe\n"),
     "subtypes_short_row": _subtypes_case("slide_id,subtype\ns\n"),
@@ -618,15 +656,102 @@ MALFORMED_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("make_args", [*MALFORMED_INPUTS.values(), *MALFORMED_FLAGS.values()],
-                         ids=[*MALFORMED_INPUTS, *MALFORMED_FLAGS])
-def test_malformed_input_is_one_line(tmp_path, make_args):
+# the one stderr line of each case above, after "slidebench: error: "; {tmp} is tmp_path
+ERROR_LINES = {
+    "ppm_truncated": "{tmp}/slide/level_00.ppm: raster payload is 763 bytes, expected 768",
+    "ppm_smaller_than_manifest": "{tmp}/slide/level_00.ppm: raster is 8x8, manifest declares 16x16",
+    "ppm_bad_magic": "{tmp}/slide/level_00.ppm: expected P6 magic, got b'P3'",
+    "pgm_truncated": "{tmp}/m.pgm: raster payload is 251 bytes, expected 256",
+    "pgm_bad_magic": "{tmp}/m.pgm: expected P5 magic, got b'P6'",
+    "pgm_bad_maxval": "{tmp}/m.pgm: unsupported maxval 65535, expected 255",
+    "pgm_trailing_bytes": "{tmp}/m.pgm: raster payload is 257 bytes, expected 256",
+    "xml_not_well_formed": "{tmp}/s.xml: malformed XML: no element found: line 1, column 31",
+    "xml_wrong_root": "{tmp}/s.xml: root element is 'NotASAP', expected 'ASAP_Annotations'",
+    "xml_non_numeric_coordinate": "{tmp}/s.xml: annotation 'a' has a non-numeric coordinate",
+    "xml_not_utf8": "{tmp}/s.xml: malformed XML: not well-formed (invalid token): line 1, column 1",
+    "xml_unknown_encoding": "{tmp}/s.xml: malformed XML: unknown encoding: utf-9",
+    "xml_of_another_slide": "{tmp}/other.xml annotates slide 'other', not 's'",
+    "xml_non_finite_coordinate": "{tmp}/s.xml: annotation 'a' has a non-finite coordinate",
+    "xml_two_vertices": "{tmp}/s.xml: annotation 'a' has fewer than 3 vertices",
+    "xml_duplicate_name": "{tmp}/s.xml: duplicate annotation name 'a'",
+    "report_not_json": (
+        "{tmp}/t.json: malformed report: Expecting property name enclosed in double quotes: "
+        "line 1 column 15 (char 14)"),
+    "report_not_utf8": (
+        "{tmp}/t.json: malformed report: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte"),
+    "report_top_level_list": "{tmp}/t.json: report is not a JSON object",
+    "report_scores_not_list": "{tmp}/t.json: report field 'scores' is 1, expected list",
+    "report_score_not_object": "{tmp}/t.json: report score is 1, expected a JSON object",
+    "report_no_scores": "{tmp}/t.json: report has no scores",
+    "leaderboard_repeated_report": "team 'a' appears in more than one report",
+    "compare_repeated_report": "team 'a' appears in more than one report",
+    "leaderboard_slide_scored_twice": "report for 'a' scores slide 's' twice",
+    "compare_slide_scored_twice": "report for 'a' scores slide 's' twice",
+    "leaderboard_groups_misspelled_team": "groups name teams with no report: aa",
+    "leaderboard_groups_team_named_twice": "--groups: team 'a' is named twice",
+    "leaderboard_groups_empty_team": "--groups: expected team=Group, got '=MultiModel'",
+    "compare_groups_empty_group": "--groups: expected team=Group, got 'b='",
+    "compare_groups_team_named_twice": "--groups: team 'b' is named twice",
+    "compare_groups_team_without_report": "groups name teams with no report: ghost",
+    "sidecar_missing": "{tmp}/m.pgm: missing sidecar {tmp}/m.json",
+    "sidecar_not_json": (
+        "{tmp}/m.json: malformed mask sidecar: Expecting property name enclosed in double "
+        "quotes: line 1 column 2 (char 1)"),
+    "sidecar_not_object": "{tmp}/m.json: mask sidecar is not a JSON object",
+    "sidecar_bad_role": "mask for s: unknown role 'Nobody'",
+    "probability_sidecar_of_a_mask": "{tmp}/m.json: probability sidecar missing field 'kind'",
+    "manifest_not_json": (
+        "{tmp}/slide/manifest.json: cannot read manifest: Expecting property name enclosed in "
+        "double quotes: line 1 column 2 (char 1)"),
+    "manifest_missing_levels": "{tmp}/slide/manifest.json: manifest missing field 'mpp_level0'",
+    "manifest_level_not_object": "{tmp}/slide/manifest.json: level entry is not a JSON object",
+    "manifest_missing_level_file": (
+        "{tmp}/slide/manifest.json: missing level file {tmp}/slide/level_00.ppm"),
+    "manifest_level_index_not_contiguous": (
+        "{tmp}/slide/manifest.json: slide s: level indices not contiguous at 0"),
+    "manifest_levels_break_halving": (
+        "{tmp}/slide/manifest.json: slide s level 1: 16x16 violates the halving rule (expected "
+        "8x8)"),
+    "manifest_mpp_not_positive": "{tmp}/slide/manifest.json: slide s: mpp_level0 must be positive",
+    "subtypes_without_subtype_column": "{tmp}/subtypes.csv: missing column(s) subtype",
+    "subtypes_not_utf8": (
+        "{tmp}/subtypes.csv: cannot read CSV: 'utf-8' codec can't decode byte 0xff in position "
+        "19: invalid start byte"),
+    "subtypes_short_row": "{tmp}/subtypes.csv: row 1 has fewer than 2 fields",
+    "subtypes_empty": "{tmp}/subtypes.csv: missing column(s) slide_id, subtype",
+    "prediction_level_too_coarse": (
+        "s: prediction is 16x16 at level 4, but the 16x16 level-0 ground truth is 1x1 there"),
+    "prediction_level_far_too_coarse": (
+        "s: prediction is 16x16 at level 9, but the 16x16 level-0 ground truth is 1x1 there"),
+    "two_masks_of_one_slide": "{tmp}/pred/a.pgm and {tmp}/pred/b.pgm both hold slide 's0'",
+    "refine_masks_of_two_slides": (
+        "refine_labels: slide 'slide_000' does not match slide 'slide_001'"),
+    "config_not_utf8": (
+        "{tmp}/train.cfg: cannot read config: 'utf-8' codec can't decode byte 0xff in position "
+        "4: invalid start byte"),
+    "config_unknown_key": "{tmp}/train.cfg:1: unknown key 'bogus'",
+    "config_bad_value": "{tmp}/train.cfg:1: bad value for t_max: 'many'",
+    "config_negative_seed": "seed must be >= 0, got -1",
+    "synth_negative_seed": "seed must be >= 0, got -1",
+    "synth_negative_team_seed": "seed must be >= 0, got -3",
+    "synth_nan_ratio": "bad subtype ratio (nan, 1.0, 1.0)",
+    "synth_inf_ratio": "bad subtype ratio (inf, 1.0, 1.0)",
+    "synth_ratio_sum_overflows": "bad subtype ratio (1e+308, 1e+308, 1.0)",
+    "tile_rebalance_negative_seed": "seed must be >= 0, got -1",
+    "ensemble_vote_with_binarize": "--binarize applies only to --mode mean",
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED_INPUTS, *MALFORMED_FLAGS])
+def test_malformed_input_is_one_line(tmp_path, case):
+    make_args = {**MALFORMED_INPUTS, **MALFORMED_FLAGS}[case]
     proc = _run([sys.executable, "-m", "slidebench", *make_args(tmp_path)])
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
-    assert lines[0].startswith("slidebench: error:")
+    assert lines[0] == "slidebench: error: " + ERROR_LINES[case].replace("{tmp}", str(tmp_path))
 
 
 def test_tile_otsu_on_uniform_slide_is_one_line(tmp_path):

@@ -64,9 +64,8 @@ def test_fuse_mean_rejects_different_slides():
 
 
 def test_fuse_mean_rejects_out_of_range_values():
-    bad = ProbabilityMap("s", 0, np.full((2, 2), 1.5))
     with pytest.raises(ValidationError):
-        fuse_mean([bad])
+        fuse_mean([ProbabilityMap("s", 0, np.full((2, 2), 1.5))])
 
 
 def test_fuse_vote_majority():

@@ -71,7 +71,7 @@ STARTS = {
     "tissue-help": (lambda c, w, o: ["tissue", "--help"], "", False),
     "synth": (lambda c, w, o: ["synth", "--out", str(o / "s"), "--slides", "1", "--size", "64",
                                "--levels", "1", "--radius", "4", "8"],
-              f"{IO} parallel synth", True),
+              f"{IO} parallel reports synth", True),
     "tissue": (lambda c, w, o: ["tissue", "--slide", _slide(c), "--out", str(o / "t.pgm")],
                IO, True),
     "rasterize": (lambda c, w, o: ["rasterize", "--annotations",
@@ -86,7 +86,7 @@ STARTS = {
     "eval": (lambda c, w, o: ["eval", "--truth", str(c / "truth"),
                               "--pred", str(c / "predictions" / "flip5"), "--team", "flip5",
                               "--subtypes", str(c / "subtypes.csv"), "--out", str(o / "f.json")],
-             f"{IO} metrics parallel reports synth", True),
+             f"{IO} metrics parallel reports", True),
     "ensemble": (lambda c, w, o: ["ensemble", "--mode", "vote", "--inputs",
                                   *(str(c / "predictions" / t / "slide_000.pgm")
                                     for t in ("exact", "flip2", "flip5")),

@@ -1,0 +1,145 @@
+"""Every type with invariants checks them when it is built, and nothing else calls its check."""
+import ast
+from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from slidebench import (
+    Annotation,
+    AnnotationSet,
+    BinaryMask,
+    ConfusionCounts,
+    CoteachConfig,
+    CorruptionSpec,
+    LeaderboardEntry,
+    PairedSample,
+    PixelBatch,
+    ProbabilityMap,
+    PyramidLevel,
+    SlidePyramid,
+    SlideScore,
+    SynthConfig,
+    TeamReport,
+    TileRecord,
+    TilingConfig,
+)
+from slidebench.coteach import LearnerState
+from slidebench.errors import DivergenceError, GeometryError, ValidationError
+from slidebench.leaderboard import GROUP_SINGLE
+from slidebench.tiling import RULE_BIG_PATCH_NINE
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "slidebench"
+
+_RGB = np.zeros((16, 16, 3), dtype=np.uint8)
+_TRIANGLE = np.array([(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)])
+_FEATURES = np.zeros((4, 4, 6))
+
+# per type, the error its check raises and builders of values that break it
+INVALID = {
+    "PyramidLevel": (ValidationError, [
+        lambda: PyramidLevel(np.zeros((16, 16), dtype=np.uint8)),
+        lambda: PyramidLevel(np.zeros((0, 16, 3), dtype=np.uint8)),
+        lambda: PyramidLevel(_RGB.astype(np.float64)),
+    ]),
+    "SlidePyramid": (ValidationError, [
+        lambda: SlidePyramid("s", []),
+        lambda: SlidePyramid("s", [PyramidLevel(_RGB)], mpp_level0=0.0),
+        lambda: SlidePyramid("s", [PyramidLevel(_RGB),
+                                   PyramidLevel(np.zeros((8, 9, 3), dtype=np.uint8))]),
+    ]),
+    "Annotation": (ValidationError, [
+        lambda: Annotation("a", "g", _TRIANGLE[:2]),
+        lambda: Annotation("a", "g", np.array([(0.0, 0.0), (np.inf, 0.0), (0.0, 4.0)])),
+        lambda: Annotation("a", "g", _TRIANGLE.ravel()),
+    ]),
+    "AnnotationSet": (ValidationError, [
+        lambda: AnnotationSet("s", [Annotation("a", "g", _TRIANGLE)] * 2),
+    ]),
+    "BinaryMask": (ValidationError, [
+        lambda: BinaryMask("s", 0, np.zeros((2, 2), dtype=bool), "Nonsense"),
+        lambda: BinaryMask("s", -1, np.zeros((2, 2), dtype=bool)),
+        lambda: BinaryMask("s", 0, np.zeros((2, 2), dtype=np.uint8)),
+    ]),
+    "ProbabilityMap": (ValidationError, [
+        lambda: ProbabilityMap("s", 0, np.full((2, 2), 1.5)),
+        lambda: ProbabilityMap("s", 0, np.full((2, 2), np.nan)),
+        lambda: ProbabilityMap("s", -1, np.zeros((2, 2))),
+        lambda: ProbabilityMap("s", 0, np.zeros((2, 2), dtype=np.float32)),
+    ]),
+    "TileRecord": (ValidationError, [
+        lambda: TileRecord("s", 0, 0, 0, 4, 0, 15, "Negative"),
+        lambda: TileRecord("s", 0, 0, 0, 4, 17, 16, "Positive"),
+        lambda: TileRecord("s", 0, 0, 0, 4, 0, 16, "Bogus"),
+    ]),
+    "TilingConfig": (ValidationError, [
+        lambda: TilingConfig(tile_size=0),
+        lambda: TilingConfig(rule="bogus"),
+        lambda: TilingConfig(tile_size=100, rule=RULE_BIG_PATCH_NINE),
+        lambda: TilingConfig(tissue_filter="median"),
+        lambda: replace(TilingConfig(), stride=0),
+    ]),
+    "ConfusionCounts": (ValidationError, [lambda: ConfusionCounts(-1, 0, 0, 0)]),
+    "SlideScore": (ValidationError, [
+        lambda: SlideScore("s", 1.5, 1.0, 0.0, 0.0),
+        lambda: SlideScore("s", 0.5, 1.0, 0.0, 0.0, subtype="Bogus"),
+    ]),
+    "TeamReport": (ValidationError, [
+        lambda: TeamReport("t", [SlideScore("s", 0.5, 1.0, 0.0, 0.0)] * 2),
+    ]),
+    "PairedSample": (ValidationError, [
+        lambda: PairedSample(("a", "b"), (0.5, 0.6), (0.5,)),
+        lambda: PairedSample((), (), ()),
+    ]),
+    "LeaderboardEntry": (ValidationError, [
+        lambda: LeaderboardEntry("t", "Nonsense", 0.5, 0, 0.5, 0, 0, 1),
+        lambda: LeaderboardEntry("t", GROUP_SINGLE, 0.5, 0, 0.5, 0, 0, 0),
+    ]),
+    "SynthConfig": (ValidationError, [
+        lambda: SynthConfig(slides=0),
+        lambda: replace(SynthConfig(), seed=-1),
+    ]),
+    "CorruptionSpec": (ValidationError, [
+        lambda: CorruptionSpec(flip_rate=1.5),
+        lambda: replace(CorruptionSpec(), erode=-1),
+    ]),
+    "CoteachConfig": (ValidationError, [
+        lambda: CoteachConfig(eta=0.0),
+        lambda: CoteachConfig(tau=1.0),
+        lambda: CoteachConfig(t_max=0),
+        lambda: replace(CoteachConfig(), seed=-1),
+    ]),
+    "PixelBatch": (GeometryError, [
+        lambda: PixelBatch("b", _FEATURES, np.zeros((4, 5), dtype=bool)),
+        lambda: PixelBatch("b", _FEATURES, np.zeros((4, 4), dtype=np.uint8)),
+    ]),
+    "LearnerState": (DivergenceError, [lambda: LearnerState(np.full(6, np.inf))]),
+}
+
+
+@pytest.mark.parametrize("kind", INVALID)
+def test_invalid_objects_cannot_be_built(kind):
+    error, builders = INVALID[kind]
+    for build in builders:
+        with pytest.raises(error):
+            build()
+
+
+@pytest.mark.parametrize("config", [SynthConfig(), CorruptionSpec(), TilingConfig(),
+                                    CoteachConfig()], ids=lambda c: type(c).__name__)
+def test_checked_configs_cannot_change(config):
+    with pytest.raises(FrozenInstanceError):
+        setattr(config, fields(config)[0].name, -1)
+
+
+def test_no_module_calls_validate():
+    """A value is checked once, when it is built; ``validate`` is only ``__post_init__``."""
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "validate"
+    ]
+    assert calls == []

@@ -319,6 +319,5 @@ def test_read_mask_requires_sidecar(tmp_path, rng):
 
 
 def test_mask_validate_rejects_bad_role():
-    mask = BinaryMask("s", 0, np.zeros((2, 2), dtype=bool), "Nonsense")
     with pytest.raises(ValidationError):
-        mask.validate()
+        BinaryMask("s", 0, np.zeros((2, 2), dtype=bool), "Nonsense")

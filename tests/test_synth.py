@@ -422,13 +422,13 @@ def test_duplicate_team_names_rejected(tmp_path):
 )
 def test_synth_config_validation(kwargs):
     with pytest.raises(ValidationError):
-        SynthConfig(**kwargs).validate()
+        SynthConfig(**kwargs)
 
 
 @pytest.mark.parametrize("kwargs", [{"erode": -1}, {"dilate": -2}, {"flip_rate": 1.5}])
 def test_corruption_spec_validation(kwargs):
     with pytest.raises(ValidationError):
-        CorruptionSpec(**kwargs).validate()
+        CorruptionSpec(**kwargs)
 
 
 _TRUTH_HEADER = b"slide_id,team,tp,fp,fn,tn\n"

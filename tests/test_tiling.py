@@ -331,13 +331,3 @@ def test_read_manifest_rejects_malformed_jsonl(tmp_path, data, message):
     with pytest.raises(FormatError, match=message):
         read_manifest(path)
 
-
-def test_tiling_config_validation():
-    with pytest.raises(ValidationError):
-        TilingConfig(tile_size=0).validate()
-    with pytest.raises(ValidationError):
-        TilingConfig(rule="bogus").validate()
-    with pytest.raises(ValidationError):
-        TilingConfig(tile_size=100, rule=RULE_BIG_PATCH_NINE).validate()
-    with pytest.raises(ValidationError):
-        TilingConfig(tissue_filter="median").validate()
