@@ -54,8 +54,7 @@ def _register(*names: str) -> None:
         spec.loader.exec_module(module)
 
 
-_register("cli", "coteach", "ensemble", "errors", "leaderboard", "masks", "metrics", "netpbm",
-          "parallel", "reports", "slide_io", "stats", "synth", "tiling")
+_register("cli", "netpbm", "parallel", *_EXPORTS)
 
 
 def __getattr__(name: str):

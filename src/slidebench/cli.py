@@ -4,8 +4,9 @@ Every subcommand is fully specified by its flags: same flags and inputs give
 byte-identical outputs, regardless of --workers. Exit codes: 0 success,
 1 data error (bad file contents, failed invariants), 2 usage error.
 Diagnostics go to stderr; machine-readable output goes to files or stdout.
-Each ``cmd_*`` imports its stage's functions itself, so a start runs only
-the modules its subcommand calls: ``--version`` and ``--help`` need no numpy.
+The stages are the package's lazy submodules, which run on first use, so a
+start runs only the modules its subcommand calls: ``--version`` and ``--help``
+need no numpy.
 """
 from __future__ import annotations
 
@@ -14,35 +15,33 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, coteach, ensemble, leaderboard, masks, metrics, reports, slide_io
+from . import synth, tiling
 from .errors import FORMATS, METHOD_OTSU, MODE_AUTO, MODES, RULE_THRESHOLD75, RULES, TISSUE_METHODS
 from .errors import FormatError, SlidebenchError, ValidationError
 
 
-def _parse_team(text: str, default_seed: int) -> tuple[str, CorruptionSpec]:
-    from .synth import CorruptionSpec
+def _parse_team(text: str, default_seed: int) -> tuple[str, synth.CorruptionSpec]:
+    from dataclasses import fields
 
     name, _, rest = text.partition(":")
-    if not name:
-        raise ValidationError(f"--team {text!r}: empty team name")
+    casts = {f.name: type(f.default) for f in fields(synth.CorruptionSpec)}
     kwargs: dict = {"seed": default_seed}
     if rest:
         for part in rest.split(","):
             key, sep, value = part.partition("=")
             key = key.strip()
-            if not sep or key not in ("erode", "dilate", "flip_rate", "seed"):
+            if not sep or key not in casts:
                 raise ValidationError(f"--team {text!r}: bad field {part!r}")
             try:
-                kwargs[key] = float(value) if key == "flip_rate" else int(value)
+                kwargs[key] = casts[key](value)
             except ValueError as exc:
                 raise ValidationError(f"--team {text!r}: bad value in {part!r}") from exc
-    return name, CorruptionSpec(**kwargs)
+    return name, synth.CorruptionSpec(**kwargs)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    from .synth import CorruptionSpec, SynthConfig, generate_challenge
-
-    cfg = SynthConfig(
+    cfg = synth.SynthConfig(
         seed=args.seed,
         slides=args.slides,
         level0_size=args.size,
@@ -57,135 +56,108 @@ def cmd_synth(args: argparse.Namespace) -> int:
         teams = [_parse_team(t, args.seed) for t in args.team]
     else:
         teams = [
-            ("exact", CorruptionSpec(seed=args.seed)),
-            ("flip2", CorruptionSpec(flip_rate=0.02, seed=args.seed)),
-            ("flip5", CorruptionSpec(flip_rate=0.05, seed=args.seed)),
+            ("exact", synth.CorruptionSpec(seed=args.seed)),
+            ("flip2", synth.CorruptionSpec(flip_rate=0.02, seed=args.seed)),
+            ("flip5", synth.CorruptionSpec(flip_rate=0.05, seed=args.seed)),
         ]
-    summary = generate_challenge(cfg, teams, args.out, workers=args.workers)
+    summary = synth.generate_challenge(cfg, teams, args.out, workers=args.workers)
     print(json.dumps(summary, indent=2))
     return 0
 
 
 def cmd_tissue(args: argparse.Namespace) -> int:
-    from .masks import tissue_mask, write_mask
-    from .slide_io import read_pyramid
-
-    pyramid = read_pyramid(args.slide)
-    mask = tissue_mask(pyramid, args.level, args.method)
-    write_mask(mask, args.out)
+    pyramid = slide_io.read_pyramid(args.slide)
+    masks.write_mask(masks.tissue_mask(pyramid, args.level, args.method), args.out)
     return 0
 
 
 def cmd_rasterize(args: argparse.Namespace) -> int:
-    from .masks import rasterize, write_mask
-    from .slide_io import parse_annotations, read_pyramid
-
-    pyramid = read_pyramid(args.slide)
-    aset = parse_annotations(args.annotations)
+    pyramid = slide_io.read_pyramid(args.slide)
+    aset = slide_io.parse_annotations(args.annotations)
     if aset.slide_id != pyramid.slide_id:
         raise ValidationError(
             f"{args.annotations} annotates slide {aset.slide_id!r}, not {pyramid.slide_id!r}"
         )
     lvl = pyramid.level(args.level)
-    mask = rasterize(aset, args.level, lvl.width, lvl.height)
-    write_mask(mask, args.out)
+    masks.write_mask(masks.rasterize(aset, args.level, lvl.width, lvl.height), args.out)
     return 0
 
 
 def cmd_refine(args: argparse.Namespace) -> int:
-    from .masks import read_mask, refine_labels, write_mask
-
-    gt = read_mask(args.gt)
-    tissue = read_mask(args.tissue)
-    write_mask(refine_labels(gt, tissue), args.out)
+    gt = masks.read_mask(args.gt)
+    tissue = masks.read_mask(args.tissue)
+    masks.write_mask(masks.refine_labels(gt, tissue), args.out)
     return 0
 
 
 def cmd_tile(args: argparse.Namespace) -> int:
-    from .masks import read_mask
-    from .slide_io import read_pyramid
-    from .tiling import TilingConfig, emit_manifest, extract_tiles, rebalance_mix
-
-    pyramid = read_pyramid(args.slide)
-    gt = read_mask(args.gt)
-    cfg = TilingConfig(
+    pyramid = slide_io.read_pyramid(args.slide)
+    gt = masks.read_mask(args.gt)
+    cfg = tiling.TilingConfig(
         tile_size=args.size,
         stride=args.stride,
         level=args.level,
         rule=args.rule,
         tissue_filter=args.tissue_filter,
     )
-    records = extract_tiles(pyramid, gt, cfg, workers=args.workers)
+    records = tiling.extract_tiles(pyramid, gt, cfg, workers=args.workers)
     if args.rebalance:
-        records = rebalance_mix(records, args.seed)
-    emit_manifest(records, args.out)
+        records = tiling.rebalance_mix(records, args.seed)
+    tiling.emit_manifest(records, args.out)
     return 0
 
 
 def _load_mask_dir(directory: str | Path) -> dict:
-    from .masks import read_mask
-
     directory = Path(directory)
     if not directory.is_dir():
         raise FormatError(f"{directory}: not a directory")
-    masks, paths = {}, {}
+    by_slide, paths = {}, {}
     for path in sorted(directory.glob("*.pgm")):
-        mask = read_mask(path)
+        mask = masks.read_mask(path)
         if mask.slide_id in paths:
             raise FormatError(f"{paths[mask.slide_id]} and {path} both hold slide {mask.slide_id!r}")
-        masks[mask.slide_id], paths[mask.slide_id] = mask, path
-    if not masks:
+        by_slide[mask.slide_id], paths[mask.slide_id] = mask, path
+    if not by_slide:
         raise FormatError(f"{directory}: no .pgm masks found")
-    return masks
+    return by_slide
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from .metrics import evaluate_team, write_report, write_scores_csv
-    from .reports import read_subtypes
-
     gt = _load_mask_dir(args.truth)
     pred = _load_mask_dir(args.pred)
-    subtypes = read_subtypes(args.subtypes) if args.subtypes else None
-    report = evaluate_team(args.team, gt, pred, subtypes=subtypes, workers=args.workers)
-    write_report(report, args.out)
+    subtypes = reports.read_subtypes(args.subtypes) if args.subtypes else None
+    report = metrics.evaluate_team(args.team, gt, pred, subtypes=subtypes, workers=args.workers)
+    metrics.write_report(report, args.out)
     if args.csv:
-        write_scores_csv(report, args.csv)
+        metrics.write_scores_csv(report, args.csv)
     return 0
 
 
 def cmd_ensemble(args: argparse.Namespace) -> int:
-    from .ensemble import binarize, fuse_mean, fuse_vote, read_probability_map
-    from .ensemble import write_probability_map
-    from .masks import read_mask, write_mask
-
     if args.mode == "vote" and args.binarize is not None:
         raise ValidationError("--binarize applies only to --mode mean")
     if args.mode == "mean":
-        maps = [read_probability_map(p) for p in args.inputs]
-        fused = fuse_mean(maps)
+        fused = ensemble.fuse_mean([ensemble.read_probability_map(p) for p in args.inputs])
         if args.binarize is not None:
-            write_mask(binarize(fused, args.binarize), args.out)
+            masks.write_mask(ensemble.binarize(fused, args.binarize), args.out)
         else:
-            write_probability_map(fused, args.out)
+            ensemble.write_probability_map(fused, args.out)
     else:
-        masks = [read_mask(p) for p in args.inputs]
-        write_mask(fuse_vote(masks), args.out)
+        masks.write_mask(ensemble.fuse_vote([masks.read_mask(p) for p in args.inputs]), args.out)
     return 0
 
 
 def cmd_coteach(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from .coteach import NOISE_BENCHMARK_CONFIG, make_noise_benchmark, noise_benchmark
-    from .coteach import parse_config, train, write_history
-
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    base = parse_config(args.config) if args.config else NOISE_BENCHMARK_CONFIG
-    results = [noise_benchmark(seed, replace(base, seed=seed)) for seed in range(args.seeds)]
-    train_set, _, _ = make_noise_benchmark(0)
-    _, _, history = train(train_set, base, use_agreement=False)
-    write_history(history, out / "history.csv")
+    base = coteach.parse_config(args.config) if args.config else coteach.NOISE_BENCHMARK_CONFIG
+    results = [coteach.noise_benchmark(seed, replace(base, seed=seed))
+               for seed in range(args.seeds)]
+    train_set, _, _ = coteach.make_noise_benchmark(0)
+    _, _, history = coteach.train(train_set, base, use_agreement=False)
+    coteach.write_history(history, out / "history.csv")
     wins = sum(r["coteach_accuracy"] >= r["single_accuracy"] for r in results)
     summary = {"runs": results, "coteach_at_least_single": wins, "seeds": args.seeds}
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
@@ -193,8 +165,6 @@ def cmd_coteach(args: argparse.Namespace) -> int:
 
 
 def _load_reports(paths: list[str]) -> list:
-    from .reports import read_report
-
     expanded = []
     for p in paths:
         path = Path(p)
@@ -204,7 +174,7 @@ def _load_reports(paths: list[str]) -> list:
             expanded.append(path)
     if not expanded:
         raise FormatError("no report files found")
-    return [read_report(p) for p in expanded]
+    return [reports.read_report(p) for p in expanded]
 
 
 def _parse_groups(text: str | None) -> dict[str, str]:
@@ -222,22 +192,18 @@ def _parse_groups(text: str | None) -> dict[str, str]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from .leaderboard import group_compare
-
-    reports = _load_reports(args.reports)
+    team_reports = _load_reports(args.reports)
     grouping = _parse_groups(args.groups)
-    result = group_compare(reports, grouping, mode=args.mode)
+    result = leaderboard.group_compare(team_reports, grouping, mode=args.mode)
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     return 0
 
 
 def cmd_leaderboard(args: argparse.Namespace) -> int:
-    from .leaderboard import rank_teams, render_leaderboard
-
-    reports = _load_reports(args.reports)
+    team_reports = _load_reports(args.reports)
     grouping = _parse_groups(args.groups)
-    entries = rank_teams(reports, grouping)
-    document = render_leaderboard(entries, args.format)
+    entries = leaderboard.rank_teams(team_reports, grouping)
+    document = leaderboard.render_leaderboard(entries, args.format)
     if args.out:
         Path(args.out).write_text(document)
     else:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -369,8 +369,7 @@ def write_history(history: list[dict], path: str | Path) -> None:
 def parse_config(path: str | Path) -> CoteachConfig:
     """Read a flat key=value config file (# starts a comment)."""
     kwargs: dict = {}
-    casts = {"eta": float, "t_max": int, "n_max": int, "tau": float,
-             "ramp_epochs": int, "seed": int}
+    casts = {f.name: type(f.default) for f in fields(CoteachConfig)}
     try:
         lines = Path(path).read_text().splitlines()
     except UnicodeDecodeError as exc:

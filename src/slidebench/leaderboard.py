@@ -7,6 +7,8 @@ No numpy here, so ``compare`` and ``leaderboard`` start without it.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 
@@ -143,13 +145,15 @@ def group_compare(
 def render_leaderboard(entries: list[LeaderboardEntry], fmt: str = "text") -> str:
     """Deterministic leaderboard document in csv, json, or text form."""
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for e in entries:
-            lines.append(
-                f"{e.rank},{e.team},{e.group},{e.mean_dice:.4f},{e.std_dice:.4f},"
-                f"{e.accuracy:.4f},{e.fnr:.4f},{e.fpr:.4f}"
-            )
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(","))
+        writer.writerows(
+            (e.rank, e.team, e.group,
+             *(f"{v:.4f}" for v in (e.mean_dice, e.std_dice, e.accuracy, e.fnr, e.fpr)))
+            for e in entries
+        )
+        return buf.getvalue()
     if fmt == "json":
         payload = [
             {

@@ -9,6 +9,7 @@ parallelizes per slide and tiling per tile row.
 """
 from __future__ import annotations
 
+import csv
 import json
 from functools import partial
 from pathlib import Path
@@ -147,9 +148,8 @@ def write_report(report: TeamReport, path: str | Path) -> None:
 
 
 def write_scores_csv(report: TeamReport, path: str | Path) -> None:
-    lines = ["slide_id,subtype,dice,accuracy,fnr,fpr"]
-    for s in report.scores:
-        lines.append(
-            f"{s.slide_id},{s.subtype},{s.dice:.6f},{s.accuracy:.6f},{s.fnr:.6f},{s.fpr:.6f}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("slide_id", "subtype", *METRIC_FIELDS))
+        writer.writerows((s.slide_id, s.subtype, *(f"{getattr(s, k):.6f}" for k in METRIC_FIELDS))
+                         for s in report.scores)

@@ -158,27 +158,30 @@ def read_report(path: str | Path) -> TeamReport:
     team = typed_field(payload, "team", str, f"{path}: report")
     scores = []
     where = f"{path}: report score"
-    for s in typed_field(payload, "scores", list, f"{path}: report"):
-        if not isinstance(s, dict):
-            raise FormatError(f"{where} is {s!r}, expected a JSON object")
-        counts = None
-        if "tp" in s:
-            counts = ConfusionCounts(*(typed_field(s, k, int, where) for k in COUNT_FIELDS))
-        flags = typed_field(s, "flags", list, where) if "flags" in s else []
-        if not all(isinstance(f, str) for f in flags):
-            raise FormatError(f"{where} field 'flags' is {flags!r}, expected strings")
-        scores.append(
-            SlideScore(
-                typed_field(s, "slide_id", str, where),
-                *(typed_field(s, k, (int, float), where) for k in METRIC_FIELDS),
-                typed_field(s, "subtype", str, where),
-                tuple(flags),
-                counts,
+    try:  # a failed check of a built score or report names the file
+        for s in typed_field(payload, "scores", list, f"{path}: report"):
+            if not isinstance(s, dict):
+                raise FormatError(f"{where} is {s!r}, expected a JSON object")
+            counts = None
+            if "tp" in s:
+                counts = ConfusionCounts(*(typed_field(s, k, int, where) for k in COUNT_FIELDS))
+            flags = typed_field(s, "flags", list, where) if "flags" in s else []
+            if not all(isinstance(f, str) for f in flags):
+                raise FormatError(f"{where} field 'flags' is {flags!r}, expected strings")
+            scores.append(
+                SlideScore(
+                    typed_field(s, "slide_id", str, where),
+                    *(typed_field(s, k, (int, float), where) for k in METRIC_FIELDS),
+                    typed_field(s, "subtype", str, where),
+                    tuple(flags),
+                    counts,
+                )
             )
-        )
-    if not scores:
-        raise FormatError(f"{path}: report has no scores")
-    return TeamReport(team, scores)
+        if not scores:
+            raise FormatError(f"{path}: report has no scores")
+        return TeamReport(team, scores)
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _read_csv(path: str | Path, columns: tuple[str, ...]) -> list[dict]:

@@ -350,6 +350,8 @@ def _normalize_teams(teams) -> list[tuple[str, CorruptionSpec]]:
         raise ValidationError("generate_challenge: no teams")
     named = [(str(name), spec) for name, spec in teams]
     names = [n for n, _ in named]
+    if any(n in ("", ".", "..") or "/" in n for n in names):
+        raise ValidationError(f"team names must be plain directory names, got {names}")
     if len(set(names)) != len(names):
         raise ValidationError(f"duplicate team names: {names}")
     return named

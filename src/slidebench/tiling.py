@@ -16,7 +16,6 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -99,10 +98,12 @@ class TilingConfig:
     __post_init__ = validate
 
 
-def grid_tiles(p: SlidePyramid, cfg: TilingConfig) -> list[tuple[int, int]]:
-    """Row-major origins of all tiles fully inside the configured level.
+def _grid_axes(p: SlidePyramid, cfg: TilingConfig) -> tuple[np.ndarray, list[int]]:
+    """Ascending x and y origins of the tiles ``extract_tiles`` labels; the grid is their product.
 
-    Partial edge tiles are dropped, never padded.
+    Partial edge tiles are dropped, never padded. Under the big-patch rule a
+    big patch at ``o`` on an axis gives the ``big_patch_nine`` sub-tile origins
+    ``o + i*sub`` for ``i`` < 3, and neighbouring big patches may share some.
     """
     lvl = p.level(cfg.level)
     size, stride = cfg.tile_size, cfg.effective_stride
@@ -110,11 +111,18 @@ def grid_tiles(p: SlidePyramid, cfg: TilingConfig) -> list[tuple[int, int]]:
         raise GeometryError(
             f"tile_size {size} exceeds level {cfg.level} dims {lvl.width}x{lvl.height}"
         )
-    return [
-        (x, y)
-        for y in range(0, lvl.height - size + 1, stride)
-        for x in range(0, lvl.width - size + 1, stride)
-    ]
+    xs, ys = (range(0, n - size + 1, stride) for n in (lvl.width, lvl.height))
+    if cfg.rule == RULE_BIG_PATCH_NINE:
+        sub = size // 3
+        xs, ys = (sorted({o + i * sub for o in axis for i in range(3)}) for axis in (xs, ys))
+    return np.array(xs, dtype=np.int64), list(ys)
+
+
+def grid_tiles(p: SlidePyramid, cfg: TilingConfig) -> list[tuple[int, int]]:
+    """Row-major origins of all tiles fully inside the configured level; under
+    the big-patch rule, of the big patches."""
+    xs, ys = _grid_axes(p, replace(cfg, rule=RULE_THRESHOLD75))
+    return [(x, y) for y in ys for x in xs.tolist()]
 
 
 def label_threshold75(tumor_pixels: int, total_pixels: int) -> str:
@@ -188,13 +196,12 @@ def _window_sums(colsum: np.ndarray, size: int, xs: np.ndarray) -> np.ndarray:
     return cs[xs + size] - cs[xs]
 
 
-def _count_row(gt: np.ndarray, size: int, row: tuple) -> np.ndarray:
-    """Tumor pixels of each ``size``-square window of one tile row ``(y, xs)``."""
-    y, xs = row
+def _count_row(gt: np.ndarray, size: int, xs: np.ndarray, y: int) -> np.ndarray:
+    """Tumor pixels of each ``size``-square window at x origins ``xs`` on tile row ``y``."""
     return _window_sums(gt[y : y + size].sum(axis=0, dtype=np.int64), size, xs)
 
 
-def _tissue_keep(pixels: np.ndarray, method: str, size: int, rows: list) -> list:
+def _tissue_keep(pixels: np.ndarray, method: str, size: int, xs: np.ndarray, ys: list) -> list:
     """Per tile row, whether each window holds a tissue pixel, from one pass over the rows.
 
     ``acc`` counts tissue pixels per column over the pixel rows streamed so
@@ -203,8 +210,7 @@ def _tissue_keep(pixels: np.ndarray, method: str, size: int, rows: list) -> list
     column totals and the snapshot is dropped. Every pixel row is tested
     once, whatever the stride.
     """
-    ends = {y + size: (y, xs) for y, xs in rows}
-    tops = {y for y, _ in rows}
+    tops, ends = set(ys), {y + size: y for y in ys}
     marks = sorted(tops | ends.keys())
     acc = np.zeros(pixels.shape[1], dtype=np.int32)
     snaps, keep = {}, {}
@@ -216,9 +222,9 @@ def _tissue_keep(pixels: np.ndarray, method: str, size: int, rows: list) -> list
                 snaps[a] = acc.copy()
             acc += tissue[a - block.start : b - block.start].sum(axis=0, dtype=np.int32)
             if b in ends:
-                y, xs = ends[b]
+                y = ends[b]
                 keep[y] = _window_sums(acc - snaps.pop(y), size, xs) > 0
-    return [keep[y] for y, _ in rows]
+    return [keep[y] for y in ys]
 
 
 def extract_tiles(
@@ -243,40 +249,22 @@ def extract_tiles(
             f"config wants level {cfg.level} ({lvl.height}, {lvl.width})"
         )
 
-    if cfg.rule == RULE_BIG_PATCH_NINE:
-        sub = cfg.tile_size // 3
-        origins = sorted(
-            {
-                o
-                for big in grid_tiles(p, cfg)
-                for o in big_patch_nine(p, big, cfg.tile_size, cfg.level)
-            },
-            key=lambda o: (o[1], o[0]),
-        )
-        size = sub
-        label_fn = label_threeclass
-    else:
-        origins = grid_tiles(p, cfg)
-        size = cfg.tile_size
-        label_fn = label_threshold75 if cfg.rule == RULE_THRESHOLD75 else label_threeclass
+    xs, ys = _grid_axes(p, cfg)
+    size = cfg.tile_size // 3 if cfg.rule == RULE_BIG_PATCH_NINE else cfg.tile_size
+    label_fn = label_threshold75 if cfg.rule == RULE_THRESHOLD75 else label_threeclass
+    keep = (_tissue_keep(lvl.pixels, cfg.tissue_filter, size, xs, ys) if cfg.tissue_filter
+            else [None] * len(ys))
 
-    rows = [(y, np.array([x for x, _ in row], dtype=np.int64))
-            for y, row in groupby(origins, key=lambda o: o[1])]
-    keep = (_tissue_keep(lvl.pixels, cfg.tissue_filter, size, rows) if cfg.tissue_filter
-            else [None] * len(rows))
-
-    counts = parallel.run_chunks(partial(_count_row, gt.data, size), rows, workers=workers)
+    counts = parallel.run_chunks(partial(_count_row, gt.data, size, xs), ys, workers=workers)
 
     total = size * size
     records = []
-    for (y, xs), tumor, kept in zip(rows, counts, keep):
-        for i in range(len(xs)):
+    for y, tumor, kept in zip(ys, counts, keep):
+        for i, x in enumerate(xs.tolist()):
             if kept is not None and not kept[i]:
                 continue
             t = int(tumor[i])
-            records.append(
-                TileRecord(p.slide_id, cfg.level, int(xs[i]), y, size, t, total, label_fn(t, total))
-            )
+            records.append(TileRecord(p.slide_id, cfg.level, x, y, size, t, total, label_fn(t, total)))
     return records
 
 

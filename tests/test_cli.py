@@ -455,6 +455,13 @@ def _report_case(data):
     return make
 
 
+def _report_json(repeat=1, **fields):
+    """A report of team t scoring slide s ``repeat`` times, with ``fields`` set in the score."""
+    score = {"slide_id": "s", "subtype": "Unknown", "dice": 1.0, "accuracy": 1.0, "fnr": 0.0,
+             "fpr": 0.0, **fields}
+    return json.dumps({"team": "t", "scores": [score] * repeat})
+
+
 def _subtypes_case(data):
     def make(tmp_path):
         for kind in ("truth", "pred"):
@@ -575,6 +582,9 @@ MALFORMED_INPUTS = {
     "report_scores_not_list": _report_case('{"team": "t", "scores": 1}'),
     "report_score_not_object": _report_case('{"team": "t", "scores": [1]}'),
     "report_no_scores": _report_case('{"team": "t", "scores": []}'),
+    "report_dice_out_of_range": _report_case(_report_json(dice=1.5)),
+    "report_negative_count": _report_case(_report_json(tp=-1, fp=0, fn=0, tn=1)),
+    "report_scores_one_slide_twice": _report_case(_report_json(repeat=2)),
     "leaderboard_repeated_report": _two_reports_case("leaderboard", repeat=True),
     "compare_repeated_report": _two_reports_case(
         "compare", "--groups", "a=MultiModel,b=SingleModel", "--out", os.devnull, repeat=True),
@@ -648,6 +658,7 @@ def _ensemble_vote_binarize(tmp_path):
 MALFORMED_FLAGS = {
     "synth_negative_seed": _synth_flags("--seed", "-1"),
     "synth_negative_team_seed": _synth_flags("--team", "a:flip_rate=0.5,seed=-3"),
+    "synth_team_outside_out": _synth_flags("--team", "../../escaped"),
     "synth_nan_ratio": _synth_flags("--ratio", "nan", "1", "1"),
     "synth_inf_ratio": _synth_flags("--ratio", "inf", "1", "1"),
     "synth_ratio_sum_overflows": _synth_flags("--ratio", "1e308", "1e308", "1"),
@@ -684,10 +695,13 @@ ERROR_LINES = {
     "report_scores_not_list": "{tmp}/t.json: report field 'scores' is 1, expected list",
     "report_score_not_object": "{tmp}/t.json: report score is 1, expected a JSON object",
     "report_no_scores": "{tmp}/t.json: report has no scores",
+    "report_dice_out_of_range": "{tmp}/t.json: s: dice=1.5 outside [0, 1]",
+    "report_negative_count": "{tmp}/t.json: confusion count tp=-1 must be a non-negative int",
+    "report_scores_one_slide_twice": "{tmp}/t.json: report for 't' scores slide 's' twice",
     "leaderboard_repeated_report": "team 'a' appears in more than one report",
     "compare_repeated_report": "team 'a' appears in more than one report",
-    "leaderboard_slide_scored_twice": "report for 'a' scores slide 's' twice",
-    "compare_slide_scored_twice": "report for 'a' scores slide 's' twice",
+    "leaderboard_slide_scored_twice": "{tmp}/a.json: report for 'a' scores slide 's' twice",
+    "compare_slide_scored_twice": "{tmp}/a.json: report for 'a' scores slide 's' twice",
     "leaderboard_groups_misspelled_team": "groups name teams with no report: aa",
     "leaderboard_groups_team_named_twice": "--groups: team 'a' is named twice",
     "leaderboard_groups_empty_team": "--groups: expected team=Group, got '=MultiModel'",
@@ -735,6 +749,7 @@ ERROR_LINES = {
     "config_negative_seed": "seed must be >= 0, got -1",
     "synth_negative_seed": "seed must be >= 0, got -1",
     "synth_negative_team_seed": "seed must be >= 0, got -3",
+    "synth_team_outside_out": "team names must be plain directory names, got ['../../escaped']",
     "synth_nan_ratio": "bad subtype ratio (nan, 1.0, 1.0)",
     "synth_inf_ratio": "bad subtype ratio (inf, 1.0, 1.0)",
     "synth_ratio_sum_overflows": "bad subtype ratio (1e+308, 1e+308, 1.0)",

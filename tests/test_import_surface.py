@@ -4,6 +4,7 @@ Every submodule is in ``sys.modules`` from ``import slidebench`` on, as a
 lazy module. It counts as executed once ``type(sys.modules[name]) is
 types.ModuleType``; that check does not trigger the load.
 """
+import ast
 import json
 import os
 import subprocess
@@ -148,3 +149,28 @@ except ImportError:
 else:
     raise AssertionError("imported a name slidebench does not define")
 """)
+
+
+def test_version_start_leaves_dataclasses_unloaded():
+    proc = _python("""
+import runpy, sys
+try:
+    runpy.run_module("slidebench", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print("dataclasses" in sys.modules)
+""", "--version")
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_cli_imports_slidebench_modules_only_at_module_level():
+    """The stages are lazy submodules imported once at the top of ``cli.py``."""
+    tree = ast.parse((ROOT / "src" / "slidebench" / "cli.py").read_text())
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom):
+                    assert node.level == 0 and node.module.split(".")[0] != "slidebench", (
+                        f"{func.name} imports {'.' * node.level}{node.module or ''}")
+                if isinstance(node, ast.Import):
+                    assert all(a.name.split(".")[0] != "slidebench" for a in node.names), func.name

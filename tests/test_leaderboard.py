@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -95,6 +97,16 @@ def test_render_csv_schema_and_decimals():
     lines = doc.splitlines()
     assert lines[0] == CSV_HEADER
     assert lines[1].startswith("1,t1,SingleModel,0.8372,0.0858,")
+
+
+def test_render_csv_quotes_names_and_reads_back():
+    entries = rank_teams([_report('a,b "c"', [0.8]), _report("plain", [0.7])])
+    doc = render_leaderboard(entries, "csv")
+    rows = list(csv.reader(io.StringIO(doc)))
+    assert rows[0] == CSV_HEADER.split(",")
+    assert [len(r) for r in rows] == [8, 8, 8]
+    assert [r[1] for r in rows[1:]] == ['a,b "c"', "plain"]
+    assert doc.splitlines()[2].startswith("2,plain,SingleModel,0.7000,")
 
 
 def test_render_text_has_mean_std_cells():

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -355,6 +357,18 @@ def test_scores_csv_format(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "slide_id,subtype,dice,accuracy,fnr,fpr"
     assert lines[1] == "slide_1,SCC,0.750000,0.800000,0.250000,0.166667"
+
+
+def test_scores_csv_quotes_slide_ids_and_reads_back(tmp_path):
+    ids = ["s,1", 's"2', "s3"]
+    report = TeamReport("t", [SlideScore(sid, 0.5, 0.5, 0.0, 0.0) for sid in ids])
+    path = tmp_path / "s.csv"
+    write_scores_csv(report, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(r) for r in rows] == [6] * 4
+    assert [r[0] for r in rows[1:]] == ids
+    assert path.read_bytes().endswith(b"\ns3,Unknown,0.500000,0.500000,0.000000,0.000000\n")
 
 
 def test_identity_2tp_fp_fn(rng):

@@ -407,6 +407,15 @@ def test_duplicate_team_names_rejected(tmp_path):
         generate_challenge(cfg, teams, tmp_path)
 
 
+@pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b"])
+def test_team_names_that_are_not_directory_names_rejected(tmp_path, name):
+    cfg = SynthConfig(seed=2, slides=1, level0_size=128, n_levels=1, lesion_radius=(8.0, 16.0))
+    with pytest.raises(ValidationError, match="plain directory names"):
+        generate_challenge(cfg, [("ok", CorruptionSpec()), (name, CorruptionSpec())],
+                           tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

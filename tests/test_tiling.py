@@ -198,6 +198,9 @@ TISSUE_GRIDS = {
     "stride_equal_size": dict(tile_size=8),
     "stride_above_size": dict(tile_size=8, stride=13),
     "big_patch_nine": dict(tile_size=24, rule=RULE_BIG_PATCH_NINE),
+    # overlapping big patches, where sub-tiles of neighbouring patches coincide
+    "big_patch_nine_stride_10": dict(tile_size=24, stride=10, rule=RULE_BIG_PATCH_NINE),
+    "big_patch_nine_stride_16": dict(tile_size=24, stride=16, rule=RULE_BIG_PATCH_NINE),
 }
 
 
