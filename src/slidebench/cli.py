@@ -6,12 +6,14 @@ byte-identical outputs, regardless of --workers. Exit codes: 0 success,
 Diagnostics go to stderr; machine-readable output goes to files or stdout.
 The stages are the package's lazy submodules, which run on first use, so a
 start runs only the modules its subcommand calls: ``--version`` and ``--help``
-need no numpy.
+need no numpy. A command that loads numpy gets one OpenBLAS thread unless
+``OPENBLAS_NUM_THREADS`` is set.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -350,6 +352,9 @@ def main(argv: list[str] | None = None) -> int:
     if not hasattr(args, "func"):
         parser.print_usage(sys.stderr)
         return 2
+    if "numpy" not in sys.modules:
+        # the package's BLAS calls are tiny, and an idle OpenBLAS pool spins CPU
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         return args.func(args)
     except (SlidebenchError, OSError) as exc:

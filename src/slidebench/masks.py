@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -320,17 +321,29 @@ def refine_labels(gt: BinaryMask, tissue: BinaryMask) -> BinaryMask:
 
 def write_mask(mask: BinaryMask, path: str | Path) -> None:
     """Serialize as binary PGM (0 = background, 255 = set) plus a JSON sidecar."""
+    with mask_writer(path, mask.slide_id, mask.level, mask.role, mask.width, mask.height) as append:
+        for rows in _row_blocks(mask.height, mask.width):
+            append(mask.data[rows])
+
+
+@contextmanager
+def mask_writer(path: str | Path, slide_id: str, level: int, role: str, width: int, height: int):
+    """Write a mask as ``write_mask`` does, from blocks of whole bool rows: yields
+    ``append``, which writes one block, top to bottom; the sidecar follows the rows."""
     path = Path(path)
-    netpbm.write_p5(path, mask.data.view(np.uint8) * np.uint8(255))  # one temporary
-    sidecar = {"slide_id": mask.slide_id, "level": mask.level, "role": mask.role}
+    with netpbm.row_writer(path, b"P5", width, height) as append:
+        yield lambda rows: append(rows.view(np.uint8) * np.uint8(255))
+    sidecar = {"slide_id": slide_id, "level": level, "role": role}
     path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
 def read_mask(path: str | Path) -> BinaryMask:
-    """Load a PGM mask and its sidecar metadata."""
+    """Load a PGM mask and its sidecar metadata; the raster becomes bool in place."""
     gray, meta, where = read_pgm_sidecar(path, "mask")
     role = typed_field(meta, "role", str, where)
-    return BinaryMask(meta["slide_id"], meta["level"], gray > 0, role)
+    data = gray.view(np.bool_)
+    np.not_equal(gray, 0, out=data)
+    return BinaryMask(meta["slide_id"], meta["level"], data, role)
 
 
 def read_pgm_sidecar(path: str | Path, kind: str) -> tuple[np.ndarray, dict, str]:

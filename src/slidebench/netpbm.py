@@ -1,16 +1,20 @@
 """Minimal binary netpbm reader/writer (P5 grayscale, P6 RGB, maxval 255).
 
 Writing is canonical and byte-deterministic: a fixed single-line header per
-field, no comments, then the contiguous array's own buffer, never a bytes
-copy of it. Reading accepts any conforming header (whitespace and ``#``
-comments between tokens, of any length) and holds one copy of the raster:
-the header is parsed from the open file and the raster is read straight
-into the returned array.
+field, no comments, then the rows, each block written from its contiguous
+array's own buffer, never a bytes copy of it. ``row_writer`` writes the
+header first and takes the rows in blocks, so a raster can be written while
+it is made; ``write_p5`` and ``write_p6`` hand it the whole array. Reading
+accepts any conforming header (whitespace and ``#`` comments between
+tokens, of any length) and holds one copy of the raster: the header is
+parsed from the open file and the raster is read straight into the returned
+array.
 """
 from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO
 
@@ -23,36 +27,64 @@ _MAXVAL = 255
 
 def write_p5(path: str | Path, gray: np.ndarray) -> None:
     """Write a (h, w) uint8 array as binary PGM."""
-    _write_binary(path, b"P5", gray, (), "2-D")
+    _write_array(path, b"P5", gray)
 
 
 def write_p6(path: str | Path, rgb: np.ndarray) -> None:
     """Write a (h, w, 3) uint8 array as binary PPM."""
-    _write_binary(path, b"P6", rgb, (3,), "(h, w, 3)")
+    _write_array(path, b"P6", rgb)
 
 
-def _write_binary(path: str | Path, magic: bytes, pixels, channels: tuple, shape: str) -> None:
-    """The canonical header, then the contiguous array's own buffer."""
-    arr = np.ascontiguousarray(pixels, dtype=np.uint8)
+_CHANNELS = {b"P5": (), b"P6": (3,)}
+
+
+def _write_array(path: str | Path, magic: bytes, pixels) -> None:
+    arr = np.asarray(pixels)
+    channels = _CHANNELS[magic]
     if arr.ndim != 2 + len(channels) or arr.shape[2:] != channels:
+        shape = "(h, w, 3)" if channels else "2-D"
         raise FormatError(f"{magic.decode()} payload must be {shape}, got shape {arr.shape}")
-    h, w = arr.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(b"%s\n%d %d\n%d\n" % (magic, w, h, _MAXVAL))
+    with row_writer(path, magic, arr.shape[1], arr.shape[0]) as append:
+        append(arr)
+
+
+@contextmanager
+def row_writer(path: str | Path, magic: bytes, width: int, height: int):
+    """Write the canonical ``magic`` (P5 or P6) header of a width x height raster, then
+    yield ``append``, which writes a block of whole rows, top to bottom: an (n, width)
+    array for P5 or (n, width, 3) for P6, as uint8. Leaving the block checks that
+    exactly ``height`` rows were written.
+    """
+    shape = (width, *_CHANNELS[magic])
+    written = 0
+
+    def append(rows) -> None:
+        nonlocal written
+        arr = np.ascontiguousarray(rows, dtype=np.uint8)
+        if arr.shape[1:] != shape:
+            raise FormatError(f"{path}: rows of shape {arr.shape} do not fit a {width}-wide "
+                              f"{magic.decode()} raster")
         fh.write(arr)
+        written += len(arr)
+
+    with open(path, "wb") as fh:
+        fh.write(b"%s\n%d %d\n%d\n" % (magic, width, height, _MAXVAL))
+        yield append
+    if written != height:
+        raise FormatError(f"{path}: {written} rows written, header declares {height}")
 
 
 def read_p5(path: str | Path) -> np.ndarray:
     """Read a binary PGM file into a (h, w) uint8 array."""
-    return _read_binary(path, b"P5", ())
+    return _read_binary(path, b"P5")
 
 
 def read_p6(path: str | Path) -> np.ndarray:
     """Read a binary PPM file into a (h, w, 3) uint8 array."""
-    return _read_binary(path, b"P6", (3,))
+    return _read_binary(path, b"P6")
 
 
-def _read_binary(path: str | Path, magic: bytes, channels: tuple) -> np.ndarray:
+def _read_binary(path: str | Path, magic: bytes) -> np.ndarray:
     """Parse the header, then read the raster straight into one uint8 array.
 
     The payload length is checked against the file size before the array is
@@ -68,6 +100,7 @@ def _read_binary(path: str | Path, magic: bytes, channels: tuple) -> np.ndarray:
         if maxval != _MAXVAL:
             raise FormatError(f"{path}: unsupported maxval {maxval}, expected {_MAXVAL}")
         # the byte that ended maxval, exactly one, separates the header from the raster
+        channels = _CHANNELS[magic]
         expected = w * h * math.prod(channels)
         size = os.fstat(fh.fileno()).st_size - fh.tell()
         if size != expected:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import xml.etree.ElementTree as ET
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -107,16 +108,43 @@ def write_pyramid(pyramid: SlidePyramid, directory: str | Path) -> Path:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    entries = []
     for k, lvl in enumerate(pyramid.levels):
-        name = f"level_{k:02d}.ppm"
-        netpbm.write_p6(directory / name, lvl.pixels)
-        entries.append({"index": k, "width": lvl.width, "height": lvl.height, "file": name})
-    manifest = {
-        "slide_id": pyramid.slide_id,
-        "mpp_level0": pyramid.mpp_level0,
-        "levels": entries,
-    }
+        netpbm.write_p6(directory / _level_file(k), lvl.pixels)
+    dims = [(lvl.width, lvl.height) for lvl in pyramid.levels]
+    return _write_manifest(directory, pyramid.slide_id, pyramid.mpp_level0, dims)
+
+
+def write_pyramid_rows(
+    slide_id: str, width: int, height: int, n_levels: int, chunks, directory: str | Path
+) -> Path:
+    """Write the pyramid ``build_pyramid`` makes of a level-0 raster that comes in row
+    chunks, with the bytes ``write_pyramid`` writes for it; returns the manifest path.
+
+    ``chunks`` yields ``(y0, rows)``: level-0 rows from ``y0`` on, top to bottom. Every
+    level's header is written first; then each chunk's rows and columns ``::2**k`` are
+    appended to level k, so no level is held whole.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    dims = [level_dimensions(width, height, k) for k in range(n_levels)]
+    with ExitStack() as stack:
+        appends = [stack.enter_context(netpbm.row_writer(directory / _level_file(k), b"P6", w, h))
+                   for k, (w, h) in enumerate(dims)]
+        for y0, rows in chunks:
+            for k, append in enumerate(appends):
+                step = 1 << k  # level k keeps the level-0 rows and columns that step divides
+                append(rows[-y0 % step :: step, ::step])
+    return _write_manifest(directory, slide_id, None, dims)
+
+
+def _level_file(k: int) -> str:
+    return f"level_{k:02d}.ppm"
+
+
+def _write_manifest(directory: Path, slide_id: str, mpp: float | None, dims: list) -> Path:
+    entries = [{"index": k, "width": w, "height": h, "file": _level_file(k)}
+               for k, (w, h) in enumerate(dims)]
+    manifest = {"slide_id": slide_id, "mpp_level0": mpp, "levels": entries}
     manifest_path = directory / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
     return manifest_path

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import zlib
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import parallel
 from .errors import ValidationError
-from .masks import ROLE_PREDICTION, BinaryMask, rasterize, write_mask
+from .masks import ROLE_PREDICTION, BinaryMask, mask_writer, rasterize, write_mask
 from .masks import _row_blocks  # the cache-sized row blocks of luma
 from .reports import TRUTH_TABLE_COLUMNS
 from .slide_io import (
@@ -37,13 +38,14 @@ from .slide_io import (
     SlidePyramid,
     build_pyramid,
     serialize_annotations,
-    write_pyramid,
+    write_pyramid_rows,
 )
 
 SUBTYPE_ORDER = ("SCC", "SCLC", "ADC")  # weights in subtype_ratio follow this order
 DEFAULT_RATIO = (6.0, 3.0, 1.0)
 
 _CHUNK_ROWS = 512  # rows painted from one noise stream
+_ANNULUS_PIXELS = 1 << 15  # most blob-boundary pixels tested at once
 _N_HARMONICS = 4
 _SECTORS = 4096  # angular sectors of the blob-radius table
 _TISSUE_LO = (150, 90, 140)  # per-channel low ends of the color ranges, before jitter
@@ -131,10 +133,11 @@ def _star_polygon(rng: np.random.Generator, cx: float, cy: float, radius: float)
     return np.column_stack((cx + radii * np.cos(angles), cy + radii * np.sin(angles)))
 
 
-def _blob_mask(
+def _blob_chunks(
     size: int, cx: float, cy: float, r0: float, amps: np.ndarray, phases: np.ndarray
-) -> np.ndarray:
-    """The blob: pixels with ``hypot(dx, dy) <= _blob_radius(arctan2(dy, dx))``.
+):
+    """The blob, pixels with ``hypot(dx, dy) <= _blob_radius(arctan2(dy, dx))``, as one
+    bool array per _CHUNK_ROWS chunk of rows, top to bottom.
 
     The exact test is costly, so only pixels near the boundary take it. The
     radius at the center of each angular sector, minus or plus ``slack``
@@ -163,27 +166,31 @@ def _blob_mask(
 
     out_lo, out_hi = columns(float(sure_out2.max()))
     in_lo, in_hi = (np.clip(c, out_lo, out_hi) for c in columns(float(sure_in2.min())))
-    blob = np.zeros((size, size), dtype=bool)
-    for y, (x0, x1) in enumerate(zip(in_lo.tolist(), in_hi.tolist())):
-        blob[y, x0:x1] = True
-
-    # the annulus: columns [out_lo, in_lo) and [in_hi, out_hi) of every row
+    annulus = (in_lo - out_lo) + (out_hi - in_hi)  # pixels of each row between the bounds
     for y0 in range(0, size, _CHUNK_ROWS):
-        rows = slice(y0, y0 + _CHUNK_ROWS)
-        starts = np.concatenate([out_lo[rows], in_hi[rows]])
-        lengths = np.concatenate([in_lo[rows], out_hi[rows]]) - starts
-        ys = np.repeat(np.tile(np.arange(size)[rows], 2), lengths)
-        xs = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(len(ys))
-        ddx, ddy = xs - cx, dy[ys]
-        d2 = ddx * ddx + ddy * ddy
-        theta = np.arctan2(ddy, ddx)
-        sector = ((theta + np.pi) / width).astype(np.intp)
-        within = d2 <= sure_in2[sector]
-        near = np.flatnonzero(~within & (d2 <= sure_out2[sector]))
-        radius = _blob_radius(theta[near], r0, amps, phases)
-        within[near] = np.hypot(ddx[near], ddy[near]) <= radius
-        blob[ys, xs] = within
-    return blob
+        y1 = min(size, y0 + _CHUNK_ROWS)
+        blob = np.zeros((y1 - y0, size), dtype=bool)
+        for y, (x0, x1) in enumerate(zip(in_lo[y0:y1].tolist(), in_hi[y0:y1].tolist())):
+            blob[y, x0:x1] = True
+        # the annulus, columns [out_lo, in_lo) and [in_hi, out_hi), in groups of rows
+        # of at most _ANNULUS_PIXELS pixels, so each pixel's temporaries stay small
+        step = max(1, _ANNULUS_PIXELS // max(1, int(annulus[y0:y1].max())))
+        for a in range(y0, y1, step):
+            rows = slice(a, min(y1, a + step))
+            starts = np.concatenate([out_lo[rows], in_hi[rows]])
+            lengths = np.concatenate([in_lo[rows], out_hi[rows]]) - starts
+            ys = np.repeat(np.tile(np.arange(size)[rows], 2), lengths)
+            xs = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths) + np.arange(len(ys))
+            ddx, ddy = xs - cx, dy[ys]
+            d2 = ddx * ddx + ddy * ddy
+            theta = np.arctan2(ddy, ddx)
+            sector = ((theta + np.pi) / width).astype(np.intp)
+            within = d2 <= sure_in2[sector]
+            near = np.flatnonzero(~within & (d2 <= sure_out2[sector]))
+            radius = _blob_radius(theta[near], r0, amps, phases)
+            within[near] = np.hypot(ddx[near], ddy[near]) <= radius
+            blob[ys - y0, xs] = within
+        yield blob
 
 
 def _paint_table(jitter: int, bg_jitter: int) -> np.ndarray:
@@ -203,24 +210,30 @@ def _paint_table(jitter: int, bg_jitter: int) -> np.ndarray:
     return table.ravel()
 
 
-def _paint(out: np.ndarray, cls: np.ndarray, noise: np.ndarray, table: np.ndarray) -> None:
-    """``out[y, x, c] = table[cls[y, x] << 10 | c << 8 | noise[y, x, c]]``, looked up per
-    ``_row_blocks`` block so that numpy's intp copy of the keys stays in cache."""
+def _paint(out: np.ndarray, inside: np.ndarray, lesion: np.ndarray, noise: np.ndarray,
+           table: np.ndarray) -> None:
+    """``out[y, x, c] = table[cls[y, x] << 10 | c << 8 | noise[y, x, c]]``, with class
+    ``cls`` 0 background, 1 tissue (``inside`` the blob) or 2 lesion (also ``lesion``);
+    lesion color never leaves the blob. Classes and keys are made and looked up per
+    ``_row_blocks`` block, so that they and numpy's intp copy of the keys stay in cache."""
     class_keys = (np.arange(3)[:, None] << 10 | np.arange(3) << 8).astype(np.uint16)
-    key = np.take(class_keys, cls, axis=0)
-    key |= noise
     for rows in _row_blocks(*out.shape[:2]):
-        np.take(table, key[rows], out=out[rows], mode="clip")
+        cls = inside[rows].view(np.uint8) + (lesion[rows] & inside[rows]).view(np.uint8)
+        key = np.take(class_keys, cls, axis=0)
+        key |= noise[rows]
+        np.take(table, key, out=out[rows], mode="clip")
 
 
-def generate_slide(
-    cfg: SynthConfig, index: int
-) -> tuple[SlidePyramid, AnnotationSet, BinaryMask, str]:
-    """One deterministic synthetic slide.
+def _draw_slide(cfg: SynthConfig, index: int):
+    """A slide's subtype, annotations, true mask and painter, drawn from its (seed, index)
+    stream.
 
-    Returns the pyramid, the (possibly noise-expanded) annotations, the true
-    cancer mask, and the drawn subtype. With both noise knobs off the
-    annotations rasterize exactly to the true mask.
+    The painter is a generator function: ``paint(image=None)`` yields ``(y0, rows)``, the
+    RGB rows of each _CHUNK_ROWS chunk from row y0 on, top to bottom, painted into
+    ``image`` when one is given, else into one chunk-sized buffer that the next chunk
+    overwrites. Each chunk computes its own blob rows and draws its own noise. With
+    label_background_inclusion each chunk also clears the truth outside the blob, so the
+    truth is final once every chunk is drawn.
     """
     rng = np.random.default_rng([cfg.seed, index])
     size = cfg.level0_size
@@ -262,22 +275,37 @@ def generate_slide(
     bg_jitter = int(rng.integers(-2, 3))
     truth = rasterize(AnnotationSet(sid, truth_polygons), 0, size, size)
     table = _paint_table(jitter, bg_jitter)
-    blob = _blob_mask(size, cx, cy, r0, amps, phases)
-    image = np.empty((size, size, 3), dtype=np.uint8)
-    for chunk, y0 in enumerate(range(0, size, _CHUNK_ROWS)):
-        y1 = min(size, y0 + _CHUNK_ROWS)
-        inside = blob[y0:y1]
-        # class 0 background, 1 tissue, 2 lesion; lesion color never leaves the blob
-        cls = inside.view(np.uint8) + (truth.data[y0:y1] & inside).view(np.uint8)
-        noise = np.random.default_rng([cfg.seed, index, chunk]).integers(
-            0, 256, (y1 - y0, size, 3), dtype=np.uint8
-        )
-        _paint(image[y0:y1], cls, noise, table)
 
-    if cfg.label_background_inclusion:
-        truth.data &= blob
-    pyramid = build_pyramid(sid, image, cfg.n_levels)
-    return pyramid, AnnotationSet(sid, annotations), truth, subtype
+    def paint(image: np.ndarray | None = None):
+        buffer = np.empty((min(size, _CHUNK_ROWS), size, 3), np.uint8) if image is None else None
+        blobs = _blob_chunks(size, cx, cy, r0, amps, phases)
+        for chunk, (y0, inside) in enumerate(zip(range(0, size, _CHUNK_ROWS), blobs)):
+            y1 = y0 + len(inside)
+            out = buffer[: y1 - y0] if image is None else image[y0:y1]
+            noise_rng = np.random.default_rng([cfg.seed, index, chunk])
+            _paint(out, inside, truth.data[y0:y1],
+                   noise_rng.integers(0, 256, (y1 - y0, size, 3), dtype=np.uint8), table)
+            if cfg.label_background_inclusion:
+                truth.data[y0:y1] &= inside
+            yield y0, out
+
+    return subtype, AnnotationSet(sid, annotations), truth, paint
+
+
+def generate_slide(
+    cfg: SynthConfig, index: int
+) -> tuple[SlidePyramid, AnnotationSet, BinaryMask, str]:
+    """One deterministic synthetic slide.
+
+    Returns the pyramid, the (possibly noise-expanded) annotations, the true
+    cancer mask, and the drawn subtype. With both noise knobs off the
+    annotations rasterize exactly to the true mask.
+    """
+    subtype, annotations, truth, paint = _draw_slide(cfg, index)
+    image = np.empty((cfg.level0_size, cfg.level0_size, 3), dtype=np.uint8)
+    for _ in paint(image):
+        pass
+    return build_pyramid(truth.slide_id, image, cfg.n_levels), annotations, truth, subtype
 
 
 def _along(axis: int, start=None, stop=None) -> tuple:
@@ -310,39 +338,64 @@ def _box_filter_bool(data: np.ndarray, radius: int, require_all: bool) -> np.nda
     return out
 
 
-def corrupt_prediction(true_mask: BinaryMask, specs: list[CorruptionSpec]) -> list[BinaryMask]:
-    """One prediction per spec, in order: erode, then dilate, then flip the
-    pixels where the uniform field of (spec.seed, slide id) is below flip_rate.
+def _filtered_blocks(truth: np.ndarray, spec: CorruptionSpec):
+    """``truth`` eroded, then dilated, by ``spec``, one ``_row_blocks`` block at a time.
 
-    Specs sharing a seed flip nested pixel sets as flip_rate grows. Each
-    seed's field is drawn once, for all its specs, in row blocks of about
-    2**16 pixels that continue one stream, so the flips equal thresholding
-    the whole field drawn at once.
+    Whole blocks are filtered together, in windows of at least ``8 * halo`` rows with
+    ``halo = erode + dilate`` rows of truth on either side, clipped at the raster's
+    edges: the erosion is wrong only within ``erode`` rows of a window edge that is not
+    the raster's, and the dilation spreads that ``dilate`` rows further. So at most a
+    fifth of the rows filtered are halo, and a radius past the raster filters it once.
     """
-    outs = []
-    for spec in specs:
-        data = _box_filter_bool(true_mask.data, spec.erode, require_all=True)
-        data = _box_filter_bool(data, spec.dilate, require_all=False)
-        outs.append(data.copy() if data is true_mask.data else data)
-    blocks = list(_row_blocks(*true_mask.data.shape))
-    field = np.empty((blocks[0].stop if blocks else 0, true_mask.width))  # one block's draw
+    height = truth.shape[0]
+    halo = spec.erode + spec.dilate
+    lo = hi = 0  # the window's rows [lo, hi), filtered into ``window``
+    for rows in _row_blocks(*truth.shape):
+        if rows.stop > hi:
+            span = rows.stop - rows.start  # every block but the last has this many rows
+            lo, hi = rows.start, min(height, rows.start + span * max(1, -(-8 * halo // span)))
+            a, b = max(0, lo - halo), min(height, hi + halo)
+            window = _box_filter_bool(truth[a:b], spec.erode, require_all=True)
+            window = _box_filter_bool(window, spec.dilate, require_all=False)[lo - a : hi - a]
+        yield window[rows.start - lo : rows.stop - lo]
+
+
+def _prediction_blocks(true_mask: BinaryMask, specs: list[CorruptionSpec]):
+    """``(rows, predictions)`` for each ``_row_blocks`` block, top to bottom: the rows of
+    one prediction per spec, eroded, then dilated, then flipped where the uniform field
+    of (spec.seed, slide id) is below flip_rate.
+
+    Each seed's field is one stream, drawn block by block for all its specs, so the
+    flips equal thresholding the whole field drawn at once. A prediction's rows may be
+    a view of the truth's; they are never written to.
+    """
+    data = true_mask.data
+    filtered = [_filtered_blocks(data, spec) for spec in specs]
     slide_key = zlib.crc32(true_mask.slide_id.encode())
-    for seed in dict.fromkeys(s.seed for s in specs if s.flip_rate):
-        field_rng = np.random.default_rng([seed, slide_key])
-        flipped = [(o, s.flip_rate) for o, s in zip(outs, specs) if s.flip_rate and s.seed == seed]
-        for rows in blocks:
+    fields = {seed: np.random.default_rng([seed, slide_key])
+              for seed in dict.fromkeys(s.seed for s in specs if s.flip_rate)}
+    blocks = list(_row_blocks(*data.shape))
+    field = np.empty((blocks[0].stop if blocks else 0, data.shape[1]))  # one block's draw
+    for rows in blocks:
+        preds = [next(rows_of) for rows_of in filtered]
+        for seed, field_rng in fields.items():
             u = field_rng.random(out=field[: rows.stop - rows.start])
-            for out, rate in flipped:
-                out[rows] ^= u < rate
+            for i, spec in enumerate(specs):
+                if spec.flip_rate and spec.seed == seed:
+                    preds[i] = preds[i] ^ (u < spec.flip_rate)
+        yield rows, preds
+
+
+def corrupt_prediction(true_mask: BinaryMask, specs: list[CorruptionSpec]) -> list[BinaryMask]:
+    """One prediction per spec, in order, assembled from ``_prediction_blocks``.
+
+    Specs sharing a seed flip nested pixel sets as flip_rate grows.
+    """
+    outs = [np.empty_like(true_mask.data) for _ in specs]
+    for rows, preds in _prediction_blocks(true_mask, specs):
+        for out, pred in zip(outs, preds):
+            out[rows] = pred
     return [BinaryMask(true_mask.slide_id, true_mask.level, o, ROLE_PREDICTION) for o in outs]
-
-
-def _tally(gt: np.ndarray, pred: np.ndarray) -> tuple[int, int, int, int]:
-    tp = int(np.count_nonzero(gt & pred))
-    fp = int(np.count_nonzero(pred)) - tp
-    fn = int(np.count_nonzero(gt)) - tp
-    tn = gt.size - tp - fp - fn
-    return tp, fp, fn, tn
 
 
 def _normalize_teams(teams) -> list[tuple[str, CorruptionSpec]]:
@@ -358,16 +411,25 @@ def _normalize_teams(teams) -> list[tuple[str, CorruptionSpec]]:
 
 
 def _challenge_slide(cfg: SynthConfig, teams: list, out: Path, index: int) -> tuple[str, str, list]:
-    pyramid, annotations, truth, subtype = generate_slide(cfg, index)
-    sid = pyramid.slide_id
-    write_pyramid(pyramid, out / "slides" / sid)
+    """Write one slide's files, chunk by chunk and block by block, and tally each team."""
+    subtype, annotations, truth, paint = _draw_slide(cfg, index)
+    sid, size = truth.slide_id, cfg.level0_size
+    write_pyramid_rows(sid, size, size, cfg.n_levels, paint(), out / "slides" / sid)
     serialize_annotations(annotations, out / "annotations" / f"{sid}.xml")
     write_mask(truth, out / "truth" / f"{sid}.pgm")
-    rows = []
-    preds = corrupt_prediction(truth, [spec for _, spec in teams])
-    for (name, _), pred in zip(teams, preds):
-        write_mask(pred, out / "predictions" / name / f"{sid}.pgm")
-        rows.append((name, *_tally(truth.data, pred.data)))
+    counts = np.zeros((len(teams), 2), dtype=np.int64)  # per team: true positives, predicted
+    with ExitStack() as stack:
+        appends = [stack.enter_context(mask_writer(out / "predictions" / name / f"{sid}.pgm",
+                                                   sid, 0, ROLE_PREDICTION, size, size))
+                   for name, _ in teams]
+        for rows, preds in _prediction_blocks(truth, [spec for _, spec in teams]):
+            gt = truth.data[rows]
+            for append, pred, tally in zip(appends, preds, counts):
+                append(pred)
+                tally += (np.count_nonzero(gt & pred), np.count_nonzero(pred))
+    true, n = truth.count, truth.data.size
+    rows = [(name, tp, predicted - tp, true - tp, n - predicted - true + tp)
+            for (name, _), (tp, predicted) in zip(teams, counts.tolist())]
     return sid, subtype, rows
 
 

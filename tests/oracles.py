@@ -28,13 +28,15 @@ can be checked against them bit for bit.
 The helpers at the end make inputs for, compare or measure package objects
 in the tests: pyramid and annotation equality, exact tile-window counts,
 rasters whose tissue test turns on luma's rounding ties, the traced
-allocation peak of a call, a batch's mean loss, and ``gradient_check``,
-which differentiates the package's own loss numerically to check its
-analytic gradient.
+allocation peak of a call, the peak RSS of a child process, a batch's mean
+loss, and ``gradient_check``, which differentiates the package's own loss
+numerically to check its analytic gradient.
 """
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 import tracemalloc
 import zlib
 from fractions import Fraction
@@ -626,6 +628,22 @@ def tie_slide(method: str, h: int = 96, w: int = 104):
                 break
             t = split
     raise AssertionError("no Otsu split with both kinds of ties settled")
+
+
+# runs its arguments as one child process and prints that child's peak RSS in KiB
+_CHILD_PEAK_PROBE = """
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def child_peak_rss(argv: list[str], env: dict | None = None) -> int:
+    """Peak RSS in bytes of the process ``argv`` starts, run as the only child of a fresh
+    wrapper interpreter, so no earlier child of the caller's counts."""
+    proc = subprocess.run([sys.executable, "-c", _CHILD_PEAK_PROBE, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return int(proc.stdout.split()[-1]) * 1024  # Linux reports ru_maxrss in KiB
 
 
 def traced_peak(fn):

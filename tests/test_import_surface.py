@@ -174,3 +174,38 @@ def test_cli_imports_slidebench_modules_only_at_module_level():
                         f"{func.name} imports {'.' * node.level}{node.module or ''}")
                 if isinstance(node, ast.Import):
                     assert all(a.name.split(".")[0] != "slidebench" for a in node.names), func.name
+
+
+# runs ``synth`` through ``cli.main`` in this interpreter, then prints the BLAS thread
+# setting the CLI left and the process's thread count
+BLAS_PROBE = """
+import json, os, sys
+from slidebench.cli import main
+assert "numpy" not in sys.modules
+code = main(["synth", "--out", sys.argv[1], "--slides", "1", "--size", "64", "--levels", "1",
+             "--radius", "4", "8"])
+assert code == 0 and "numpy" in sys.modules
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir("/proc/self/task"))]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/<pid>/task")
+def test_cli_loads_numpy_with_one_blas_thread(tmp_path, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    proc = _python(BLAS_PROBE, str(tmp_path / "s"))
+    assert json.loads(proc.stdout.splitlines()[-1]) == ["1", 1]
+
+
+def test_cli_keeps_a_blas_thread_count_the_user_set(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    proc = _python(BLAS_PROBE, str(tmp_path / "s"))
+    assert json.loads(proc.stdout.splitlines()[-1])[0] == "2"
+
+
+def test_in_process_cli_leaves_the_blas_setting_alone(tmp_path, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    import numpy  # noqa: F401  (loaded already, as for any in-process caller)
+
+    assert main(["synth", "--out", str(tmp_path / "s"), "--slides", "1", "--size", "64",
+                 "--levels", "1", "--radius", "4", "8"]) == 0
+    assert "OPENBLAS_NUM_THREADS" not in os.environ

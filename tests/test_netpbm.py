@@ -4,7 +4,7 @@ import pytest
 from oracles import traced_peak
 from slidebench.errors import FormatError
 from slidebench.masks import BinaryMask, read_mask, write_mask
-from slidebench.netpbm import read_p5, read_p6, write_p5, write_p6
+from slidebench.netpbm import read_p5, read_p6, row_writer, write_p5, write_p6
 
 
 def test_p5_round_trip(tmp_path, rng):
@@ -98,6 +98,28 @@ def test_write_holds_no_copy_of_the_raster(tmp_path, rng, write, magic, shape):
     _, peak = traced_peak(lambda: write(path, raster))
     assert path.read_bytes() == magic + b"\n1000 700\n255\n" + raster.tobytes()
     assert peak <= 0.1 * raster.nbytes, peak / raster.nbytes
+
+
+def test_row_writer_blocks_give_the_whole_array_bytes(tmp_path, rng):
+    rgb = rng.integers(0, 256, (23, 9, 3), dtype=np.uint8)
+    write_p6(tmp_path / "whole.ppm", rgb)
+    with row_writer(tmp_path / "rows.ppm", b"P6", 9, 23) as append:
+        for y0, y1 in ((0, 0), (0, 1), (1, 8), (8, 23)):  # an empty block, then 1, 7, 15 rows
+            append(rgb[y0:y1])
+    assert (tmp_path / "rows.ppm").read_bytes() == (tmp_path / "whole.ppm").read_bytes()
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([np.zeros((2, 4), np.uint8)], "2 rows written, header declares 3"),
+    ([np.zeros((3, 4), np.uint8), np.zeros((1, 4), np.uint8)], "4 rows written"),
+    ([np.zeros((3, 5), np.uint8)], "do not fit a 4-wide P5 raster"),
+    ([np.zeros((3, 4, 3), np.uint8)], "do not fit a 4-wide P5 raster"),
+])
+def test_row_writer_rejects_rows_that_do_not_fill_the_header(tmp_path, blocks, message):
+    with pytest.raises(FormatError, match=message):
+        with row_writer(tmp_path / "g.pgm", b"P5", 4, 3) as append:
+            for block in blocks:
+                append(block)
 
 
 def test_write_mask_holds_one_payload(tmp_path, rng):

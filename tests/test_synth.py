@@ -1,6 +1,8 @@
 """Synthetic challenge generation: analytic guarantees and corruption models."""
 import hashlib
+import os
 import signal
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 from oracles import (
     blob_oracle,
     box_filter_bool_reference,
+    child_peak_rss,
     corrupt_prediction_reference,
     traced_peak,
 )
@@ -33,10 +36,13 @@ from slidebench import (
     read_truth_table,
     refine_labels,
     tissue_mask,
+    write_mask,
+    write_pyramid,
 )
 from slidebench import masks
 from slidebench.masks import ROLE_GROUND_TRUTH, ROLE_PREDICTION
-from slidebench.synth import _LESION_LO, _TISSUE_LO, _blob_mask, _box_filter_bool, _paint_table
+from slidebench.synth import _LESION_LO, _TISSUE_LO, _blob_chunks, _box_filter_bool, _paint_table
+from slidebench.synth import _prediction_blocks
 
 _CFG = SynthConfig(seed=5, slides=1, level0_size=192, n_levels=2, lesion_radius=(8.0, 20.0))
 
@@ -241,6 +247,86 @@ def test_batched_predictions_match_reference(monkeypatch, shape, chunk_pixels):
     assert np.array_equal(truth.data, np.random.default_rng(list(shape)).random(shape) < 0.3)
 
 
+# radii past the raster, a halo of erode + dilate rows, and two seeds' fields
+_BLOCK_SPECS = [
+    CorruptionSpec(),
+    CorruptionSpec(erode=2, dilate=3, flip_rate=0.1, seed=1),
+    CorruptionSpec(erode=2, dilate=3, flip_rate=0.3, seed=1),
+    CorruptionSpec(erode=1, flip_rate=0.2, seed=2),
+    CorruptionSpec(dilate=7),
+    CorruptionSpec(erode=10**9, flip_rate=0.05, seed=2),
+    CorruptionSpec(dilate=100, flip_rate=0.05, seed=1),
+]
+
+
+@pytest.mark.parametrize("block_rows", [1, 37, 2**16])
+def test_streamed_blocks_match_whole_raster_corruption(monkeypatch, block_rows):
+    yy, xx = np.mgrid[:83, :61]
+    noise = np.random.default_rng(block_rows).random((83, 61)) < 0.05
+    data = ((yy - 40) ** 2 + (xx - 30) ** 2 < 27**2) ^ noise
+    truth = BinaryMask("slide_007", 0, data.copy(), ROLE_GROUND_TRUTH)
+    monkeypatch.setattr(masks, "_LUMA_CHUNK_PIXELS", block_rows * 61)
+    expected = [corrupt_prediction_reference(truth, spec).data for spec in _BLOCK_SPECS]
+    assert expected[1].any() and not np.array_equal(expected[1], data)
+    starts, assembled = [], [[] for _ in _BLOCK_SPECS]
+    for rows, preds in _prediction_blocks(truth, _BLOCK_SPECS):
+        starts.append(rows.start)
+        for out, pred in zip(assembled, preds):
+            assert pred.shape == (rows.stop - rows.start, 61)
+            out.append(pred)
+    assert starts == list(range(0, 83, min(block_rows, 83)))
+    for spec, blocks, want in zip(_BLOCK_SPECS, assembled, expected):
+        assert np.array_equal(np.concatenate(blocks), want), spec
+    for spec, pred, want in zip(_BLOCK_SPECS, corrupt_prediction(truth, _BLOCK_SPECS), expected):
+        assert np.array_equal(pred.data, want), spec
+    assert np.array_equal(truth.data, data)  # the blocks never write to the truth
+
+
+def test_streamed_challenge_files_equal_the_in_memory_ones(tmp_path):
+    # 1100 rows at 11 levels: level 10 keeps level-0 rows 0 and 1024 only, so the chunk
+    # of rows 512-1023 appends nothing to it, and level 9's rows 0, 512 and 1024 each
+    # start a chunk
+    cfg = SynthConfig(seed=3, slides=1, level0_size=1100, n_levels=11,
+                      lesion_radius=(20.0, 60.0), label_background_inclusion=True)
+    teams = [("a", CorruptionSpec(erode=3, dilate=1, flip_rate=0.02, seed=4)),
+             ("b", CorruptionSpec(dilate=2, seed=4))]
+    generate_challenge(cfg, teams, tmp_path / "streamed", workers=1)
+    pyramid, _, truth, _ = generate_slide(cfg, 0)
+    memory = tmp_path / "memory"
+    write_pyramid(pyramid, memory / "slides" / "slide_000")
+    (memory / "truth").mkdir()
+    write_mask(truth, memory / "truth" / "slide_000.pgm")
+    for (name, _), pred in zip(teams, corrupt_prediction(truth, [spec for _, spec in teams])):
+        (memory / "predictions" / name).mkdir(parents=True)
+        write_mask(pred, memory / "predictions" / name / "slide_000.pgm")
+    in_memory = _tree_digest(memory)
+    assert len(in_memory) == 11 + 1 + 2 + 2 * 2  # levels, manifest, truth, predictions
+    streamed = _tree_digest(tmp_path / "streamed")
+    assert {k: streamed[k] for k in in_memory} == in_memory
+
+
+# loads every module a synth run loads, with the CLI's BLAS setting, and does no work
+_SYNTH_IMPORTS = """
+import os
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+import numpy.random
+from slidebench import synth
+synth.generate_challenge
+"""
+
+
+def test_synth_child_peaks_within_one_and_a_half_rgb_levels_above_its_imports(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    imports = child_peak_rss([sys.executable, "-c", _SYNTH_IMPORTS], env)
+    peak = child_peak_rss([sys.executable, "-m", "slidebench", "synth", "--out", str(tmp_path),
+                           "--slides", "1", "--size", "2048", "--levels", "2", "--workers", "1"],
+                          env)
+    rgb = 2048 * 2048 * 3
+    assert peak - imports <= 1.5 * rgb, (peak - imports) / rgb
+
+
 def test_flip_memory_is_below_one_and_a_half_masks():
     data = np.random.default_rng(0).random((2048, 2048)) < 0.3
     truth = BinaryMask("slide_000", 0, data, ROLE_GROUND_TRUTH)
@@ -269,7 +355,7 @@ def test_blob_mask_matches_oracle(seed):
     r0 = rng.uniform(0.1, 0.6) * size
     amps = rng.uniform(-0.06, 0.06, 4)
     phases = rng.uniform(0.0, 2.0 * np.pi, 4)
-    assert np.array_equal(_blob_mask(size, cx, cy, r0, amps, phases),
+    assert np.array_equal(np.concatenate(list(_blob_chunks(size, cx, cy, r0, amps, phases))),
                           blob_oracle(size, cx, cy, r0, amps, phases))
 
 
@@ -398,6 +484,25 @@ def test_challenge_tree_digest_is_pinned(tmp_path, workers):
     assert len(files) == 44
     digest = hashlib.sha256("".join(f"{k}\0{v}\n" for k, v in files.items()).encode())
     assert digest.hexdigest() == _PINNED_TREE_SHA256
+
+
+# 1100 rows leave a partial 512-row chunk and odd rows at every level; the
+# teams halo their blocks by erode + dilate rows and flip one seed's field
+_PINNED_UNEVEN_TREE_SHA256 = "ad4754dd7fb0885b493d7593dd7b09029938b8534479d88ecd9513dfe12cd534"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_uneven_challenge_tree_digest_is_pinned(tmp_path, workers):
+    cfg = SynthConfig(seed=7, slides=1, level0_size=1100, n_levels=3, lesion_radius=(20.0, 60.0))
+    teams = [("exact", CorruptionSpec(seed=7)),
+             ("shape", CorruptionSpec(erode=2, dilate=3, seed=7)),
+             ("flip1", CorruptionSpec(erode=2, dilate=3, flip_rate=0.01, seed=7)),
+             ("flip4", CorruptionSpec(erode=2, dilate=3, flip_rate=0.04, seed=7))]
+    generate_challenge(cfg, teams, tmp_path, workers=workers)
+    files = _tree_digest(tmp_path)
+    assert len(files) == 17
+    digest = hashlib.sha256("".join(f"{k}\0{v}\n" for k, v in files.items()).encode())
+    assert digest.hexdigest() == _PINNED_UNEVEN_TREE_SHA256
 
 
 def test_duplicate_team_names_rejected(tmp_path):
