@@ -12,7 +12,6 @@ need no numpy. A command that loads numpy gets one OpenBLAS thread unless
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -20,7 +19,7 @@ from pathlib import Path
 from . import __version__, coteach, ensemble, leaderboard, masks, metrics, reports, slide_io
 from . import synth, tiling
 from .errors import FORMATS, METHOD_OTSU, MODE_AUTO, MODES, RULE_THRESHOLD75, RULES, TISSUE_METHODS
-from .errors import FormatError, SlidebenchError, ValidationError
+from .errors import FormatError, SlidebenchError, ValidationError, format_json
 
 
 def _parse_team(text: str, default_seed: int) -> tuple[str, synth.CorruptionSpec]:
@@ -63,7 +62,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             ("flip5", synth.CorruptionSpec(flip_rate=0.05, seed=args.seed)),
         ]
     summary = synth.generate_challenge(cfg, teams, args.out, workers=args.workers)
-    print(json.dumps(summary, indent=2))
+    sys.stdout.write(format_json(summary))
     return 0
 
 
@@ -162,7 +161,7 @@ def cmd_coteach(args: argparse.Namespace) -> int:
     coteach.write_history(history, out / "history.csv")
     wins = sum(r["coteach_accuracy"] >= r["single_accuracy"] for r in results)
     summary = {"runs": results, "coteach_at_least_single": wins, "seeds": args.seeds}
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    (out / "summary.json").write_text(format_json(summary))
     return 0
 
 
@@ -197,7 +196,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     team_reports = _load_reports(args.reports)
     grouping = _parse_groups(args.groups)
     result = leaderboard.group_compare(team_reports, grouping, mode=args.mode)
-    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
+    Path(args.out).write_text(format_json(result))
     return 0
 
 

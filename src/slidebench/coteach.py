@@ -18,14 +18,13 @@ peer's selection and its own gradient.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, GeometryError, ValidationError
+from .errors import ConfigError, DivergenceError, GeometryError, ValidationError, format_csv
 from .ensemble import ProbabilityMap
 from .masks import ROLE_PREDICTION, BinaryMask, luma
 
@@ -351,19 +350,8 @@ def train_single(dataset: list[PixelBatch], cfg: CoteachConfig) -> tuple[Learner
 
 def write_history(history: list[dict], path: str | Path) -> None:
     """Export per-epoch training history as CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_FIELDS)
-        for row in history:
-            writer.writerow(
-                [
-                    row["epoch"],
-                    f"{row['loss_f']:.8f}",
-                    f"{row['loss_g']:.8f}",
-                    f"{row['drop_rate']:.8f}",
-                    f"{row['selected_fraction']:.8f}",
-                ]
-            )
+    rows = ([row["epoch"], *(f"{row[k]:.8f}" for k in HISTORY_FIELDS[1:])] for row in history)
+    Path(path).write_text(format_csv(HISTORY_FIELDS, rows))
 
 
 def parse_config(path: str | Path) -> CoteachConfig:

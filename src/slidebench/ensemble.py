@@ -7,7 +7,6 @@ unset), one convention shared with pseudo-labeling.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from . import netpbm
 from .errors import FormatError, ValidationError, typed_field
-from .masks import ROLE_PREDICTION, BinaryMask, check_same_grid, read_pgm_sidecar
+from .masks import ROLE_PREDICTION, BinaryMask, check_same_grid, read_pgm_sidecar, write_pgm_sidecar
 
 QUANT_RULE = "round(255*p)"
 
@@ -85,14 +84,10 @@ def binarize(pm: ProbabilityMap, threshold: float = 0.5) -> BinaryMask:
 def write_probability_map(pm: ProbabilityMap, path: str | Path) -> None:
     """Serialize as 8-bit PGM (value = round(255*p)) plus a quantization sidecar."""
     path = Path(path)
-    netpbm.write_p5(path, np.rint(pm.values * 255.0).astype(np.uint8))
-    sidecar = {
-        "slide_id": pm.slide_id,
-        "level": pm.level,
-        "kind": "probability",
-        "quantization": {"maxval": 255, "rule": QUANT_RULE},
-    }
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    with netpbm.row_writer(path, b"P5", pm.width, pm.height) as append:
+        append(np.rint(pm.values * 255.0).astype(np.uint8))
+    write_pgm_sidecar(path, {"slide_id": pm.slide_id, "level": pm.level, "kind": "probability",
+                             "quantization": {"maxval": 255, "rule": QUANT_RULE}})
 
 
 def read_probability_map(path: str | Path) -> ProbabilityMap:

@@ -1,9 +1,11 @@
 """Exception types shared across the toolkit, the typed-field check of its JSON
-readers, and the option values the CLI offers.
+readers, the one JSON and one CSV dialect of its writers, and the option values
+the CLI offers.
 
 The option values live here, beside the exceptions, so that the CLI parser
 (``--help``, ``--version``) runs without numpy. ``masks``, ``tiling``,
-``stats`` and ``leaderboard`` re-export the ones they use.
+``stats`` and ``leaderboard`` re-export the ones they use. The dialects import
+``json`` and ``csv`` when first called, so those starts load neither.
 """
 
 METHOD_OTSU = "otsu"
@@ -76,3 +78,22 @@ def typed_field(record, key: str, kind, where: str):
         names = " or ".join(k.__name__ for k in kinds)
         raise FormatError(f"{where} field {key!r} is {value!r}, expected {names}")
     return value
+
+
+def format_json(obj) -> str:
+    """``obj`` as the toolkit writes every JSON document: indented by 2, newline-ended."""
+    import json
+
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def format_csv(header, rows) -> str:
+    """``header`` and ``rows`` as the toolkit writes every CSV: each row ends with ``\\n``."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()

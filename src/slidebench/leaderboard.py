@@ -7,12 +7,9 @@ No numpy here, so ``compare`` and ``leaderboard`` start without it.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
-from .errors import FORMATS, MODE_AUTO, NoInformationError, ValidationError
+from .errors import FORMATS, MODE_AUTO, NoInformationError, ValidationError, format_csv, format_json
 from .reports import TeamReport, _mean, aggregate
 from .stats import PairedSample, wilcoxon_signed_rank
 
@@ -145,15 +142,11 @@ def group_compare(
 def render_leaderboard(entries: list[LeaderboardEntry], fmt: str = "text") -> str:
     """Deterministic leaderboard document in csv, json, or text form."""
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
-        writer.writerows(
+        return format_csv(CSV_HEADER.split(","), (
             (e.rank, e.team, e.group,
              *(f"{v:.4f}" for v in (e.mean_dice, e.std_dice, e.accuracy, e.fnr, e.fpr)))
             for e in entries
-        )
-        return buf.getvalue()
+        ))
     if fmt == "json":
         payload = [
             {
@@ -169,7 +162,7 @@ def render_leaderboard(entries: list[LeaderboardEntry], fmt: str = "text") -> st
             }
             for e in entries
         ]
-        return json.dumps(payload, indent=2) + "\n"
+        return format_json(payload)
     if fmt == "text":
         header = ("Rank", "Team", "Group", "Dice", "Accuracy", "FNR", "FPR")
         rows = [

@@ -33,7 +33,7 @@ import numpy as np
 from . import netpbm
 from .errors import METHOD_GRAY200, METHOD_OTSU, TISSUE_METHODS
 from .errors import DegenerateHistogramError, DegeneratePolygonWarning, FormatError, GeometryError
-from .errors import ValidationError, typed_field
+from .errors import ValidationError, format_json, typed_field
 from .slide_io import AnnotationSet, SlidePyramid
 
 ROLE_GROUND_TRUTH = "GroundTruth"
@@ -333,8 +333,7 @@ def mask_writer(path: str | Path, slide_id: str, level: int, role: str, width: i
     path = Path(path)
     with netpbm.row_writer(path, b"P5", width, height) as append:
         yield lambda rows: append(rows.view(np.uint8) * np.uint8(255))
-    sidecar = {"slide_id": slide_id, "level": level, "role": role}
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    write_pgm_sidecar(path, {"slide_id": slide_id, "level": level, "role": role})
 
 
 def read_mask(path: str | Path) -> BinaryMask:
@@ -344,6 +343,11 @@ def read_mask(path: str | Path) -> BinaryMask:
     data = gray.view(np.bool_)
     np.not_equal(gray, 0, out=data)
     return BinaryMask(meta["slide_id"], meta["level"], data, role)
+
+
+def write_pgm_sidecar(path: Path, meta: dict) -> None:
+    """Write ``meta`` as the JSON sidecar that ``read_pgm_sidecar`` reads for ``path``."""
+    path.with_suffix(".json").write_text(format_json(meta))
 
 
 def read_pgm_sidecar(path: str | Path, kind: str) -> tuple[np.ndarray, dict, str]:

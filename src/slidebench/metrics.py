@@ -9,15 +9,13 @@ parallelizes per slide and tiling per tile row.
 """
 from __future__ import annotations
 
-import csv
-import json
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import parallel
-from .errors import GeometryError, ValidationError
+from .errors import GeometryError, ValidationError, format_csv, format_json
 from .masks import BinaryMask, _row_blocks
 from .reports import COUNT_FIELDS, METRIC_FIELDS, SUBTYPE_UNKNOWN, AggregateScore, ConfusionCounts
 from .reports import SlideScore, TeamReport, aggregate, read_report
@@ -144,12 +142,10 @@ def write_report(report: TeamReport, path: str | Path) -> None:
         scores.append(score)
     aggregates = [vars(a) for a in report_aggregates(report)]
     payload = {"team": report.team, "scores": scores, "aggregates": aggregates}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(format_json(payload))
 
 
 def write_scores_csv(report: TeamReport, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("slide_id", "subtype", *METRIC_FIELDS))
-        writer.writerows((s.slide_id, s.subtype, *(f"{getattr(s, k):.6f}" for k in METRIC_FIELDS))
-                         for s in report.scores)
+    rows = ((s.slide_id, s.subtype, *(f"{getattr(s, k):.6f}" for k in METRIC_FIELDS))
+            for s in report.scores)
+    Path(path).write_text(format_csv(("slide_id", "subtype", *METRIC_FIELDS), rows))

@@ -2,9 +2,9 @@
 
 Writing is canonical and byte-deterministic: a fixed single-line header per
 field, no comments, then the rows, each block written from its contiguous
-array's own buffer, never a bytes copy of it. ``row_writer`` writes the
-header first and takes the rows in blocks, so a raster can be written while
-it is made; ``write_p5`` and ``write_p6`` hand it the whole array. Reading
+array's own buffer, never a bytes copy of it. ``row_writer``, the one writer,
+writes the header first and takes the rows in blocks, so a raster can be
+written while it is made; a whole array is one block. Reading
 accepts any conforming header (whitespace and ``#`` comments between
 tokens, of any length) and holds one copy of the raster: the header is
 parsed from the open file and the raster is read straight into the returned
@@ -25,27 +25,7 @@ from .errors import FormatError
 _MAXVAL = 255
 
 
-def write_p5(path: str | Path, gray: np.ndarray) -> None:
-    """Write a (h, w) uint8 array as binary PGM."""
-    _write_array(path, b"P5", gray)
-
-
-def write_p6(path: str | Path, rgb: np.ndarray) -> None:
-    """Write a (h, w, 3) uint8 array as binary PPM."""
-    _write_array(path, b"P6", rgb)
-
-
 _CHANNELS = {b"P5": (), b"P6": (3,)}
-
-
-def _write_array(path: str | Path, magic: bytes, pixels) -> None:
-    arr = np.asarray(pixels)
-    channels = _CHANNELS[magic]
-    if arr.ndim != 2 + len(channels) or arr.shape[2:] != channels:
-        shape = "(h, w, 3)" if channels else "2-D"
-        raise FormatError(f"{magic.decode()} payload must be {shape}, got shape {arr.shape}")
-    with row_writer(path, magic, arr.shape[1], arr.shape[0]) as append:
-        append(arr)
 
 
 @contextmanager

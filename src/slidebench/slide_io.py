@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import netpbm
-from .errors import FormatError, ValidationError, typed_field
+from .errors import FormatError, ValidationError, format_json, typed_field
 
 COORD_DECIMALS = 6
 
@@ -109,7 +109,8 @@ def write_pyramid(pyramid: SlidePyramid, directory: str | Path) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for k, lvl in enumerate(pyramid.levels):
-        netpbm.write_p6(directory / _level_file(k), lvl.pixels)
+        with netpbm.row_writer(directory / _level_file(k), b"P6", lvl.width, lvl.height) as append:
+            append(lvl.pixels)
     dims = [(lvl.width, lvl.height) for lvl in pyramid.levels]
     return _write_manifest(directory, pyramid.slide_id, pyramid.mpp_level0, dims)
 
@@ -146,7 +147,7 @@ def _write_manifest(directory: Path, slide_id: str, mpp: float | None, dims: lis
                for k, (w, h) in enumerate(dims)]
     manifest = {"slide_id": slide_id, "mpp_level0": mpp, "levels": entries}
     manifest_path = directory / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    manifest_path.write_text(format_json(manifest))
     return manifest_path
 
 

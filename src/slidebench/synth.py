@@ -18,7 +18,6 @@ field, one byte per channel, is mapped through a lookup table per class
 """
 from __future__ import annotations
 
-import csv
 import zlib
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import parallel
-from .errors import ValidationError
+from .errors import ValidationError, format_csv
 from .masks import ROLE_PREDICTION, BinaryMask, mask_writer, rasterize, write_mask
 from .masks import _row_blocks  # the cache-sized row blocks of luma
 from .reports import TRUTH_TABLE_COLUMNS
@@ -322,8 +321,14 @@ def _box_filter_bool(data: np.ndarray, radius: int, require_all: bool) -> np.nda
         return data
     out = data
     for axis in (0, 1):
+        n = out.shape[axis]
+        if require_all and 2 * radius + 1 > n:  # every window reaches past the raster
+            return np.zeros(data.shape, dtype=bool)
+        if not require_all and radius >= n - 1:  # every window spans the axis
+            out = np.repeat(out.any(axis=axis, keepdims=True), n, axis=axis)
+            continue
         acc = out.copy()
-        for s in range(1, min(radius, out.shape[axis] - 1) + 1):  # longer shifts change nothing
+        for s in range(1, radius + 1):
             ahead, behind = _along(axis, s), _along(axis, None, -s)
             if require_all:
                 acc[ahead] &= out[behind]
@@ -468,14 +473,8 @@ def generate_challenge(
     table_rows.sort(key=lambda r: (r[0], r[1]))
     subtype_rows.sort()
 
-    with open(out / "truth_table.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRUTH_TABLE_COLUMNS)
-        writer.writerows(table_rows)
-    with open(out / "subtypes.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slide_id", "subtype"])
-        writer.writerows(subtype_rows)
+    (out / "truth_table.csv").write_text(format_csv(TRUTH_TABLE_COLUMNS, table_rows))
+    (out / "subtypes.csv").write_text(format_csv(("slide_id", "subtype"), subtype_rows))
 
     return {
         "out": str(out),

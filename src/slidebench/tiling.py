@@ -118,13 +118,6 @@ def _grid_axes(p: SlidePyramid, cfg: TilingConfig) -> tuple[np.ndarray, list[int
     return np.array(xs, dtype=np.int64), list(ys)
 
 
-def grid_tiles(p: SlidePyramid, cfg: TilingConfig) -> list[tuple[int, int]]:
-    """Row-major origins of all tiles fully inside the configured level; under
-    the big-patch rule, of the big patches."""
-    xs, ys = _grid_axes(p, replace(cfg, rule=RULE_THRESHOLD75))
-    return [(x, y) for y in ys for x in xs.tolist()]
-
-
 def label_threshold75(tumor_pixels: int, total_pixels: int) -> str:
     """Positive above a strict 3/4 tumor fraction, Negative at zero, else Unused."""
     if tumor_pixels == 0:

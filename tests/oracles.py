@@ -8,12 +8,15 @@ from-scratch logistic-regression loop. Deliberately simple and slow.
 ``corrupt_prediction_reference``, ``extract_tiles_reference`` and the
 co-teaching step references are the exceptions. The first is the package's
 earlier one-spec ``corrupt_prediction``, which draws the whole flip field at
-once, kept unchanged so the blocked batch can be checked against it. The
-second is the package's earlier ``extract_tiles``, which builds a
-level-sized tissue mask and sums it per tile; it is kept so the streamed,
-exact tissue count can be checked against it. Its ``tissue_mask_reference``
-thresholds ``luma_reference`` of the whole level, so neither uses the
-package's luma kernel. ``sigmoid_reference``, ``select_reference`` and
+once, kept so the blocked batch can be checked against it; it erodes and
+dilates with the cumulative-sum ``box_filter_bool_reference``, not the
+package's shifts. The second is the package's earlier ``extract_tiles``,
+which builds a level-sized tissue mask and sums it per tile; it is kept so
+the streamed, exact tissue count can be checked against it. Its
+``tissue_mask_reference`` thresholds ``luma_reference`` of the whole level,
+so neither uses the package's luma kernel; its ``grid_tiles``, the tile
+origins it labels, is the package's earlier row-major view of
+``tiling._grid_axes``. ``sigmoid_reference``, ``select_reference`` and
 ``step_reference`` are the package's earlier masked sigmoid, stable-sort
 selection and co-teaching step, which recompute each learner's scores where
 they are used; they are kept unchanged so the step that reuses the scores
@@ -29,8 +32,9 @@ The helpers at the end make inputs for, compare or measure package objects
 in the tests: pyramid and annotation equality, exact tile-window counts,
 rasters whose tissue test turns on luma's rounding ties, the traced
 allocation peak of a call, the peak RSS of a child process, a batch's mean
-loss, and ``gradient_check``, which differentiates the package's own loss
-numerically to check its analytic gradient.
+loss, ``gradient_check``, which differentiates the package's own loss
+numerically to check its analytic gradient, and ``write_p5`` and
+``write_p6``, which write a whole array as one ``netpbm.row_writer`` block.
 """
 from __future__ import annotations
 
@@ -39,6 +43,7 @@ import subprocess
 import sys
 import tracemalloc
 import zlib
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from itertools import groupby
@@ -50,6 +55,7 @@ from slidebench.coteach import CoteachConfig, PixelBatch, _gradient, drop_rate, 
 from slidebench.errors import MODE_APPROX, MODE_AUTO, MODE_EXACT, MODES, NoInformationError
 from slidebench.errors import DivergenceError, GeometryError, ValidationError
 from slidebench import parallel
+from slidebench.netpbm import row_writer
 from slidebench.masks import (
     GRAY200_THRESHOLD,
     METHOD_GRAY200,
@@ -62,14 +68,14 @@ from slidebench.masks import (
 )
 from slidebench.slide_io import AnnotationSet, SlidePyramid
 from slidebench.stats import EXACT_LIMIT, PairedSample, SignedRankResult
-from slidebench.synth import CorruptionSpec, _box_filter_bool
+from slidebench.synth import CorruptionSpec
 from slidebench.tiling import (
     RULE_BIG_PATCH_NINE,
     RULE_THRESHOLD75,
     TileRecord,
     TilingConfig,
+    _grid_axes,
     big_patch_nine,
-    grid_tiles,
     label_threeclass,
     label_threshold75,
 )
@@ -130,6 +136,7 @@ def box_filter_bool_reference(data: np.ndarray, radius: int, require_all: bool) 
     """
     if radius == 0:
         return data
+    radius = min(radius, max(data.shape))  # a longer window covers no more of the raster
     window = 2 * radius + 1
     out = data
     for axis in (0, 1):
@@ -157,9 +164,9 @@ def corrupt_prediction_reference(true_mask: BinaryMask, spec: CorruptionSpec) ->
     spec.validate()
     data = true_mask.data
     if spec.erode:
-        data = _box_filter_bool(data, spec.erode, require_all=True)
+        data = box_filter_bool_reference(data, spec.erode, require_all=True)
     if spec.dilate:
-        data = _box_filter_bool(data, spec.dilate, require_all=False)
+        data = box_filter_bool_reference(data, spec.dilate, require_all=False)
     if spec.flip_rate > 0.0:
         field_rng = np.random.default_rng([spec.seed, zlib.crc32(true_mask.slide_id.encode())])
         flips = field_rng.random(data.shape) < spec.flip_rate
@@ -200,6 +207,13 @@ def _count_band(gt: np.ndarray, tissue: np.ndarray | None, size: int, rows: list
         keep = _window_sums(tissue, y, size, xs) if tissue is not None else None
         out.append((_window_sums(gt, y, size, xs), keep))
     return out
+
+
+def grid_tiles(p: SlidePyramid, cfg: TilingConfig) -> list[tuple[int, int]]:
+    """Row-major origins of all tiles fully inside the configured level; under
+    the big-patch rule, of the big patches."""
+    xs, ys = _grid_axes(p, replace(cfg, rule=RULE_THRESHOLD75))
+    return [(x, y) for y in ys for x in xs.tolist()]
 
 
 def extract_tiles_reference(
@@ -679,3 +693,15 @@ def gradient_check(w: np.ndarray, batch: PixelBatch, step: float = 1e-5) -> floa
         denom = max(abs(analytic[k]), abs(numeric), 1e-8)
         worst = max(worst, abs(analytic[k] - numeric) / denom)
     return worst
+
+
+def write_p5(path, gray: np.ndarray) -> None:
+    """Write a whole (h, w) uint8 array as binary PGM, one ``row_writer`` block."""
+    with row_writer(path, b"P5", gray.shape[1], gray.shape[0]) as append:
+        append(gray)
+
+
+def write_p6(path, rgb: np.ndarray) -> None:
+    """Write a whole (h, w, 3) uint8 array as binary PPM, one ``row_writer`` block."""
+    with row_writer(path, b"P6", rgb.shape[1], rgb.shape[0]) as append:
+        append(rgb)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import write_p6
 from slidebench import (
     ProbabilityMap,
     SlideScore,
@@ -27,7 +28,6 @@ from slidebench import (
 )
 from slidebench.cli import build_parser, main
 from slidebench.masks import ROLE_GROUND_TRUTH, ROLE_PREDICTION, BinaryMask
-from slidebench.netpbm import write_p6
 
 ROOT = Path(__file__).resolve().parents[1]
 

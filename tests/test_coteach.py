@@ -299,7 +299,7 @@ def test_batch_loss_decreases_under_training(rng):
 
 
 # the co-teaching bytes; a change here must be deliberate and declared
-_PINNED_COTEACH_SHA256 = "878a29a124716da2963db662a166a265f03e868151402f1bca47c07c8d72422e"
+_PINNED_COTEACH_SHA256 = "f5558e28600c5393d1194aba9a593f68fdf72a6be9b5281482eab738f0ccac1f"
 
 
 def test_coteach_outputs_digest_is_pinned(tmp_path):

@@ -163,6 +163,20 @@ print("dataclasses" in sys.modules)
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_version_and_help_starts_load_neither_json_nor_csv(flag):
+    """The JSON and CSV dialects import their stdlib module when first called."""
+    proc = _python("""
+import runpy, sys
+try:
+    runpy.run_module("slidebench", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(sorted({"json", "csv"} & set(sys.modules)))
+""", flag)
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_cli_imports_slidebench_modules_only_at_module_level():
     """The stages are lazy submodules imported once at the top of ``cli.py``."""
     tree = ast.parse((ROOT / "src" / "slidebench" / "cli.py").read_text())

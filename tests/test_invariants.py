@@ -143,3 +143,45 @@ def test_no_module_calls_validate():
         and node.func.attr == "validate"
     ]
     assert calls == []
+
+
+def _top_level_owners(tree: ast.Module):
+    """``(name, node)`` for every node of a module: ``name`` is the top-level function the
+    node sits in, or ``""`` outside every function."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else ""
+        for node in ast.walk(top):
+            yield owner, node
+
+
+def _sites(match) -> list[str]:
+    return [f"{path.name}:{owner}"
+            for path in sorted(SRC.glob("*.py"))
+            for owner, node in _top_level_owners(ast.parse(path.read_text()))
+            if match(node)]
+
+
+def _is_attribute(node, module: str, names: tuple[str, ...]) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr in names
+            and isinstance(node.value, ast.Name) and node.value.id == module)
+
+
+def test_every_json_document_and_csv_goes_through_its_one_dialect():
+    """No module sets up its own CSV writer or indented JSON; each dialect has one site."""
+    assert _sites(lambda n: _is_attribute(n, "csv", ("writer", "DictWriter"))) == [
+        "errors.py:format_csv"]
+    assert _sites(lambda n: isinstance(n, ast.Call)
+                  and _is_attribute(n.func, "json", ("dump", "dumps"))
+                  and any(k.arg == "indent" for k in n.keywords)) == ["errors.py:format_json"]
+
+
+def test_netpbm_has_one_writer():
+    """``row_writer`` is the only netpbm function that writes or opens a file to write."""
+    tree = ast.parse((SRC / "netpbm.py").read_text())
+    writers = {owner for owner, node in _top_level_owners(tree)
+               if isinstance(node, ast.FunctionDef) and "write" in node.name
+               or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "open"
+               and any(isinstance(a, ast.Constant) and set(str(a.value)) & set("wax+")
+                       for a in node.args[1:])}
+    assert writers == {"row_writer"}

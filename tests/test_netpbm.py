@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import traced_peak
+from oracles import traced_peak, write_p5, write_p6
 from slidebench.errors import FormatError
 from slidebench.masks import BinaryMask, read_mask, write_mask
-from slidebench.netpbm import read_p5, read_p6, row_writer, write_p5, write_p6
+from slidebench.netpbm import read_p5, read_p6, row_writer
 
 
 def test_p5_round_trip(tmp_path, rng):

@@ -195,7 +195,8 @@ def test_corrupt_prediction_box_filters_match_reference(spec):
 
 
 def test_box_filter_radius_past_the_raster_returns_at_once():
-    _, _, truth, _ = generate_slide(_CFG, 0)
+    # looping one shift per pixel of reach takes seconds at this size
+    truth = BinaryMask("slide_000", 0, np.random.default_rng(0).random((2048, 2048)) < 0.5)
     reach = max(truth.data.shape)
 
     def too_slow(signum, frame):
@@ -210,6 +211,7 @@ def test_box_filter_radius_past_the_raster_returns_at_once():
         signal.signal(signal.SIGALRM, previous)
     wide = corrupt_prediction(truth, [CorruptionSpec(erode=reach), CorruptionSpec(dilate=reach)])
     assert all(np.array_equal(a.data, b.data) for a, b in zip(huge, wide))
+    assert not huge[0].data.any() and huge[1].data.all()
 
 
 # two seeds; rates 0, 0.01 and 1.0; box filters before flips; repeated specs
@@ -472,7 +474,7 @@ _SCORING_TEAMS = (("exact", {}), ("flip1", {"flip_rate": 0.01}), ("flip2", {"fli
                   ("flip8", {"flip_rate": 0.08}), ("erode2", {"erode": 2}),
                   ("dilate2", {"dilate": 2}))
 # the synthesized bytes; a change here must be deliberate and declared
-_PINNED_TREE_SHA256 = "6c475dacf0906faa17dac124d79e9395c5382693edfee137629a1fbaf1e8da8c"
+_PINNED_TREE_SHA256 = "0c5f1b9bcbd939e2c2a28f75d17f051c3b3d5babf9ae8d95472c4da26124e0c8"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -488,7 +490,7 @@ def test_challenge_tree_digest_is_pinned(tmp_path, workers):
 
 # 1100 rows leave a partial 512-row chunk and odd rows at every level; the
 # teams halo their blocks by erode + dilate rows and flip one seed's field
-_PINNED_UNEVEN_TREE_SHA256 = "ad4754dd7fb0885b493d7593dd7b09029938b8534479d88ecd9513dfe12cd534"
+_PINNED_UNEVEN_TREE_SHA256 = "1d8a79ede89b4e0fbd4c47b4b270e915923d453ccb1d58efcdccfb1a6586f408"
 
 
 @pytest.mark.parametrize("workers", [1, 2])

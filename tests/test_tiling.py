@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     extract_tiles_reference,
+    grid_tiles,
     luma_reference,
     tile_counts,
     tile_label_threeclass_oracle,
@@ -35,7 +36,6 @@ from slidebench.tiling import (
     LABEL_UNUSED,
     RULE_BIG_PATCH_NINE,
     RULE_THREECLASS,
-    grid_tiles,
     label_threeclass,
     label_threshold75,
 )
