@@ -13,12 +13,13 @@ float32 dot product gives exactly. Luma is ``s / 1000`` rounded half up in
 float32; only a tie, an ``s`` ending in 500, takes the float64 expression
 that defines luma. The tissue test ``luma <= t`` never rounds: a pixel is
 tissue iff ``s < 1000t + 500``, and only ``s == 1000t + 500`` takes the
-float64 expression. The Otsu tissue mask reads the RGB level once: each
-block's luma goes into the output mask's own bytes and its counts into an
-int64 histogram, and the mask is then thresholded in place. No level-sized
-float, luma or intp array is allocated. Blocking is bit-exact: every test
-is per pixel, and the histogram is an exact integer sum of per-block
-counts.
+float64 expression. ``tissue_threshold`` gives t for either method; Gray200
+masks and the per-band tile filter of ``tiling`` test row blocks against it.
+The Otsu tissue mask reads the RGB level once: each block's luma goes into
+the output mask's own bytes and its counts into an int64 histogram, and the
+mask is then thresholded in place. No level-sized float, luma or intp array
+is allocated. Blocking is bit-exact: every test is per pixel, and the
+histogram is an exact integer sum of per-block counts.
 """
 from __future__ import annotations
 
@@ -248,18 +249,12 @@ def otsu_threshold(histogram) -> int:
     return best_t
 
 
-def tissue_rows(pixels: np.ndarray, method: str):
-    """``(rows, tissue)`` for each row block of an RGB level, top to bottom.
-
-    ``tissue`` is the bool test ``luma <= t`` of the block's pixels. Gray200
-    uses t = 200; Otsu first sums the level's luma histogram exactly in
-    int64 over row blocks and takes its ``otsu_threshold``. The threshold
-    is fixed before this returns; the blocks are computed as they are read.
-    """
+def tissue_threshold(pixels: np.ndarray, method: str) -> int:
+    """The cut t of ``method`` on an RGB level, whose tissue is ``luma <= t``: 200 for
+    Gray200, and for Otsu the ``otsu_threshold`` of the level's luma histogram."""
     if method not in TISSUE_METHODS:
         raise ValidationError(f"unknown tissue method {method!r}")
-    t = GRAY200_THRESHOLD if method == METHOD_GRAY200 else _level_otsu(pixels)
-    return ((rows, _dark(pixels[rows], t)) for rows in _row_blocks(*pixels.shape[:2]))
+    return GRAY200_THRESHOLD if method == METHOD_GRAY200 else _level_otsu(pixels)
 
 
 def _level_otsu(pixels: np.ndarray, keep: np.ndarray | None = None) -> int:
@@ -279,8 +274,8 @@ def tissue_mask(pyramid: SlidePyramid, level: int, method: str = METHOD_OTSU) ->
 
     Otsu thresholds at the between-class-variance argmax of the level's luma
     histogram; Gray200 uses the fixed threshold 200. Both include the
-    threshold value itself (g <= t is tissue). Gray200 writes the blocks of
-    ``tissue_rows``. Otsu reads the RGB level once: each block's luma goes
+    threshold value itself (g <= t is tissue). Gray200 tests each row block
+    against ``tissue_threshold``. Otsu reads the RGB level once: each block's luma goes
     into the mask's own bytes and its counts into the histogram, and the
     mask is then thresholded in place.
     """
@@ -290,8 +285,9 @@ def tissue_mask(pyramid: SlidePyramid, level: int, method: str = METHOD_OTSU) ->
         g = data.view(np.uint8)
         np.less_equal(g, _level_otsu(pixels, keep=g), out=data)  # in place, element for element
     else:
-        for rows, tissue in tissue_rows(pixels, method):
-            data[rows] = tissue
+        t = tissue_threshold(pixels, method)
+        for rows in _row_blocks(*pixels.shape[:2]):
+            data[rows] = _dark(pixels[rows], t)
     return BinaryMask(pyramid.slide_id, level, data, ROLE_TISSUE)
 
 

@@ -33,10 +33,18 @@ def row_writer(path: str | Path, magic: bytes, width: int, height: int):
     """Write the canonical ``magic`` (P5 or P6) header of a width x height raster, then
     yield ``append``, which writes a block of whole rows, top to bottom: an (n, width)
     array for P5 or (n, width, 3) for P6, as uint8. Leaving the block checks that
-    exactly ``height`` rows were written.
+    exactly ``height`` rows were written. A failed write raises an OSError that names
+    ``path``, as a failed read does.
     """
     shape = (width, *_CHANNELS[magic])
     written = 0
+
+    def write(data) -> None:  # flushed, so closing the file has nothing left to fail on
+        try:
+            fh.write(data)
+            fh.flush()
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
     def append(rows) -> None:
         nonlocal written
@@ -44,11 +52,11 @@ def row_writer(path: str | Path, magic: bytes, width: int, height: int):
         if arr.shape[1:] != shape:
             raise FormatError(f"{path}: rows of shape {arr.shape} do not fit a {width}-wide "
                               f"{magic.decode()} raster")
-        fh.write(arr)
+        write(arr)
         written += len(arr)
 
     with open(path, "wb") as fh:
-        fh.write(b"%s\n%d %d\n%d\n" % (magic, width, height, _MAXVAL))
+        write(b"%s\n%d %d\n%d\n" % (magic, width, height, _MAXVAL))
         yield append
     if written != height:
         raise FormatError(f"{path}: {written} rows written, header declares {height}")

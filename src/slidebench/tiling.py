@@ -7,13 +7,14 @@ the nine uniform 256-pixel sub-patches of a 768-pixel big patch. Tumor
 fractions are exact integer pixel counts, never floats.
 
 A tissue filter keeps the tiles whose window holds at least one tissue
-pixel. It is counted in one streamed pass over the level's RGB rows, with a
-running per-column count, so no level-sized tissue mask is built.
+pixel. Tissue and tumor pixels are counted per window in one pass on the
+worker pool over row bands, cut at every window's top and bottom edge; a
+tile's counts are a difference of two prefix sums over the bands.
 """
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -23,7 +24,7 @@ import numpy as np
 from . import parallel
 from .errors import RULE_BIG_PATCH_NINE, RULE_THREECLASS, RULE_THRESHOLD75, RULES, TISSUE_METHODS
 from .errors import FormatError, GeometryError, ValidationError, typed_field
-from .masks import BinaryMask, tissue_rows
+from .masks import BinaryMask, _dark, _row_blocks, tissue_threshold
 from .slide_io import SlidePyramid
 
 LABEL_POSITIVE = "Positive"
@@ -189,51 +190,43 @@ def _window_sums(colsum: np.ndarray, size: int, xs: np.ndarray) -> np.ndarray:
     return cs[xs + size] - cs[xs]
 
 
-def _count_row(gt: np.ndarray, size: int, xs: np.ndarray, y: int) -> np.ndarray:
-    """Tumor pixels of each ``size``-square window at x origins ``xs`` on tile row ``y``."""
-    return _window_sums(gt[y : y + size].sum(axis=0, dtype=np.int64), size, xs)
+def _bands(ys: list, size: int) -> tuple[list, dict]:
+    """The row bands between consecutive window edges (each ``y`` and ``y + size``) that a
+    window covers, so not the gaps a stride past the size leaves, and for each edge the
+    number of those bands above it. A window is a whole number of bands."""
+    edges = sorted({*ys, *(y + size for y in ys)})
+    bands, above = [], {}
+    for a, b in zip(edges, edges[1:]):
+        above[a] = len(bands)
+        if a < ys[bisect_right(ys, a) - 1] + size:
+            bands.append(slice(a, b))
+    above[edges[-1]] = len(bands)
+    return bands, above
 
 
-def _tissue_keep(pixels: np.ndarray, method: str, size: int, xs: np.ndarray, ys: list) -> list:
-    """Per tile row, whether each window holds a tissue pixel, from one pass over the rows.
-
-    ``acc`` counts tissue pixels per column over the pixel rows streamed so
-    far. It is snapshot at each tile row's top edge ``y``; when row
-    ``y + size`` is reached, ``acc`` minus that snapshot gives the tile row's
-    column totals and the snapshot is dropped. Every pixel row is tested
-    once, whatever the stride.
-    """
-    tops, ends = set(ys), {y + size: y for y in ys}
-    marks = sorted(tops | ends.keys())
-    acc = np.zeros(pixels.shape[1], dtype=np.int32)
-    snaps, keep = {}, {}
-    for block, tissue in tissue_rows(pixels, method):
-        inner = marks[bisect_right(marks, block.start) : bisect_left(marks, block.stop)]
-        cuts = [block.start, *inner, block.stop]
-        for a, b in zip(cuts, cuts[1:]):
-            if a in tops:
-                snaps[a] = acc.copy()
-            acc += tissue[a - block.start : b - block.start].sum(axis=0, dtype=np.int32)
-            if b in ends:
-                y = ends[b]
-                keep[y] = _window_sums(acc - snaps.pop(y), size, xs) > 0
-    return [keep[y] for y in ys]
+def _count_band(pixels: np.ndarray, gt: np.ndarray, t: int | None, size: int, xs: np.ndarray,
+                band: slice) -> np.ndarray:
+    """Tissue (``luma <= t``; none without ``t``) and tumor pixels of the rows ``band`` in
+    each ``size``-wide window at x origins ``xs``, as a (2, len(xs)) int64 array."""
+    tissue = np.zeros(gt.shape[1], dtype=np.int32)  # int32 sums bool rows faster than int64
+    if t is not None:
+        rgb = pixels[band]
+        for rows in _row_blocks(*rgb.shape[:2]):
+            tissue += _dark(rgb[rows], t).sum(axis=0, dtype=np.int32)
+    tumor = gt[band].sum(axis=0, dtype=np.int64)
+    return np.stack([_window_sums(tissue, size, xs), _window_sums(tumor, size, xs)])
 
 
-def extract_tiles(
-    p: SlidePyramid,
-    gt: BinaryMask,
-    cfg: TilingConfig,
-    workers: int | None = None,
-) -> list[TileRecord]:
+def extract_tiles(p: SlidePyramid, gt: BinaryMask, cfg: TilingConfig,
+                  workers: int | None = None) -> list[TileRecord]:
     """Label every grid tile of one level against a ground-truth mask.
 
     With a tissue filter configured, tiles whose window holds no tissue
-    pixel (``luma <= t``, as in ``tissue_mask``) are dropped. The caller
-    counts tissue serially, in one streamed pass over row blocks that never
-    builds a level-sized mask; tumor pixels are counted in parallel, one
-    tile row per chunk. The result is sorted by (slide_id, y, x) and
-    independent of worker count.
+    pixel (``luma <= t``, as in ``tissue_mask``) are dropped. One pass on the
+    worker pool counts each ``_bands`` band's tissue and tumor pixels per
+    window, reading each pixel row once whatever the stride. A tile's counts
+    are exact integer differences of two band prefix sums, so they do not
+    depend on the worker count. The result is sorted by (slide_id, y, x).
     """
     lvl = p.level(cfg.level)
     if gt.level != cfg.level or gt.data.shape != (lvl.height, lvl.width):
@@ -245,19 +238,18 @@ def extract_tiles(
     xs, ys = _grid_axes(p, cfg)
     size = cfg.tile_size // 3 if cfg.rule == RULE_BIG_PATCH_NINE else cfg.tile_size
     label_fn = label_threshold75 if cfg.rule == RULE_THRESHOLD75 else label_threeclass
-    keep = (_tissue_keep(lvl.pixels, cfg.tissue_filter, size, xs, ys) if cfg.tissue_filter
-            else [None] * len(ys))
+    t = tissue_threshold(lvl.pixels, cfg.tissue_filter) if cfg.tissue_filter else None
 
-    counts = parallel.run_chunks(partial(_count_row, gt.data, size, xs), ys, workers=workers)
+    bands, above = _bands(ys, size)
+    sums = parallel.run_chunks(partial(_count_band, lvl.pixels, gt.data, t, size, xs), bands,
+                               workers=workers)
+    prefix = np.cumsum([np.zeros((2, len(xs)), dtype=np.int64), *sums], axis=0)
 
-    total = size * size
-    records = []
-    for y, tumor, kept in zip(ys, counts, keep):
-        for i, x in enumerate(xs.tolist()):
-            if kept is not None and not kept[i]:
-                continue
-            t = int(tumor[i])
-            records.append(TileRecord(p.slide_id, cfg.level, x, y, size, t, total, label_fn(t, total)))
+    total, records = size * size, []
+    for y in ys:
+        tissue, tumor = (prefix[above[y + size]] - prefix[above[y]]).tolist()
+        records += [TileRecord(p.slide_id, cfg.level, x, y, size, n, total, label_fn(n, total))
+                    for x, k, n in zip(xs.tolist(), tissue, tumor) if t is None or k]
     return records
 
 

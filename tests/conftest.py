@@ -27,6 +27,12 @@ def forks(monkeypatch):
     return pids
 
 
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """Lets run_chunks fork up to 4 processes, and at least 2, whatever the host's CPU count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+
+
 @pytest.fixture(scope="session")
 def challenge_dir(tmp_path_factory):
     """A small generated challenge shared by end-to-end tests.

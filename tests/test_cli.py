@@ -1,9 +1,11 @@
 """Exit codes, file outputs, and round trips of the command-line interface."""
 import argparse
+import errno
 import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -32,8 +34,8 @@ from slidebench.masks import ROLE_GROUND_TRUTH, ROLE_PREDICTION, BinaryMask
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(args: list[str], fork_log: Path | None = None) -> subprocess.CompletedProcess:
-    """Run a command with the package under test importable.
+def _run(args: list[str], fork_log: Path | None = None, **kwargs) -> subprocess.CompletedProcess:
+    """Run a command with the package under test importable; ``kwargs`` go to subprocess.run.
 
     With ``fork_log``, each Python process it starts appends a line there per fork.
     """
@@ -43,7 +45,7 @@ def _run(args: list[str], fork_log: Path | None = None) -> subprocess.CompletedP
         paths.insert(0, str(ROOT / "tests" / "fork_probe"))
         env["SLIDEBENCH_TEST_FORK_LOG"] = str(fork_log)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
-    return subprocess.run(args, capture_output=True, text=True, env=env)
+    return subprocess.run(args, capture_output=True, text=True, env=env, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +383,21 @@ def test_malformed_json_field_is_one_line(tmp_path, make_args, field):
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("slidebench: error:")
     assert field in lines[0]
+
+
+def test_failed_raster_write_names_its_file(tmp_path):
+    manifest = write_pyramid(build_pyramid("s", np.zeros((256, 256, 3), dtype=np.uint8), 1),
+                             tmp_path / "slide")
+    out = tmp_path / "t.pgm"
+
+    def small_files():  # 1 KiB: the 256x256 mask's header fits, its rows do not
+        resource.setrlimit(resource.RLIMIT_FSIZE, (1024, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+    proc = _run([sys.executable, "-m", "slidebench", "tissue", "--slide", str(manifest),
+                 "--method", "gray200", "--out", str(out)], preexec_fn=small_files)
+    assert proc.returncode == 1
+    too_large = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+    assert proc.stderr.splitlines() == [f"slidebench: error: {too_large}: '{out}'"]
 
 
 def _write(path: Path, data: bytes | str) -> None:

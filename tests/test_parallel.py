@@ -18,12 +18,6 @@ from slidebench.parallel import resolve_workers, run_chunks
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-@pytest.fixture
-def four_cpus(monkeypatch):
-    """Lets run_chunks fork up to 4 processes, and at least 2, whatever the host's CPU count."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-
-
 def _python(code: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports the package under test."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))

@@ -206,13 +206,17 @@ TISSUE_GRIDS = {
 
 @pytest.mark.parametrize("method", [METHOD_GRAY200, METHOD_OTSU])
 @pytest.mark.parametrize("grid", TISSUE_GRIDS.values(), ids=TISSUE_GRIDS.keys())
-def test_extract_tiles_keeps_exactly_the_tiles_holding_tissue(rng, method, grid):
+def test_extract_tiles_keeps_exactly_the_tiles_holding_tissue(rng, four_cpus, forks, method, grid):
     base, t = tie_slide(method)
     p = build_pyramid("s", base, 1)
     gt = _gt(rng.random(base.shape[:2]) < 0.3)
     cfg = TilingConfig(**grid, tissue_filter=method)
-    got = extract_tiles(p, gt, cfg)
+    got = extract_tiles(p, gt, cfg, workers=1)
+    assert not forks
     assert got == extract_tiles_reference(p, gt, cfg)
+    # at 4 workers the tie-deciding tissue test also runs inside forked workers
+    assert extract_tiles(p, gt, cfg, workers=4) == got
+    assert forks
 
     tissue = luma_reference(base) <= t
     s = base.astype(np.int64) @ np.array([299, 587, 114])
