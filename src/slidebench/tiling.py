@@ -7,9 +7,10 @@ the nine uniform 256-pixel sub-patches of a 768-pixel big patch. Tumor
 fractions are exact integer pixel counts, never floats.
 
 A tissue filter keeps the tiles whose window holds at least one tissue
-pixel. Tissue and tumor pixels are counted per window in one pass on the
-worker pool over row bands, cut at every window's top and bottom edge; a
-tile's counts are a difference of two prefix sums over the bands.
+pixel. Tissue and tumor pixels are counted per window over row bands cut at
+every window's top and bottom edge; a tile's counts are differences of band
+prefix sums. The pool counts tumor bands and the caller tissue bands: a
+second process paid for those on a 2-vCPU host only from about 12288^2 up.
 """
 from __future__ import annotations
 
@@ -204,17 +205,18 @@ def _bands(ys: list, size: int) -> tuple[list, dict]:
     return bands, above
 
 
-def _count_band(pixels: np.ndarray, gt: np.ndarray, t: int | None, size: int, xs: np.ndarray,
-                band: slice) -> np.ndarray:
-    """Tissue (``luma <= t``; none without ``t``) and tumor pixels of the rows ``band`` in
-    each ``size``-wide window at x origins ``xs``, as a (2, len(xs)) int64 array."""
-    tissue = np.zeros(gt.shape[1], dtype=np.int32)  # int32 sums bool rows faster than int64
-    if t is not None:
-        rgb = pixels[band]
-        for rows in _row_blocks(*rgb.shape[:2]):
-            tissue += _dark(rgb[rows], t).sum(axis=0, dtype=np.int32)
-    tumor = gt[band].sum(axis=0, dtype=np.int64)
-    return np.stack([_window_sums(tissue, size, xs), _window_sums(tumor, size, xs)])
+def _tumor_band(gt: np.ndarray, size: int, xs: np.ndarray, band: slice) -> np.ndarray:
+    """Tumor pixels of the rows ``band`` in each ``size``-wide window at x origins ``xs``."""
+    return _window_sums(gt[band].sum(axis=0, dtype=np.int64), size, xs)
+
+
+def _tissue_band(pixels: np.ndarray, t: int, size: int, xs: np.ndarray, band: slice) -> np.ndarray:
+    """Tissue pixels (``luma <= t``) of the rows ``band`` in each window at ``xs``."""
+    rgb = pixels[band]
+    tissue = np.zeros(rgb.shape[1], dtype=np.int32)  # int32 sums bool rows faster than int64
+    for rows in _row_blocks(*rgb.shape[:2]):
+        tissue += _dark(rgb[rows], t).sum(axis=0, dtype=np.int32)
+    return _window_sums(tissue, size, xs)
 
 
 def extract_tiles(p: SlidePyramid, gt: BinaryMask, cfg: TilingConfig,
@@ -222,11 +224,11 @@ def extract_tiles(p: SlidePyramid, gt: BinaryMask, cfg: TilingConfig,
     """Label every grid tile of one level against a ground-truth mask.
 
     With a tissue filter configured, tiles whose window holds no tissue
-    pixel (``luma <= t``, as in ``tissue_mask``) are dropped. One pass on the
-    worker pool counts each ``_bands`` band's tissue and tumor pixels per
-    window, reading each pixel row once whatever the stride. A tile's counts
-    are exact integer differences of two band prefix sums, so they do not
-    depend on the worker count. The result is sorted by (slide_id, y, x).
+    pixel (``luma <= t``, as in ``tissue_mask``) are dropped. The worker pool
+    counts each ``_bands`` band's tumor pixels per window and the caller its
+    tissue pixels, reading each pixel row once whatever the stride. A tile's
+    counts are exact integer differences of two band prefix sums, so they do
+    not depend on the worker count. The result is sorted by (slide_id, y, x).
     """
     lvl = p.level(cfg.level)
     if gt.level != cfg.level or gt.data.shape != (lvl.height, lvl.width):
@@ -241,8 +243,9 @@ def extract_tiles(p: SlidePyramid, gt: BinaryMask, cfg: TilingConfig,
     t = tissue_threshold(lvl.pixels, cfg.tissue_filter) if cfg.tissue_filter else None
 
     bands, above = _bands(ys, size)
-    sums = parallel.run_chunks(partial(_count_band, lvl.pixels, gt.data, t, size, xs), bands,
-                               workers=workers)
+    tumor = parallel.run_chunks(partial(_tumor_band, gt.data, size, xs), bands, workers=workers)
+    tissue = tumor if t is None else [_tissue_band(lvl.pixels, t, size, xs, b) for b in bands]
+    sums = [np.stack(pair) for pair in zip(tissue, tumor)]
     prefix = np.cumsum([np.zeros((2, len(xs)), dtype=np.int64), *sums], axis=0)
 
     total, records = size * size, []

@@ -214,7 +214,7 @@ def test_extract_tiles_keeps_exactly_the_tiles_holding_tissue(rng, four_cpus, fo
     got = extract_tiles(p, gt, cfg, workers=1)
     assert not forks
     assert got == extract_tiles_reference(p, gt, cfg)
-    # at 4 workers the tie-deciding tissue test also runs inside forked workers
+    # at 4 workers the tumor bands are counted in forked workers; the kept tiles stay the same
     assert extract_tiles(p, gt, cfg, workers=4) == got
     assert forks
 
