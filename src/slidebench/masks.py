@@ -182,34 +182,38 @@ def _polygon_area(verts: np.ndarray) -> float:
 
 
 def _fill_even_odd(data: np.ndarray, verts: np.ndarray) -> None:
-    """Scanline even-odd fill at pixel centers; mutates ``data`` in place."""
+    """Scanline even-odd fill at pixel centers; mutates ``data`` in place.
+
+    One pass finds every crossing of an edge with a row's center line y = j + 0.5,
+    half-open at the edge's upper end so a vertex on the line counts once. Each
+    non-horizontal edge is tested on the rows its y-range may reach, and the crossings
+    are sorted by row, then x. Every row holds an even number of them, and each pair
+    fills the pixels whose centers i + 0.5 lie in [a, b).
+    """
     h, w = data.shape
     x0 = verts[:, 0]
     y0 = verts[:, 1]
     x1 = np.roll(x0, -1)
     y1 = np.roll(y0, -1)
     keep = y0 != y1  # horizontal edges never cross a center scanline
-    if not np.any(keep):
-        return
     x0, y0, x1, y1 = x0[keep], y0[keep], x1[keep], y1[keep]
-
-    j_lo = max(0, int(np.floor(np.min(np.minimum(y0, y1)) - 0.5)))
-    j_hi = min(h - 1, int(np.ceil(np.max(np.maximum(y0, y1)))))
-    for j in range(j_lo, j_hi + 1):
-        yc = j + 0.5
-        crossing = ((y0 <= yc) & (yc < y1)) | ((y1 <= yc) & (yc < y0))
-        if not np.any(crossing):
-            continue
-        xs = x0[crossing] + (yc - y0[crossing]) * (x1[crossing] - x0[crossing]) / (
-            y1[crossing] - y0[crossing]
-        )
-        xs.sort()
-        for a, b in zip(xs[0::2], xs[1::2]):
-            # pixel centers i + 0.5 in [a, b)
-            i0 = max(0, int(np.ceil(a - 0.5)))
-            i1 = min(w, int(np.ceil(b - 0.5)))
-            if i0 < i1:
-                data[j, i0:i1] = True
+    j_lo = np.clip(np.floor(np.minimum(y0, y1) - 0.5), 0, h).astype(np.intp)
+    j_hi = np.clip(np.ceil(np.maximum(y0, y1)), -1, h - 1).astype(np.intp)
+    counts = np.maximum(j_hi - j_lo + 1, 0)  # rows each edge may cross
+    edge = np.repeat(np.arange(len(counts)), counts)
+    j = np.arange(len(edge)) + np.repeat(j_lo - (np.cumsum(counts) - counts), counts)
+    yc = j + 0.5
+    ya, yb = y0[edge], y1[edge]
+    crossing = ((ya <= yc) & (yc < yb)) | ((yb <= yc) & (yc < ya))
+    edge, j, yc = edge[crossing], j[crossing], yc[crossing]
+    xs = x0[edge] + (yc - y0[edge]) * (x1[edge] - x0[edge]) / (y1[edge] - y0[edge])
+    order = np.lexsort((xs, j))
+    xs, j = xs[order], j[order]
+    i0 = np.clip(np.ceil(xs[0::2] - 0.5), 0, w).astype(np.intp)
+    i1 = np.clip(np.ceil(xs[1::2] - 0.5), 0, w).astype(np.intp)
+    for row, a, b in zip(j[0::2].tolist(), i0.tolist(), i1.tolist()):
+        if a < b:
+            data[row, a:b] = True
 
 
 def otsu_threshold(histogram) -> int:

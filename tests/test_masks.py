@@ -188,6 +188,29 @@ def test_rasterize_concave_polygon_matches_oracle(rng):
         assert np.array_equal(mask.data, raster_oracle([verts], 48, 48))
 
 
+# lattice polygons, where the half-open rule decides: vertices on level-0 center
+# scanlines y = j + 0.5 and on level-1 ones (odd y), horizontal edges, a self-crossing
+# bow-tie, and polygons reaching past all four grid edges
+_LATTICE_POLYGONS = {
+    "center-scanlines": [(2.5, 1.5), (9.5, 4.5), (7.0, 7.0), (13.5, 13.5), (1.0, 9.0), (4.0, 4.5)],
+    "horizontal-edges": [(1, 1), (9, 1), (9, 4.5), (4, 4.5), (4, 9), (13, 9), (13, 13), (1, 13)],
+    "bow-tie": [(1.5, 1.5), (13.5, 11.5), (13.5, 1.5), (1.5, 7.5)],
+    "past-every-edge": [(-3, 7.5), (7.5, -4), (19, 7.5), (7.5, 20.5)],
+    "past-edges-on-lattice": [(-2, -2), (18, -2), (18, 5.5), (6, 5.5), (6, 9), (18, 9), (18, 18),
+                              (-2, 18)],
+}
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("name", _LATTICE_POLYGONS)
+def test_rasterize_lattice_polygon_matches_oracle(name, level):
+    verts = _LATTICE_POLYGONS[name]
+    side = 16 >> level
+    mask = rasterize(_aset(_poly("p", verts)), level, side, side)
+    assert mask.count > 0
+    assert np.array_equal(mask.data, raster_oracle([verts], side, side, 0.5**level))
+
+
 def test_rasterize_multiple_polygons_is_union():
     a = _poly("a", [(0, 0), (4, 0), (4, 4), (0, 4)])
     b = _poly("b", [(2, 2), (6, 2), (6, 6), (2, 6)])

@@ -3,6 +3,7 @@ import hashlib
 import os
 import signal
 import sys
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -41,7 +42,8 @@ from slidebench import (
 )
 from slidebench import masks
 from slidebench.masks import ROLE_GROUND_TRUTH, ROLE_PREDICTION
-from slidebench.synth import _LESION_LO, _TISSUE_LO, _blob_chunks, _box_filter_bool, _paint_table
+from slidebench.synth import _CHUNK_ROWS, _LESION_LO, _TISSUE_LO, _blob_chunks, _box_filter_bool
+from slidebench.synth import _paint_table
 from slidebench.synth import _prediction_blocks
 
 _CFG = SynthConfig(seed=5, slides=1, level0_size=192, n_levels=2, lesion_radius=(8.0, 20.0))
@@ -349,16 +351,58 @@ def _blob_geometry(cfg: SynthConfig, index: int):
     return cx, cy, r0, rng.uniform(-0.06, 0.06, 4), rng.uniform(0.0, 2.0 * np.pi, 4)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_blob_mask_matches_oracle(seed):
+# (size, cx, cy, r0 / size) past one _CHUNK_ROWS chunk, at sizes that are no multiple of
+# the blob test's square side: centers on integer coordinates, where the row dy == 0 left
+# of the center is arctan2's branch cut, centers on the first or last pixel of a square
+# or a chunk, and centers off the raster
+_BLOB_CASES = {
+    "600-integer": (600, 300.0, 301.0, 0.45),
+    "1100-integer": (1100, 517.0, 611.0, 0.31),
+    "600-square-corner": (600, 288.0, 320.0, 0.4),
+    "1100-chunk-corner": (1100, 543.0, 511.0, 0.33),
+    "1100-chunk-start": (1100, 512.0, 512.0, 0.6),
+    "1100-off-integer": (1100, -131.0, 640.0, 0.55),
+    "600-off": (600, 410.3, 690.8, 0.5),
+}
+
+
+@pytest.mark.parametrize("seed, case", [(s, None) for s in range(12)]
+                         + [(12 + i, case) for i, case in enumerate(_BLOB_CASES.values())],
+                         ids=[*map(str, range(12)), *_BLOB_CASES])
+def test_blob_mask_matches_oracle(seed, case):
     rng = np.random.default_rng(seed)
     size = int(rng.integers(64, 400))
     cx, cy = rng.uniform(-0.2, 1.2, 2) * size  # centers off the raster too
     r0 = rng.uniform(0.1, 0.6) * size
+    if case is not None:
+        size, cx, cy, r0 = case[0], case[1], case[2], case[3] * case[0]
     amps = rng.uniform(-0.06, 0.06, 4)
     phases = rng.uniform(0.0, 2.0 * np.pi, 4)
     assert np.array_equal(np.concatenate(list(_blob_chunks(size, cx, cy, r0, amps, phases))),
                           blob_oracle(size, cx, cy, r0, amps, phases))
+
+
+def test_blob_square_holding_the_center_is_bounded_by_every_sector():
+    # The center is the last pixel of a square, whose corners span the sectors from
+    # -3pi/4 to pi, and the blob dips to a fifth of r0 at -163 degrees, outside that
+    # span: bounds taken over the corners' sectors alone would set the whole square.
+    theta0 = np.deg2rad(-163.0)
+    amps, phases = np.full(4, -0.2), -np.arange(2, 6) * theta0
+    size, cx, cy, r0 = 600, 319.0, 351.0, 150.0
+    assert np.array_equal(np.concatenate(list(_blob_chunks(size, cx, cy, r0, amps, phases))),
+                          blob_oracle(size, cx, cy, r0, amps, phases))
+
+
+def test_blob_memory_stays_at_chunk_sized_masks():
+    size = 8192
+    chunk = _CHUNK_ROWS * size  # bytes of one chunk's mask: 4 MiB
+    cx, cy, r0, amps, phases = _blob_geometry(replace(_CFG, level0_size=size), 0)
+    _, peak = traced_peak(lambda: deque(_blob_chunks(size, cx, cy, r0, amps, phases), maxlen=0))
+    # The chunk just yielded stays alive while the next is built, and each group of
+    # at most _ANNULUS_PIXELS boundary pixels adds about 1.2 MiB of temporaries: 2.30
+    # masks measured. Testing a chunk's boundary pixels in one group read 2.7-3.1
+    # masks, and a whole-slide mask would be 16.
+    assert peak <= 2.5 * chunk, peak / chunk
 
 
 @pytest.mark.parametrize("jitter, bg_jitter", [(-8, -2), (0, 0), (8, 2)])
