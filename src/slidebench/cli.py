@@ -97,7 +97,6 @@ def cmd_tile(args: argparse.Namespace) -> int:
     cfg = tiling.TilingConfig(
         tile_size=args.size,
         stride=args.stride,
-        level=args.level,
         rule=args.rule,
         tissue_filter=args.tissue_filter,
     )
@@ -289,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, SEED, WORKERS, SLIDE, GT)
     p.add_argument("--size", type=int, default=256)
     p.add_argument("--stride", type=int, default=None)
-    _add(p, LEVEL)
     p.add_argument("--rule", choices=RULES, default=RULE_THRESHOLD75)
     p.add_argument("--tissue-filter", choices=TISSUE_METHODS, default=None)
     p.add_argument("--rebalance", action="store_true",

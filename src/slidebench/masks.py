@@ -165,7 +165,7 @@ def rasterize(aset: AnnotationSet, level: int, width: int, height: int) -> Binar
     scale = 0.5**level
     for ann in aset.annotations:
         verts = np.asarray(ann.vertices, dtype=np.float64) * scale
-        if _polygon_area(verts) == 0.0:
+        if _collinear(verts):
             warnings.warn(
                 f"annotation {ann.name!r} is degenerate at level {level}; no pixels filled",
                 DegeneratePolygonWarning,
@@ -176,9 +176,16 @@ def rasterize(aset: AnnotationSet, level: int, width: int, height: int) -> Binar
     return BinaryMask(aset.slide_id, level, data, ROLE_GROUND_TRUTH)
 
 
-def _polygon_area(verts: np.ndarray) -> float:
-    x, y = verts[:, 0], verts[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+def _collinear(verts: np.ndarray) -> bool:
+    """Whether every vertex lies on one line: on the line from the first vertex to the one
+    farthest from it, tested exactly on the coordinates as integers at one common scale. A
+    polygon whose signed lobes cancel, such as a symmetric bow-tie, still fills its pixels."""
+    ratios = [c.as_integer_ratio() for c in verts.ravel().tolist()]
+    scale = max(d for _, d in ratios)  # each d is a power of 2, so each divides the largest
+    ints = [n * (scale // d) for n, d in ratios]
+    (x0, y0), *rest = zip(ints[0::2], ints[1::2])
+    fx, fy = max(rest, key=lambda v: (v[0] - x0) ** 2 + (v[1] - y0) ** 2)
+    return all((fx - x0) * (y - y0) == (fy - y0) * (x - x0) for x, y in rest)
 
 
 def _fill_even_odd(data: np.ndarray, verts: np.ndarray) -> None:

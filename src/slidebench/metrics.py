@@ -106,7 +106,7 @@ def evaluate_team(
     gt: dict[str, BinaryMask],
     pred: dict[str, BinaryMask],
     subtypes: dict[str, str] | None = None,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> TeamReport:
     """Score one team's predictions against ground truth with ``confusion``, slide by slide.
 

@@ -20,14 +20,6 @@ from typing import Any, Callable, NoReturn, Sequence
 from .errors import SlidebenchError, ValidationError
 
 
-def resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        return 1
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
-    return workers
-
-
 def _serve(func: Callable, chunks: Sequence, worker: int, n: int, fd: int) -> NoReturn:
     """A child's whole life: send chunks worker, worker + n, ... up to the first failure."""
     status = 1
@@ -58,9 +50,11 @@ def _serve(func: Callable, chunks: Sequence, worker: int, n: int, fd: int) -> No
         os._exit(status)
 
 
-def run_chunks(func: Callable[[Any], Any], chunks: Sequence, workers: int | None = None) -> list:
+def run_chunks(func: Callable[[Any], Any], chunks: Sequence, workers: int = 1) -> list:
     """``[func(c) for c in chunks]`` on ``workers`` processes, raising as that loop would."""
-    n = min(resolve_workers(workers), len(chunks), len(os.sched_getaffinity(0)))
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
+    n = min(workers, len(chunks), len(os.sched_getaffinity(0)))
     if n <= 1:
         return [func(c) for c in chunks]
     for stream in (sys.stdout, sys.stderr):  # else children would write it out again

@@ -106,13 +106,9 @@ def write_pyramid(pyramid: SlidePyramid, directory: str | Path) -> Path:
 
     Output bytes are deterministic for equal inputs.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for k, lvl in enumerate(pyramid.levels):
-        with netpbm.row_writer(directory / _level_file(k), b"P6", lvl.width, lvl.height) as append:
-            append(lvl.pixels)
     dims = [(lvl.width, lvl.height) for lvl in pyramid.levels]
-    return _write_manifest(directory, pyramid.slide_id, pyramid.mpp_level0, dims)
+    blocks = enumerate(lvl.pixels for lvl in pyramid.levels)
+    return _write_levels(directory, pyramid.slide_id, pyramid.mpp_level0, dims, blocks)
 
 
 def write_pyramid_rows(
@@ -121,33 +117,33 @@ def write_pyramid_rows(
     """Write the pyramid ``build_pyramid`` makes of a level-0 raster that comes in row
     chunks, with the bytes ``write_pyramid`` writes for it; returns the manifest path.
 
-    ``chunks`` yields ``(y0, rows)``: level-0 rows from ``y0`` on, top to bottom. Every
-    level's header is written first; then each chunk's rows and columns ``::2**k`` are
-    appended to level k, so no level is held whole.
+    ``chunks`` yields ``(y0, rows)``: level-0 rows from ``y0`` on, top to bottom. Level k
+    keeps the level-0 rows and columns that ``2**k`` divides, so each chunk's share of
+    every level is appended as it comes and no level is held whole.
     """
+    dims = [level_dimensions(width, height, k) for k in range(n_levels)]
+    blocks = ((k, rows[-y0 % 2**k :: 2**k, :: 2**k])
+              for y0, rows in chunks for k in range(n_levels))
+    return _write_levels(directory, slide_id, None, dims, blocks)
+
+
+def _write_levels(directory: str | Path, slide_id: str, mpp: float | None, dims: list,
+                  blocks) -> Path:
+    """Write every level's PPM header, append each ``(k, rows)`` of ``blocks`` to level k,
+    then write the manifest; returns its path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    dims = [level_dimensions(width, height, k) for k in range(n_levels)]
+    files = [f"level_{k:02d}.ppm" for k in range(len(dims))]
     with ExitStack() as stack:
-        appends = [stack.enter_context(netpbm.row_writer(directory / _level_file(k), b"P6", w, h))
-                   for k, (w, h) in enumerate(dims)]
-        for y0, rows in chunks:
-            for k, append in enumerate(appends):
-                step = 1 << k  # level k keeps the level-0 rows and columns that step divides
-                append(rows[-y0 % step :: step, ::step])
-    return _write_manifest(directory, slide_id, None, dims)
-
-
-def _level_file(k: int) -> str:
-    return f"level_{k:02d}.ppm"
-
-
-def _write_manifest(directory: Path, slide_id: str, mpp: float | None, dims: list) -> Path:
-    entries = [{"index": k, "width": w, "height": h, "file": _level_file(k)}
-               for k, (w, h) in enumerate(dims)]
-    manifest = {"slide_id": slide_id, "mpp_level0": mpp, "levels": entries}
+        appends = [stack.enter_context(netpbm.row_writer(directory / name, b"P6", w, h))
+                   for name, (w, h) in zip(files, dims)]
+        for k, rows in blocks:
+            appends[k](rows)
+    entries = [{"index": k, "width": w, "height": h, "file": name}
+               for k, (name, (w, h)) in enumerate(zip(files, dims))]
     manifest_path = directory / "manifest.json"
-    manifest_path.write_text(format_json(manifest))
+    manifest_path.write_text(format_json({"slide_id": slide_id, "mpp_level0": mpp,
+                                          "levels": entries}))
     return manifest_path
 
 

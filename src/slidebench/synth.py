@@ -460,7 +460,7 @@ def generate_challenge(
     cfg: SynthConfig,
     teams: list[tuple[str, CorruptionSpec]],
     out_dir: str | Path,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> dict:
     """Write a full synthetic challenge tree with a brute-force truth table.
 

@@ -73,7 +73,6 @@ class TileRecord:
 class TilingConfig:
     tile_size: int = 256
     stride: int | None = None
-    level: int = 0
     rule: str = RULE_THRESHOLD75
     tissue_filter: str | None = None
 
@@ -86,8 +85,6 @@ class TilingConfig:
             raise ValidationError(f"tile_size must be >= 1, got {self.tile_size}")
         if self.effective_stride < 1:
             raise ValidationError(f"stride must be >= 1, got {self.stride}")
-        if self.level < 0:
-            raise ValidationError(f"level must be >= 0, got {self.level}")
         if self.rule not in RULES:
             raise ValidationError(f"unknown labeling rule {self.rule!r}")
         if self.rule == RULE_BIG_PATCH_NINE and self.tile_size % 3 != 0:
@@ -100,19 +97,18 @@ class TilingConfig:
     __post_init__ = validate
 
 
-def _grid_axes(p: SlidePyramid, cfg: TilingConfig) -> tuple[np.ndarray, list[int]]:
-    """Ascending x and y origins of the tiles ``extract_tiles`` labels; the grid is their product.
+def _grid_axes(p: SlidePyramid, level: int, cfg: TilingConfig) -> tuple[np.ndarray, list[int]]:
+    """Ascending x and y origins of the tiles ``extract_tiles`` labels at ``level``; the grid
+    is their product.
 
     Partial edge tiles are dropped, never padded. Under the big-patch rule a
     big patch at ``o`` on an axis gives the ``big_patch_nine`` sub-tile origins
     ``o + i*sub`` for ``i`` < 3, and neighbouring big patches may share some.
     """
-    lvl = p.level(cfg.level)
+    lvl = p.level(level)
     size, stride = cfg.tile_size, cfg.effective_stride
     if size > lvl.width or size > lvl.height:
-        raise GeometryError(
-            f"tile_size {size} exceeds level {cfg.level} dims {lvl.width}x{lvl.height}"
-        )
+        raise GeometryError(f"tile_size {size} exceeds level {level} dims {lvl.width}x{lvl.height}")
     xs, ys = (range(0, n - size + 1, stride) for n in (lvl.width, lvl.height))
     if cfg.rule == RULE_BIG_PATCH_NINE:
         sub = size // 3
@@ -220,8 +216,8 @@ def _tissue_band(pixels: np.ndarray, t: int, size: int, xs: np.ndarray, band: sl
 
 
 def extract_tiles(p: SlidePyramid, gt: BinaryMask, cfg: TilingConfig,
-                  workers: int | None = None) -> list[TileRecord]:
-    """Label every grid tile of one level against a ground-truth mask.
+                  workers: int = 1) -> list[TileRecord]:
+    """Label every grid tile of the ground-truth mask's level against that mask.
 
     With a tissue filter configured, tiles whose window holds no tissue
     pixel (``luma <= t``, as in ``tissue_mask``) are dropped. The worker pool
@@ -230,14 +226,12 @@ def extract_tiles(p: SlidePyramid, gt: BinaryMask, cfg: TilingConfig,
     counts are exact integer differences of two band prefix sums, so they do
     not depend on the worker count. The result is sorted by (slide_id, y, x).
     """
-    lvl = p.level(cfg.level)
-    if gt.level != cfg.level or gt.data.shape != (lvl.height, lvl.width):
-        raise GeometryError(
-            f"ground truth is level {gt.level} {gt.data.shape}, "
-            f"config wants level {cfg.level} ({lvl.height}, {lvl.width})"
-        )
+    lvl = p.level(gt.level)
+    if gt.data.shape != (lvl.height, lvl.width):
+        raise GeometryError(f"ground truth is {gt.width}x{gt.height}, but level {gt.level} "
+                            f"of slide {p.slide_id} is {lvl.width}x{lvl.height}")
 
-    xs, ys = _grid_axes(p, cfg)
+    xs, ys = _grid_axes(p, gt.level, cfg)
     size = cfg.tile_size // 3 if cfg.rule == RULE_BIG_PATCH_NINE else cfg.tile_size
     label_fn = label_threshold75 if cfg.rule == RULE_THRESHOLD75 else label_threeclass
     t = tissue_threshold(lvl.pixels, cfg.tissue_filter) if cfg.tissue_filter else None
@@ -251,7 +245,7 @@ def extract_tiles(p: SlidePyramid, gt: BinaryMask, cfg: TilingConfig,
     total, records = size * size, []
     for y in ys:
         tissue, tumor = (prefix[above[y + size]] - prefix[above[y]]).tolist()
-        records += [TileRecord(p.slide_id, cfg.level, x, y, size, n, total, label_fn(n, total))
+        records += [TileRecord(p.slide_id, gt.level, x, y, size, n, total, label_fn(n, total))
                     for x, k, n in zip(xs.tolist(), tissue, tumor) if t is None or k]
     return records
 

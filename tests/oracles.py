@@ -14,9 +14,9 @@ package's shifts. The second is the package's earlier ``extract_tiles``,
 which builds a level-sized tissue mask and sums it per tile; it is kept so
 the streamed, exact tissue count can be checked against it. Its
 ``tissue_mask_reference`` thresholds ``luma_reference`` of the whole level,
-so neither uses the package's luma kernel; its ``grid_tiles``, the tile
-origins it labels, is the package's earlier row-major view of
-``tiling._grid_axes``. ``sigmoid_reference``, ``select_reference`` and
+so neither uses the package's luma kernel, and it enumerates its tile origins
+itself, in ``grid_tiles``, so none come from the package's grid.
+``sigmoid_reference``, ``select_reference`` and
 ``step_reference`` are the package's earlier masked sigmoid, stable-sort
 selection and co-teaching step, which recompute each learner's scores where
 they are used; they are kept unchanged so the step that reuses the scores
@@ -43,9 +43,7 @@ import subprocess
 import sys
 import tracemalloc
 import zlib
-from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 from itertools import groupby
 
 import numpy as np
@@ -54,7 +52,6 @@ import scipy.stats
 from slidebench.coteach import CoteachConfig, PixelBatch, _gradient, drop_rate, pixel_losses
 from slidebench.errors import MODE_APPROX, MODE_AUTO, MODE_EXACT, MODES, NoInformationError
 from slidebench.errors import DivergenceError, GeometryError, ValidationError
-from slidebench import parallel
 from slidebench.netpbm import row_writer
 from slidebench.masks import (
     GRAY200_THRESHOLD,
@@ -74,8 +71,6 @@ from slidebench.tiling import (
     RULE_THRESHOLD75,
     TileRecord,
     TilingConfig,
-    _grid_axes,
-    big_patch_nine,
     label_threeclass,
     label_threshold75,
 )
@@ -201,78 +196,47 @@ def _window_sums(data: np.ndarray, y: int, size: int, xs: np.ndarray) -> np.ndar
     return cs[xs + size] - cs[xs]
 
 
-def _count_band(gt: np.ndarray, tissue: np.ndarray | None, size: int, rows: list) -> list:
-    out = []
-    for y, xs in rows:
-        keep = _window_sums(tissue, y, size, xs) if tissue is not None else None
-        out.append((_window_sums(gt, y, size, xs), keep))
-    return out
+def grid_tiles(p: SlidePyramid, cfg: TilingConfig, level: int = 0) -> list[tuple[int, int]]:
+    """Row-major origins of all tiles fully inside ``level``; under the big-patch rule, of
+    the big patches."""
+    height, width = p.levels[level].pixels.shape[:2]
+    size, stride = cfg.tile_size, cfg.stride or cfg.tile_size
+    if size > width or size > height:
+        raise GeometryError(f"tile_size {size} exceeds level {level} dims {width}x{height}")
+    return [(x, y) for y in range(0, height - size + 1, stride)
+            for x in range(0, width - size + 1, stride)]
 
 
-def grid_tiles(p: SlidePyramid, cfg: TilingConfig) -> list[tuple[int, int]]:
-    """Row-major origins of all tiles fully inside the configured level; under
-    the big-patch rule, of the big patches."""
-    xs, ys = _grid_axes(p, replace(cfg, rule=RULE_THRESHOLD75))
-    return [(x, y) for y in ys for x in xs.tolist()]
-
-
-def extract_tiles_reference(
-    p: SlidePyramid,
-    gt: BinaryMask,
-    cfg: TilingConfig,
-    workers: int | None = None,
-) -> list[TileRecord]:
-    """Label every grid tile of one level against a ground-truth mask.
+def extract_tiles_reference(p: SlidePyramid, gt: BinaryMask, cfg: TilingConfig) -> list[TileRecord]:
+    """Label every grid tile of the ground-truth mask's level against that mask.
 
     With a tissue filter configured, tiles that do not intersect the tissue
-    mask are dropped. Counting parallelizes over bands of tile rows; the
-    result is sorted by (slide_id, y, x) and independent of worker count.
+    mask are dropped. The result is sorted by (slide_id, y, x).
     """
-    cfg.validate()
-    lvl = p.level(cfg.level)
-    if gt.level != cfg.level or gt.data.shape != (lvl.height, lvl.width):
-        raise GeometryError(
-            f"ground truth is level {gt.level} {gt.data.shape}, "
-            f"config wants level {cfg.level} ({lvl.height}, {lvl.width})"
-        )
+    if gt.data.shape != p.levels[gt.level].pixels.shape[:2]:
+        raise GeometryError(f"ground truth {gt.data.shape} does not fit level {gt.level}")
 
-    if cfg.rule == RULE_BIG_PATCH_NINE:
-        sub = cfg.tile_size // 3
-        origins = sorted(
-            {
-                o
-                for big in grid_tiles(p, cfg)
-                for o in big_patch_nine(p, big, cfg.tile_size, cfg.level)
-            },
-            key=lambda o: (o[1], o[0]),
-        )
-        size = sub
-        label_fn = label_threeclass
-    else:
-        origins = grid_tiles(p, cfg)
-        size = cfg.tile_size
-        label_fn = label_threshold75 if cfg.rule == RULE_THRESHOLD75 else label_threeclass
+    size = cfg.tile_size
+    origins = grid_tiles(p, cfg, gt.level)
+    label_fn = label_threshold75 if cfg.rule == RULE_THRESHOLD75 else label_threeclass
+    if cfg.rule == RULE_BIG_PATCH_NINE:  # each big patch's 3x3 sub-tiles, once each
+        size //= 3
+        origins = sorted({(x + i * size, y + j * size) for x, y in origins
+                          for j in range(3) for i in range(3)}, key=lambda o: (o[1], o[0]))
 
-    tissue = tissue_mask_reference(p, cfg.level, cfg.tissue_filter).data if cfg.tissue_filter else None
-
-    rows = [(y, np.array([x for x, _ in row], dtype=np.int64))
-            for y, row in groupby(origins, key=lambda o: o[1])]
-
-    n_workers = parallel.resolve_workers(workers)
-    step = max(1, -(-len(rows) // (n_workers * 4)))
-    bands = [rows[i : i + step] for i in range(0, len(rows), step)]
-    count = partial(_count_band, gt.data, tissue, size)
-    counts = [c for band in parallel.run_chunks(count, bands, workers=n_workers) for c in band]
-
+    tissue = tissue_mask_reference(p, gt.level, cfg.tissue_filter).data if cfg.tissue_filter else None
     total = size * size
     records = []
-    for (y, xs), (tumor, keep) in zip(rows, counts):
+    for y, row in groupby(origins, key=lambda o: o[1]):
+        xs = np.array([x for x, _ in row], dtype=np.int64)
+        tumor = _window_sums(gt.data, y, size, xs)
+        keep = _window_sums(tissue, y, size, xs) if tissue is not None else None
         for i in range(len(xs)):
             if keep is not None and keep[i] == 0:
                 continue
             t = int(tumor[i])
             records.append(
-                TileRecord(p.slide_id, cfg.level, int(xs[i]), y, size, t, total, label_fn(t, total))
+                TileRecord(p.slide_id, gt.level, int(xs[i]), y, size, t, total, label_fn(t, total))
             )
     return records
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import write_p6
+from oracles import extract_tiles_reference, write_p6
 from slidebench import (
     ProbabilityMap,
     SlideScore,
@@ -21,6 +21,7 @@ from slidebench import (
     build_pyramid,
     read_manifest,
     read_mask,
+    read_pyramid,
     read_report,
     read_truth_table,
     write_mask,
@@ -29,7 +30,8 @@ from slidebench import (
     write_report,
 )
 from slidebench.cli import build_parser, main
-from slidebench.masks import ROLE_GROUND_TRUTH, ROLE_PREDICTION, BinaryMask
+from slidebench.masks import METHOD_GRAY200, ROLE_GROUND_TRUTH, ROLE_PREDICTION, BinaryMask
+from slidebench.tiling import TilingConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -187,6 +189,20 @@ def test_tile_writes_manifest(cli_tree, tmp_path):
     records = read_manifest(manifest)
     assert len(records) == 16
     assert {r.label for r in records} <= {"Positive", "Negative", "Unused"}
+
+
+def test_tile_labels_at_the_level_of_its_truth_mask(cli_tree, tmp_path):
+    slide = cli_tree / "slides" / "slide_000" / "manifest.json"
+    raster, manifest = tmp_path / "raster.pgm", tmp_path / "tiles.jsonl"
+    assert main(["rasterize", "--annotations", str(cli_tree / "annotations" / "slide_000.xml"),
+                 "--slide", str(slide), "--level", "1", "--out", str(raster)]) == 0
+    assert main(["tile", "--slide", str(slide), "--gt", str(raster), "--size", "24",
+                 "--stride", "16", "--tissue-filter", "gray200", "--out", str(manifest)]) == 0
+    cfg = TilingConfig(tile_size=24, stride=16, tissue_filter=METHOD_GRAY200)
+    expected = extract_tiles_reference(read_pyramid(slide), read_mask(raster), cfg)
+    assert read_manifest(manifest) == expected
+    assert expected and any(r.tumor_pixels for r in expected)
+    assert all(json.loads(line)["level"] == 1 for line in manifest.read_text().splitlines())
 
 
 def test_eval_matches_truth_table(cli_tree, report_dir):
@@ -434,6 +450,16 @@ def _mask_case(mutate):
     return make
 
 
+def _tile_gt_case(level):
+    """``tile`` of the 16x16 one-level slide against an 8x8 truth at ``level``."""
+    def make(tmp_path):
+        gt = tmp_path / "gt.pgm"
+        write_mask(BinaryMask("s", level, np.eye(8, dtype=bool), ROLE_GROUND_TRUTH), gt)
+        return ["tile", "--slide", str(_slide(tmp_path)), "--gt", str(gt), "--size", "4",
+                "--out", str(tmp_path / "tiles.jsonl")]
+    return make
+
+
 def _xml_case(text, name="s"):
     """``rasterize`` of ``name``.xml holding ``text`` onto slide s."""
     def make(tmp_path):
@@ -642,6 +668,8 @@ MALFORMED_INPUTS = {
     "prediction_level_far_too_coarse": _prediction_level_case(9),
     "two_masks_of_one_slide": _duplicate_slide_case,
     "refine_masks_of_two_slides": _refine_other_slide,
+    "tile_gt_at_a_level_the_slide_lacks": _tile_gt_case(1),
+    "tile_gt_of_the_wrong_shape": _tile_gt_case(0),
     "config_not_utf8": _config_case(b"eta=\xff\xfe\n"),
     "config_unknown_key": _config_case("bogus=1\n"),
     "config_bad_value": _config_case("t_max=many\n"),
@@ -758,6 +786,8 @@ ERROR_LINES = {
     "two_masks_of_one_slide": "{tmp}/pred/a.pgm and {tmp}/pred/b.pgm both hold slide 's0'",
     "refine_masks_of_two_slides": (
         "refine_labels: slide 'slide_000' does not match slide 'slide_001'"),
+    "tile_gt_at_a_level_the_slide_lacks": "slide s has no level 1",
+    "tile_gt_of_the_wrong_shape": "ground truth is 8x8, but level 0 of slide s is 16x16",
     "config_not_utf8": (
         "{tmp}/train.cfg: cannot read config: 'utf-8' codec can't decode byte 0xff in position "
         "4: invalid start byte"),
@@ -923,7 +953,6 @@ CLI_OPTIONS = {
         ("--gt", None, None, None, True),
         ("--size", 256, None, None, False),
         ("--stride", None, None, None, False),
-        ("--level", 0, None, None, False),
         ("--rule", "threshold75", ("threshold75", "three_class", "big_patch_nine"), None, False),
         ("--tissue-filter", None, ("otsu", "gray200"), None, False),
         ("--rebalance", False, None, 0, False),

@@ -195,6 +195,8 @@ _LATTICE_POLYGONS = {
     "center-scanlines": [(2.5, 1.5), (9.5, 4.5), (7.0, 7.0), (13.5, 13.5), (1.0, 9.0), (4.0, 4.5)],
     "horizontal-edges": [(1, 1), (9, 1), (9, 4.5), (4, 4.5), (4, 9), (13, 9), (13, 13), (1, 13)],
     "bow-tie": [(1.5, 1.5), (13.5, 11.5), (13.5, 1.5), (1.5, 7.5)],
+    # lobes of equal and opposite signed area: the shoelace sum is 0, yet 50 pixels are inside
+    "balanced-bow-tie": [(1.5, 1.5), (11.5, 11.5), (11.5, 1.5), (1.5, 11.5)],
     "past-every-edge": [(-3, 7.5), (7.5, -4), (19, 7.5), (7.5, 20.5)],
     "past-edges-on-lattice": [(-2, -2), (18, -2), (18, 5.5), (6, 5.5), (6, 9), (18, 9), (18, 18),
                               (-2, 18)],

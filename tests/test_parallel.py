@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from slidebench.errors import SlidebenchError, ValidationError
-from slidebench.parallel import resolve_workers, run_chunks
+from slidebench.parallel import run_chunks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -52,17 +52,16 @@ def _fail_on_odd(x):
     return x
 
 
-def test_resolve_workers_defaults_to_one():
-    assert resolve_workers(None) == 1
-    assert resolve_workers(1) == 1
-    assert resolve_workers(4) == 4
+def test_run_chunks_defaults_to_one_worker(four_cpus, forks):
+    assert run_chunks(_square, [3, 1, 2]) == [9, 1, 4]
+    assert not forks
 
 
-def test_resolve_workers_rejects_nonpositive():
-    with pytest.raises(ValidationError):
-        resolve_workers(0)
-    with pytest.raises(ValidationError):
-        resolve_workers(-2)
+def test_run_chunks_rejects_nonpositive_workers(four_cpus, forks):
+    for workers in (0, -2):
+        with pytest.raises(ValidationError, match=f"workers must be >= 1, got {workers}"):
+            run_chunks(_square, [3, 1, 2], workers=workers)
+    assert not forks
 
 
 def test_results_in_submission_order_serial():

@@ -1,8 +1,17 @@
-"""The README's Python API example runs as written."""
+"""The README's Python API example runs as written, and every documented command parses."""
 import re
+import shlex
+from itertools import takewhile
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+import pytest
+
+from slidebench.cli import build_parser
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+PIPELINE = ROOT / "scripts" / "full_pipeline.sh"
+SHELL_OPERATORS = {">", ">>", "2>", "|", "&&", "||", ";"}
 
 
 def test_python_api_example_runs(tmp_path, monkeypatch, capsys):
@@ -11,3 +20,38 @@ def test_python_api_example_runs(tmp_path, monkeypatch, capsys):
     exec(compile(code, str(README), "exec"), {})
     assert (tmp_path / "challenge" / "truth_table.csv").is_file()
     assert 0.0 <= float(capsys.readouterr().out) <= 1.0
+
+
+def _commands(script: str) -> list[list[str]]:
+    """The argument lists of the ``slidebench`` (or ``$RUN``) commands in a shell script,
+    with ``\\`` continuations joined, each shell variable replaced by ``1``, which every
+    flag of the CLI accepts whatever its type, and any redirection or pipe cut off."""
+    commands = []
+    for line in script.replace("\\\n", " ").splitlines():
+        line = re.sub(r"\$\{?(\w+)\}?", lambda m: "slidebench" if m[1] == "RUN" else "1", line)
+        words = shlex.split(line, comments=True)
+        words = list(takewhile(lambda w: w not in SHELL_OPERATORS, words))
+        if words[:1] == ["slidebench"]:
+            commands.append(words[1:])
+    return commands
+
+
+DOCUMENTED = {
+    "README.md": lambda: "\n".join(re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)),
+    "full_pipeline.sh": PIPELINE.read_text,
+}
+
+
+@pytest.mark.parametrize("doc", DOCUMENTED)
+def test_documented_commands_parse(doc):
+    commands = _commands(DOCUMENTED[doc]())
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{doc}: slidebench {shlex.join(argv)} does not parse")
+    # the README shows every subcommand; the pipeline runs all but ensemble and coteach
+    expected = {"synth", "tissue", "rasterize", "refine", "tile", "eval", "compare",
+                "leaderboard"} | ({"ensemble", "coteach"} if doc == "README.md" else set())
+    assert {argv[0] for argv in commands} == expected

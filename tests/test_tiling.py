@@ -274,6 +274,20 @@ def test_extract_tiles_geometry_mismatch(rng):
         extract_tiles(p, _gt(np.zeros((16, 16))), TilingConfig(tile_size=8))
 
 
+@pytest.mark.parametrize("grid", TISSUE_GRIDS.values(), ids=TISSUE_GRIDS.keys())
+def test_extract_tiles_labels_at_the_truth_level(rng, grid):
+    base, _ = tie_slide(METHOD_GRAY200)
+    p = build_pyramid("s", base, 2)
+    lvl = p.level(1)
+    gt = BinaryMask("s", 1, rng.random((lvl.height, lvl.width)) < 0.3)
+    cfg = TilingConfig(**grid, tissue_filter=METHOD_GRAY200)
+    got = extract_tiles(p, gt, cfg)
+    assert got == extract_tiles_reference(p, gt, cfg)
+    assert got and {r.level for r in got} == {1}
+    with pytest.raises(ValidationError, match="has no level 2"):
+        extract_tiles(p, BinaryMask("s", 2, np.zeros((24, 26), dtype=bool)), cfg)
+
+
 def test_manifest_round_trip(tmp_path, rng):
     data = rng.random((64, 64)) < 0.3
     records = extract_tiles(_pyramid(64, 64), _gt(data), TilingConfig(tile_size=16))
