@@ -2,8 +2,10 @@
 # Byte-identity check of the end-to-end workflow: runs scripts/full_pipeline.sh
 # from git revision REV and from the working tree, each at 1 and 2 workers,
 # and compares the four output trees and stdout logs with diff -r. It also
-# compares one synth tree of 1100-pixel slides from each, whose slides span
-# several 512-row chunks, which the pipeline's 512-pixel slides never do.
+# compares two synth trees from each: one of 1100-pixel slides, which span
+# several 512-row chunks, which the pipeline's 512-pixel slides never do, and
+# one of four 2048-pixel slides, the benchmark's slide size, where a change of
+# geometry can show that smaller slides hide.
 #
 # REV is unpacked with git archive into a temporary directory. Every run writes
 # to the same output path, because the summaries hold absolute paths, and its
@@ -28,11 +30,10 @@ run() {  # run CHECKOUT WORKERS NAME: the checkout's own pipeline on its own pac
   mv "$TMP/out" "$TMP/$3"
 }
 
-synth() {  # synth CHECKOUT NAME: multi-chunk slides from the checkout's own package
+synth() {  # synth CHECKOUT NAME FLAGS...: a synth tree from the checkout's own package
   rm -rf "$TMP/out"
   PYTHONPATH="$1/src${PYTHONPATH:+:$PYTHONPATH}" python3 -m slidebench synth \
-    --out "$TMP/out" --slides 2 --size 1100 --levels 3 --include-background \
-    --seed "$SEED" > "$TMP/$2.log"
+    --out "$TMP/out" --seed "$SEED" "${@:3}" > "$TMP/$2.log"
   mv "$TMP/out" "$TMP/$2"
 }
 
@@ -40,8 +41,12 @@ run "$TMP/rev" 1 rev-w1
 run "$TMP/rev" 2 rev-w2
 run "$ROOT" 1 tree-w1
 run "$ROOT" 2 tree-w2
-synth "$TMP/rev" rev-synth
-synth "$ROOT" tree-synth
+MULTI_CHUNK=(--slides 2 --size 1100 --levels 3 --include-background)
+BENCH_SIZE=(--slides 4 --size 2048 --levels 2)
+synth "$TMP/rev" rev-synth "${MULTI_CHUNK[@]}"
+synth "$ROOT" tree-synth "${MULTI_CHUNK[@]}"
+synth "$TMP/rev" rev-synth2048 "${BENCH_SIZE[@]}"
+synth "$ROOT" tree-synth2048 "${BENCH_SIZE[@]}"
 
 status=0
 for name in rev-w2 tree-w1 tree-w2; do
@@ -52,10 +57,13 @@ for name in rev-w2 tree-w1 tree-w2; do
     status=1
   fi
 done
-if diff -r "$TMP/rev-synth" "$TMP/tree-synth" && diff "$TMP/rev-synth.log" "$TMP/tree-synth.log"; then
-  echo "tree-synth: identical to rev-synth"
-else
-  echo "tree-synth: differs from rev-synth"
-  status=1
-fi
+for name in synth synth2048; do
+  if diff -r "$TMP/rev-$name" "$TMP/tree-$name" && diff "$TMP/rev-$name.log" "$TMP/tree-$name.log"
+  then
+    echo "tree-$name: identical to rev-$name"
+  else
+    echo "tree-$name: differs from rev-$name"
+    status=1
+  fi
+done
 exit "$status"

@@ -26,8 +26,7 @@ _EXPORTS = {
     "slide_io": """Annotation AnnotationSet PyramidLevel SlidePyramid build_pyramid
         level_dimensions parse_annotations read_pyramid serialize_annotations write_pyramid""",
     "masks": "BinaryMask luma otsu_threshold rasterize read_mask refine_labels tissue_mask write_mask",
-    "tiling": """TileRecord TilingConfig big_patch_nine emit_manifest extract_tiles read_manifest
-        rebalance_mix""",
+    "tiling": "TileRecord TilingConfig emit_manifest extract_tiles read_manifest rebalance_mix",
     "reports": """ConfusionCounts SlideScore TeamReport aggregate read_report read_subtypes
         read_truth_table""",
     "metrics": """confusion dice evaluate_team report_aggregates score_slide write_report

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, GeometryError, ValidationError, format_csv
+from .errors import ConfigError, DivergenceError, GeometryError, ValidationError, format_csv, naming
 from .ensemble import ProbabilityMap
 from .masks import ROLE_PREDICTION, BinaryMask, luma
 
@@ -376,7 +376,8 @@ def parse_config(path: str | Path) -> CoteachConfig:
             kwargs[key] = casts[key](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-    return CoteachConfig(**kwargs)
+    with naming(path, ConfigError):
+        return CoteachConfig(**kwargs)
 
 
 def make_noise_benchmark(

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import netpbm
-from .errors import FormatError, ValidationError, typed_field
+from .errors import FormatError, ValidationError, naming, typed_field
 from .masks import ROLE_PREDICTION, BinaryMask, check_same_grid, read_pgm_sidecar, write_pgm_sidecar
 
 QUANT_RULE = "round(255*p)"
@@ -94,4 +94,5 @@ def read_probability_map(path: str | Path) -> ProbabilityMap:
     gray, meta, where = read_pgm_sidecar(path, "probability")
     if typed_field(meta, "kind", str, where) != "probability":
         raise FormatError(f"{where} field 'kind' is {meta['kind']!r}, expected 'probability'")
-    return ProbabilityMap(meta["slide_id"], meta["level"], np.divide(gray, 255.0))
+    with naming(path):
+        return ProbabilityMap(meta["slide_id"], meta["level"], np.divide(gray, 255.0))

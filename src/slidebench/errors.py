@@ -1,12 +1,14 @@
 """Exception types shared across the toolkit, the typed-field check of its JSON
-readers, the one JSON and one CSV dialect of its writers, and the option values
-the CLI offers.
+readers and the file prefix of its readers' errors, the one JSON and one CSV
+dialect of its writers, and the option values the CLI offers.
 
 The option values live here, beside the exceptions, so that the CLI parser
 (``--help``, ``--version``) runs without numpy. ``masks``, ``tiling``,
 ``stats`` and ``leaderboard`` re-export the ones they use. The dialects import
 ``json`` and ``csv`` when first called, so those starts load neither.
 """
+
+from contextlib import contextmanager
 
 METHOD_OTSU = "otsu"
 METHOD_GRAY200 = "gray200"
@@ -78,6 +80,15 @@ def typed_field(record, key: str, kind, where: str):
         names = " or ".join(k.__name__ for k in kinds)
         raise FormatError(f"{where} field {key!r} is {value!r}, expected {names}")
     return value
+
+
+@contextmanager
+def naming(path, error=FormatError):
+    """Re-raise a ValidationError of the block as ``error`` naming ``path``, the file read."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise error(f"{path}: {exc}") from exc
 
 
 def format_json(obj) -> str:

@@ -34,7 +34,7 @@ import numpy as np
 from . import netpbm
 from .errors import METHOD_GRAY200, METHOD_OTSU, TISSUE_METHODS
 from .errors import DegenerateHistogramError, DegeneratePolygonWarning, FormatError, GeometryError
-from .errors import ValidationError, format_json, typed_field
+from .errors import ValidationError, format_json, naming, typed_field
 from .slide_io import AnnotationSet, SlidePyramid
 
 ROLE_GROUND_TRUTH = "GroundTruth"
@@ -349,7 +349,8 @@ def read_mask(path: str | Path) -> BinaryMask:
     role = typed_field(meta, "role", str, where)
     data = gray.view(np.bool_)
     np.not_equal(gray, 0, out=data)
-    return BinaryMask(meta["slide_id"], meta["level"], data, role)
+    with naming(path):
+        return BinaryMask(meta["slide_id"], meta["level"], data, role)
 
 
 def write_pgm_sidecar(path: Path, meta: dict) -> None:

@@ -5,7 +5,7 @@ The report types, ``aggregate`` and ``read_report`` come from the numpy-free
 division. ``confusion`` is one in-process tally; ``evaluate_team``
 parallelizes over slides, one slide per chunk, and keeps sorted slide order,
 so reports are identical for any worker count. Elsewhere, synthesis
-parallelizes per slide and tiling per tile row.
+parallelizes per slide and tiling per row band of its tumor counts.
 """
 from __future__ import annotations
 

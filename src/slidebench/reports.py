@@ -15,7 +15,7 @@ from numbers import Integral
 from operator import add
 from pathlib import Path
 
-from .errors import FormatError, ValidationError, typed_field
+from .errors import FormatError, ValidationError, naming, typed_field
 
 SUBTYPE_UNKNOWN = "Unknown"
 SUBTYPES = ("SCC", "SCLC", "ADC", SUBTYPE_UNKNOWN)
@@ -158,7 +158,7 @@ def read_report(path: str | Path) -> TeamReport:
     team = typed_field(payload, "team", str, f"{path}: report")
     scores = []
     where = f"{path}: report score"
-    try:  # a failed check of a built score or report names the file
+    with naming(path):
         for s in typed_field(payload, "scores", list, f"{path}: report"):
             if not isinstance(s, dict):
                 raise FormatError(f"{where} is {s!r}, expected a JSON object")
@@ -180,8 +180,6 @@ def read_report(path: str | Path) -> TeamReport:
         if not scores:
             raise FormatError(f"{path}: report has no scores")
         return TeamReport(team, scores)
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _read_csv(path: str | Path, columns: tuple[str, ...]) -> list[dict]:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import netpbm
-from .errors import FormatError, ValidationError, format_json, typed_field
+from .errors import FormatError, ValidationError, format_json, naming, typed_field
 
 COORD_DECIMALS = 6
 
@@ -182,10 +182,8 @@ def read_pyramid(manifest_path: str | Path) -> SlidePyramid:
             )
         levels.append(PyramidLevel(pixels))
 
-    try:
+    with naming(manifest_path):
         return SlidePyramid(slide_id, levels, mpp)
-    except ValidationError as exc:
-        raise FormatError(f"{manifest_path}: {exc}") from exc
 
 
 @dataclass(eq=False)
@@ -268,10 +266,8 @@ def parse_annotations(xml_path: str | Path) -> AnnotationSet:
         vertices = np.array([(x, y) for _, x, y in parsed], dtype=np.float64).reshape(-1, 2)
         annotations.append((name, group, vertices))
 
-    try:
+    with naming(xml_path):
         return AnnotationSet(xml_path.stem, [Annotation(*a) for a in annotations])
-    except ValidationError as exc:
-        raise FormatError(f"{xml_path}: {exc}") from exc
 
 
 def serialize_annotations(aset: AnnotationSet, xml_path: str | Path) -> None:

@@ -1,10 +1,10 @@
 """Seeded synthetic slides, annotations, and prediction sets.
 
-Slides are light backgrounds with one darker star-convex tissue blob and a
-few star-polygon lesions inside it. The color ranges are chosen so that
-every tissue or lesion pixel has Rec.601 luma <= 200 and every background
-pixel has luma > 200, which makes the fixed gray-200 tissue rule recover the
-analytic blob exactly. Everything is a pure function of (config seed, slide
+Slides are light backgrounds with one darker star-convex tissue blob, a
+2^14-gon, and a few star-polygon lesions inside it. The color ranges are
+chosen so that every tissue or lesion pixel has Rec.601 luma <= 200 and every
+background pixel has luma > 200, which makes the fixed gray-200 tissue rule
+recover the blob exactly. Everything is a pure function of (config seed, slide
 index). Team predictions flip pixels where one uniform field per
 (corruption seed, slide), drawn once in cache-sized row blocks, is below
 their rate, so teams sharing a seed have nested flip sets and their Dice
@@ -15,8 +15,8 @@ jitter: subtype, blob, lesions, then the two jitters. Pixels come from one
 stream per 512-row chunk, seeded with (seed, index, chunk): its raw PCG64
 outputs, as little-endian bytes, give one noise byte per channel, mapped through
 a lookup table per class (background, tissue, lesion) and channel onto that
-class's integer range. Each chunk's blob is settled by 32-pixel squares; only the
-pixels of squares that its boundary may cross are tested one by one.
+class's integer range. Each chunk fills its rows of the blob polygon by the same
+scanline rule as the lesions.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import numpy as np
 from . import parallel
 from .errors import ValidationError, format_csv
 from .masks import ROLE_PREDICTION, BinaryMask, mask_writer, rasterize, write_mask
-from .masks import _row_blocks  # the cache-sized row blocks of luma
+from .masks import _fill_even_odd, _row_blocks  # the lesions' fill, luma's row blocks
 from .reports import TRUTH_TABLE_COLUMNS
 from .slide_io import (
     Annotation,
@@ -46,10 +46,8 @@ SUBTYPE_ORDER = ("SCC", "SCLC", "ADC")  # weights in subtype_ratio follow this o
 DEFAULT_RATIO = (6.0, 3.0, 1.0)
 
 _CHUNK_ROWS = 512  # rows painted from one noise stream
-_ANNULUS_PIXELS = 1 << 15  # most blob-boundary pixels tested at once
-_SQUARE = 32  # side of the pixel squares the blob test settles whole
 _N_HARMONICS = 4
-_SECTORS = 4096  # angular sectors of the blob-radius table
+_BLOB_VERTICES = 1 << 14  # vertices of the blob polygon
 _TISSUE_LO = (150, 90, 140)  # per-channel low ends of the color ranges, before jitter
 _LESION_LO = (115, 55, 125)
 
@@ -138,67 +136,22 @@ def _star_polygon(rng: np.random.Generator, cx: float, cy: float, radius: float)
 def _blob_chunks(
     size: int, cx: float, cy: float, r0: float, amps: np.ndarray, phases: np.ndarray
 ):
-    """The blob, pixels with ``hypot(dx, dy) <= _blob_radius(arctan2(dy, dx))``, as one
-    bool array per _CHUNK_ROWS chunk of rows, top to bottom.
+    """The blob, the polygon of _BLOB_VERTICES vertices at the angles
+    ``(k + 0.5) * 2 pi / _BLOB_VERTICES - pi``, each at ``_blob_radius`` of its angle from
+    (cx + 0.5, cy + 0.5), as one bool array per _CHUNK_ROWS chunk of rows, top to bottom.
 
-    The exact test is costly, so only pixels near the boundary take it. The
-    radius at the center of each angular sector, minus or plus ``slack``
-    (twice the most the radius moves within a sector, plus rounding), bounds
-    the radius over that sector; squared distances get a pixel of margin
-    against rounding. Each chunk is cut into _SQUARE-pixel squares, and a square's
-    pixels lie in the sectors its corners span, widened by one each way against
-    rounding, or anywhere if it holds the center or reaches across arctan2's branch
-    cut (dx < 0, dy = 0). A square whose farthest pixel is within the smallest inner
-    bound of those sectors is inside, and one whose nearest pixel is past their
-    largest outer bound is outside, as each pixel's own sector bounds would decide.
-    Only the pixels of the other squares are tested one by one: a pixel whose
-    distance clears its own sector's bounds is settled by them.
+    The polygon is filled at pixel centers by the lesions' scanline rule, so the half-pixel
+    shift puts pixel (x, y) at offset (x - cx, y - cy) from the blob's center. Each chunk
+    fills the vertices moved up by its first row y0, a subtraction that is exact for every
+    y >= y0 / 2, so its edges give the crossings of one fill of the whole raster.
     """
-    width = 2.0 * np.pi / _SECTORS
-    # one sector past pi, the first again, so theta == pi needs no clipping
-    centers = (np.arange(_SECTORS + 1) + 0.5) * width - np.pi
-    sector_radius = _blob_radius(centers, r0, amps, phases)
-    slack = width * r0 * sum(abs(a) * (k + 2) for k, a in enumerate(amps)) + 1e-6 * r0
-    # a last entry that no sector reads ends the last span of reduceat below
-    sure_in2 = np.append(np.maximum(sector_radius - slack - 1.0, 0.0) ** 2, 0.0)
-    sure_out2 = np.append((sector_radius + slack + 1.0) ** 2, 0.0)
-    offsets = np.arange(_SQUARE)
-    columns = np.arange(-(-size // _SQUARE)) * _SQUARE
-    dx = np.array([columns - cx, (columns + _SQUARE - 1) - cx])[:, None]  # first, last column
+    theta = (np.arange(_BLOB_VERTICES) + 0.5) * (2.0 * np.pi / _BLOB_VERTICES) - np.pi
+    radius = _blob_radius(theta, r0, amps, phases)
+    verts = np.column_stack((cx + 0.5 + radius * np.cos(theta), cy + 0.5 + radius * np.sin(theta)))
     for y0 in range(0, size, _CHUNK_ROWS):
-        rows = np.arange(y0, min(size, y0 + _CHUNK_ROWS), _SQUARE)
-        dy = np.array([rows - cy, (rows + _SQUARE - 1) - cy])[:, :, None]
-        corner = ((np.arctan2(dy[:, None], dx) + np.pi) / width).astype(np.intp)
-        lo = np.clip(corner.min(axis=(0, 1)) - 1, 0, _SECTORS)
-        hi = np.clip(corner.max(axis=(0, 1)) + 1, 0, _SECTORS)
-        whole = (dy[0] <= 0) & (dy[1] >= 0) & (dx[0] <= 0)
-        lo[whole], hi[whole] = 0, _SECTORS
-        spans = np.stack([lo, hi + 1], axis=-1).ravel()
-        far2 = (dx * dx).max(axis=0) + (dy * dy).max(axis=0)
-        near_x, near_y = np.clip(0.0, dx[0], dx[1]), np.clip(0.0, dy[0], dy[1])
-        near2 = near_x * near_x + near_y * near_y
-        inside = far2 <= np.minimum.reduceat(sure_in2, spans)[::2].reshape(far2.shape)
-        outside = near2 > np.maximum.reduceat(sure_out2, spans)[::2].reshape(far2.shape)
-        blob = np.zeros((len(rows) * _SQUARE, len(columns) * _SQUARE), dtype=bool)
-        squares = blob.reshape(len(rows), _SQUARE, len(columns), _SQUARE).swapaxes(1, 2)
-        squares[inside] = True
-        # the mixed squares in groups of at most _ANNULUS_PIXELS pixels, so that each
-        # pixel's temporaries stay small
-        sy, sx = np.nonzero(~inside & ~outside)
-        step = max(1, _ANNULUS_PIXELS // _SQUARE**2)
-        for a in range(0, len(sy), step):
-            gy, gx = sy[a : a + step], sx[a : a + step]
-            ddx, ddy = np.broadcast_arrays(columns[gx, None, None] + offsets - cx,
-                                           rows[gy, None, None] + offsets[:, None] - cy)
-            d2 = ddx * ddx + ddy * ddy
-            theta = np.arctan2(ddy, ddx)
-            sector = ((theta + np.pi) / width).astype(np.intp)
-            within = d2 <= sure_in2[sector]
-            near = ~within & (d2 <= sure_out2[sector])
-            radius = _blob_radius(theta[near], r0, amps, phases)
-            within[near] = np.hypot(ddx[near], ddy[near]) <= radius
-            squares[gy, gx] = within
-        yield blob[: min(size, y0 + _CHUNK_ROWS) - y0, :size]
+        blob = np.zeros((min(size, y0 + _CHUNK_ROWS) - y0, size), dtype=bool)
+        _fill_even_odd(blob, verts - (0.0, y0))
+        yield blob
 
 
 def _paint_table(jitter: int, bg_jitter: int) -> np.ndarray:
@@ -437,6 +390,9 @@ def _challenge_slide(cfg: SynthConfig, teams: list, out: Path, index: int) -> tu
     """Write one slide's files, chunk by chunk and block by block, and tally each team."""
     subtype, annotations, truth, paint = _draw_slide(cfg, index)
     sid, size = truth.slide_id, cfg.level0_size
+    # made per slide, not before the pool, so that a run the pool rejects leaves no tree
+    for sub in ("annotations", "truth", *(f"predictions/{name}" for name, _ in teams)):
+        (out / sub).mkdir(parents=True, exist_ok=True)
     write_pyramid_rows(sid, size, size, cfg.n_levels, paint(), out / "slides" / sid)
     serialize_annotations(annotations, out / "annotations" / f"{sid}.xml")
     write_mask(truth, out / "truth" / f"{sid}.pgm")
@@ -472,12 +428,6 @@ def generate_challenge(
     """
     named = _normalize_teams(teams)
     out = Path(out_dir)
-    (out / "slides").mkdir(parents=True, exist_ok=True)
-    (out / "annotations").mkdir(exist_ok=True)
-    (out / "truth").mkdir(exist_ok=True)
-    for name, _ in named:
-        (out / "predictions" / name).mkdir(parents=True, exist_ok=True)
-
     results = parallel.run_chunks(
         partial(_challenge_slide, cfg, named, out), list(range(cfg.slides)), workers=workers
     )

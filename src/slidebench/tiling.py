@@ -102,8 +102,9 @@ def _grid_axes(p: SlidePyramid, level: int, cfg: TilingConfig) -> tuple[np.ndarr
     is their product.
 
     Partial edge tiles are dropped, never padded. Under the big-patch rule a
-    big patch at ``o`` on an axis gives the ``big_patch_nine`` sub-tile origins
-    ``o + i*sub`` for ``i`` < 3, and neighbouring big patches may share some.
+    big patch at ``o`` on an axis gives its three sub-tile origins ``o + i*sub``
+    for ``i`` < 3, ``sub = tile_size // 3``, and neighbouring big patches may
+    share some.
     """
     lvl = p.level(level)
     size, stride = cfg.tile_size, cfg.effective_stride
@@ -132,23 +133,6 @@ def label_threeclass(tumor_pixels: int, total_pixels: int) -> str:
     if tumor_pixels == 0:
         return LABEL_NORMAL
     return LABEL_MIX
-
-
-def big_patch_nine(
-    p: SlidePyramid, origin: tuple[int, int], big_size: int = 768, level: int = 0
-) -> list[tuple[int, int]]:
-    """The 3x3 uniform sub-tile origins of one big patch."""
-    if big_size < 3 or big_size % 3 != 0:
-        raise ValidationError(f"big patch size must be a positive multiple of 3, got {big_size}")
-    lvl = p.level(level)
-    x0, y0 = origin
-    if not (0 <= x0 and 0 <= y0 and x0 + big_size <= lvl.width and y0 + big_size <= lvl.height):
-        raise GeometryError(
-            f"big patch ({x0},{y0}) size {big_size} not inside level {level} "
-            f"({lvl.width}x{lvl.height})"
-        )
-    sub = big_size // 3
-    return [(x0 + i * sub, y0 + j * sub) for j in range(3) for i in range(3)]
 
 
 def rebalance_mix(records: list[TileRecord], seed: int) -> list[TileRecord]:
@@ -226,6 +210,8 @@ def extract_tiles(p: SlidePyramid, gt: BinaryMask, cfg: TilingConfig,
     counts are exact integer differences of two band prefix sums, so they do
     not depend on the worker count. The result is sorted by (slide_id, y, x).
     """
+    if gt.slide_id != p.slide_id:
+        raise ValidationError(f"ground truth annotates slide {gt.slide_id!r}, not {p.slide_id!r}")
     lvl = p.level(gt.level)
     if gt.data.shape != (lvl.height, lvl.width):
         raise GeometryError(f"ground truth is {gt.width}x{gt.height}, but level {gt.level} "

@@ -123,6 +123,29 @@ def blob_oracle(size: int, cx: float, cy: float, r0: float, amps, phases) -> np.
     return np.hypot(dx, dy) <= r0 * r
 
 
+def blob_polygon_oracle(size: int, cx: float, cy: float, r0: float, amps, phases) -> np.ndarray:
+    """The synthetic tissue blob as synth draws it, one test per pixel of the whole raster.
+
+    The blob is the polygon of 2**14 vertices at the angles (k + 0.5) * 2pi / 2**14 - pi,
+    each at blob_oracle's radius of its angle from (cx + 0.5, cy + 0.5), the center of
+    pixel (cx, cy). It is star-shaped about that point, so a pixel is inside when it is
+    no farther from it than the chord between the two vertices that bracket its angle:
+    when it lies on the center's side of the edge between them.
+    """
+    n = 1 << 14
+    step = 2.0 * np.pi / n
+    angle = (np.arange(n) + 0.5) * step - np.pi
+    r = np.ones(n)
+    for k in range(len(amps)):
+        r += amps[k] * np.cos((k + 2) * angle + phases[k])
+    vx, vy = r0 * r * np.cos(angle), r0 * r * np.sin(angle)
+    dy = np.arange(size, dtype=np.float64)[:, None] - cy
+    dx = np.arange(size, dtype=np.float64)[None, :] - cx
+    a = np.floor((np.arctan2(dy, dx) + np.pi) / step - 0.5).astype(np.intp) % n
+    b = (a + 1) % n
+    return (vx[b] - vx[a]) * (dy - vy[a]) - (vy[b] - vy[a]) * (dx - vx[a]) >= 0
+
+
 def box_filter_bool_reference(data: np.ndarray, radius: int, require_all: bool) -> np.ndarray:
     """Separable square-window erosion (require_all) or dilation over bool data.
 

@@ -450,11 +450,12 @@ def _mask_case(mutate):
     return make
 
 
-def _tile_gt_case(level):
-    """``tile`` of the 16x16 one-level slide against an 8x8 truth at ``level``."""
+def _tile_gt_case(level, side=8, slide_id="s"):
+    """``tile`` of the 16x16 one-level slide s against a ``side``-square truth of
+    ``slide_id`` at ``level``."""
     def make(tmp_path):
         gt = tmp_path / "gt.pgm"
-        write_mask(BinaryMask("s", level, np.eye(8, dtype=bool), ROLE_GROUND_TRUTH), gt)
+        write_mask(BinaryMask(slide_id, level, np.eye(side, dtype=bool), ROLE_GROUND_TRUTH), gt)
         return ["tile", "--slide", str(_slide(tmp_path)), "--gt", str(gt), "--size", "4",
                 "--out", str(tmp_path / "tiles.jsonl")]
     return make
@@ -670,6 +671,7 @@ MALFORMED_INPUTS = {
     "refine_masks_of_two_slides": _refine_other_slide,
     "tile_gt_at_a_level_the_slide_lacks": _tile_gt_case(1),
     "tile_gt_of_the_wrong_shape": _tile_gt_case(0),
+    "tile_gt_of_another_slide": _tile_gt_case(0, side=16, slide_id="other"),
     "config_not_utf8": _config_case(b"eta=\xff\xfe\n"),
     "config_unknown_key": _config_case("bogus=1\n"),
     "config_bad_value": _config_case("t_max=many\n"),
@@ -758,7 +760,7 @@ ERROR_LINES = {
         "{tmp}/m.json: malformed mask sidecar: Expecting property name enclosed in double "
         "quotes: line 1 column 2 (char 1)"),
     "sidecar_not_object": "{tmp}/m.json: mask sidecar is not a JSON object",
-    "sidecar_bad_role": "mask for s: unknown role 'Nobody'",
+    "sidecar_bad_role": "{tmp}/m.pgm: mask for s: unknown role 'Nobody'",
     "probability_sidecar_of_a_mask": "{tmp}/m.json: probability sidecar missing field 'kind'",
     "manifest_not_json": (
         "{tmp}/slide/manifest.json: cannot read manifest: Expecting property name enclosed in "
@@ -788,12 +790,13 @@ ERROR_LINES = {
         "refine_labels: slide 'slide_000' does not match slide 'slide_001'"),
     "tile_gt_at_a_level_the_slide_lacks": "slide s has no level 1",
     "tile_gt_of_the_wrong_shape": "ground truth is 8x8, but level 0 of slide s is 16x16",
+    "tile_gt_of_another_slide": "ground truth annotates slide 'other', not 's'",
     "config_not_utf8": (
         "{tmp}/train.cfg: cannot read config: 'utf-8' codec can't decode byte 0xff in position "
         "4: invalid start byte"),
     "config_unknown_key": "{tmp}/train.cfg:1: unknown key 'bogus'",
     "config_bad_value": "{tmp}/train.cfg:1: bad value for t_max: 'many'",
-    "config_negative_seed": "seed must be >= 0, got -1",
+    "config_negative_seed": "{tmp}/train.cfg: seed must be >= 0, got -1",
     "synth_negative_seed": "seed must be >= 0, got -1",
     "synth_negative_team_seed": "seed must be >= 0, got -3",
     "synth_team_outside_out": "team names must be plain directory names, got ['../../escaped']",

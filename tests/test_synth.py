@@ -12,6 +12,7 @@ import pytest
 
 from oracles import (
     blob_oracle,
+    blob_polygon_oracle,
     box_filter_bool_reference,
     child_peak_rss,
     corrupt_prediction_reference,
@@ -351,10 +352,10 @@ def _blob_geometry(cfg: SynthConfig, index: int):
     return cx, cy, r0, rng.uniform(-0.06, 0.06, 4), rng.uniform(0.0, 2.0 * np.pi, 4)
 
 
-# (size, cx, cy, r0 / size) past one _CHUNK_ROWS chunk, at sizes that are no multiple of
-# the blob test's square side: centers on integer coordinates, where the row dy == 0 left
-# of the center is arctan2's branch cut, centers on the first or last pixel of a square
-# or a chunk, and centers off the raster
+# (size, cx, cy, r0 / size) past one _CHUNK_ROWS chunk: centers on integer coordinates,
+# where the blob's center is a pixel center and the row dy == 0 left of it lies on the
+# oracles' arctan2 branch cut, centers on a chunk's first row or the row above it, and
+# centers off the raster
 _BLOB_CASES = {
     "600-integer": (600, 300.0, 301.0, 0.45),
     "1100-integer": (1100, 517.0, 611.0, 0.31),
@@ -383,9 +384,8 @@ def test_blob_mask_matches_oracle(seed, case):
 
 
 def test_blob_square_holding_the_center_is_bounded_by_every_sector():
-    # The center is the last pixel of a square, whose corners span the sectors from
-    # -3pi/4 to pi, and the blob dips to a fifth of r0 at -163 degrees, outside that
-    # span: bounds taken over the corners' sectors alone would set the whole square.
+    # The blob dips to a fifth of r0, 30 pixels from its center, at -163 degrees: far
+    # from convex there, while every pixel near the center is still inside.
     theta0 = np.deg2rad(-163.0)
     amps, phases = np.full(4, -0.2), -np.arange(2, 6) * theta0
     size, cx, cy, r0 = 600, 319.0, 351.0, 150.0
@@ -393,15 +393,30 @@ def test_blob_square_holding_the_center_is_bounded_by_every_sector():
                           blob_oracle(size, cx, cy, r0, amps, phases))
 
 
+@pytest.mark.parametrize("seed, case", [(s, None) for s in range(100, 112)]
+                         + [(12 + i, case) for i, case in enumerate(_BLOB_CASES.values())],
+                         ids=[*map(str, range(100, 112)), *_BLOB_CASES])
+def test_blob_mask_matches_polygon_oracle(seed, case):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(64, 1600))  # up to four chunks
+    cx, cy = rng.uniform(-0.2, 1.2, 2) * size  # centers off the raster too
+    r0 = rng.uniform(0.1, 0.6) * size
+    if case is not None:
+        size, cx, cy, r0 = case[0], case[1], case[2], case[3] * case[0]
+    amps = rng.uniform(-0.06, 0.06, 4)
+    phases = rng.uniform(0.0, 2.0 * np.pi, 4)
+    assert np.array_equal(np.concatenate(list(_blob_chunks(size, cx, cy, r0, amps, phases))),
+                          blob_polygon_oracle(size, cx, cy, r0, amps, phases))
+
+
 def test_blob_memory_stays_at_chunk_sized_masks():
     size = 8192
     chunk = _CHUNK_ROWS * size  # bytes of one chunk's mask: 4 MiB
     cx, cy, r0, amps, phases = _blob_geometry(replace(_CFG, level0_size=size), 0)
     _, peak = traced_peak(lambda: deque(_blob_chunks(size, cx, cy, r0, amps, phases), maxlen=0))
-    # The chunk just yielded stays alive while the next is built, and each group of
-    # at most _ANNULUS_PIXELS boundary pixels adds about 1.2 MiB of temporaries: 2.30
-    # masks measured. Testing a chunk's boundary pixels in one group read 2.7-3.1
-    # masks, and a whole-slide mask would be 16.
+    # The chunk just yielded stays alive while the next is filled, and the scanline
+    # fill adds its per-edge temporaries of the 2**14-gon: 2.13 masks measured. A
+    # whole-slide mask would be 16.
     assert peak <= 2.5 * chunk, peak / chunk
 
 
@@ -564,6 +579,13 @@ def test_team_names_that_are_not_directory_names_rejected(tmp_path, name):
     with pytest.raises(ValidationError, match="plain directory names"):
         generate_challenge(cfg, [("ok", CorruptionSpec()), (name, CorruptionSpec())],
                            tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rejected_worker_count_writes_nothing(tmp_path):
+    cfg = SynthConfig(seed=2, slides=1, level0_size=64, n_levels=1, lesion_radius=(3.0, 8.0))
+    with pytest.raises(ValidationError, match="workers must be >= 1, got 0"):
+        generate_challenge(cfg, [("exact", CorruptionSpec())], tmp_path / "out", workers=0)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -17,7 +17,6 @@ from slidebench import (
     BinaryMask,
     TileRecord,
     TilingConfig,
-    big_patch_nine,
     build_pyramid,
     emit_manifest,
     extract_tiles,
@@ -104,24 +103,6 @@ def test_tile_counts_out_of_range(rng):
     gt = _gt(np.zeros((10, 10)))
     with pytest.raises(GeometryError):
         tile_counts(gt, 5, 5, 6)
-
-
-def test_big_patch_nine_origins():
-    p = _pyramid(800, 800)
-    subs = big_patch_nine(p, (10, 20), 768)
-    assert len(subs) == 9
-    assert subs[0] == (10, 20)
-    assert subs[-1] == (522, 532)
-    assert {o[0] - 10 for o in subs} == {0, 256, 512}
-    assert {o[1] - 20 for o in subs} == {0, 256, 512}
-
-
-def test_big_patch_nine_validates_size():
-    p = _pyramid(800, 800)
-    with pytest.raises(ValidationError):
-        big_patch_nine(p, (0, 0), 700)
-    with pytest.raises(GeometryError):
-        big_patch_nine(p, (100, 100), 768)
 
 
 def _rec(i, label, tumor=0, total=16):
