@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import netpbm
+from . import netpbm, parallel
 from .errors import METHOD_GRAY200, METHOD_OTSU, TISSUE_METHODS
 from .errors import DegenerateHistogramError, DegeneratePolygonWarning, FormatError, GeometryError
 from .errors import ValidationError, format_json, naming, typed_field
@@ -260,24 +260,28 @@ def otsu_threshold(histogram) -> int:
     return best_t
 
 
-def tissue_threshold(pixels: np.ndarray, method: str) -> int:
-    """The cut t of ``method`` on an RGB level, whose tissue is ``luma <= t``: 200 for
-    Gray200, and for Otsu the ``otsu_threshold`` of the level's luma histogram."""
+def tissue_threshold(pixels: np.ndarray, method: str, workers: int = 1) -> int:
+    """The cut t of ``method`` on an RGB level, whose tissue is ``luma <= t``: 200 for Gray200,
+    and for Otsu the ``otsu_threshold`` of the level's luma histogram, counted on the pool."""
     if method not in TISSUE_METHODS:
         raise ValidationError(f"unknown tissue method {method!r}")
-    return GRAY200_THRESHOLD if method == METHOD_GRAY200 else _level_otsu(pixels)
+    if method == METHOD_GRAY200:
+        return GRAY200_THRESHOLD
+    hists = parallel.run_chunks(lambda i: _luma_histogram(pixels[i::workers]), range(workers),
+                                workers)
+    return otsu_threshold(sum(hists))
 
 
-def _level_otsu(pixels: np.ndarray, keep: np.ndarray | None = None) -> int:
-    """``otsu_threshold`` of an RGB level's luma histogram, summed in int64 over row blocks;
-    with ``keep``, an (h, w) uint8 array, each block's luma is also stored there."""
+def _luma_histogram(pixels: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+    """The int64 luma histogram of an RGB raster, summed over row blocks; with ``keep``, an
+    (h, w) uint8 array, each block's luma is also stored there."""
     hist = np.zeros(256, dtype=np.int64)
     for rows in _row_blocks(*pixels.shape[:2]):
         g = luma(pixels[rows])
         if keep is not None:
             keep[rows] = g
         hist += np.bincount(g.ravel(), minlength=256)
-    return otsu_threshold(hist)
+    return hist
 
 
 def tissue_mask(pyramid: SlidePyramid, level: int, method: str = METHOD_OTSU) -> BinaryMask:
@@ -294,7 +298,8 @@ def tissue_mask(pyramid: SlidePyramid, level: int, method: str = METHOD_OTSU) ->
     data = np.empty(pixels.shape[:2], dtype=bool)
     if method == METHOD_OTSU:
         g = data.view(np.uint8)
-        np.less_equal(g, _level_otsu(pixels, keep=g), out=data)  # in place, element for element
+        t = otsu_threshold(_luma_histogram(pixels, keep=g))
+        np.less_equal(g, t, out=data)  # in place, element for element
     else:
         t = tissue_threshold(pixels, method)
         for rows in _row_blocks(*pixels.shape[:2]):

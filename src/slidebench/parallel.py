@@ -1,7 +1,8 @@
 """Deterministic worker pools.
 
 The caller is worker 0 and forks the others; chunk ``i`` runs on worker
-``i % n``, with ``n`` capped at the chunk count and the CPUs this process may use.
+``i % n``, with ``n`` capped at the chunk count and the CPUs this process may use,
+and worker ``k`` first moves to the k-th of those CPUs.
 Children inherit the callable (bind inputs with ``functools.partial``), so
 large read-only arrays cross copy-on-write; each result comes back as a
 length-prefixed pickle on the child's pipe, taken in chunk order whatever the
@@ -11,6 +12,7 @@ killer) fails the run with a SlidebenchError, not a hang.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import signal
@@ -20,10 +22,19 @@ from typing import Any, Callable, NoReturn, Sequence
 from .errors import SlidebenchError, ValidationError
 
 
+def _spread(worker: int) -> None:
+    """Move this process to the ``worker``-th CPU it may use, keeping its mask: a host that does
+    not balance load would otherwise keep each forked worker on its caller's CPU."""
+    with contextlib.suppress(OSError):  # a host that forbids the move, or a faked mask
+        os.sched_setaffinity(0, {sorted(cpus := os.sched_getaffinity(0))[worker]})
+        os.sched_setaffinity(0, cpus)
+
+
 def _serve(func: Callable, chunks: Sequence, worker: int, n: int, fd: int) -> NoReturn:
     """A child's whole life: send chunks worker, worker + n, ... up to the first failure."""
     status = 1
     try:
+        _spread(worker)
         with os.fdopen(fd, "wb") as pipe:
             for i in range(worker, len(chunks), n):
                 try:
@@ -61,6 +72,7 @@ def run_chunks(func: Callable[[Any], Any], chunks: Sequence, workers: int = 1) -
         if stream:
             stream.flush()
     pids, pipes = {}, {}  # worker -> its pid until reaped, and the read end of its pipe
+    _spread(0)
     try:
         for worker in range(1, n):
             r, w = os.pipe()

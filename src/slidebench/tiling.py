@@ -9,8 +9,8 @@ fractions are exact integer pixel counts, never floats.
 A tissue filter keeps the tiles whose window holds at least one tissue
 pixel. Tissue and tumor pixels are counted per window over row bands cut at
 every window's top and bottom edge; a tile's counts are differences of band
-prefix sums. The pool counts tumor bands and the caller tissue bands: a
-second process paid for those on a 2-vCPU host only from about 12288^2 up.
+prefix sums. All pixel work runs on the worker pool: one pass over the bands
+counts both, after one over interleaved rows for the Otsu filter's histogram.
 """
 from __future__ import annotations
 
@@ -185,18 +185,17 @@ def _bands(ys: list, size: int) -> tuple[list, dict]:
     return bands, above
 
 
-def _tumor_band(gt: np.ndarray, size: int, xs: np.ndarray, band: slice) -> np.ndarray:
-    """Tumor pixels of the rows ``band`` in each ``size``-wide window at x origins ``xs``."""
-    return _window_sums(gt[band].sum(axis=0, dtype=np.int64), size, xs)
-
-
-def _tissue_band(pixels: np.ndarray, t: int, size: int, xs: np.ndarray, band: slice) -> np.ndarray:
-    """Tissue pixels (``luma <= t``) of the rows ``band`` in each window at ``xs``."""
-    rgb = pixels[band]
-    tissue = np.zeros(rgb.shape[1], dtype=np.int32)  # int32 sums bool rows faster than int64
-    for rows in _row_blocks(*rgb.shape[:2]):
-        tissue += _dark(rgb[rows], t).sum(axis=0, dtype=np.int32)
-    return _window_sums(tissue, size, xs)
+def _band_sums(pixels: np.ndarray, gt: np.ndarray, t: int | None, size: int, xs: np.ndarray,
+               band: slice) -> np.ndarray:
+    """Tissue (``luma <= t``; none without ``t``) and tumor pixels of the rows ``band`` in
+    each ``size``-wide window at x origins ``xs``, as a (2, len(xs)) int64 array."""
+    tissue = np.zeros(gt.shape[1], dtype=np.int32)  # int32 sums bool rows faster than int64
+    if t is not None:
+        rgb = pixels[band]
+        for rows in _row_blocks(*rgb.shape[:2]):
+            tissue += _dark(rgb[rows], t).sum(axis=0, dtype=np.int32)
+    tumor = gt[band].sum(axis=0, dtype=np.int32)  # exact: a band is below 2**31 rows
+    return np.stack([_window_sums(tissue, size, xs), _window_sums(tumor, size, xs)])
 
 
 def extract_tiles(p: SlidePyramid, gt: BinaryMask, cfg: TilingConfig,
@@ -205,10 +204,10 @@ def extract_tiles(p: SlidePyramid, gt: BinaryMask, cfg: TilingConfig,
 
     With a tissue filter configured, tiles whose window holds no tissue
     pixel (``luma <= t``, as in ``tissue_mask``) are dropped. The worker pool
-    counts each ``_bands`` band's tumor pixels per window and the caller its
-    tissue pixels, reading each pixel row once whatever the stride. A tile's
-    counts are exact integer differences of two band prefix sums, so they do
-    not depend on the worker count. The result is sorted by (slide_id, y, x).
+    sums the Otsu filter's histogram, then counts each ``_bands`` band's tissue
+    and tumor pixels per window, reading each pixel row once whatever the stride.
+    A tile's counts are exact integer differences of two band prefix sums, so
+    they do not depend on the worker count. The result is sorted by (slide_id, y, x).
     """
     if gt.slide_id != p.slide_id:
         raise ValidationError(f"ground truth annotates slide {gt.slide_id!r}, not {p.slide_id!r}")
@@ -220,12 +219,11 @@ def extract_tiles(p: SlidePyramid, gt: BinaryMask, cfg: TilingConfig,
     xs, ys = _grid_axes(p, gt.level, cfg)
     size = cfg.tile_size // 3 if cfg.rule == RULE_BIG_PATCH_NINE else cfg.tile_size
     label_fn = label_threshold75 if cfg.rule == RULE_THRESHOLD75 else label_threeclass
-    t = tissue_threshold(lvl.pixels, cfg.tissue_filter) if cfg.tissue_filter else None
+    t = tissue_threshold(lvl.pixels, cfg.tissue_filter, workers) if cfg.tissue_filter else None
 
     bands, above = _bands(ys, size)
-    tumor = parallel.run_chunks(partial(_tumor_band, gt.data, size, xs), bands, workers=workers)
-    tissue = tumor if t is None else [_tissue_band(lvl.pixels, t, size, xs, b) for b in bands]
-    sums = [np.stack(pair) for pair in zip(tissue, tumor)]
+    sums = parallel.run_chunks(partial(_band_sums, lvl.pixels, gt.data, t, size, xs), bands,
+                               workers=workers)
     prefix = np.cumsum([np.zeros((2, len(xs)), dtype=np.int64), *sums], axis=0)
 
     total, records = size * size, []

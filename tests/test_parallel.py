@@ -94,6 +94,24 @@ def test_forked_workers_use_other_processes(four_cpus):
     assert all(pids[i] == pids[i + 4] for i in range(4))
 
 
+def test_each_worker_moves_to_its_own_cpu_and_keeps_its_mask(monkeypatch, tmp_path):
+    # a host that does not balance load would keep every forked worker on its caller's CPU
+    log = tmp_path / "affinity"
+
+    def record(pid, cpus):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {sorted(cpus)}\n")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 3, 9})
+    monkeypatch.setattr(os, "sched_setaffinity", record)
+    results = run_chunks(_tagged_pid, list(range(6)), workers=3)
+    calls = {}
+    for line in log.read_text().splitlines():
+        pid, cpus = line.split(" ", 1)
+        calls.setdefault(int(pid), []).append(cpus)
+    assert [calls[pid] for _, pid in results[:3]] == [[f"[{c}]", "[3, 5, 9]"] for c in (3, 5, 9)]
+
+
 def test_process_count_is_capped_at_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     results = run_chunks(_tagged_pid, list(range(8)), workers=4)

@@ -359,7 +359,7 @@ def _blob_geometry(cfg: SynthConfig, index: int):
 _BLOB_CASES = {
     "600-integer": (600, 300.0, 301.0, 0.45),
     "1100-integer": (1100, 517.0, 611.0, 0.31),
-    "600-square-corner": (600, 288.0, 320.0, 0.4),
+    "600-integer-even": (600, 288.0, 320.0, 0.4),
     "1100-chunk-corner": (1100, 543.0, 511.0, 0.33),
     "1100-chunk-start": (1100, 512.0, 512.0, 0.6),
     "1100-off-integer": (1100, -131.0, 640.0, 0.55),
@@ -383,7 +383,7 @@ def test_blob_mask_matches_oracle(seed, case):
                           blob_oracle(size, cx, cy, r0, amps, phases))
 
 
-def test_blob_square_holding_the_center_is_bounded_by_every_sector():
+def test_blob_with_a_deep_dent_near_its_center_matches_oracle():
     # The blob dips to a fifth of r0, 30 pixels from its center, at -163 degrees: far
     # from convex there, while every pixel near the center is still inside.
     theta0 = np.deg2rad(-163.0)

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from slidebench import (
     read_manifest,
     rebalance_mix,
 )
-from slidebench import masks
+from slidebench import masks, tiling
 from slidebench.errors import DegenerateHistogramError, FormatError, GeometryError, ValidationError
 from slidebench.masks import METHOD_GRAY200, METHOD_OTSU
 from slidebench.tiling import (
@@ -195,7 +196,9 @@ def test_extract_tiles_keeps_exactly_the_tiles_holding_tissue(rng, four_cpus, fo
     got = extract_tiles(p, gt, cfg, workers=1)
     assert not forks
     assert got == extract_tiles_reference(p, gt, cfg)
-    # at 4 workers the tumor bands are counted in forked workers; the kept tiles stay the same
+    # at 2 and 4 workers forked workers count tissue and tumor in every other band, or in
+    # three of every four; the kept tiles stay the same
+    assert extract_tiles(p, gt, cfg, workers=2) == got
     assert extract_tiles(p, gt, cfg, workers=4) == got
     assert forks
 
@@ -203,11 +206,46 @@ def test_extract_tiles_keeps_exactly_the_tiles_holding_tissue(rng, four_cpus, fo
     s = base.astype(np.int64) @ np.array([299, 587, 114])
     tie = s == 1000 * t + 500
     every = extract_tiles(p, gt, replace(cfg, tissue_filter=None))
+    assert all(extract_tiles(p, gt, replace(cfg, tissue_filter=None), workers=w) == every
+               for w in (2, 4))
     windows = [np.s_[r.y : r.y + r.size, r.x : r.x + r.size] for r in every]
     assert got == [r for r, win in zip(every, windows) if tissue[win].any()]
     # ties decide some tiles both ways: kept for a tie rounding down, dropped for one rounding up
     assert any(tissue[win].any() and not (tissue & ~tie)[win].any() for win in windows)
     assert any((tie & ~tissue)[win].any() and not tissue[win].any() for win in windows)
+
+
+def _log_calls(monkeypatch, log, module, name):
+    """Make ``module.name`` append its name and its process's pid to ``log`` on each call."""
+    real = getattr(module, name)
+
+    def logged(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{name}:{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, logged)
+
+
+@pytest.mark.parametrize("method", [METHOD_GRAY200, METHOD_OTSU])
+def test_extract_tiles_counts_tissue_in_forked_workers(tmp_path, monkeypatch, rng, four_cpus,
+                                                       method):
+    # keeps the tissue test, and the Otsu filter's histogram, from moving back into the caller
+    log = tmp_path / "calls"
+    _log_calls(monkeypatch, log, tiling, "_dark")
+    _log_calls(monkeypatch, log, masks, "_luma_histogram")
+    base, _ = tie_slide(method)
+    p = build_pyramid("s", base, 1)
+    gt = _gt(rng.random(base.shape[:2]) < 0.3)
+    cfg = TilingConfig(tile_size=8, tissue_filter=method)
+    names = {"_dark", "_luma_histogram"} if method == METHOD_OTSU else {"_dark"}
+    got = extract_tiles(p, gt, cfg, workers=1)
+    assert set(log.read_text().split()) == {f"{name}:{os.getpid()}" for name in names}
+    log.unlink()
+    assert extract_tiles(p, gt, cfg, workers=2) == got
+    calls = {tuple(line.split(":")) for line in log.read_text().split()}
+    assert {name for name, pid in calls if pid == str(os.getpid())} == names
+    assert {name for name, pid in calls if pid != str(os.getpid())} == names
 
 
 @pytest.mark.parametrize("method", [METHOD_GRAY200, METHOD_OTSU])
