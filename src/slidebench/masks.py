@@ -267,8 +267,8 @@ def tissue_threshold(pixels: np.ndarray, method: str, workers: int = 1) -> int:
         raise ValidationError(f"unknown tissue method {method!r}")
     if method == METHOD_GRAY200:
         return GRAY200_THRESHOLD
-    hists = parallel.run_chunks(lambda i: _luma_histogram(pixels[i::workers]), range(workers),
-                                workers)
+    n = parallel.processes(workers, len(pixels))  # one row slice per pool process
+    hists = parallel.run_chunks(lambda i: _luma_histogram(pixels[i::n]), range(n), workers)
     return otsu_threshold(sum(hists))
 
 

@@ -5,7 +5,8 @@ The report types, ``aggregate`` and ``read_report`` come from the numpy-free
 division. ``confusion`` is one in-process tally; ``evaluate_team``
 parallelizes over slides, one slide per chunk, and keeps sorted slide order,
 so reports are identical for any worker count. Elsewhere, synthesis
-parallelizes per slide and tiling per row band of its tumor counts.
+parallelizes per slide, and tiling sums its Otsu histogram over one row slice
+per pool process, then counts tissue and tumor pixels per row band.
 """
 from __future__ import annotations
 

@@ -1,8 +1,8 @@
 """Deterministic worker pools.
 
 The caller is worker 0 and forks the others; chunk ``i`` runs on worker
-``i % n``, with ``n`` capped at the chunk count and the CPUs this process may use,
-and worker ``k`` first moves to the k-th of those CPUs.
+``i % n``, with ``n`` from ``processes``: capped at the chunk count and the CPUs
+this process may use. Worker ``k`` first moves to the k-th of those CPUs.
 Children inherit the callable (bind inputs with ``functools.partial``), so
 large read-only arrays cross copy-on-write; each result comes back as a
 length-prefixed pickle on the child's pipe, taken in chunk order whatever the
@@ -61,11 +61,18 @@ def _serve(func: Callable, chunks: Sequence, worker: int, n: int, fd: int) -> No
         os._exit(status)
 
 
+def processes(workers: int, chunks: int) -> int:
+    """How many processes ``run_chunks`` runs ``chunks`` chunks on at ``workers``: at most one
+    per chunk and one per CPU this process may use. A caller that cuts its own chunks cuts this
+    many."""
+    return min(workers, chunks, len(os.sched_getaffinity(0)))
+
+
 def run_chunks(func: Callable[[Any], Any], chunks: Sequence, workers: int = 1) -> list:
     """``[func(c) for c in chunks]`` on ``workers`` processes, raising as that loop would."""
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    n = min(workers, len(chunks), len(os.sched_getaffinity(0)))
+    n = processes(workers, len(chunks))
     if n <= 1:
         return [func(c) for c in chunks]
     for stream in (sys.stdout, sys.stderr):  # else children would write it out again

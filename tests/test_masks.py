@@ -298,6 +298,21 @@ def test_tissue_mask_otsu_separates_bimodal():
     assert np.array_equal(mask.data, luma(base) <= 60)
 
 
+def test_tissue_threshold_cuts_one_chunk_per_pool_process(monkeypatch, rng, four_cpus):
+    # a chunk per requested worker would cut 64 histograms, where the pool runs 4 processes
+    pixels = rng.integers(0, 256, (8, 16, 3), dtype=np.uint8)
+    chunk_counts = []
+
+    def run_in_process(func, chunks, workers=1):
+        chunk_counts.append(len(chunks))
+        return [func(c) for c in chunks]
+
+    monkeypatch.setattr(masks.parallel, "run_chunks", run_in_process)
+    t = masks.tissue_threshold(pixels, METHOD_OTSU, workers=64)
+    assert chunk_counts == [4]
+    assert t == otsu_threshold(np.bincount(luma(pixels).ravel(), minlength=256))
+
+
 def test_tissue_mask_otsu_memory_is_below_the_raster(rng):
     base = rng.integers(0, 256, (2048, 2048, 3), dtype=np.uint8)
     p = build_pyramid("s", base, 1)

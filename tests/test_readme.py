@@ -10,7 +10,7 @@ from slidebench.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
-PIPELINE = ROOT / "scripts" / "full_pipeline.sh"
+SCRIPTS = ROOT / "scripts"
 SHELL_OPERATORS = {">", ">>", "2>", "|", "&&", "||", ";"}
 
 
@@ -38,7 +38,17 @@ def _commands(script: str) -> list[list[str]]:
 
 DOCUMENTED = {
     "README.md": lambda: "\n".join(re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)),
-    "full_pipeline.sh": PIPELINE.read_text,
+    "full_pipeline.sh": (SCRIPTS / "full_pipeline.sh").read_text,
+    "pipeline_diff.sh": (SCRIPTS / "pipeline_diff.sh").read_text,
+}
+PIPELINE_STAGES = {"synth", "tissue", "rasterize", "refine", "tile", "eval", "compare",
+                   "leaderboard"}
+# the README shows every subcommand; the pipeline runs all but ensemble and coteach, and the
+# diff harness runs those two besides the pipeline, with synth and tile cases of its own
+SUBCOMMANDS = {
+    "README.md": PIPELINE_STAGES | {"ensemble", "coteach"},
+    "full_pipeline.sh": PIPELINE_STAGES,
+    "pipeline_diff.sh": {"synth", "tile", "coteach", "ensemble"},
 }
 
 
@@ -51,7 +61,4 @@ def test_documented_commands_parse(doc):
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"{doc}: slidebench {shlex.join(argv)} does not parse")
-    # the README shows every subcommand; the pipeline runs all but ensemble and coteach
-    expected = {"synth", "tissue", "rasterize", "refine", "tile", "eval", "compare",
-                "leaderboard"} | ({"ensemble", "coteach"} if doc == "README.md" else set())
-    assert {argv[0] for argv in commands} == expected
+    assert {argv[0] for argv in commands} == SUBCOMMANDS[doc]
