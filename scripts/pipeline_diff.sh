@@ -16,7 +16,7 @@ TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 OUT="$TMP/out"
 RUN="python3 -m slidebench"
-TREE="$TMP/synth1100.rev-w1"  # REV's 1100-px tree, which the tiles and vote cases read
+TREE="$TMP/synth1100.rev-w1"  # REV's 1100-px tree, which the tissue, tiles and vote cases read
 
 mkdir "$TMP/rev" && git -C "$ROOT" archive "$REV" | tar -x -C "$TMP/rev"
 
@@ -30,6 +30,15 @@ synth1100() {  # slides spanning several 512-row chunks, which the pipeline's ne
 }
 synth2048() {  # the benchmark's slide size, where a change of geometry can show
   $RUN synth --out "$OUT" --seed "$SEED" --workers "$2" --slides 4 --size 2048 --levels 2
+}
+tissue() {  # both methods above level 0; the pipeline runs only Otsu, at level 0
+  local level
+  for level in 0 2; do
+    $RUN tissue --slide "$TREE/slides/slide_000/manifest.json" --level "$level" --method otsu \
+      --out "$OUT/otsu$level.pgm"
+    $RUN tissue --slide "$TREE/slides/slide_000/manifest.json" --level "$level" --method gray200 \
+      --out "$OUT/gray200_$level.pgm"
+  done
 }
 tiles() {  # the Otsu filter and a stride below the tile size, which the pipeline never uses
   $RUN tile --slide "$TREE/slides/slide_000/manifest.json" --gt "$TREE/truth/slide_000.pgm" \
@@ -55,7 +64,7 @@ run() {  # run CASE RUN: CASE at RUN's checkout and workers; its tree and stdout
 }
 
 status=0
-for name in pipeline synth1100 synth2048 tiles coteach vote; do
+for name in pipeline synth1100 synth2048 tissue tiles coteach vote; do
   for run in rev-w1 rev-w2 tree-w1 tree-w2; do
     run "$name" "$run" || { status=1; continue; }
     [[ $run == rev-w1 ]] && continue

@@ -150,6 +150,8 @@ def cmd_ensemble(args: argparse.Namespace) -> int:
 def cmd_coteach(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
+    if args.seeds < 1:
+        raise ValidationError(f"--seeds must be >= 1, got {args.seeds}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     base = coteach.parse_config(args.config) if args.config else coteach.NOISE_BENCHMARK_CONFIG

@@ -6,20 +6,19 @@ point-in-polygon test exactly. Tissue detection thresholds Rec.601 luma,
 either at an Otsu split or at the fixed gray value 200; tissue is the
 darker side in both cases.
 
-Luma and tissue detection stream through blocks of whole rows of about
-``_LUMA_CHUNK_PIXELS`` (2**16) pixels, so each temporary stays in cache.
-Both start from ``s = 299r + 587g + 114b``, an integer below 2**24 that a
-float32 dot product gives exactly. Luma is ``s / 1000`` rounded half up in
-float32; only a tie, an ``s`` ending in 500, takes the float64 expression
-that defines luma. The tissue test ``luma <= t`` never rounds: a pixel is
-tissue iff ``s < 1000t + 500``, and only ``s == 1000t + 500`` takes the
-float64 expression. ``tissue_threshold`` gives t for either method; Gray200
-masks and the per-band tile filter of ``tiling`` test row blocks against it.
-The Otsu tissue mask reads the RGB level once: each block's luma goes into
-the output mask's own bytes and its counts into an int64 histogram, and the
-mask is then thresholded in place. No level-sized float, luma or intp array
-is allocated. Blocking is bit-exact: every test is per pixel, and the
-histogram is an exact integer sum of per-block counts.
+Luma is Rec.601 rounded half up, the exact integer
+``(299r + 587g + 114b + 500) // 1000``. Luma and tissue detection stream
+through blocks of whole rows of about ``_LUMA_CHUNK_PIXELS`` (2**16) pixels,
+so each temporary stays in cache. Both start from ``s = 299r + 587g + 114b``,
+an integer below 2**24 that a float32 dot product gives exactly, in whatever
+order BLAS sums it. The tissue test ``luma <= t`` never rounds: a pixel is
+tissue iff ``s < 1000t + 500``. ``tissue_threshold`` gives t for either
+method; Gray200 masks and the per-band tile filter of ``tiling`` test row
+blocks against it. The Otsu tissue mask reads the RGB level once: each
+block's luma goes into the output mask's own bytes and its counts into an
+int64 histogram, and the mask is then thresholded in place. No level-sized
+float, luma or intp array is allocated. Blocking is bit-exact: every test is
+per pixel, and the histogram is an exact integer sum of per-block counts.
 """
 from __future__ import annotations
 
@@ -45,8 +44,7 @@ ROLES = (ROLE_GROUND_TRUTH, ROLE_PREDICTION, ROLE_TISSUE, ROLE_REFINED)
 
 GRAY200_THRESHOLD = 200
 
-_LUMA_WEIGHTS = (0.299, 0.587, 0.114)
-# 1000 x the weights: every 299r + 587g + 114b is an integer below 2**24, exact in float32
+# 1000 x the Rec.601 weights: every 299r + 587g + 114b is below 2**24, exact in float32
 _LUMA_SUMS = np.float32([299, 587, 114])
 
 
@@ -99,16 +97,13 @@ def _row_blocks(height: int, width: int):
 
 
 def luma(rgb: np.ndarray) -> np.ndarray:
-    """Rec.601 grayscale of an RGB8 raster, rounded to uint8.
+    """Rec.601 grayscale of an RGB8 raster: ``(s + 500) // 1000`` as uint8, where
+    ``s = 299r + 587g + 114b``.
 
-    Equal on every colour to ``0.299*r + 0.587*g + 0.114*b`` in float64, left
-    to right, rounded half to even. It is computed as ``s / 1000`` rounded
-    half up, ``trunc(s * 0.001 + 0.5005)`` in float32, from the exact sum
-    ``s = 299r + 587g + 114b``: the float32 error is below 1e-4, and unless
-    ``s`` ends in 500 the fraction lies at least 5e-4 from the cut, so the
-    two roundings agree. Those ties (16,782 colours) take the float64
-    expression. Rows go in blocks of about 2**16 pixels; each pixel is
-    computed alone, so the blocking does not change the result.
+    It is computed as ``trunc(s * 0.001 + 0.5005)`` in float32, which equals
+    ``(s + 500) // 1000`` for every s up to 255,000. Rows go in blocks of about
+    2**16 pixels; each pixel is computed alone, so the blocking does not change
+    the result.
     """
     arr = np.asarray(rgb)
     if arr.ndim != 3 or arr.shape[-1] != 3:
@@ -116,15 +111,10 @@ def luma(rgb: np.ndarray) -> np.ndarray:
     h, w = arr.shape[0], arr.shape[1]
     out = np.empty((h, w), dtype=np.uint8)
     for rows in _row_blocks(h, w):
-        block, dst = arr[rows], out[rows]
-        g = _sums(block)
+        g = _sums(arr[rows])
         g *= np.float32(0.001)
         g += np.float32(0.5005)
-        dst[...] = g  # the cast truncates
-        g -= dst  # the exact fraction: a tie leaves about 0.0005, any other sum at least 0.0015
-        tie = np.flatnonzero(g < np.float32(0.001))
-        if len(tie):
-            dst.flat[tie] = _luma_f64(block.reshape(-1, 3)[tie])
+        out[rows] = g  # the cast truncates
     return out
 
 
@@ -133,23 +123,9 @@ def _sums(rgb: np.ndarray) -> np.ndarray:
     return rgb.astype(np.float32) @ _LUMA_SUMS
 
 
-def _luma_f64(rgb: np.ndarray) -> np.ndarray:
-    """``0.299*r + 0.587*g + 0.114*b`` in float64, left to right, rounded half to even."""
-    g = rgb[..., 0] * _LUMA_WEIGHTS[0]
-    g += rgb[..., 1] * _LUMA_WEIGHTS[1]
-    g += rgb[..., 2] * _LUMA_WEIGHTS[2]
-    return np.rint(g, out=g)
-
-
 def _dark(rgb: np.ndarray, threshold: int) -> np.ndarray:
-    """``luma(rgb) <= threshold`` exactly; luma is computed only where ``s`` ties the cut."""
-    s = _sums(rgb)
-    cut = 1000 * threshold + 500
-    dark = s < cut
-    tie = s == cut
-    if tie.any():
-        dark[tie] = _luma_f64(rgb[tie]) <= threshold
-    return dark
+    """``luma(rgb) <= threshold``, exactly and without rounding: ``s < 1000t + 500``."""
+    return _sums(rgb) < 1000 * threshold + 500
 
 
 def rasterize(aset: AnnotationSet, level: int, width: int, height: int) -> BinaryMask:

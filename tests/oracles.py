@@ -102,10 +102,11 @@ def raster_oracle(polygons, width: int, height: int, scale: float = 1.0) -> np.n
 
 
 def luma_reference(rgb: np.ndarray) -> np.ndarray:
-    """Rec.601 luma of the whole raster as one float64 expression, unblocked."""
-    arr = np.asarray(rgb)
-    g = 0.299 * arr[..., 0].astype(np.float64) + 0.587 * arr[..., 1] + 0.114 * arr[..., 2]
-    return np.rint(g).astype(np.uint8)
+    """Rec.601 luma of the whole raster, rounded half up, in int64 and unblocked:
+    ``(299r + 587g + 114b + 500) // 1000``."""
+    arr = np.asarray(rgb).astype(np.int64)
+    s = 299 * arr[..., 0] + 587 * arr[..., 1] + 114 * arr[..., 2]
+    return ((s + 500) // 1000).astype(np.uint8)
 
 
 def blob_oracle(size: int, cx: float, cy: float, r0: float, amps, phases) -> np.ndarray:
@@ -581,7 +582,8 @@ def tile_counts(gt: BinaryMask, x: int, y: int, size: int) -> tuple[int, int]:
 
 
 def _tie_colours(t: int) -> np.ndarray:
-    """Every colour with 299r + 587g + 114b == 1000t + 500: its rounding decides luma <= t."""
+    """Every colour with 299r + 587g + 114b == 1000t + 500: luma t + 1, the closest a colour
+    that is not tissue at threshold t comes to it."""
     r, g = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
     rest = 1000 * t + 500 - 299 * r - 587 * g
     ok = (rest >= 0) & (rest % 114 == 0) & (rest <= 114 * 255)
@@ -589,23 +591,18 @@ def _tie_colours(t: int) -> np.ndarray:
 
 
 def _tie_raster(t: int, black_rows: int, h: int, w: int) -> np.ndarray:
-    """White raster with ``black_rows`` black rows on top, sparse random colours and tie colours.
-
-    Half the tie pixels round down to luma t and half up to t + 1, where t
-    has tie colours of both kinds.
-    """
+    """White raster with ``black_rows`` black rows on top, sparse random colours, tie colours
+    of t and, as many, gray t: the luma on each side of the cut."""
     rng = np.random.default_rng(5)
     base = np.full((h, w, 3), 255, dtype=np.uint8)
     base[:black_rows] = 0
     u = rng.random((h, w))
     dark = u < 0.002
     base[dark] = rng.integers(0, 256, (int(dark.sum()), 3))
+    base[(u >= 0.002) & (u < 0.006)] = t
     ties = _tie_colours(t)
-    down = luma_reference(ties[None])[0] <= t
-    kinds = [k for k in (ties[down], ties[~down]) if len(k)]
-    for i, kind in enumerate(kinds):
-        tie = (u >= 0.002 + 0.004 * i) & (u < 0.006 + 0.004 * i)
-        base[tie] = kind[rng.integers(0, len(kind), int(tie.sum()))]
+    tie = (u >= 0.006) & (u < 0.01)
+    base[tie] = ties[rng.integers(0, len(ties), int(tie.sum()))]
     return base
 
 
@@ -614,21 +611,21 @@ def tie_slide(method: str, h: int = 96, w: int = 104):
 
     For Otsu, t depends on the raster, so ties are drawn for a guess of t
     until the raster's split is the guess, trying black tops of about half
-    the rows until the split settles on a t with tie colours of both kinds.
+    the rows until the split settles on a t that has tie colours.
     """
     if method == METHOD_GRAY200:
         return _tie_raster(GRAY200_THRESHOLD, h // 2, h, w), GRAY200_THRESHOLD
     for black_rows in range(h // 2 - 8, h // 2 + 8):
         t = 127
         for _ in range(10):
+            if not len(_tie_colours(t)):
+                break
             base = _tie_raster(t, black_rows, h, w)
             split = otsu_oracle(np.bincount(luma_reference(base).ravel(), minlength=256))
             if split == t:
-                if len(np.unique(luma_reference(_tie_colours(t)[None]))) == 2:
-                    return base, t
-                break
+                return base, t
             t = split
-    raise AssertionError("no Otsu split with both kinds of ties settled")
+    raise AssertionError("no Otsu split with tie colours settled")
 
 
 # runs its arguments as one child process and prints that child's peak RSS in KiB

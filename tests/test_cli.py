@@ -701,6 +701,12 @@ def _ensemble_vote_binarize(tmp_path):
             "--out", str(tmp_path / "v.pgm")]
 
 
+def _coteach_seeds(seeds):
+    def make(tmp_path):
+        return ["coteach", "--out", str(tmp_path / "bench"), "--seeds", seeds]
+    return make
+
+
 # flag values that every file is well-formed for, but that no run can use
 MALFORMED_FLAGS = {
     "synth_negative_seed": _synth_flags("--seed", "-1"),
@@ -711,6 +717,8 @@ MALFORMED_FLAGS = {
     "synth_ratio_sum_overflows": _synth_flags("--ratio", "1e308", "1e308", "1"),
     "tile_rebalance_negative_seed": _rebalance_negative_seed,
     "ensemble_vote_with_binarize": _ensemble_vote_binarize,
+    "coteach_negative_seeds": _coteach_seeds("-3"),
+    "coteach_zero_seeds": _coteach_seeds("0"),
 }
 
 
@@ -805,6 +813,8 @@ ERROR_LINES = {
     "synth_ratio_sum_overflows": "bad subtype ratio (1e+308, 1e+308, 1.0)",
     "tile_rebalance_negative_seed": "seed must be >= 0, got -1",
     "ensemble_vote_with_binarize": "--binarize applies only to --mode mean",
+    "coteach_negative_seeds": "--seeds must be >= 1, got -3",
+    "coteach_zero_seeds": "--seeds must be >= 1, got 0",
 }
 
 
@@ -817,6 +827,12 @@ def test_malformed_input_is_one_line(tmp_path, case):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0] == "slidebench: error: " + ERROR_LINES[case].replace("{tmp}", str(tmp_path))
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_coteach_without_seeds_creates_no_out(tmp_path, seeds):
+    assert main(_coteach_seeds(seeds)(tmp_path)) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_tile_otsu_on_uniform_slide_is_one_line(tmp_path):
@@ -887,7 +903,7 @@ def _tie_colour_slide(root: Path) -> Path:
 
 
 # the tissue masks and tile manifests of the slides below; a change here must be deliberate
-_PINNED_TISSUE_TILE_SHA256 = "775895aeca1ff4ec66607b26cf5b60f485010bf4c41ec06ccef32c6d20e34cf8"
+_PINNED_TISSUE_TILE_SHA256 = "43da390912504f6c05db114583402239ef4b5a5247c2f5c5a3f4627b385bcee8"
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -299,7 +299,7 @@ def test_batch_loss_decreases_under_training(rng):
 
 
 # the co-teaching bytes; a change here must be deliberate and declared
-_PINNED_COTEACH_SHA256 = "f5558e28600c5393d1194aba9a593f68fdf72a6be9b5281482eab738f0ccac1f"
+_PINNED_COTEACH_SHA256 = "6cd4f1c8162611ee9187f50a32eda5d1bd16610d3532f96ed8ff693923f54abe"
 
 
 def test_coteach_outputs_digest_is_pinned(tmp_path):

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from oracles import (
     luma_reference,
@@ -86,6 +91,62 @@ def test_tissue_test_is_exact_on_every_colour():
         assert np.array_equal(dark, g <= t), t
 
 
+# prints one sha256 of every colour's luma and tissue test at t = 200, and whether numpy may
+# dispatch to AVX-512 (X86_V4)
+_EVERY_COLOUR_DIGEST = """
+import hashlib
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from slidebench import masks
+levels = np.arange(256, dtype=np.uint8)
+rgb = np.stack(np.meshgrid(levels, levels, levels, indexing="ij"), -1).reshape(4096, 4096, 3)
+dark = np.empty((4096, 4096), dtype=bool)
+for rows in masks._row_blocks(4096, 4096):
+    dark[rows] = masks._dark(rgb[rows], 200)
+digest = hashlib.sha256(masks.luma(rgb).tobytes() + np.packbits(dark).tobytes())
+print(digest.hexdigest(), __cpu_features__["X86_V4"])
+"""
+
+
+def _every_colour_digest(**env) -> tuple[str, bool, str]:
+    """The digest above from a child with ``env`` added, its X86_V4 flag, and its stderr:
+    with ``OPENBLAS_VERBOSE=2``, OpenBLAS names there the kernel it picked."""
+    env = {**os.environ, "OPENBLAS_VERBOSE": "2", **env}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _EVERY_COLOUR_DIGEST], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    digest, avx512 = proc.stdout.split()
+    return digest, avx512 == "True", proc.stderr
+
+
+@pytest.fixture(scope="module")
+def default_digest():
+    return _every_colour_digest()[0]
+
+
+# OpenBLAS kernels, each with the numpy CPU feature the host needs to run it
+BLAS_KERNELS = {"Nehalem": "SSE42", "Haswell": "AVX2", "SkylakeX": "AVX512_SKX"}
+
+
+@pytest.mark.parametrize("kernel", BLAS_KERNELS)
+def test_luma_and_tissue_bits_are_the_same_under_every_blas_kernel(default_digest, kernel):
+    # _sums' products and partial sums are integers below 2**24, exact in any summation order
+    if not __cpu_features__.get(BLAS_KERNELS[kernel]):
+        pytest.skip(f"this CPU cannot run OpenBLAS's {kernel} kernel")
+    digest, _, stderr = _every_colour_digest(OPENBLAS_CORETYPE=kernel)
+    assert f"Core: {kernel}" in stderr
+    assert digest == default_digest
+
+
+def test_luma_and_tissue_bits_are_the_same_without_avx512(default_digest):
+    digest, avx512, _ = _every_colour_digest(
+        NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    assert not avx512
+    assert digest == default_digest
+
+
 @pytest.fixture(scope="module")
 def every_tie():
     """The 16,782 colours with 299r + 587g + 114b == 1000t + 500, and each one's t.
@@ -102,8 +163,8 @@ def test_tissue_test_is_exact_at_every_tie(every_tie):
     ties, t = every_tie
     assert len(ties) == 16782
     expected = luma_reference(ties[None])[0] <= t
-    # the float64 expression rounds ties both ways: to t and to t + 1
-    assert 0 < np.count_nonzero(expected) < len(ties)
+    # every tie rounds up to luma t + 1, so none is tissue at t
+    assert not expected.any()
     for threshold in np.unique(t):
         at = t == threshold
         assert np.array_equal(masks._dark(ties[at], int(threshold)), expected[at]), threshold
@@ -130,7 +191,7 @@ def test_luma_matches_reference_at_every_tie(monkeypatch, every_tie, chunk, layo
 @pytest.mark.parametrize("chunk", [None, 37], ids=["default_blocks", "blocks_of_37"])
 @pytest.mark.parametrize("method", [METHOD_OTSU, METHOD_GRAY200])
 def test_tissue_mask_at_a_tie_threshold_matches_reference(monkeypatch, chunk, method):
-    # the raster's threshold t has tie colours that round to t and to t + 1
+    # the raster's threshold t has tie colours, which round up to t + 1, and gray t
     base, t = tie_slide(method)
     if chunk:
         monkeypatch.setattr(masks, "_LUMA_CHUNK_PIXELS", chunk)
@@ -138,7 +199,8 @@ def test_tissue_mask_at_a_tie_threshold_matches_reference(monkeypatch, chunk, me
     mask = tissue_mask(p, 0, method)
     s = base.astype(np.int64) @ np.array([299, 587, 114])
     tie = s == 1000 * t + 500
-    assert mask.data[tie].any() and not mask.data[tie].all()
+    assert tie.any() and not mask.data[tie].any()
+    assert mask.data[(base == t).all(axis=-1)].all()
     assert np.array_equal(mask.data, tissue_mask_reference(p, 0, method).data)
 
 

@@ -210,9 +210,9 @@ def test_extract_tiles_keeps_exactly_the_tiles_holding_tissue(rng, four_cpus, fo
                for w in (2, 4))
     windows = [np.s_[r.y : r.y + r.size, r.x : r.x + r.size] for r in every]
     assert got == [r for r, win in zip(every, windows) if tissue[win].any()]
-    # ties decide some tiles both ways: kept for a tie rounding down, dropped for one rounding up
-    assert any(tissue[win].any() and not (tissue & ~tie)[win].any() for win in windows)
-    assert any((tie & ~tissue)[win].any() and not tissue[win].any() for win in windows)
+    # every tie rounds up, so no tie is tissue, and a tile holding ties but no tissue is dropped
+    assert tie.any() and not (tie & tissue).any()
+    assert any(tie[win].any() and not tissue[win].any() for win in windows)
 
 
 def _log_calls(monkeypatch, log, module, name):
