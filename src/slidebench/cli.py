@@ -158,7 +158,7 @@ def cmd_coteach(args: argparse.Namespace) -> int:
     results = [coteach.noise_benchmark(seed, replace(base, seed=seed))
                for seed in range(args.seeds)]
     train_set, _, _ = coteach.make_noise_benchmark(0)
-    _, _, history = coteach.train(train_set, base, use_agreement=False)
+    _, _, history = coteach.train(train_set, base)
     coteach.write_history(history, out / "history.csv")
     wins = sum(r["coteach_accuracy"] >= r["single_accuracy"] for r in results)
     summary = {"runs": results, "coteach_at_least_single": wins, "seeds": args.seeds}

@@ -1,17 +1,16 @@
 """Pixel-level co-teaching against noisy labels.
 
 Two per-pixel logistic learners train side by side. In each step a learner
-keeps the pixels on which its peer's pseudo-label agrees with the given
-(possibly noisy) label, drops the highest-peer-loss share of them according
-to the ramped drop rate R(T) = tau * min(1, T / ramp_epochs), and takes an
-averaged gradient step on the survivors. Both updates read the pre-step
+keeps the ``n - floor(R(T) * n)`` pixels of the batch on which its peer's loss
+is smallest, with the ramped drop rate R(T) = tau * min(1, T / ramp_epochs),
+and takes an averaged gradient step on them: the small-loss cross-update of
+Han et al., "Co-teaching" (NeurIPS 2018). Both updates read the pre-step
 states, so the learners are exchangeable by construction: identical states
-stay bit-identical. Agreement masking and loss-based dropping are
-independently switchable; with both off a step is exactly one plain
-logistic-regression step.
+stay bit-identical. With tau = 0 every pixel is kept and each learner is plain
+logistic regression.
 
 Selection contract: a learner's update keeps the first ``n - floor(R * n)``
-of its ``n`` candidate pixels in ascending order of the peer's loss, ties
+of its batch's ``n`` pixels in ascending order of the peer's loss, ties
 broken by pixel index, and sums their gradient terms in that order. Each
 learner's scores ``X @ w`` are computed once per step and serve both its
 peer's selection and its own gradient.
@@ -180,53 +179,33 @@ def _gradient(X: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return X.T @ (_sigmoid(z) - y) / len(y)
 
 
-def _select(
-    z_peer: np.ndarray,
-    y: np.ndarray,
-    rate: float,
-    use_agreement: bool,
-) -> np.ndarray | None:
+def _select(z_peer: np.ndarray, y: np.ndarray, rate: float) -> np.ndarray | None:
     """Indices kept for one learner's update, chosen by its peer's scores ``z_peer``.
 
     Returns None when the whole batch is kept, which lets the caller take the
     plain full-batch gradient path (bit-identical to ordinary logistic
-    regression).
+    regression). At least one pixel is kept, since ``rate <= tau < 1``.
     """
-    if use_agreement:
-        agree = (_sigmoid(z_peer) > 0.5) == (y > 0.5)
-        candidates = np.flatnonzero(agree)
-    else:
-        candidates = None
-    n_cand = len(candidates) if candidates is not None else len(y)
-    n_keep = n_cand - math.floor(rate * n_cand)
-    if n_keep >= n_cand:
-        return candidates
-    if candidates is None:
-        losses = _losses(z_peer, y)
-    else:
-        losses = _losses(z_peer[candidates], y[candidates])
+    n_keep = len(y) - math.floor(rate * len(y))
+    if n_keep == len(y):
+        return None
+    losses = _losses(z_peer, y)
     order = np.argsort(losses)
     ranked = losses[order]
     # strictly increasing sorted losses have one order, so any sort gives the
     # stable one; ties and NaN fall back to the stable sort
     if not (ranked[1:] > ranked[:-1]).all():
         order = np.argsort(losses, kind="stable")
-    kept = order[:n_keep]
-    return kept if candidates is None else candidates[kept]
+    return order[:n_keep]
 
 
 def _update(w: np.ndarray, sel: np.ndarray | None, X, z, y, eta: float) -> tuple[np.ndarray, int]:
-    if sel is None:
-        grad = _gradient(X, z, y)
-        n_sel = len(y)
-    elif len(sel) == 0:
-        return w.copy(), 0
-    else:
-        grad = _gradient(X[sel], z[sel], y[sel])
-        n_sel = len(sel)
+    if sel is not None:
+        X, z, y = X[sel], z[sel], y[sel]
+    grad = _gradient(X, z, y)
     if not np.isfinite(grad).all():
         raise DivergenceError("non-finite gradient; lower eta or check features")
-    return w - eta * grad, n_sel
+    return w - eta * grad, len(y)
 
 
 def _schedule(dataset: list[PixelBatch], cfg: CoteachConfig, caller: str):
@@ -263,12 +242,10 @@ def coteach_step(
     batch: PixelBatch,
     epoch: int,
     cfg: CoteachConfig,
-    use_drop: bool = True,
-    use_agreement: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One simultaneous co-teaching update of both learners."""
     X, y = batch.flat()
-    wf2, wg2, _ = _step_full(wf, wg, X, y, epoch, cfg, use_drop, use_agreement)
+    wf2, wg2, _ = _step_full(wf, wg, X, y, epoch, cfg)
     return wf2, wg2
 
 
@@ -279,15 +256,13 @@ def _step_full(
     y: np.ndarray,
     epoch: int,
     cfg: CoteachConfig,
-    use_drop: bool,
-    use_agreement: bool,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """One step on a validated, flattened batch; each learner's scores serve both roles."""
-    rate = drop_rate(cfg, epoch) if use_drop else 0.0
+    rate = drop_rate(cfg, epoch)
     zf = X @ wf
     zg = X @ wg
-    sel_f = _select(zg, y, rate, use_agreement)  # g picks pixels for f
-    sel_g = _select(zf, y, rate, use_agreement)  # f picks pixels for g
+    sel_f = _select(zg, y, rate)  # g picks pixels for f
+    sel_g = _select(zf, y, rate)  # f picks pixels for g
     wf2, n_f = _update(wf, sel_f, X, zf, y, cfg.eta)
     wg2, n_g = _update(wg, sel_g, X, zg, y, cfg.eta)
     if not (np.isfinite(wf2).all() and np.isfinite(wg2).all()):
@@ -301,12 +276,8 @@ def _step_full(
     return wf2, wg2, info
 
 
-def train(
-    dataset: list[PixelBatch],
-    cfg: CoteachConfig,
-    use_drop: bool = True,
-    use_agreement: bool = True,
-) -> tuple[LearnerState, LearnerState, list[dict]]:
+def train(dataset: list[PixelBatch],
+          cfg: CoteachConfig) -> tuple[LearnerState, LearnerState, list[dict]]:
     """Run the full co-teaching loop: shuffled epochs of simultaneous steps.
 
     Returns both learner states and one history row per epoch with the mean
@@ -318,7 +289,7 @@ def train(
         losses_f, losses_g, fracs = [], [], []
         rate = 0.0
         for X, y in steps:
-            wf, wg, info = _step_full(wf, wg, X, y, epoch, cfg, use_drop, use_agreement)
+            wf, wg, info = _step_full(wf, wg, X, y, epoch, cfg)
             losses_f.append(_mean_loss(wf, X, y))
             losses_g.append(_mean_loss(wg, X, y))
             fracs.append(info["selected_fraction"])
@@ -441,16 +412,14 @@ def clean_accuracy(state: LearnerState, test_set: list[PixelBatch],
 def noise_benchmark(seed: int, cfg: CoteachConfig | None = None) -> dict:
     """Co-teaching vs a single learner on one seeded noisy benchmark.
 
-    The co-teaching run uses peer small-loss dropping without the agreement
-    mask: a linear learner has no warmup phase, so hard pseudo-label masking
-    from a random init locks onto a degenerate predictor, whereas the ramped
-    drop schedule stays stable (both mechanisms remain available on
-    :func:`train`).
+    Both share the schedule and f's init; co-teaching drops each step's
+    highest-peer-loss pixels at the ramped rate R(T), the single learner keeps
+    every pixel, as co-teaching itself does with tau = 0.
     """
     if cfg is None:
         cfg = replace(NOISE_BENCHMARK_CONFIG, seed=seed)
     train_set, test_set, clean_labels = make_noise_benchmark(seed)
-    sf, sg, history = train(train_set, cfg, use_agreement=False)
+    sf, _, history = train(train_set, cfg)
     single, _ = train_single(train_set, cfg)
     return {
         "seed": seed,

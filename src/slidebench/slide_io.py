@@ -198,6 +198,9 @@ class Annotation:
         verts = np.asarray(self.vertices, dtype=np.float64)
         if not np.all(np.isfinite(verts)):
             raise ValidationError(f"annotation {self.name!r} has a non-finite coordinate")
+        # float64 holds every integer below 2**53; far past it the fill's edge products overflow
+        if np.any(np.abs(verts) >= 2.0**53):
+            raise ValidationError(f"annotation {self.name!r} has a coordinate of magnitude >= 2**53")
         if verts.ndim != 2 or verts.shape[1] != 2:
             raise ValidationError(f"annotation {self.name!r}: vertices are not (x, y) pairs")
         if len(verts) < 3:

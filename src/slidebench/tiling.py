@@ -24,7 +24,7 @@ import numpy as np
 
 from . import parallel
 from .errors import RULE_BIG_PATCH_NINE, RULE_THREECLASS, RULE_THRESHOLD75, RULES, TISSUE_METHODS
-from .errors import FormatError, GeometryError, ValidationError, typed_field
+from .errors import FormatError, GeometryError, ValidationError, naming, typed_field
 from .masks import BinaryMask, _dark, _row_blocks, tissue_threshold
 from .slide_io import SlidePyramid
 
@@ -256,8 +256,9 @@ def read_manifest(path: str | Path) -> list[TileRecord]:
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}:{lineno}: malformed tile record: {exc}") from exc
         where = f"{path}:{lineno}: tile record"
-        records.append(TileRecord(
-            **{f: typed_field(obj, f, str if f in ("slide_id", "label") else int, where)
-               for f in MANIFEST_FIELDS}
-        ))
+        with naming(f"{path}:{lineno}"):
+            records.append(TileRecord(
+                **{f: typed_field(obj, f, str if f in ("slide_id", "label") else int, where)
+                   for f in MANIFEST_FIELDS}
+            ))
     return records

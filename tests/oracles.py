@@ -478,7 +478,6 @@ def select_reference(
     X: np.ndarray,
     y: np.ndarray,
     rate: float,
-    use_agreement: bool,
 ) -> np.ndarray | None:
     """Indices kept for one learner's update, chosen by its peer.
 
@@ -487,38 +486,22 @@ def select_reference(
     regression).
     """
     z_peer = X @ peer_w
-    if use_agreement:
-        agree = (sigmoid_reference(z_peer) > 0.5) == (y > 0.5)
-        candidates = np.flatnonzero(agree)
-    else:
-        candidates = None
-    n_cand = len(candidates) if candidates is not None else len(y)
-    n_keep = n_cand - math.floor(rate * n_cand)
-    if candidates is None and n_keep == n_cand:
+    n_keep = len(y) - math.floor(rate * len(y))
+    if n_keep == len(y):
         return None
-    if candidates is None:
-        candidates = np.arange(len(y))
-    if n_keep >= n_cand:
-        return candidates
-    losses = np.logaddexp(0.0, z_peer[candidates]) - y[candidates] * z_peer[candidates]
-    order = np.argsort(losses, kind="stable")
-    return candidates[order[:n_keep]]
+    losses = np.logaddexp(0.0, z_peer) - y * z_peer
+    return np.argsort(losses, kind="stable")[:n_keep]
 
 
 def _update_reference(
     w: np.ndarray, sel: np.ndarray | None, X, y, eta: float
 ) -> tuple[np.ndarray, int]:
-    if sel is None:
-        grad = _gradient_reference(w, X, y)
-        n_sel = len(y)
-    elif len(sel) == 0:
-        return w.copy(), 0
-    else:
-        grad = _gradient_reference(w, X[sel], y[sel])
-        n_sel = len(sel)
+    if sel is not None:
+        X, y = X[sel], y[sel]
+    grad = _gradient_reference(w, X, y)
     if not np.all(np.isfinite(grad)):
         raise DivergenceError("non-finite gradient; lower eta or check features")
-    return w - eta * grad, n_sel
+    return w - eta * grad, len(y)
 
 
 def step_reference(
@@ -527,15 +510,13 @@ def step_reference(
     batch: PixelBatch,
     epoch: int,
     cfg: CoteachConfig,
-    use_drop: bool,
-    use_agreement: bool,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     cfg.validate()
     batch.validate()
     X, y = batch.flat()
-    rate = drop_rate(cfg, epoch) if use_drop else 0.0
-    sel_f = select_reference(wg, X, y, rate, use_agreement)  # g picks pixels for f
-    sel_g = select_reference(wf, X, y, rate, use_agreement)  # f picks pixels for g
+    rate = drop_rate(cfg, epoch)
+    sel_f = select_reference(wg, X, y, rate)  # g picks pixels for f
+    sel_g = select_reference(wf, X, y, rate)  # f picks pixels for g
     wf2, n_f = _update_reference(wf, sel_f, X, y, cfg.eta)
     wg2, n_g = _update_reference(wg, sel_g, X, y, cfg.eta)
     if not (np.all(np.isfinite(wf2)) and np.all(np.isfinite(wg2))):
@@ -590,42 +571,42 @@ def _tie_colours(t: int) -> np.ndarray:
     return np.column_stack((r[ok], g[ok], rest[ok] // 114)).astype(np.uint8)
 
 
-def _tie_raster(t: int, black_rows: int, h: int, w: int) -> np.ndarray:
-    """White raster with ``black_rows`` black rows on top, sparse random colours, tie colours
-    of t and, as many, gray t: the luma on each side of the cut."""
+def _tie_raster(t: int, h: int, w: int) -> np.ndarray:
+    """A black top half over a white bottom half (``h`` even), sprinkled at the same places
+    in each: the top with ``h * w // 1024`` random colours and twice as many gray t, the
+    bottom with the grays that mirror those colours' luma L at 255 - L and with tie colours
+    of t. Gray t is the luma just on the tissue side of the cut, and its ties just past it."""
     rng = np.random.default_rng(5)
-    base = np.full((h, w, 3), 255, dtype=np.uint8)
-    base[:black_rows] = 0
-    u = rng.random((h, w))
-    dark = u < 0.002
-    base[dark] = rng.integers(0, 256, (int(dark.sum()), 3))
-    base[(u >= 0.002) & (u < 0.006)] = t
+    n = h * w // 1024
+    top = np.zeros((h // 2 * w, 3), dtype=np.uint8)
+    bottom = np.full_like(top, 255)
+    places = rng.permutation(len(top))
+    noise, gray = places[:n], places[n : 3 * n]
+    top[noise] = rng.integers(0, 256, (n, 3))
+    bottom[noise] = 255 - luma_reference(top[noise])[:, None]
+    top[gray] = t
     ties = _tie_colours(t)
-    tie = (u >= 0.006) & (u < 0.01)
-    base[tie] = ties[rng.integers(0, len(ties), int(tie.sum()))]
-    return base
+    bottom[gray] = ties[rng.integers(0, len(ties), 2 * n)]
+    return np.concatenate([top, bottom]).reshape(-1, w, 3)
 
 
 def tie_slide(method: str, h: int = 96, w: int = 104):
-    """A tie raster of threshold t, and t.
+    """A tie raster of threshold t, and t: 200 for Gray200 and 127 for Otsu.
 
-    For Otsu, t depends on the raster, so ties are drawn for a guess of t
-    until the raster's split is the guess, trying black tops of about half
-    the rows until the split settles on a t that has tie colours.
+    At t = 127 the raster's luma histogram is symmetric about 127.5: black and white, each
+    random colour and its mirror gray, and gray 127 and its ties at 128 come in pairs. So
+    split k scores as split 254 - k, and 127, the one split that is its own mirror, splits
+    the N pixels in half. Moving m pixels of gray 127 across it lowers the between-class
+    variance while m is below about N / 255; they are N / 512, and the random colours,
+    mostly far from the cut, N / 1024. The split is asserted all the same.
     """
-    if method == METHOD_GRAY200:
-        return _tie_raster(GRAY200_THRESHOLD, h // 2, h, w), GRAY200_THRESHOLD
-    for black_rows in range(h // 2 - 8, h // 2 + 8):
-        t = 127
-        for _ in range(10):
-            if not len(_tie_colours(t)):
-                break
-            base = _tie_raster(t, black_rows, h, w)
-            split = otsu_oracle(np.bincount(luma_reference(base).ravel(), minlength=256))
-            if split == t:
-                return base, t
-            t = split
-    raise AssertionError("no Otsu split with tie colours settled")
+    t = GRAY200_THRESHOLD if method == METHOD_GRAY200 else 127
+    base = _tie_raster(t, h, w)
+    if method == METHOD_OTSU:
+        histogram = np.bincount(luma_reference(base).ravel(), minlength=256)
+        assert np.array_equal(histogram, histogram[::-1])
+        assert otsu_oracle(histogram) == t
+    return base, t
 
 
 # runs its arguments as one child process and prints that child's peak RSS in KiB

@@ -7,6 +7,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 import hashlib
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -272,15 +273,15 @@ def test_criterion_08_coteaching_guarantees():
     cfg = CoteachConfig(eta=0.5, t_max=100, n_max=1, tau=0.3, ramp_epochs=10, seed=0)
     symmetric = True
     for epoch in range(100):
-        wf, wg = coteach_step(wf, wg, batch, epoch, cfg, use_agreement=False)
+        wf, wg = coteach_step(wf, wg, batch, epoch, cfg)
         symmetric = symmetric and np.array_equal(wf, wg)
     ok = ok and symmetric
 
     w_plain = init.copy()
     w_pair = init.copy()
+    plain = replace(cfg, tau=0.0)
     for epoch in range(100):
-        w_pair, _ = coteach_step(w_pair, w_pair.copy(), batch, epoch, cfg,
-                                 use_drop=False, use_agreement=False)
+        w_pair, _ = coteach_step(w_pair, w_pair.copy(), batch, epoch, plain)
     X, y = batch.flat()
     w_oracle = logistic_gd_oracle(X, y, w_plain, 0.5, 100)
     plain_gap = float(np.max(np.abs(w_pair - w_oracle)))

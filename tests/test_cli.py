@@ -617,6 +617,7 @@ MALFORMED_INPUTS = {
     "xml_unknown_encoding": _xml_case('<?xml version="1.0" encoding="utf-9"?><ASAP_Annotations/>'),
     "xml_of_another_slide": _xml_case(_POLYGON.format(x="9"), name="other"),
     "xml_non_finite_coordinate": _xml_case(_POLYGON.format(x="inf")),
+    "xml_huge_coordinate": _xml_case(_POLYGON.format(x="-1e308")),
     "xml_two_vertices": _xml_case(_POLYGON.format(x="9").replace(
         '<Coordinate Order="2" X="1" Y="9"/>', "")),
     "xml_duplicate_name": _xml_case(_POLYGON.replace(_TRIANGLE, 2 * _TRIANGLE).format(x="9")),
@@ -738,6 +739,7 @@ ERROR_LINES = {
     "xml_unknown_encoding": "{tmp}/s.xml: malformed XML: unknown encoding: utf-9",
     "xml_of_another_slide": "{tmp}/other.xml annotates slide 'other', not 's'",
     "xml_non_finite_coordinate": "{tmp}/s.xml: annotation 'a' has a non-finite coordinate",
+    "xml_huge_coordinate": "{tmp}/s.xml: annotation 'a' has a coordinate of magnitude >= 2**53",
     "xml_two_vertices": "{tmp}/s.xml: annotation 'a' has fewer than 3 vertices",
     "xml_duplicate_name": "{tmp}/s.xml: duplicate annotation name 'a'",
     "report_not_json": (

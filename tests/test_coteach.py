@@ -82,7 +82,7 @@ def test_hand_gradient_step():
     feats = np.ones((1, 1, 1))
     batch = PixelBatch("one", feats, np.ones((1, 1), dtype=bool))
     cfg = CoteachConfig(eta=1.0, tau=0.0)
-    wf, wg = coteach_step(np.zeros(1), np.zeros(1), batch, 0, cfg, use_drop=False, use_agreement=False)
+    wf, wg = coteach_step(np.zeros(1), np.zeros(1), batch, 0, cfg)
     assert wf[0] == 0.5
     assert wg[0] == 0.5
 
@@ -149,7 +149,7 @@ def test_no_drop_no_agreement_equals_plain_logistic(rng):
     wf, wg = w0.copy(), w0.copy()
     cfg = CoteachConfig(eta=0.7, tau=0.0)
     for _ in range(100):
-        wf, wg = coteach_step(wf, wg, batch, 0, cfg, use_drop=False, use_agreement=False)
+        wf, wg = coteach_step(wf, wg, batch, 0, cfg)
     want = logistic_gd_oracle(X, y, w0, 0.7, 100)
     assert np.max(np.abs(wf - want)) <= 1e-12
     assert np.max(np.abs(wg - want)) <= 1e-12
@@ -162,7 +162,7 @@ def test_drop_keeps_smallest_peer_losses(rng):
     wf = rng.normal(0, 0.5, FEATURE_DIM)
     wg = rng.normal(0, 0.5, FEATURE_DIM)
     cfg = CoteachConfig(eta=1e-9, tau=0.75, ramp_epochs=1)
-    wf2, _ = coteach_step(wf.copy(), wg.copy(), batch, 1, cfg, use_agreement=False)
+    wf2, _ = coteach_step(wf.copy(), wg.copy(), batch, 1, cfg)
     # reconstruct: f's update should use the 4 smallest peer (g) losses
     losses_g = pixel_losses(wg, X, y)
     kept = np.argsort(losses_g, kind="stable")[: 16 - 12]
@@ -192,7 +192,7 @@ def test_train_deterministic(rng):
 def test_train_single_shares_init_with_f(rng):
     batches = [_batch(rng, name=f"b{i}") for i in range(3)]
     cfg = CoteachConfig(eta=0.5, t_max=5, n_max=3, tau=0.0, seed=3)
-    sf, _, history_f = train(batches, cfg, use_drop=False, use_agreement=False)
+    sf, _, history_f = train(batches, cfg)
     single, history = train_single(batches, cfg)
     # same init, same batch order, no selection: f and the single learner take identical steps
     assert sf.w.tobytes() == single.w.tobytes()
@@ -249,9 +249,7 @@ def test_divergence_detected(rng):
             np.full(FEATURE_DIM, np.inf),
             batch,
             0,
-            CoteachConfig(),
-            use_drop=False,
-            use_agreement=False,
+            CoteachConfig(tau=0.0),
         )
 
 
@@ -293,13 +291,13 @@ def test_coteach_beats_single_on_one_seed():
 def test_batch_loss_decreases_under_training(rng):
     batch = _batch(rng, 16, 16)
     cfg = CoteachConfig(eta=1.0, t_max=20, tau=0.0, seed=0)
-    sf, _, history = train([batch], cfg, use_drop=False, use_agreement=False)
+    sf, _, history = train([batch], cfg)
     assert history[-1]["loss_f"] < history[0]["loss_f"]
     assert batch_loss(sf.w, batch) == pytest.approx(history[-1]["loss_f"])
 
 
 # the co-teaching bytes; a change here must be deliberate and declared
-_PINNED_COTEACH_SHA256 = "6cd4f1c8162611ee9187f50a32eda5d1bd16610d3532f96ed8ff693923f54abe"
+_PINNED_COTEACH_SHA256 = "8f94f5a79b704a52644f28a1a3823d5956d9f0e520e3a9e3c4ebd23ca668f00d"
 
 
 def test_coteach_outputs_digest_is_pinned(tmp_path):
@@ -308,7 +306,7 @@ def test_coteach_outputs_digest_is_pinned(tmp_path):
     for name in ("summary.json", "history.csv"):
         h.update((tmp_path / name).read_bytes())
     train_set, _, _ = make_noise_benchmark(5)
-    _, _, history = train(train_set, replace(NOISE_BENCHMARK_CONFIG, seed=5), use_agreement=True)
+    _, _, history = train(train_set, replace(NOISE_BENCHMARK_CONFIG, seed=5))
     h.update(repr(history).encode())
     assert h.hexdigest() == _PINNED_COTEACH_SHA256
 
@@ -320,9 +318,8 @@ def test_sigmoid_matches_reference_bit_for_bit(rng):
         assert _sigmoid(z).tobytes() == sigmoid_reference(z).tobytes()
 
 
-@pytest.mark.parametrize("use_agreement", [False, True])
 @pytest.mark.parametrize("rate", [0.0, 0.05, 0.3, 0.9])
-def test_select_matches_stable_reference_on_ties(rng, use_agreement, rate):
+def test_select_matches_stable_reference_on_ties(rng, rate):
     batch = _tied_batch(rng)
     X, y = batch.flat()
     for _ in range(20):
@@ -330,8 +327,8 @@ def test_select_matches_stable_reference_on_ties(rng, use_agreement, rate):
         z = X @ peer
         losses = pixel_losses(peer, X, y)
         assert len(np.unique(losses)) < len(losses)  # ties, so the stable fallback runs
-        got = _select(z, y, rate, use_agreement)
-        want = select_reference(peer, X, y, rate, use_agreement)
+        got = _select(z, y, rate)
+        want = select_reference(peer, X, y, rate)
         assert (got is None) == (want is None)
         if got is not None:
             assert got.dtype == want.dtype
@@ -344,46 +341,27 @@ def test_select_orders_nan_losses_as_the_stable_sort(rng):
     X = X.copy()
     X[[3, 9, 40]] = np.nan
     peer = rng.normal(0.0, 1.0, FEATURE_DIM)
-    got = _select(X @ peer, y, 0.1, False)
-    assert np.array_equal(got, select_reference(peer, X, y, 0.1, False))
+    got = _select(X @ peer, y, 0.1)
+    assert np.array_equal(got, select_reference(peer, X, y, 0.1))
 
 
-@pytest.mark.parametrize("use_agreement", [False, True])
-@pytest.mark.parametrize("use_drop", [False, True])
+@pytest.mark.parametrize("tau", [0.0, 0.4])
 @pytest.mark.parametrize("tied", [False, True])
-def test_step_matches_reference_bit_for_bit(rng, use_drop, use_agreement, tied):
+def test_step_matches_reference_bit_for_bit(rng, tau, tied):
     batches = [_tied_batch(rng, name=f"t{i}") if tied else _batch(rng, name=f"b{i}")
                for i in range(3)]
-    cfg = CoteachConfig(eta=2.0, tau=0.4, ramp_epochs=4)
+    cfg = CoteachConfig(eta=2.0, tau=tau, ramp_epochs=4)
     wf = rng.normal(0.0, 0.5, FEATURE_DIM)
     wg = rng.normal(0.0, 0.5, FEATURE_DIM)
     ref_f, ref_g = wf.copy(), wg.copy()
     for step in range(30):
         batch = batches[step % 3]
         X, y = batch.flat()
-        wf, wg, info = _step_full(wf, wg, X, y, step // 3, cfg, use_drop, use_agreement)
-        ref_f, ref_g, ref_info = step_reference(ref_f, ref_g, batch, step // 3, cfg,
-                                                use_drop, use_agreement)
+        wf, wg, info = _step_full(wf, wg, X, y, step // 3, cfg)
+        ref_f, ref_g, ref_info = step_reference(ref_f, ref_g, batch, step // 3, cfg)
         assert wf.tobytes() == ref_f.tobytes()
         assert wg.tobytes() == ref_g.tobytes()
         assert info == ref_info
-
-
-def test_step_with_no_agreeing_pixels_matches_reference(rng):
-    feats = _batch(rng).features
-    batch = PixelBatch("all_tumor", feats, np.ones(feats.shape[:2], dtype=bool))
-    X, y = batch.flat()
-    cfg = CoteachConfig(eta=1.0, tau=0.3, ramp_epochs=2)
-    wf = rng.normal(0.0, 0.1, FEATURE_DIM)
-    wg = np.zeros(FEATURE_DIM)
-    wg[0] = -50.0  # g calls every pixel background, so f gets no candidates
-    got = _step_full(wf, wg, X, y, 1, cfg, True, True)
-    want = step_reference(wf, wg, batch, 1, cfg, True, True)
-    assert got[2]["n_selected_f"] == 0
-    assert np.array_equal(got[0], wf)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
-    assert got[2] == want[2]
 
 
 def test_train_runs_one_step_call_per_step(rng, monkeypatch):

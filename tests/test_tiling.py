@@ -360,6 +360,16 @@ def test_read_manifest_rejects_string_field(tmp_path):
         read_manifest(path)
 
 
+def test_read_manifest_names_the_line_of_a_record_that_breaks_an_invariant(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    emit_manifest([TileRecord("s", 0, 0, 0, 4, 0, 16, LABEL_NEGATIVE)], path)
+    good = path.read_text()
+    path.write_text(good + good.replace('"total_pixels": 16', '"total_pixels": 15'))
+    with pytest.raises(FormatError) as info:
+        read_manifest(path)
+    assert str(info.value) == f"{path}:2: tile at (0,0): total_pixels 15 != size^2"
+
+
 @pytest.mark.parametrize("data, message", [
     (b'{"slide_id": "s",\n', "malformed tile record"),
     (b"[1]\n", "tile record is not a JSON object"),
