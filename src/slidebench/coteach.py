@@ -12,8 +12,9 @@ logistic regression.
 Selection contract: a learner's update keeps the first ``n - floor(R * n)``
 of its batch's ``n`` pixels in ascending order of the peer's loss, ties
 broken by pixel index, and sums their gradient terms in that order. Each
-learner's scores ``X @ w`` are computed once per step and serve both its
-peer's selection and its own gradient.
+learner's scores ``X @ w`` and per-pixel losses are computed once per step:
+the scores serve its own gradient, the losses its peer's selection and the
+training history, which logs each step's pre-update batch loss.
 """
 from __future__ import annotations
 
@@ -81,6 +82,8 @@ class PixelBatch:
                 f"batch {self.name}: labels {self.labels.shape} ({self.labels.dtype}) "
                 f"do not match features {self.features.shape[:2]}"
             )
+        if self.labels.size == 0:
+            raise ValidationError(f"batch {self.name}: no pixels")
 
     __post_init__ = validate
 
@@ -161,17 +164,8 @@ def pseudo_label(state: LearnerState, batch: PixelBatch) -> BinaryMask:
 
 
 def _losses(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-pixel logistic cross-entropy log(1+e^z) - y*z at the scores ``z``."""
     return np.logaddexp(0.0, z) - y * z
-
-
-def pixel_losses(w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-pixel logistic cross-entropy log(1+e^z) - y*z."""
-    return _losses(X @ w, y)
-
-
-def _mean_loss(w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-    losses = pixel_losses(w, X, y)
-    return float(losses.sum() / losses.size)  # the bits of np.mean, without its wrapper
 
 
 def _gradient(X: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -179,17 +173,16 @@ def _gradient(X: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return X.T @ (_sigmoid(z) - y) / len(y)
 
 
-def _select(z_peer: np.ndarray, y: np.ndarray, rate: float) -> np.ndarray | None:
-    """Indices kept for one learner's update, chosen by its peer's scores ``z_peer``.
+def _select(losses: np.ndarray, rate: float) -> np.ndarray | None:
+    """Indices kept for one learner's update, chosen by its peer's per-pixel ``losses``.
 
     Returns None when the whole batch is kept, which lets the caller take the
     plain full-batch gradient path (bit-identical to ordinary logistic
     regression). At least one pixel is kept, since ``rate <= tau < 1``.
     """
-    n_keep = len(y) - math.floor(rate * len(y))
-    if n_keep == len(y):
+    n_keep = len(losses) - math.floor(rate * len(losses))
+    if n_keep == len(losses):
         return None
-    losses = _losses(z_peer, y)
     order = np.argsort(losses)
     ranked = losses[order]
     # strictly increasing sorted losses have one order, so any sort gives the
@@ -257,12 +250,15 @@ def _step_full(
     epoch: int,
     cfg: CoteachConfig,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """One step on a validated, flattened batch; each learner's scores serve both roles."""
+    """One step on a validated, flattened batch; each learner's scores and losses serve
+    both roles. ``info`` holds each learner's pre-update batch loss."""
     rate = drop_rate(cfg, epoch)
     zf = X @ wf
     zg = X @ wg
-    sel_f = _select(zg, y, rate)  # g picks pixels for f
-    sel_g = _select(zf, y, rate)  # f picks pixels for g
+    lf = _losses(zf, y)
+    lg = _losses(zg, y)
+    sel_f = _select(lg, rate)  # g picks pixels for f
+    sel_g = _select(lf, rate)  # f picks pixels for g
     wf2, n_f = _update(wf, sel_f, X, zf, y, cfg.eta)
     wg2, n_g = _update(wg, sel_g, X, zg, y, cfg.eta)
     if not (np.isfinite(wf2).all() and np.isfinite(wg2).all()):
@@ -272,6 +268,8 @@ def _step_full(
         "selected_fraction": n_f / len(y),
         "n_selected_f": n_f,
         "n_selected_g": n_g,
+        "loss_f": float(lf.sum() / lf.size),  # the bits of np.mean, without its wrapper
+        "loss_g": float(lg.sum() / lg.size),
     }
     return wf2, wg2, info
 
@@ -281,42 +279,30 @@ def train(dataset: list[PixelBatch],
     """Run the full co-teaching loop: shuffled epochs of simultaneous steps.
 
     Returns both learner states and one history row per epoch with the mean
-    post-step batch losses, the drop rate, and the mean selected fraction.
+    over its steps of each step's pre-update batch loss (the losses that the
+    step's selection ranks), the drop rate, and the mean selected fraction.
     """
     (wf, wg), epochs = _schedule(dataset, cfg, "train")
     history: list[dict] = []
     for epoch, steps in epochs:
-        losses_f, losses_g, fracs = [], [], []
-        rate = 0.0
+        infos = []
         for X, y in steps:
             wf, wg, info = _step_full(wf, wg, X, y, epoch, cfg)
-            losses_f.append(_mean_loss(wf, X, y))
-            losses_g.append(_mean_loss(wg, X, y))
-            fracs.append(info["selected_fraction"])
-            rate = info["drop_rate"]
-        history.append(
-            {
-                "epoch": epoch,
-                "loss_f": float(np.mean(losses_f)),
-                "loss_g": float(np.mean(losses_g)),
-                "drop_rate": rate,
-                "selected_fraction": float(np.mean(fracs)),
-            }
-        )
+            infos.append(info)
+        row = {k: float(np.mean([i[k] for i in infos])) for k in HISTORY_FIELDS[1:]}
+        row["drop_rate"] = drop_rate(cfg, epoch)  # every step of the epoch has it: not averaged
+        history.append({"epoch": epoch, **row})
     return LearnerState(wf), LearnerState(wg), history
 
 
-def train_single(dataset: list[PixelBatch], cfg: CoteachConfig) -> tuple[LearnerState, list[dict]]:
-    """Plain logistic-regression baseline with the same schedule and init as f."""
+def train_single(dataset: list[PixelBatch], cfg: CoteachConfig) -> LearnerState:
+    """Plain logistic-regression baseline with the same schedule and init as f; returns
+    the trained learner and keeps no history."""
     (w, _), epochs = _schedule(dataset, cfg, "train_single")
-    history: list[dict] = []
-    for epoch, steps in epochs:
-        losses = []
+    for _, steps in epochs:
         for X, y in steps:
             w, _ = _update(w, None, X, X @ w, y, cfg.eta)
-            losses.append(_mean_loss(w, X, y))
-        history.append({"epoch": epoch, "loss": float(np.mean(losses))})
-    return LearnerState(w), history
+    return LearnerState(w)
 
 
 def write_history(history: list[dict], path: str | Path) -> None:
@@ -420,7 +406,7 @@ def noise_benchmark(seed: int, cfg: CoteachConfig | None = None) -> dict:
         cfg = replace(NOISE_BENCHMARK_CONFIG, seed=seed)
     train_set, test_set, clean_labels = make_noise_benchmark(seed)
     sf, _, history = train(train_set, cfg)
-    single, _ = train_single(train_set, cfg)
+    single = train_single(train_set, cfg)
     return {
         "seed": seed,
         "coteach_accuracy": clean_accuracy(sf, test_set, clean_labels),

@@ -214,4 +214,13 @@ def read_truth_table(path: str | Path) -> list[dict]:
 
 
 def read_subtypes(path: str | Path) -> dict[str, str]:
-    return {row["slide_id"]: row["subtype"] for row in _read_csv(path, ("slide_id", "subtype"))}
+    out: dict[str, str] = {}
+    for n, row in enumerate(_read_csv(path, ("slide_id", "subtype")), 1):
+        slide, subtype = row["slide_id"], row["subtype"]
+        if subtype not in SUBTYPES:
+            raise FormatError(f"{path}: row {n} field 'subtype' is {subtype!r}, "
+                              f"expected one of {', '.join(SUBTYPES)}")
+        if slide in out:
+            raise FormatError(f"{path}: row {n} repeats slide_id {slide!r}")
+        out[slide] = subtype
+    return out

@@ -49,7 +49,7 @@ from itertools import groupby
 import numpy as np
 import scipy.stats
 
-from slidebench.coteach import CoteachConfig, PixelBatch, _gradient, drop_rate, pixel_losses
+from slidebench.coteach import CoteachConfig, PixelBatch, _gradient, drop_rate
 from slidebench.errors import MODE_APPROX, MODE_AUTO, MODE_EXACT, MODES, NoInformationError
 from slidebench.errors import DivergenceError, GeometryError, ValidationError
 from slidebench.netpbm import row_writer
@@ -469,6 +469,12 @@ def sigmoid_reference(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def loss_reference(w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-pixel logistic cross-entropy log(1 + e^z) - y z at the scores z = X w."""
+    z = X @ w
+    return np.logaddexp(0.0, z) - y * z
+
+
 def _gradient_reference(w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return X.T @ (sigmoid_reference(X @ w) - y) / len(y)
 
@@ -485,12 +491,10 @@ def select_reference(
     plain full-batch gradient path (bit-identical to ordinary logistic
     regression).
     """
-    z_peer = X @ peer_w
     n_keep = len(y) - math.floor(rate * len(y))
     if n_keep == len(y):
         return None
-    losses = np.logaddexp(0.0, z_peer) - y * z_peer
-    return np.argsort(losses, kind="stable")[:n_keep]
+    return np.argsort(loss_reference(peer_w, X, y), kind="stable")[:n_keep]
 
 
 def _update_reference(
@@ -526,6 +530,8 @@ def step_reference(
         "selected_fraction": n_f / len(y),
         "n_selected_f": n_f,
         "n_selected_g": n_g,
+        "loss_f": float(np.mean(loss_reference(wf, X, y))),  # pre-update, as selection ranks
+        "loss_g": float(np.mean(loss_reference(wg, X, y))),
     }
     return wf2, wg2, info
 
@@ -638,7 +644,7 @@ def traced_peak(fn):
 def batch_loss(w: np.ndarray, batch: PixelBatch) -> float:
     """Mean logistic loss of one batch at weights ``w``."""
     X, y = batch.flat()
-    return float(np.mean(pixel_losses(w, X, y)))
+    return float(np.mean(loss_reference(w, X, y)))
 
 
 def gradient_check(w: np.ndarray, batch: PixelBatch, step: float = 1e-5) -> float:
@@ -648,7 +654,7 @@ def gradient_check(w: np.ndarray, batch: PixelBatch, step: float = 1e-5) -> floa
     analytic = _gradient(X, X @ w, y)
 
     def loss_at(v: np.ndarray) -> float:
-        return float(np.mean(pixel_losses(v, X, y)))
+        return float(np.mean(loss_reference(v, X, y)))
 
     worst = 0.0
     for k in range(len(w)):

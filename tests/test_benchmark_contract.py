@@ -34,7 +34,7 @@ tracer = _load("tracer")
 workloads = _load("workloads")
 
 
-@pytest.mark.parametrize("name", ["large_slide", "scoring"])
+@pytest.mark.parametrize("name", ["large_slide", "scoring", "noisy_labels"])
 def test_tiny_workload_passes_under_the_tracer(tmp_path, name):
     wl = workloads.WORKLOADS[name](tmp_path, 11, True)
     tr = tracer.Tracer(tmp_path / "spans")

@@ -666,6 +666,8 @@ MALFORMED_INPUTS = {
     "subtypes_not_utf8": _subtypes_case(b"slide_id,subtype\ns,\xff\xfe\n"),
     "subtypes_short_row": _subtypes_case("slide_id,subtype\ns\n"),
     "subtypes_empty": _subtypes_case(""),
+    "subtypes_unknown_subtype": _subtypes_case("slide_id,subtype\ns,XYZ\n"),
+    "subtypes_repeated_slide": _subtypes_case("slide_id,subtype\ns,SCC\ns,ADC\n"),
     "prediction_level_too_coarse": _prediction_level_case(4),
     "prediction_level_far_too_coarse": _prediction_level_case(9),
     "two_masks_of_one_slide": _duplicate_slide_case,
@@ -791,6 +793,10 @@ ERROR_LINES = {
         "19: invalid start byte"),
     "subtypes_short_row": "{tmp}/subtypes.csv: row 1 has fewer than 2 fields",
     "subtypes_empty": "{tmp}/subtypes.csv: missing column(s) slide_id, subtype",
+    "subtypes_unknown_subtype": (
+        "{tmp}/subtypes.csv: row 1 field 'subtype' is 'XYZ', expected one of SCC, SCLC, ADC, "
+        "Unknown"),
+    "subtypes_repeated_slide": "{tmp}/subtypes.csv: row 2 repeats slide_id 's'",
     "prediction_level_too_coarse": (
         "s: prediction is 16x16 at level 4, but the 16x16 level-0 ground truth is 1x1 there"),
     "prediction_level_far_too_coarse": (

@@ -126,6 +126,12 @@ def test_invalid_objects_cannot_be_built(kind):
             build()
 
 
+def test_a_pixel_batch_without_pixels_is_rejected_by_name():
+    # with no pixels the trainers would divide by zero and blame the step size
+    with pytest.raises(ValidationError, match="batch e: no pixels"):
+        PixelBatch("e", np.zeros((0, 4, 6)), np.zeros((0, 4), dtype=bool))
+
+
 @pytest.mark.parametrize("config", [SynthConfig(), CorruptionSpec(), TilingConfig(),
                                     CoteachConfig()], ids=lambda c: type(c).__name__)
 def test_checked_configs_cannot_change(config):
