@@ -47,6 +47,19 @@ tiles() {  # the Otsu filter and a stride below the tile size, which the pipelin
 coteach() {  # the noisy-label benchmark, which has no worker count
   $RUN coteach --out "$OUT" --seeds 3
 }
+flags() {  # slides without lesions, whose flagged scores go through write_report and read_report
+  local team
+  $RUN synth --out "$OUT/c" --seed "$SEED" --workers "$2" --slides 3 --size 256 --levels 1 \
+    --lesions 0 1 --radius 8 20
+  mkdir "$OUT/reports"
+  for team in exact flip2 flip5; do
+    $RUN eval --truth "$OUT/c/truth" --pred "$OUT/c/predictions/$team" --team "$team" \
+      --subtypes "$OUT/c/subtypes.csv" --workers "$2" --out "$OUT/reports/$team.json"
+  done
+  $RUN leaderboard --reports "$OUT/reports" --format text
+  $RUN compare --reports "$OUT/reports" \
+    --groups "exact=MultiModel,flip2=SingleModel,flip5=SingleModel" --out "$OUT/comparison.json"
+}
 vote() {  # the majority vote of the three teams' predictions
   $RUN ensemble --mode vote --out "$OUT/vote.pgm" \
     --inputs "$TREE"/predictions/{exact,flip2,flip5}/slide_000.pgm
@@ -64,7 +77,7 @@ run() {  # run CASE RUN: CASE at RUN's checkout and workers; its tree and stdout
 }
 
 status=0
-for name in pipeline synth1100 synth2048 tissue tiles coteach vote; do
+for name in pipeline synth1100 synth2048 tissue tiles coteach vote flags; do
   for run in rev-w1 rev-w2 tree-w1 tree-w2; do
     run "$name" "$run" || { status=1; continue; }
     [[ $run == rev-w1 ]] && continue

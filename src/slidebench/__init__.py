@@ -27,10 +27,9 @@ _EXPORTS = {
         level_dimensions parse_annotations read_pyramid serialize_annotations write_pyramid""",
     "masks": "BinaryMask luma otsu_threshold rasterize read_mask refine_labels tissue_mask write_mask",
     "tiling": "TileRecord TilingConfig emit_manifest extract_tiles read_manifest rebalance_mix",
-    "reports": """ConfusionCounts SlideScore TeamReport aggregate read_report read_subtypes
-        read_truth_table""",
-    "metrics": """confusion dice evaluate_team report_aggregates score_slide write_report
-        write_scores_csv""",
+    "reports": """ConfusionCounts SlideScore TeamReport aggregate dice read_report read_subtypes
+        read_truth_table report_aggregates score_slide write_report write_scores_csv""",
+    "metrics": "confusion evaluate_team",
     "stats": "PairedSample SignedRankResult wilcoxon_signed_rank",
     "leaderboard": "LeaderboardEntry group_compare rank_teams render_leaderboard",
     "ensemble": """ProbabilityMap binarize fuse_mean fuse_vote read_probability_map

@@ -127,9 +127,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     pred = _load_mask_dir(args.pred)
     subtypes = reports.read_subtypes(args.subtypes) if args.subtypes else None
     report = metrics.evaluate_team(args.team, gt, pred, subtypes=subtypes, workers=args.workers)
-    metrics.write_report(report, args.out)
+    reports.write_report(report, args.out)
     if args.csv:
-        metrics.write_scores_csv(report, args.csv)
+        reports.write_scores_csv(report, args.csv)
     return 0
 
 
@@ -152,14 +152,13 @@ def cmd_coteach(args: argparse.Namespace) -> int:
 
     if args.seeds < 1:
         raise ValidationError(f"--seeds must be >= 1, got {args.seeds}")
+    base = coteach.parse_config(args.config) if args.config else coteach.NOISE_BENCHMARK_CONFIG
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    base = coteach.parse_config(args.config) if args.config else coteach.NOISE_BENCHMARK_CONFIG
     results = [coteach.noise_benchmark(seed, replace(base, seed=seed))
                for seed in range(args.seeds)]
-    train_set, _, _ = coteach.make_noise_benchmark(0)
-    _, _, history = coteach.train(train_set, base)
-    coteach.write_history(history, out / "history.csv")
+    histories = [r.pop("history") for r in results]
+    coteach.write_history(histories[0], out / "history.csv")
     wins = sum(r["coteach_accuracy"] >= r["single_accuracy"] for r in results)
     summary = {"runs": results, "coteach_at_least_single": wins, "seeds": args.seeds}
     (out / "summary.json").write_text(format_json(summary))

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, GeometryError, ValidationError, format_csv, naming
+from .errors import read_text
 from .ensemble import ProbabilityMap
 from .masks import ROLE_PREDICTION, BinaryMask, luma
 
@@ -315,10 +316,7 @@ def parse_config(path: str | Path) -> CoteachConfig:
     """Read a flat key=value config file (# starts a comment)."""
     kwargs: dict = {}
     casts = {f.name: type(f.default) for f in fields(CoteachConfig)}
-    try:
-        lines = Path(path).read_text().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
+    lines = read_text(path, "config", error=ConfigError).splitlines()
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -400,7 +398,7 @@ def noise_benchmark(seed: int, cfg: CoteachConfig | None = None) -> dict:
 
     Both share the schedule and f's init; co-teaching drops each step's
     highest-peer-loss pixels at the ramped rate R(T), the single learner keeps
-    every pixel, as co-teaching itself does with tau = 0.
+    every pixel, as co-teaching itself does with tau = 0. ``history`` is co-teaching's.
     """
     if cfg is None:
         cfg = replace(NOISE_BENCHMARK_CONFIG, seed=seed)
@@ -413,4 +411,5 @@ def noise_benchmark(seed: int, cfg: CoteachConfig | None = None) -> dict:
         "single_accuracy": clean_accuracy(single, test_set, clean_labels),
         "final_loss_f": history[-1]["loss_f"],
         "final_drop_rate": history[-1]["drop_rate"],
+        "history": history,
     }

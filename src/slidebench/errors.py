@@ -1,6 +1,6 @@
-"""Exception types shared across the toolkit, the typed-field check of its JSON
-readers and the file prefix of its readers' errors, the one JSON and one CSV
-dialect of its writers, and the option values the CLI offers.
+"""Exception types shared across the toolkit, the one text read of its JSON and
+text readers, their typed-field check and the file prefix of their errors, the
+one JSON and one CSV dialect of its writers, and the option values the CLI offers.
 
 The option values live here, beside the exceptions, so that the CLI parser
 (``--help``, ``--version``) runs without numpy. ``masks``, ``tiling``,
@@ -61,6 +61,18 @@ class ConfigError(SlidebenchError):
 
 class DegeneratePolygonWarning(UserWarning):
     """A polygon had zero area after scaling and contributed no pixels."""
+
+
+def read_text(path, what: str, parse=None, error=FormatError):
+    """The UTF-8 text of ``path``, through ``parse`` if given (``json.loads``, say). A
+    ValueError of either (a bad byte, malformed JSON) is raised as ``error``: ``{path}:
+    cannot read {what}: {exc}``. An OSError passes through."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        return parse(text) if parse else text
+    except ValueError as exc:
+        raise error(f"{path}: cannot read {what}: {exc}") from exc
 
 
 def typed_field(record, key: str, kind, where: str):

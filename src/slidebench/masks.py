@@ -33,7 +33,7 @@ import numpy as np
 from . import netpbm, parallel
 from .errors import METHOD_GRAY200, METHOD_OTSU, TISSUE_METHODS
 from .errors import DegenerateHistogramError, DegeneratePolygonWarning, FormatError, GeometryError
-from .errors import ValidationError, format_json, naming, typed_field
+from .errors import ValidationError, format_json, naming, read_text, typed_field
 from .slide_io import AnnotationSet, SlidePyramid
 
 ROLE_GROUND_TRUTH = "GroundTruth"
@@ -347,10 +347,7 @@ def read_pgm_sidecar(path: str | Path, kind: str) -> tuple[np.ndarray, dict, str
     sidecar_path = path.with_suffix(".json")
     if not sidecar_path.exists():
         raise FormatError(f"{path}: missing sidecar {sidecar_path}")
-    try:
-        meta = json.loads(sidecar_path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{sidecar_path}: malformed {kind} sidecar: {exc}") from exc
+    meta = read_text(sidecar_path, f"{kind} sidecar", json.loads)
     where = f"{sidecar_path}: {kind} sidecar"
     typed_field(meta, "slide_id", str, where)
     typed_field(meta, "level", int, where)

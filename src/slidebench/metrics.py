@@ -1,31 +1,24 @@
-"""Segmentation scoring: confusion counts, Dice, accuracy, FNR, FPR.
+"""Segmentation scoring with numpy: exact pixel confusion counts, slide by slide.
 
-The report types, ``aggregate`` and ``read_report`` come from the numpy-free
-``reports``. All counting is exact 64-bit integer arithmetic up to the final
-division. ``confusion`` is one in-process tally; ``evaluate_team``
-parallelizes over slides, one slide per chunk, and keeps sorted slide order,
-so reports are identical for any worker count. Elsewhere, synthesis
-parallelizes per slide, and tiling sums its Otsu histogram over one row slice
-per pool process, then counts tissue and tumor pixels per row band.
+``confusion`` is one in-process tally in exact 64-bit integer arithmetic.
+``evaluate_team`` parallelizes over slides, one slide per chunk, and keeps
+sorted slide order, so reports are identical for any worker count. What a
+slide's score is, given its counts, is decided by the numpy-free ``reports``.
 """
 from __future__ import annotations
 
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
 from . import parallel
-from .errors import GeometryError, ValidationError, format_csv, format_json
+from .errors import GeometryError, ValidationError
 from .masks import BinaryMask, _row_blocks
-from .reports import COUNT_FIELDS, METRIC_FIELDS, SUBTYPE_UNKNOWN, AggregateScore, ConfusionCounts
-from .reports import SlideScore, TeamReport, aggregate, read_report
+from .reports import SUBTYPE_UNKNOWN, ConfusionCounts, SlideScore, TeamReport, score_slide
 from .slide_io import level_dimensions
 
-FLAG_EMPTY_PAIR = "empty_pair"
-FLAG_UNDEFINED_FNR = "undefined_fnr"
-FLAG_UNDEFINED_FPR = "undefined_fpr"
-FLAG_EMPTY_REGION = "empty_region"
+# perfbench/tracer.py's LAYERS finds the report writer as slidebench.metrics.write_report
+from .reports import write_report  # noqa: F401
 
 
 def confusion(gt: BinaryMask, pred: BinaryMask) -> ConfusionCounts:
@@ -63,40 +56,6 @@ def confusion(gt: BinaryMask, pred: BinaryMask) -> ConfusionCounts:
     return ConfusionCounts(tp, fp, fn, gt.data.size - tp - fp - fn)
 
 
-def dice(c: ConfusionCounts) -> float:
-    """2*tp / (2*tp + fp + fn); an empty pair scores 1.0 (see score flags)."""
-    denom = 2 * c.tp + c.fp + c.fn
-    if denom == 0:
-        return 1.0
-    return 2 * c.tp / denom
-
-
-def accuracy_fnr_fpr(c: ConfusionCounts) -> tuple[float, float, float]:
-    """(accuracy, fnr, fpr) with zero-denominator rates falling back to 0."""
-    accuracy = (c.tp + c.tn) / c.total if c.total > 0 else 0.0
-    fnr = c.fn / (c.fn + c.tp) if c.fn + c.tp > 0 else 0.0
-    fpr = c.fp / (c.fp + c.tn) if c.fp + c.tn > 0 else 0.0
-    return accuracy, fnr, fpr
-
-
-def score_flags(c: ConfusionCounts) -> tuple[str, ...]:
-    flags = []
-    if c.total == 0:
-        flags.append(FLAG_EMPTY_REGION)
-    if c.empty_pair:
-        flags.append(FLAG_EMPTY_PAIR)
-    if c.fn + c.tp == 0:
-        flags.append(FLAG_UNDEFINED_FNR)
-    if c.fp + c.tn == 0:
-        flags.append(FLAG_UNDEFINED_FPR)
-    return tuple(flags)
-
-
-def score_slide(slide_id: str, c: ConfusionCounts, subtype: str = SUBTYPE_UNKNOWN) -> SlideScore:
-    accuracy, fnr, fpr = accuracy_fnr_fpr(c)
-    return SlideScore(slide_id, dice(c), accuracy, fnr, fpr, subtype, score_flags(c), c)
-
-
 def _score_slide(gt: dict, pred: dict, subtypes: dict[str, str], slide_id: str) -> SlideScore:
     counts = confusion(gt[slide_id], pred[slide_id])
     return score_slide(slide_id, counts, subtypes.get(slide_id, SUBTYPE_UNKNOWN))
@@ -121,32 +80,3 @@ def evaluate_team(
     score = partial(_score_slide, gt, pred, subtypes or {})
     scores = parallel.run_chunks(score, sorted(gt), workers=workers)
     return TeamReport(team, scores)
-
-
-def report_aggregates(report: TeamReport) -> list[AggregateScore]:
-    """Overall Dice aggregate followed by per-subtype rows."""
-    aggs = aggregate(report.scores)
-    if any(s.subtype != SUBTYPE_UNKNOWN for s in report.scores):
-        aggs += aggregate(report.scores, "subtype")
-    return aggs
-
-
-def write_report(report: TeamReport, path: str | Path) -> None:
-    """Serialize a team report as JSON (scores, counts, Dice aggregates)."""
-    scores = []
-    for s in report.scores:
-        score = {"slide_id": s.slide_id, "subtype": s.subtype}
-        score.update((k, getattr(s, k)) for k in METRIC_FIELDS)
-        score["flags"] = list(s.flags)
-        if s.counts is not None:
-            score.update((k, getattr(s.counts, k)) for k in COUNT_FIELDS)
-        scores.append(score)
-    aggregates = [vars(a) for a in report_aggregates(report)]
-    payload = {"team": report.team, "scores": scores, "aggregates": aggregates}
-    Path(path).write_text(format_json(payload))
-
-
-def write_scores_csv(report: TeamReport, path: str | Path) -> None:
-    rows = ((s.slide_id, s.subtype, *(f"{getattr(s, k):.6f}" for k in METRIC_FIELDS))
-            for s in report.scores)
-    Path(path).write_text(format_csv(("slide_id", "subtype", *METRIC_FIELDS), rows))

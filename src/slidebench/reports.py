@@ -1,9 +1,8 @@
-"""Team reports, the report reader, Dice aggregates and the subtype and truth-table CSV
-readers, in plain Python.
-
-No numpy, so ``compare`` and ``leaderboard`` start without it; the mean and
-population std still equal numpy's float64 ``np.mean`` and ``np.std`` bit for bit.
-"""
+"""Team reports in plain Python: the score types, the rule that gives a slide's Dice,
+accuracy, FNR, FPR and flags from its confusion counts (a counted score must match it to
+the bit), the report writer and reader, Dice aggregates and the subtype and truth-table CSV
+readers. No numpy, so ``compare`` and ``leaderboard`` start without it; its mean and
+population std equal numpy's float64 ``np.mean`` and ``np.std`` bit for bit."""
 from __future__ import annotations
 
 import csv
@@ -15,7 +14,8 @@ from numbers import Integral
 from operator import add
 from pathlib import Path
 
-from .errors import FormatError, ValidationError, naming, typed_field
+from .errors import FormatError, ValidationError, format_csv, format_json, naming, read_text
+from .errors import typed_field
 
 SUBTYPE_UNKNOWN = "Unknown"
 SUBTYPES = ("SCC", "SCLC", "ADC", SUBTYPE_UNKNOWN)
@@ -23,6 +23,11 @@ SUBTYPES = ("SCC", "SCLC", "ADC", SUBTYPE_UNKNOWN)
 METRIC_FIELDS = ("dice", "accuracy", "fnr", "fpr")
 COUNT_FIELDS = ("tp", "fp", "fn", "tn")
 TRUTH_TABLE_COLUMNS = ("slide_id", "team", "tp", "fp", "fn", "tn")
+
+FLAG_EMPTY_PAIR = "empty_pair"
+FLAG_UNDEFINED_FNR = "undefined_fnr"
+FLAG_UNDEFINED_FPR = "undefined_fpr"
+FLAG_EMPTY_REGION = "empty_region"
 
 
 def _pairwise_sum(x: list[float]) -> float:
@@ -96,6 +101,12 @@ class SlideScore:
                 raise ValidationError(f"{self.slide_id}: {name}={v} outside [0, 1]")
         if self.subtype not in SUBTYPES:
             raise ValidationError(f"{self.slide_id}: unknown subtype {self.subtype!r}")
+        c = self.counts  # a counted score holds exactly, bit for bit, what its counts give
+        derived = () if c is None else (dice(c), *accuracy_fnr_fpr(c), score_flags(c))
+        for name, want in zip((*METRIC_FIELDS, "flags"), derived):
+            if getattr(self, name) != want:
+                raise ValidationError(f"{self.slide_id}: {name}={getattr(self, name)!r}, "
+                                      f"but its counts give {want!r}")
 
     __post_init__ = validate
 
@@ -131,6 +142,39 @@ class TeamReport:
         return _mean([getattr(s, metric) for s in self.scores])
 
 
+def dice(c: ConfusionCounts) -> float:
+    """2*tp / (2*tp + fp + fn); an empty pair scores 1.0 (see score flags)."""
+    denom = 2 * c.tp + c.fp + c.fn
+    if denom == 0:
+        return 1.0
+    return 2 * c.tp / denom
+
+
+def accuracy_fnr_fpr(c: ConfusionCounts) -> tuple[float, float, float]:
+    """(accuracy, fnr, fpr) with zero-denominator rates falling back to 0."""
+    accuracy = (c.tp + c.tn) / c.total if c.total > 0 else 0.0
+    fnr = c.fn / (c.fn + c.tp) if c.fn + c.tp > 0 else 0.0
+    fpr = c.fp / (c.fp + c.tn) if c.fp + c.tn > 0 else 0.0
+    return accuracy, fnr, fpr
+
+
+def score_flags(c: ConfusionCounts) -> tuple[str, ...]:
+    flags = []
+    if c.total == 0:
+        flags.append(FLAG_EMPTY_REGION)
+    if c.empty_pair:
+        flags.append(FLAG_EMPTY_PAIR)
+    if c.fn + c.tp == 0:
+        flags.append(FLAG_UNDEFINED_FNR)
+    if c.fp + c.tn == 0:
+        flags.append(FLAG_UNDEFINED_FPR)
+    return tuple(flags)
+
+
+def score_slide(slide_id: str, c: ConfusionCounts, subtype: str = SUBTYPE_UNKNOWN) -> SlideScore:
+    return SlideScore(slide_id, dice(c), *accuracy_fnr_fpr(c), subtype, score_flags(c), c)
+
+
 def aggregate(scores: list[SlideScore], group_by: str = "none") -> list[AggregateScore]:
     """Mean and population std of Dice per group, in lexicographic group order."""
     if not scores:
@@ -150,11 +194,37 @@ def aggregate(scores: list[SlideScore], group_by: str = "none") -> list[Aggregat
     return out
 
 
+def report_aggregates(report: TeamReport) -> list[AggregateScore]:
+    """Overall Dice aggregate followed by per-subtype rows."""
+    aggs = aggregate(report.scores)
+    if any(s.subtype != SUBTYPE_UNKNOWN for s in report.scores):
+        aggs += aggregate(report.scores, "subtype")
+    return aggs
+
+
+def write_report(report: TeamReport, path: str | Path) -> None:
+    """Serialize a team report as JSON (scores, counts, Dice aggregates)."""
+    scores = []
+    for s in report.scores:
+        score = {"slide_id": s.slide_id, "subtype": s.subtype}
+        score.update((k, getattr(s, k)) for k in METRIC_FIELDS)
+        score["flags"] = list(s.flags)
+        if s.counts is not None:
+            score.update((k, getattr(s.counts, k)) for k in COUNT_FIELDS)
+        scores.append(score)
+    aggregates = [vars(a) for a in report_aggregates(report)]
+    payload = {"team": report.team, "scores": scores, "aggregates": aggregates}
+    Path(path).write_text(format_json(payload))
+
+
+def write_scores_csv(report: TeamReport, path: str | Path) -> None:
+    rows = ((s.slide_id, s.subtype, *(f"{getattr(s, k):.6f}" for k in METRIC_FIELDS))
+            for s in report.scores)
+    Path(path).write_text(format_csv(("slide_id", "subtype", *METRIC_FIELDS), rows))
+
+
 def read_report(path: str | Path) -> TeamReport:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: malformed report: {exc}") from exc
+    payload = read_text(path, "report", json.loads)
     team = typed_field(payload, "team", str, f"{path}: report")
     scores = []
     where = f"{path}: report score"

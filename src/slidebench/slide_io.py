@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import netpbm
-from .errors import FormatError, ValidationError, format_json, naming, typed_field
+from .errors import FormatError, ValidationError, format_json, naming, read_text, typed_field
 
 COORD_DECIMALS = 6
 
@@ -150,10 +150,7 @@ def _write_levels(directory: str | Path, slide_id: str, mpp: float | None, dims:
 def read_pyramid(manifest_path: str | Path) -> SlidePyramid:
     """Load a pyramid from its manifest, checking every format invariant."""
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{manifest_path}: cannot read manifest: {exc}") from exc
+    manifest = read_text(manifest_path, "manifest", json.loads)
     where = f"{manifest_path}: manifest"
     slide_id = typed_field(manifest, "slide_id", str, where)
     mpp = typed_field(manifest, "mpp_level0", (int, float, type(None)), where)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import parallel
 from .errors import RULE_BIG_PATCH_NINE, RULE_THREECLASS, RULE_THRESHOLD75, RULES, TISSUE_METHODS
-from .errors import FormatError, GeometryError, ValidationError, naming, typed_field
+from .errors import FormatError, GeometryError, ValidationError, naming, read_text, typed_field
 from .masks import BinaryMask, _dark, _row_blocks, tissue_threshold
 from .slide_io import SlidePyramid
 
@@ -243,10 +243,7 @@ def emit_manifest(records: list[TileRecord], path: str | Path) -> None:
 
 
 def read_manifest(path: str | Path) -> list[TileRecord]:
-    try:
-        lines = Path(path).read_text().split("\n")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: cannot read tile manifest: {exc}") from exc
+    lines = read_text(path, "tile manifest").split("\n")
     records = []
     for lineno, line in enumerate(lines, 1):
         if not line.strip():

@@ -234,7 +234,7 @@ def test_criterion_06_end_to_end_challenge_reproduces_truth_table(tmp_path):
 
 
 def test_criterion_07_leaderboard_and_subtype_format():
-    from slidebench.metrics import score_slide, ConfusionCounts, TeamReport
+    from slidebench.reports import score_slide, ConfusionCounts, TeamReport
 
     t0 = time.perf_counter()
     ok = format_mean_std(0.8372, 0.0858) == "0.8372±0.0858"

@@ -8,12 +8,14 @@ import re
 import resource
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import extract_tiles_reference, write_p6
+from slidebench import coteach
 from slidebench import (
     ProbabilityMap,
     SlideScore,
@@ -305,6 +307,18 @@ def test_coteach_command_writes_artifacts(tmp_path):
     assert len(history) == 9
 
 
+def test_coteach_trains_each_seed_once_and_writes_run_0s_history(tmp_path, monkeypatch):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("eta=3.0\nt_max=8\nn_max=1\ntau=0.3\nramp_epochs=4\nseed=5\n")
+    seeds, train = [], coteach.train
+    monkeypatch.setattr(coteach, "train", lambda data, c: seeds.append(c.seed) or train(data, c))
+    assert main(["coteach", "--out", str(tmp_path / "o"), "--config", str(cfg), "--seeds", "2"]) == 0
+    assert seeds == [0, 1]
+    run0 = coteach.noise_benchmark(0, replace(coteach.parse_config(cfg), seed=0))
+    coteach.write_history(run0["history"], tmp_path / "run0.csv")
+    assert (tmp_path / "o" / "history.csv").read_bytes() == (tmp_path / "run0.csv").read_bytes()
+
+
 def test_missing_input_is_data_error(tmp_path, capsys):
     rc = main(["refine", "--gt", str(tmp_path / "no.pgm"),
                "--tissue", str(tmp_path / "no2.pgm"), "--out", str(tmp_path / "o.pgm")])
@@ -387,7 +401,7 @@ def _string_probability_level(tmp_path):
 @pytest.mark.parametrize("make_args, field", [
     (_string_mask_level, "'level' is '0', expected int"),
     (_string_manifest_width, "'width' is '128', expected int"),
-    (_binary_mask_sidecar, "malformed mask sidecar"),
+    (_binary_mask_sidecar, "cannot read mask sidecar"),
     (_binary_manifest, "cannot read manifest"),
     (_string_report_dice, "'dice' is '0.5', expected int or float"),
     (_string_probability_level, "'level' is '0', expected int"),
@@ -504,6 +518,12 @@ def _report_json(repeat=1, **fields):
     score = {"slide_id": "s", "subtype": "Unknown", "dice": 1.0, "accuracy": 1.0, "fnr": 0.0,
              "fpr": 0.0, **fields}
     return json.dumps({"team": "t", "scores": [score] * repeat})
+
+
+def _counted_report_json(**fields):
+    """A report scoring slide s with counts (3, 1, 1, 5) and what they give, but for ``fields``."""
+    return _report_json(**{"dice": 0.75, "accuracy": 0.8, "fnr": 0.25, "fpr": 1 / 6, "flags": [],
+                           "tp": 3, "fp": 1, "fn": 1, "tn": 5, **fields})
 
 
 def _subtypes_case(data):
@@ -630,6 +650,11 @@ MALFORMED_INPUTS = {
     "report_dice_out_of_range": _report_case(_report_json(dice=1.5)),
     "report_negative_count": _report_case(_report_json(tp=-1, fp=0, fn=0, tn=1)),
     "report_scores_one_slide_twice": _report_case(_report_json(repeat=2)),
+    "report_dice_contradicts_counts": _report_case(_counted_report_json(dice=0.1)),
+    "report_accuracy_contradicts_counts": _report_case(_counted_report_json(accuracy=0.9)),
+    "report_fnr_contradicts_counts": _report_case(_counted_report_json(fnr=0.5)),
+    "report_fpr_contradicts_counts": _report_case(_counted_report_json(fpr=0.16666666666666669)),
+    "report_flags_contradict_counts": _report_case(_counted_report_json(flags=["empty_pair"])),
     "leaderboard_repeated_report": _two_reports_case("leaderboard", repeat=True),
     "compare_repeated_report": _two_reports_case(
         "compare", "--groups", "a=MultiModel,b=SingleModel", "--out", os.devnull, repeat=True),
@@ -653,6 +678,7 @@ MALFORMED_INPUTS = {
         p.with_suffix(".json"), '{"slide_id": "s", "level": 0, "role": "Nobody"}')),
     "probability_sidecar_of_a_mask": _ensemble_mean_of_mask,
     "manifest_not_json": _slide_case(lambda m: _write(m, "{")),
+    "manifest_missing": _slide_case(lambda m: m.unlink()),
     "manifest_missing_levels": _slide_case(lambda m: _write(m, '{"slide_id": "s"}')),
     "manifest_level_not_object": _slide_case(lambda m: _write(
         m, '{"slide_id": "s", "mpp_level0": null, "levels": [1]}')),
@@ -745,10 +771,10 @@ ERROR_LINES = {
     "xml_two_vertices": "{tmp}/s.xml: annotation 'a' has fewer than 3 vertices",
     "xml_duplicate_name": "{tmp}/s.xml: duplicate annotation name 'a'",
     "report_not_json": (
-        "{tmp}/t.json: malformed report: Expecting property name enclosed in double quotes: "
+        "{tmp}/t.json: cannot read report: Expecting property name enclosed in double quotes: "
         "line 1 column 15 (char 14)"),
     "report_not_utf8": (
-        "{tmp}/t.json: malformed report: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "{tmp}/t.json: cannot read report: 'utf-8' codec can't decode byte 0xff in position 0: "
         "invalid start byte"),
     "report_top_level_list": "{tmp}/t.json: report is not a JSON object",
     "report_scores_not_list": "{tmp}/t.json: report field 'scores' is 1, expected list",
@@ -757,6 +783,14 @@ ERROR_LINES = {
     "report_dice_out_of_range": "{tmp}/t.json: s: dice=1.5 outside [0, 1]",
     "report_negative_count": "{tmp}/t.json: confusion count tp=-1 must be a non-negative int",
     "report_scores_one_slide_twice": "{tmp}/t.json: report for 't' scores slide 's' twice",
+    "report_dice_contradicts_counts": "{tmp}/t.json: s: dice=0.1, but its counts give 0.75",
+    "report_accuracy_contradicts_counts": (
+        "{tmp}/t.json: s: accuracy=0.9, but its counts give 0.8"),
+    "report_fnr_contradicts_counts": "{tmp}/t.json: s: fnr=0.5, but its counts give 0.25",
+    "report_fpr_contradicts_counts": (
+        "{tmp}/t.json: s: fpr=0.16666666666666669, but its counts give 0.16666666666666666"),
+    "report_flags_contradict_counts": (
+        "{tmp}/t.json: s: flags=('empty_pair',), but its counts give ()"),
     "leaderboard_repeated_report": "team 'a' appears in more than one report",
     "compare_repeated_report": "team 'a' appears in more than one report",
     "leaderboard_slide_scored_twice": "{tmp}/a.json: report for 'a' scores slide 's' twice",
@@ -769,7 +803,7 @@ ERROR_LINES = {
     "compare_groups_team_without_report": "groups name teams with no report: ghost",
     "sidecar_missing": "{tmp}/m.pgm: missing sidecar {tmp}/m.json",
     "sidecar_not_json": (
-        "{tmp}/m.json: malformed mask sidecar: Expecting property name enclosed in double "
+        "{tmp}/m.json: cannot read mask sidecar: Expecting property name enclosed in double "
         "quotes: line 1 column 2 (char 1)"),
     "sidecar_not_object": "{tmp}/m.json: mask sidecar is not a JSON object",
     "sidecar_bad_role": "{tmp}/m.pgm: mask for s: unknown role 'Nobody'",
@@ -777,6 +811,7 @@ ERROR_LINES = {
     "manifest_not_json": (
         "{tmp}/slide/manifest.json: cannot read manifest: Expecting property name enclosed in "
         "double quotes: line 1 column 2 (char 1)"),
+    "manifest_missing": "[Errno 2] No such file or directory: '{tmp}/slide/manifest.json'",
     "manifest_missing_levels": "{tmp}/slide/manifest.json: manifest missing field 'mpp_level0'",
     "manifest_level_not_object": "{tmp}/slide/manifest.json: level entry is not a JSON object",
     "manifest_missing_level_file": (
@@ -837,10 +872,11 @@ def test_malformed_input_is_one_line(tmp_path, case):
     assert lines[0] == "slidebench: error: " + ERROR_LINES[case].replace("{tmp}", str(tmp_path))
 
 
-@pytest.mark.parametrize("seeds", ["0", "-3"])
-def test_coteach_without_seeds_creates_no_out(tmp_path, seeds):
-    assert main(_coteach_seeds(seeds)(tmp_path)) == 1
-    assert list(tmp_path.iterdir()) == []
+@pytest.mark.parametrize("case", ["0", "-3", "bad_config"])
+def test_coteach_without_seeds_creates_no_out(tmp_path, case):
+    make_args = _config_case("bogus=1\n") if case == "bad_config" else _coteach_seeds(case)
+    assert main(make_args(tmp_path)) == 1
+    assert [p.name for p in tmp_path.iterdir()] == (["train.cfg"] if case == "bad_config" else [])
 
 
 def test_tile_otsu_on_uniform_slide_is_one_line(tmp_path):

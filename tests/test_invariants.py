@@ -84,6 +84,7 @@ INVALID = {
     "SlideScore": (ValidationError, [
         lambda: SlideScore("s", 1.5, 1.0, 0.0, 0.0),
         lambda: SlideScore("s", 0.5, 1.0, 0.0, 0.0, subtype="Bogus"),
+        lambda: SlideScore("s", 0.1, 0.8, 0.25, 1 / 6, counts=ConfusionCounts(3, 1, 1, 5)),
     ]),
     "TeamReport": (ValidationError, [
         lambda: TeamReport("t", [SlideScore("s", 0.5, 1.0, 0.0, 0.0)] * 2),

@@ -20,7 +20,7 @@ from slidebench import (
 )
 from slidebench import masks
 from slidebench.errors import FormatError, GeometryError, ValidationError
-from slidebench.metrics import (
+from slidebench.reports import (
     FLAG_EMPTY_PAIR,
     FLAG_EMPTY_REGION,
     FLAG_UNDEFINED_FNR,
@@ -341,6 +341,20 @@ def test_report_round_trip(tmp_path, rng):
     back = read_report(path)
     assert back.team == "team_x"
     assert back.scores == report.scores
+
+
+def test_report_round_trip_keeps_every_flag(tmp_path, rng):
+    flagged = [(0, 0, 0, 0), (0, 0, 0, 16), (0, 5, 0, 11), (3, 0, 4, 0), (0, 2, 3, 0)]
+    drawn = [tuple(int(v) for v in rng.integers(0, 10 ** rng.integers(1, 16), 4))
+             for _ in range(40)]
+    subtypes = ("SCC", "SCLC", "ADC", "Unknown")
+    scores = [score_slide(f"s{i:02d}", ConfusionCounts(*c), subtypes[i % 4])
+              for i, c in enumerate(flagged + drawn)]
+    assert {f for s in scores for f in s.flags} == {
+        FLAG_EMPTY_REGION, FLAG_EMPTY_PAIR, FLAG_UNDEFINED_FNR, FLAG_UNDEFINED_FPR}
+    report = TeamReport("t", scores)
+    write_report(report, tmp_path / "r.json")
+    assert read_report(tmp_path / "r.json").scores == report.scores
 
 
 def test_read_report_rejects_non_object_score(tmp_path):

@@ -44,11 +44,13 @@ DOCUMENTED = {
 PIPELINE_STAGES = {"synth", "tissue", "rasterize", "refine", "tile", "eval", "compare",
                    "leaderboard"}
 # the README shows every subcommand; the pipeline runs all but ensemble and coteach, and the
-# diff harness runs those two besides the pipeline, with synth, tissue and tile cases of its own
+# diff harness runs those two besides the pipeline, with synth, tissue, tile and scoring
+# (eval, leaderboard, compare) cases of its own
 SUBCOMMANDS = {
     "README.md": PIPELINE_STAGES | {"ensemble", "coteach"},
     "full_pipeline.sh": PIPELINE_STAGES,
-    "pipeline_diff.sh": {"synth", "tissue", "tile", "coteach", "ensemble"},
+    "pipeline_diff.sh": {"synth", "tissue", "tile", "eval", "leaderboard", "compare", "coteach",
+                         "ensemble"},
 }
 
 
