@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__, coteach, ensemble, leaderboard, masks, metrics, reports, slide_io
 from . import synth, tiling
 from .errors import FORMATS, METHOD_OTSU, MODE_AUTO, MODES, RULE_THRESHOLD75, RULES, TISSUE_METHODS
-from .errors import FormatError, SlidebenchError, ValidationError, format_json
+from .errors import FormatError, SlidebenchError, ValidationError, format_json, write_text
 
 
 def _parse_team(text: str, default_seed: int) -> tuple[str, synth.CorruptionSpec]:
@@ -27,18 +27,20 @@ def _parse_team(text: str, default_seed: int) -> tuple[str, synth.CorruptionSpec
 
     name, _, rest = text.partition(":")
     casts = {f.name: type(f.default) for f in fields(synth.CorruptionSpec)}
-    kwargs: dict = {"seed": default_seed}
+    kwargs: dict = {}
     if rest:
         for part in rest.split(","):
             key, sep, value = part.partition("=")
             key = key.strip()
             if not sep or key not in casts:
                 raise ValidationError(f"--team {text!r}: bad field {part!r}")
+            if key in kwargs:
+                raise ValidationError(f"--team {text!r}: repeated field {key!r}")
             try:
                 kwargs[key] = casts[key](value)
             except ValueError as exc:
                 raise ValidationError(f"--team {text!r}: bad value in {part!r}") from exc
-    return name, synth.CorruptionSpec(**kwargs)
+    return name, synth.CorruptionSpec(**{"seed": default_seed, **kwargs})
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -161,7 +163,7 @@ def cmd_coteach(args: argparse.Namespace) -> int:
     coteach.write_history(histories[0], out / "history.csv")
     wins = sum(r["coteach_accuracy"] >= r["single_accuracy"] for r in results)
     summary = {"runs": results, "coteach_at_least_single": wins, "seeds": args.seeds}
-    (out / "summary.json").write_text(format_json(summary))
+    write_text(out / "summary.json", format_json(summary))
     return 0
 
 
@@ -196,7 +198,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     team_reports = _load_reports(args.reports)
     grouping = _parse_groups(args.groups)
     result = leaderboard.group_compare(team_reports, grouping, mode=args.mode)
-    Path(args.out).write_text(format_json(result))
+    write_text(args.out, format_json(result))
     return 0
 
 
@@ -206,7 +208,7 @@ def cmd_leaderboard(args: argparse.Namespace) -> int:
     entries = leaderboard.rank_teams(team_reports, grouping)
     document = leaderboard.render_leaderboard(entries, args.format)
     if args.out:
-        Path(args.out).write_text(document)
+        write_text(args.out, document)
     else:
         sys.stdout.write(document)
     return 0
@@ -341,11 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return 2
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         parser.print_usage(sys.stderr)

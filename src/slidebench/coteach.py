@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, GeometryError, ValidationError, format_csv, naming
-from .errors import read_text
+from .errors import read_text, write_text
 from .ensemble import ProbabilityMap
 from .masks import ROLE_PREDICTION, BinaryMask, luma
 
@@ -309,7 +309,7 @@ def train_single(dataset: list[PixelBatch], cfg: CoteachConfig) -> LearnerState:
 def write_history(history: list[dict], path: str | Path) -> None:
     """Export per-epoch training history as CSV."""
     rows = ([row["epoch"], *(f"{row[k]:.8f}" for k in HISTORY_FIELDS[1:])] for row in history)
-    Path(path).write_text(format_csv(HISTORY_FIELDS, rows))
+    write_text(path, format_csv(HISTORY_FIELDS, rows))
 
 
 def parse_config(path: str | Path) -> CoteachConfig:
@@ -327,6 +327,8 @@ def parse_config(path: str | Path) -> CoteachConfig:
         key, value = key.strip(), value.strip()
         if key not in casts:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in kwargs:
+            raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
         try:
             kwargs[key] = casts[key](value)
         except ValueError as exc:

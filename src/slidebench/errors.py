@@ -1,6 +1,6 @@
-"""Exception types shared across the toolkit, the one text read of its JSON and
-text readers, their typed-field check and the file prefix of their errors, the
-one JSON and one CSV dialect of its writers, and the option values the CLI offers.
+"""Exception types shared across the toolkit, the one text read of its readers, their
+typed-field check and the file prefix of their errors, the one text write of its
+writers and their JSON and CSV dialects, and the option values the CLI offers.
 
 The option values live here, beside the exceptions, so that the CLI parser
 (``--help``, ``--version``) runs without numpy. ``masks``, ``tiling``,
@@ -73,6 +73,16 @@ def read_text(path, what: str, parse=None, error=FormatError):
         return parse(text) if parse else text
     except ValueError as exc:
         raise error(f"{path}: cannot read {what}: {exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8. A failed write (a full disk, a file size
+    limit) raises an OSError that names ``path``, as a failed read does."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def typed_field(record, key: str, kind, where: str):

@@ -33,7 +33,7 @@ import numpy as np
 from . import netpbm, parallel
 from .errors import METHOD_GRAY200, METHOD_OTSU, TISSUE_METHODS
 from .errors import DegenerateHistogramError, DegeneratePolygonWarning, FormatError, GeometryError
-from .errors import ValidationError, format_json, naming, read_text, typed_field
+from .errors import ValidationError, format_json, naming, read_text, typed_field, write_text
 from .slide_io import AnnotationSet, SlidePyramid
 
 ROLE_GROUND_TRUTH = "GroundTruth"
@@ -336,7 +336,7 @@ def read_mask(path: str | Path) -> BinaryMask:
 
 def write_pgm_sidecar(path: Path, meta: dict) -> None:
     """Write ``meta`` as the JSON sidecar that ``read_pgm_sidecar`` reads for ``path``."""
-    path.with_suffix(".json").write_text(format_json(meta))
+    write_text(path.with_suffix(".json"), format_json(meta))
 
 
 def read_pgm_sidecar(path: str | Path, kind: str) -> tuple[np.ndarray, dict, str]:

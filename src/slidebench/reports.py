@@ -1,21 +1,20 @@
 """Team reports in plain Python: the score types, the rule that gives a slide's Dice,
 accuracy, FNR, FPR and flags from its confusion counts (a counted score must match it to
 the bit), the report writer and reader, Dice aggregates and the subtype and truth-table CSV
-readers. No numpy, so ``compare`` and ``leaderboard`` start without it; its mean and
-population std equal numpy's float64 ``np.mean`` and ``np.std`` bit for bit."""
+readers. No numpy, so ``compare`` and ``leaderboard`` start without it. Its mean and
+population std sum with ``math.fsum``: each sum is the exact sum rounded once, so it
+depends only on the values, not on the order of slides or reports."""
 from __future__ import annotations
 
 import csv
 import json
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from numbers import Integral
-from operator import add
 from pathlib import Path
 
 from .errors import FormatError, ValidationError, format_csv, format_json, naming, read_text
-from .errors import typed_field
+from .errors import typed_field, write_text
 
 SUBTYPE_UNKNOWN = "Unknown"
 SUBTYPES = ("SCC", "SCLC", "ADC", SUBTYPE_UNKNOWN)
@@ -30,32 +29,16 @@ FLAG_UNDEFINED_FPR = "undefined_fpr"
 FLAG_EMPTY_REGION = "empty_region"
 
 
-def _pairwise_sum(x: list[float]) -> float:
-    """Sum in the order of numpy's float64 ``pairwise_sum`` (``loops_utils.h.src``): one
-    running sum below 8 values, 8 strided running sums up to 128, and above that the
-    sum of two halves split at a multiple of 8. Every sum starts from 0.0, as numpy's
-    reduction does, so the only zero it returns is +0.0."""
-    n, m = len(x), len(x) - len(x) % 8
-    if n < 8:
-        return reduce(add, x, 0.0)
-    if n <= 128:
-        r = [reduce(add, x[j:m:8], 0.0) for j in range(8)]
-        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return reduce(add, x[m:], head)
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(x[:half]) + _pairwise_sum(x[half:])
-
-
 def _mean(values) -> float:
-    """``float(np.mean(values))`` of a non-empty sequence, bit for bit."""
-    return _pairwise_sum([float(v) for v in values]) / len(values)
+    """The mean of a non-empty sequence: its exactly rounded sum over its length."""
+    return math.fsum(values) / len(values)
 
 
 def _std(values) -> float:
-    """``float(np.std(values))``, the population std, bit for bit."""
+    """The population std: the root of the mean of the float squares of ``v - _mean``,
+    whose sum is exactly rounded."""
     mean = _mean(values)
-    squares = [d * d for d in (float(v) - mean for v in values)]
-    return math.sqrt(_pairwise_sum(squares) / len(values))
+    return math.sqrt(math.fsum(d * d for d in (float(v) - mean for v in values)) / len(values))
 
 
 @dataclass(frozen=True)
@@ -214,13 +197,13 @@ def write_report(report: TeamReport, path: str | Path) -> None:
         scores.append(score)
     aggregates = [vars(a) for a in report_aggregates(report)]
     payload = {"team": report.team, "scores": scores, "aggregates": aggregates}
-    Path(path).write_text(format_json(payload))
+    write_text(path, format_json(payload))
 
 
 def write_scores_csv(report: TeamReport, path: str | Path) -> None:
     rows = ((s.slide_id, s.subtype, *(f"{getattr(s, k):.6f}" for k in METRIC_FIELDS))
             for s in report.scores)
-    Path(path).write_text(format_csv(("slide_id", "subtype", *METRIC_FIELDS), rows))
+    write_text(path, format_csv(("slide_id", "subtype", *METRIC_FIELDS), rows))
 
 
 def read_report(path: str | Path) -> TeamReport:

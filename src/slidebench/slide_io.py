@@ -17,6 +17,7 @@ import numpy as np
 
 from . import netpbm
 from .errors import FormatError, ValidationError, format_json, naming, read_text, typed_field
+from .errors import write_text
 
 COORD_DECIMALS = 6
 
@@ -142,8 +143,8 @@ def _write_levels(directory: str | Path, slide_id: str, mpp: float | None, dims:
     entries = [{"index": k, "width": w, "height": h, "file": name}
                for k, (name, (w, h)) in enumerate(zip(files, dims))]
     manifest_path = directory / "manifest.json"
-    manifest_path.write_text(format_json({"slide_id": slide_id, "mpp_level0": mpp,
-                                          "levels": entries}))
+    write_text(manifest_path, format_json({"slide_id": slide_id, "mpp_level0": mpp,
+                                           "levels": entries}))
     return manifest_path
 
 
@@ -232,7 +233,7 @@ def parse_annotations(xml_path: str | Path) -> AnnotationSet:
     xml_path = Path(xml_path)
     try:
         root = ET.parse(xml_path).getroot()
-    except (OSError, ET.ParseError, LookupError) as exc:  # LookupError: unknown encoding
+    except (ET.ParseError, LookupError) as exc:  # LookupError: unknown encoding
         raise FormatError(f"{xml_path}: malformed XML: {exc}") from exc
     if root.tag != "ASAP_Annotations":
         raise FormatError(f"{xml_path}: root element is {root.tag!r}, expected 'ASAP_Annotations'")
@@ -291,6 +292,5 @@ def serialize_annotations(aset: AnnotationSet, xml_path: str | Path) -> None:
                     "Y": f"{y:.{COORD_DECIMALS}f}",
                 },
             )
-    tree = ET.ElementTree(root)
-    ET.indent(tree)
-    tree.write(xml_path, encoding="unicode", xml_declaration=True)
+    ET.indent(root)
+    write_text(xml_path, ET.tostring(root, encoding="unicode", xml_declaration=True))

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import parallel
-from .errors import ValidationError, format_csv
+from .errors import ValidationError, format_csv, write_text
 from .masks import ROLE_PREDICTION, BinaryMask, mask_writer, rasterize, write_mask
 from .masks import _fill_even_odd, _row_blocks  # the lesions' fill, luma's row blocks
 from .reports import TRUTH_TABLE_COLUMNS
@@ -441,8 +441,8 @@ def generate_challenge(
     table_rows.sort(key=lambda r: (r[0], r[1]))
     subtype_rows.sort()
 
-    (out / "truth_table.csv").write_text(format_csv(TRUTH_TABLE_COLUMNS, table_rows))
-    (out / "subtypes.csv").write_text(format_csv(("slide_id", "subtype"), subtype_rows))
+    write_text(out / "truth_table.csv", format_csv(TRUTH_TABLE_COLUMNS, table_rows))
+    write_text(out / "subtypes.csv", format_csv(("slide_id", "subtype"), subtype_rows))
 
     return {
         "out": str(out),

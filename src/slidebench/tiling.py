@@ -25,6 +25,7 @@ import numpy as np
 from . import parallel
 from .errors import RULE_BIG_PATCH_NINE, RULE_THREECLASS, RULE_THRESHOLD75, RULES, TISSUE_METHODS
 from .errors import FormatError, GeometryError, ValidationError, naming, read_text, typed_field
+from .errors import write_text
 from .masks import BinaryMask, _dark, _row_blocks, tissue_threshold
 from .slide_io import SlidePyramid
 
@@ -237,9 +238,8 @@ def extract_tiles(p: SlidePyramid, gt: BinaryMask, cfg: TilingConfig,
 def emit_manifest(records: list[TileRecord], path: str | Path) -> None:
     """Write records as JSONL sorted by (slide_id, y, x)."""
     ordered = sorted(records, key=lambda r: (r.slide_id, r.y, r.x))
-    with open(path, "w") as fh:
-        for rec in ordered:
-            fh.write(json.dumps({f: getattr(rec, f) for f in MANIFEST_FIELDS}) + "\n")
+    write_text(path, "".join(json.dumps({f: getattr(rec, f) for f in MANIFEST_FIELDS}) + "\n"
+                             for rec in ordered))
 
 
 def read_manifest(path: str | Path) -> list[TileRecord]:

@@ -2,6 +2,7 @@
 import argparse
 import errno
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -17,6 +18,7 @@ import pytest
 from oracles import extract_tiles_reference, write_p6
 from slidebench import coteach
 from slidebench import (
+    ConfusionCounts,
     ProbabilityMap,
     SlideScore,
     TeamReport,
@@ -26,6 +28,7 @@ from slidebench import (
     read_pyramid,
     read_report,
     read_truth_table,
+    score_slide,
     write_mask,
     write_probability_map,
     write_pyramid,
@@ -415,19 +418,89 @@ def test_malformed_json_field_is_one_line(tmp_path, make_args, field):
     assert field in lines[0]
 
 
+def _files_of_at_most(size):
+    """A ``preexec_fn`` that limits each file the child writes to ``size`` bytes."""
+    hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+    return lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (size, hard))
+
+
+def _run_with_failed_write(args, out, size):
+    """Run the CLI on ``args`` with files of at most ``size`` bytes; check that it fails
+    with the one line of a too-large write to ``out``."""
+    proc = _run([sys.executable, "-m", "slidebench", *args], preexec_fn=_files_of_at_most(size))
+    assert proc.returncode == 1
+    too_large = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+    assert proc.stderr.splitlines() == [f"slidebench: error: {too_large}: '{out}'"]
+
+
 def test_failed_raster_write_names_its_file(tmp_path):
     manifest = write_pyramid(build_pyramid("s", np.zeros((256, 256, 3), dtype=np.uint8), 1),
                              tmp_path / "slide")
     out = tmp_path / "t.pgm"
+    # 1 KiB: the 256x256 mask's header fits, its rows do not
+    _run_with_failed_write(["tissue", "--slide", str(manifest), "--method", "gray200",
+                            "--out", str(out)], out, 1024)
 
-    def small_files():  # 1 KiB: the 256x256 mask's header fits, its rows do not
-        resource.setrlimit(resource.RLIMIT_FSIZE, (1024, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
 
-    proc = _run([sys.executable, "-m", "slidebench", "tissue", "--slide", str(manifest),
-                 "--method", "gray200", "--out", str(out)], preexec_fn=small_files)
-    assert proc.returncode == 1
-    too_large = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
-    assert proc.stderr.splitlines() == [f"slidebench: error: {too_large}: '{out}'"]
+# four reports on slides s0..s3; t1, t2 and t3 hold one multiset of Dice, permuted
+_ORDER_FREE_DICE = {
+    "t1": (0.1, 0.2, 0.2, 0.3),
+    "t2": (0.2, 0.1, 0.3, 0.2),
+    "t3": (0.3, 0.2, 0.2, 0.1),
+    "b": (0.2, 0.2, 0.25, 0.2),
+}
+# (tp, fp) with fn = 0 that give each Dice above
+_DICE_COUNTS = {0.1: (1, 18), 0.2: (1, 8), 0.3: (3, 14), 0.25: (1, 6)}
+_ORDER_FREE_GROUPS = "t1=MultiModel,t2=MultiModel,t3=MultiModel,b=SingleModel"
+
+
+def _order_free_reports(tmp_path) -> list[str]:
+    paths = []
+    for team, dices in _ORDER_FREE_DICE.items():
+        scores = [score_slide(f"s{i}", ConfusionCounts(*_DICE_COUNTS[d], 0, 20))
+                  for i, d in enumerate(dices)]
+        assert [s.dice for s in scores] == list(dices)
+        paths.append(str(tmp_path / f"{team}.json"))
+        write_report(TeamReport(team, scores), paths[-1])
+    return paths
+
+
+@pytest.mark.parametrize("command", ["eval", "compare", "leaderboard"])
+def test_failed_text_write_names_its_file(tmp_path, command):
+    out = tmp_path / "out.txt"
+    if command == "eval":
+        for kind in ("truth", "pred"):
+            (tmp_path / kind).mkdir()
+            write_mask(BinaryMask("s", 0, np.eye(16, dtype=bool), ROLE_GROUND_TRUTH),
+                       tmp_path / kind / "s.pgm")
+        args = ["eval", "--truth", str(tmp_path / "truth"), "--pred", str(tmp_path / "pred"),
+                "--team", "t"]
+    else:
+        args = [command, "--reports", *_order_free_reports(tmp_path),
+                "--groups", _ORDER_FREE_GROUPS]
+    _run_with_failed_write([*args, "--out", str(out)], out, 100)
+
+
+def test_compare_and_leaderboard_do_not_depend_on_report_order(tmp_path):
+    paths = _order_free_reports(tmp_path)
+    comparisons = set()
+    for n, order in enumerate(itertools.permutations(paths)):
+        out = tmp_path / f"compare{n}.json"
+        assert main(["compare", "--reports", *order, "--groups", _ORDER_FREE_GROUPS,
+                     "--mode", "exact", "--out", str(out)]) == 0
+        comparisons.add(out.read_bytes())
+    assert len(comparisons) == 1
+    result = json.loads(comparisons.pop())
+    assert (result["w_statistic"], result["p_two_sided"]) == (-10.0, 0.125)
+    boards = set()
+    for n, order in enumerate([paths, paths[::-1], paths[1:] + paths[:1], paths[2:] + paths[:2]]):
+        out = tmp_path / f"board{n}.json"
+        assert main(["leaderboard", "--reports", *order, "--format", "json",
+                     "--out", str(out)]) == 0
+        boards.add(out.read_bytes())
+    assert len(boards) == 1
+    means = {e["team"]: e["mean_dice"] for e in json.loads(boards.pop())}
+    assert means["t1"] == means["t2"] == means["t3"] == 0.2
 
 
 def _write(path: Path, data: bytes | str) -> None:
@@ -476,9 +549,10 @@ def _tile_gt_case(level, side=8, slide_id="s"):
 
 
 def _xml_case(text, name="s"):
-    """``rasterize`` of ``name``.xml holding ``text`` onto slide s."""
+    """``rasterize`` of ``name``.xml holding ``text`` (no file if None) onto slide s."""
     def make(tmp_path):
-        _write(tmp_path / f"{name}.xml", text)
+        if text is not None:
+            _write(tmp_path / f"{name}.xml", text)
         return ["rasterize", "--annotations", str(tmp_path / f"{name}.xml"),
                 "--slide", str(_slide(tmp_path)), "--out", str(tmp_path / "r.pgm")]
     return make
@@ -630,6 +704,7 @@ MALFORMED_INPUTS = {
     "pgm_bad_magic": _mask_case(lambda p: _write(p, b"P6\n4 4\n255\n" + bytes(48))),
     "pgm_bad_maxval": _mask_case(lambda p: _write(p, b"P5\n4 4\n65535\n" + bytes(32))),
     "pgm_trailing_bytes": _mask_case(lambda p: _write(p, p.read_bytes() + b"\0")),
+    "xml_missing": _xml_case(None, name="nope"),
     "xml_not_well_formed": _xml_case("<ASAP_Annotations><Annotations>"),
     "xml_wrong_root": _xml_case("<NotASAP></NotASAP>"),
     "xml_non_numeric_coordinate": _xml_case(_POLYGON.format(x="nine")),
@@ -705,6 +780,7 @@ MALFORMED_INPUTS = {
     "config_unknown_key": _config_case("bogus=1\n"),
     "config_bad_value": _config_case("t_max=many\n"),
     "config_negative_seed": _config_case("seed=-1\n"),
+    "config_repeated_key": _config_case("eta=1.0\neta=2.0\n"),
 }
 
 
@@ -740,6 +816,7 @@ def _coteach_seeds(seeds):
 MALFORMED_FLAGS = {
     "synth_negative_seed": _synth_flags("--seed", "-1"),
     "synth_negative_team_seed": _synth_flags("--team", "a:flip_rate=0.5,seed=-3"),
+    "synth_team_repeated_field": _synth_flags("--team", "a:flip_rate=0.1,flip_rate=0.9"),
     "synth_team_outside_out": _synth_flags("--team", "../../escaped"),
     "synth_nan_ratio": _synth_flags("--ratio", "nan", "1", "1"),
     "synth_inf_ratio": _synth_flags("--ratio", "inf", "1", "1"),
@@ -760,6 +837,7 @@ ERROR_LINES = {
     "pgm_bad_magic": "{tmp}/m.pgm: expected P5 magic, got b'P6'",
     "pgm_bad_maxval": "{tmp}/m.pgm: unsupported maxval 65535, expected 255",
     "pgm_trailing_bytes": "{tmp}/m.pgm: raster payload is 257 bytes, expected 256",
+    "xml_missing": "[Errno 2] No such file or directory: '{tmp}/nope.xml'",
     "xml_not_well_formed": "{tmp}/s.xml: malformed XML: no element found: line 1, column 31",
     "xml_wrong_root": "{tmp}/s.xml: root element is 'NotASAP', expected 'ASAP_Annotations'",
     "xml_non_numeric_coordinate": "{tmp}/s.xml: annotation 'a' has a non-numeric coordinate",
@@ -848,8 +926,11 @@ ERROR_LINES = {
     "config_unknown_key": "{tmp}/train.cfg:1: unknown key 'bogus'",
     "config_bad_value": "{tmp}/train.cfg:1: bad value for t_max: 'many'",
     "config_negative_seed": "{tmp}/train.cfg: seed must be >= 0, got -1",
+    "config_repeated_key": "{tmp}/train.cfg:2: repeated key 'eta'",
     "synth_negative_seed": "seed must be >= 0, got -1",
     "synth_negative_team_seed": "seed must be >= 0, got -3",
+    "synth_team_repeated_field": (
+        "--team 'a:flip_rate=0.1,flip_rate=0.9': repeated field 'flip_rate'"),
     "synth_team_outside_out": "team names must be plain directory names, got ['../../escaped']",
     "synth_nan_ratio": "bad subtype ratio (nan, 1.0, 1.0)",
     "synth_inf_ratio": "bad subtype ratio (inf, 1.0, 1.0)",

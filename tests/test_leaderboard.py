@@ -56,6 +56,18 @@ def test_rank_teams_tie_broken_by_fnr_then_team():
     assert [e.team for e in entries] == ["ccc", "aaa", "bbb"]
 
 
+def test_rank_teams_permuted_dice_tie_then_fnr_then_team():
+    # summed in slide order, (0.3, 0.2, 0.2, 0.1) gives 0.19999999999999998, the others 0.2
+    reports = [
+        _report("bbb", [0.1, 0.2, 0.2, 0.3], fnr=0.10),
+        _report("aaa", [0.3, 0.2, 0.2, 0.1], fnr=0.10),
+        _report("ccc", [0.2, 0.1, 0.3, 0.2], fnr=0.09),
+    ]
+    entries = rank_teams(reports)
+    assert {e.mean_dice for e in entries} == {0.2}
+    assert [e.team for e in entries] == ["ccc", "aaa", "bbb"]
+
+
 def test_rank_teams_single_team():
     entries = rank_teams([_report("only", [0.5])])
     assert entries[0].rank == 1

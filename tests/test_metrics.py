@@ -1,4 +1,6 @@
 import csv
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -226,15 +228,23 @@ def test_aggregate_population_std():
     assert aggs[0].std == 0.25
 
 
-def test_mean_and_std_equal_numpy_bit_for_bit(rng):
+def _exact_mean(values) -> float:
+    """The exact sum of ``values``, rounded once, over their count."""
+    return float(sum(map(Fraction, values))) / len(values)
+
+
+def test_mean_and_std_are_exactly_rounded_and_order_free(rng):
     for n in range(1, 301):
         spread = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-6, 7, n)
         for values in (rng.random(n), spread, rng.integers(0, 4, n) / 3):  # last: tie-heavy
             values = values.tolist()
-            assert _mean(values) == float(np.mean(values))
-            assert _std(values) == float(np.std(values))
-    for n in (1, 9, 130):  # numpy's reduction starts from 0.0, so a -0.0 sum reads 0.0
-        assert repr(_mean([-0.0] * n)) == repr(float(np.mean([-0.0] * n))) == "0.0"
+            mean = _exact_mean(values)
+            std = math.sqrt(_exact_mean([(v - mean) * (v - mean) for v in values]))
+            assert (_mean(values), _std(values)) == (mean, std)
+            shuffled = rng.permutation(values).tolist()
+            assert (_mean(shuffled), _std(shuffled)) == (mean, std)
+    for n in (1, 9, 130):
+        assert _mean([-0.0] * n) == _exact_mean([-0.0] * n) == 0.0
 
 
 def test_aggregate_by_subtype_fixed_order():
