@@ -2,8 +2,8 @@
 
 Every subcommand is fully specified by its flags: same flags and inputs give
 byte-identical outputs, regardless of --workers. Exit codes: 0 success,
-1 data error (bad file contents, failed invariants), 2 usage error.
-Diagnostics go to stderr; machine-readable output goes to files or stdout.
+1 data error (bad file contents, failed invariants, no memory left), 2 usage error.
+Diagnostics go to stderr; machine-readable output goes to files or stdout, as UTF-8.
 The stages are the package's lazy submodules, which run on first use, so a
 start runs only the modules its subcommand calls: ``--version`` and ``--help``
 need no numpy. A command that loads numpy gets one OpenBLAS thread unless
@@ -20,6 +20,17 @@ from . import __version__, coteach, ensemble, leaderboard, masks, metrics, repor
 from . import synth, tiling
 from .errors import FORMATS, METHOD_OTSU, MODE_AUTO, MODES, RULE_THRESHOLD75, RULES, TISSUE_METHODS
 from .errors import FormatError, SlidebenchError, ValidationError, format_json, write_text
+
+
+def _write_stdout(document: str) -> None:
+    """Write ``document`` to stdout as UTF-8 bytes, as ``write_text`` writes a file, whatever
+    the locale's encoding; a stream without bytes (``io.StringIO``) takes the text."""
+    sys.stdout.flush()
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(document)
+    else:
+        buffer.write(document.encode("utf-8"))
 
 
 def _parse_team(text: str, default_seed: int) -> tuple[str, synth.CorruptionSpec]:
@@ -64,7 +75,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             ("flip5", synth.CorruptionSpec(flip_rate=0.05, seed=args.seed)),
         ]
     summary = synth.generate_challenge(cfg, teams, args.out, workers=args.workers)
-    sys.stdout.write(format_json(summary))
+    _write_stdout(format_json(summary))
     return 0
 
 
@@ -210,7 +221,7 @@ def cmd_leaderboard(args: argparse.Namespace) -> int:
     if args.out:
         write_text(args.out, document)
     else:
-        sys.stdout.write(document)
+        _write_stdout(document)
     return 0
 
 
@@ -352,8 +363,8 @@ def main(argv: list[str] | None = None) -> int:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         return args.func(args)
-    except (SlidebenchError, OSError) as exc:
-        print(f"slidebench: error: {exc}", file=sys.stderr)
+    except (SlidebenchError, OSError, MemoryError) as exc:
+        print(f"slidebench: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

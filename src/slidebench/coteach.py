@@ -1,20 +1,21 @@
 """Pixel-level co-teaching against noisy labels.
 
-Two per-pixel logistic learners train side by side. In each step a learner
-keeps the ``n - floor(R(T) * n)`` pixels of the batch on which its peer's loss
-is smallest, with the ramped drop rate R(T) = tau * min(1, T / ramp_epochs),
-and takes an averaged gradient step on them: the small-loss cross-update of
-Han et al., "Co-teaching" (NeurIPS 2018). Both updates read the pre-step
-states, so the learners are exchangeable by construction: identical states
-stay bit-identical. With tau = 0 every pixel is kept and each learner is plain
-logistic regression.
+Two per-pixel logistic learners, each a float64 weight vector, train side by
+side. In each step a learner keeps the ``n - floor(R(T) * n)`` pixels of the
+batch on which its peer's loss is smallest, with the ramped drop rate
+R(T) = tau * min(1, T / ramp_epochs), and takes an averaged gradient step on
+them: the small-loss cross-update of Han et al., "Co-teaching" (NeurIPS 2018).
+Both updates read the pre-step weights, so the learners are exchangeable by
+construction: identical weights stay bit-identical. With tau = 0 every pixel is
+kept and each learner is plain logistic regression.
 
 Selection contract: a learner's update keeps the first ``n - floor(R * n)``
 of its batch's ``n`` pixels in ascending order of the peer's loss, ties
 broken by pixel index, and sums their gradient terms in that order. Each
 learner's scores ``X @ w`` and per-pixel losses are computed once per step:
 the scores serve its own gradient, the losses its peer's selection and the
-training history, which logs each step's pre-update batch loss.
+training history, which logs each step's pre-update batch loss. A pixel is
+tumor where sigmoid(w . x) > 0.5, the strict threshold of ``ensemble.binarize``.
 """
 from __future__ import annotations
 
@@ -26,13 +27,10 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, GeometryError, ValidationError, format_csv, naming
 from .errors import read_text, write_text
-from .ensemble import ProbabilityMap
-from .masks import ROLE_PREDICTION, BinaryMask, luma
+from .masks import luma
 
 FEATURE_NAMES = ("bias", "red", "green", "blue", "local_mean", "local_std")
 FEATURE_DIM = len(FEATURE_NAMES)
-
-_LOGIT_CLIP = 35.0  # sigma(+/-35) is still strictly inside (0, 1) in float64
 
 HISTORY_FIELDS = ("epoch", "loss_f", "loss_g", "drop_rate", "selected_fraction")
 
@@ -93,19 +91,6 @@ class PixelBatch:
         return self.features.reshape(-1, d), self.labels.reshape(-1).astype(np.float64)
 
 
-@dataclass
-class LearnerState:
-    w: np.ndarray  # (d,) float64
-
-    def validate(self) -> None:
-        if self.w.ndim != 1:
-            raise ValidationError("learner parameters must be a vector")
-        if not np.all(np.isfinite(self.w)):
-            raise DivergenceError("learner parameters are non-finite")
-
-    __post_init__ = validate
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     pos = z >= 0
     e = np.exp(np.where(pos, -z, z))  # not -|z|, which would flip the sign bit of a NaN
@@ -145,23 +130,6 @@ def drop_rate(cfg: CoteachConfig, epoch: int) -> float:
     if epoch < 0:
         raise ValidationError(f"epoch must be >= 0, got {epoch}")
     return cfg.tau * min(1.0, epoch / cfg.ramp_epochs)
-
-
-def predict(state: LearnerState, batch: PixelBatch) -> ProbabilityMap:
-    """Per-pixel sigmoid(w . x), strictly inside (0, 1)."""
-    if state.w.shape[0] != batch.features.shape[2]:
-        raise GeometryError(
-            f"parameter dim {state.w.shape[0]} != feature dim {batch.features.shape[2]}"
-        )
-    z = batch.features @ state.w
-    p = _sigmoid(np.clip(z, -_LOGIT_CLIP, _LOGIT_CLIP))
-    return ProbabilityMap(batch.name, 0, p)
-
-
-def pseudo_label(state: LearnerState, batch: PixelBatch) -> BinaryMask:
-    """Strict 0.5-threshold binarization of the learner's prediction."""
-    pm = predict(state, batch)
-    return BinaryMask(batch.name, 0, pm.values > 0.5, ROLE_PREDICTION)
 
 
 def _losses(z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -276,10 +244,10 @@ def _step_full(
 
 
 def train(dataset: list[PixelBatch],
-          cfg: CoteachConfig) -> tuple[LearnerState, LearnerState, list[dict]]:
+          cfg: CoteachConfig) -> tuple[np.ndarray, np.ndarray, list[dict]]:
     """Run the full co-teaching loop: shuffled epochs of simultaneous steps.
 
-    Returns both learner states and one history row per epoch with the mean
+    Returns both learners' weight vectors and one history row per epoch with the mean
     over its steps of each step's pre-update batch loss (the losses that the
     step's selection ranks), the drop rate, and the mean selected fraction.
     """
@@ -293,17 +261,19 @@ def train(dataset: list[PixelBatch],
         row = {k: float(np.mean([i[k] for i in infos])) for k in HISTORY_FIELDS[1:]}
         row["drop_rate"] = drop_rate(cfg, epoch)  # every step of the epoch has it: not averaged
         history.append({"epoch": epoch, **row})
-    return LearnerState(wf), LearnerState(wg), history
+    return wf, wg, history
 
 
-def train_single(dataset: list[PixelBatch], cfg: CoteachConfig) -> LearnerState:
+def train_single(dataset: list[PixelBatch], cfg: CoteachConfig) -> np.ndarray:
     """Plain logistic-regression baseline with the same schedule and init as f; returns
-    the trained learner and keeps no history."""
+    the trained weight vector and keeps no history."""
     (w, _), epochs = _schedule(dataset, cfg, "train_single")
     for _, steps in epochs:
         for X, y in steps:
             w, _ = _update(w, None, X, X @ w, y, cfg.eta)
-    return LearnerState(w)
+    if not np.isfinite(w).all():
+        raise DivergenceError("learner parameters diverged")
+    return w
 
 
 def write_history(history: list[dict], path: str | Path) -> None:
@@ -367,32 +337,20 @@ def make_noise_benchmark(
         bg = np.where(near[..., None], bg_near, bg_far)
         color = np.where(truth[..., None], fg, bg) + rng.normal(0.0, 12.0, (tile, tile, 3))
         img = np.clip(np.rint(color), 0, 255).astype(np.uint8)
-        labels = truth.copy()
-        if not clean:
-            flips = rng.random((tile, tile)) < 0.3
-            labels = labels ^ flips
+        labels = truth.copy() if clean else truth ^ (rng.random((tile, tile)) < 0.3)
         return PixelBatch(f"tile_{idx}", pixel_features(img), labels), truth
 
     train_set = [make_tile(i, clean=False)[0] for i in range(n_train)]
-    test_set = []
-    clean_labels = []
-    for i in range(n_test):
-        batch, truth = make_tile(n_train + i, clean=True)
-        test_set.append(batch)
-        clean_labels.append(truth)
-    return train_set, test_set, clean_labels
+    tests = [make_tile(n_train + i, clean=True) for i in range(n_test)]
+    return train_set, [batch for batch, _ in tests], [truth for _, truth in tests]
 
 
-def clean_accuracy(state: LearnerState, test_set: list[PixelBatch],
+def clean_accuracy(w: np.ndarray, test_set: list[PixelBatch],
                    clean_labels: list[np.ndarray]) -> float:
-    """Fraction of clean test pixels the learner classifies correctly."""
-    correct = 0
-    total = 0
-    for batch, truth in zip(test_set, clean_labels):
-        pred = pseudo_label(state, batch).data
-        correct += int(np.count_nonzero(pred == truth))
-        total += truth.size
-    return correct / total
+    """Fraction of clean test pixels that the weights ``w`` classify correctly."""
+    pairs = list(zip(test_set, clean_labels))
+    correct = sum(int(np.count_nonzero((_sigmoid(b.features @ w) > 0.5) == t)) for b, t in pairs)
+    return correct / sum(t.size for _, t in pairs)
 
 
 def noise_benchmark(seed: int, cfg: CoteachConfig | None = None) -> dict:

@@ -3,7 +3,7 @@
 Mean fusion accumulates in the given input order, so a fixed input list is
 bit-deterministic; majority vote requires an odd number of masks. The
 binarization threshold is strict (a value equal to the threshold stays
-unset), one convention shared with pseudo-labeling.
+unset), one convention shared with ``coteach.clean_accuracy``'s 0.5.
 """
 from __future__ import annotations
 

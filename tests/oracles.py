@@ -20,7 +20,10 @@ itself, in ``grid_tiles``, so none come from the package's grid.
 ``step_reference`` are the package's earlier masked sigmoid, stable-sort
 selection and co-teaching step, which recompute each learner's scores where
 they are used; they are kept unchanged so the step that reuses the scores
-can be checked against them bit for bit. ``upsample_mask`` is the
+can be checked against them bit for bit. ``decision_reference`` is the
+package's earlier per-pixel classifier of the clean test pixels, which wrapped
+clipped sigmoids in a ``ProbabilityMap`` and binarized it, kept so the bare
+strict 0.5 of ``clean_accuracy`` can be checked against it. ``upsample_mask`` is the
 package's earlier way of scoring a coarser prediction: it builds the
 upsampled copy whose counts the banded scoring must equal.
 ``doubled_ranks_reference`` and ``wilcoxon_signed_rank_reference`` are the
@@ -50,6 +53,7 @@ import numpy as np
 import scipy.stats
 
 from slidebench.coteach import CoteachConfig, PixelBatch, _gradient, drop_rate
+from slidebench.ensemble import ProbabilityMap, binarize
 from slidebench.errors import MODE_APPROX, MODE_AUTO, MODE_EXACT, MODES, NoInformationError
 from slidebench.errors import DivergenceError, GeometryError, ValidationError
 from slidebench.netpbm import row_writer
@@ -467,6 +471,14 @@ def sigmoid_reference(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def decision_reference(w: np.ndarray, batch: PixelBatch) -> np.ndarray:
+    """A learner's per-pixel tumor decisions through the ensemble types: the scores
+    z = features @ w, clipped to +-35 so that every sigmoid lies strictly inside (0, 1) as a
+    ProbabilityMap requires, then binarized at a strict 0.5."""
+    z = np.clip(batch.features @ w, -35.0, 35.0)
+    return binarize(ProbabilityMap(batch.name, 0, sigmoid_reference(z)), 0.5).data
 
 
 def loss_reference(w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -250,6 +250,46 @@ def test_leaderboard_text_to_stdout(report_dir, capsys):
     assert "exact" in text and "±" in text
 
 
+def test_leaderboard_stdout_is_utf8_in_an_ascii_locale(report_dir, tmp_path):
+    # Python's UTF-8 mode and locale coercion off: stdout's own encoding is ASCII
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    args = [sys.executable, "-m", "slidebench", "leaderboard", "--reports", str(report_dir),
+            "--format", "text"]
+    board = tmp_path / "board.txt"
+    written = subprocess.run([*args, "--out", str(board)], capture_output=True, env=env)
+    assert written.returncode == 0, written.stderr
+    proc = subprocess.run(args, capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert "±".encode() in proc.stdout
+    assert proc.stdout == board.read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_out_of_memory_is_one_line(tmp_path, workers):
+    # a 1e8 x 1e8 level 0: numpy cannot allocate the first slide's truth mask
+    out = tmp_path / "o"
+    proc = _run([sys.executable, "-m", "slidebench", "synth", "--out", str(out), "--slides", "2",
+                 "--size", "100000000", "--levels", "1", "--radius", "2", "4",
+                 "--workers", workers])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "slidebench: error: Unable to allocate 8.88 PiB for an array with shape "
+        "(100000000, 100000000) and data type bool"]
+    assert not out.exists()
+
+
+def test_out_of_memory_without_a_message_is_named(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(coteach, "noise_benchmark", exhausted)
+    assert main(["coteach", "--out", str(tmp_path / "co"), "--seeds", "1"]) == 1
+    assert capsys.readouterr().err == "slidebench: error: out of memory\n"
+
+
 def test_compare_writes_pinned_json(report_dir, tmp_path):
     out = tmp_path / "cmp.json"
     rc = main(["compare", "--reports", str(report_dir / "exact.json"),

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     batch_loss,
+    decision_reference,
     gradient_check,
     logistic_gd_oracle,
     loss_reference,
@@ -20,7 +21,6 @@ from slidebench.coteach import (
     FEATURE_DIM,
     FEATURE_NAMES,
     NOISE_BENCHMARK_CONFIG,
-    LearnerState,
     _losses,
     _select,
     _sigmoid,
@@ -29,11 +29,8 @@ from slidebench.coteach import (
     drop_rate,
     make_noise_benchmark,
     parse_config,
-    predict,
-    pseudo_label,
     write_history,
 )
-from slidebench.ensemble import binarize
 from slidebench.errors import ConfigError, DivergenceError, GeometryError, ValidationError
 
 
@@ -96,22 +93,6 @@ def test_drop_rate_ramp():
     assert drop_rate(cfg, 20) == pytest.approx(0.3)
     with pytest.raises(ValidationError):
         drop_rate(cfg, -1)
-
-
-def test_predict_strictly_inside_unit_interval(rng):
-    batch = _batch(rng)
-    state = LearnerState(rng.normal(0, 100, FEATURE_DIM))
-    p = predict(state, batch).values
-    assert np.all(p > 0.0)
-    assert np.all(p < 1.0)
-
-
-def test_pseudo_label_matches_binarize(rng):
-    batch = _batch(rng)
-    state = LearnerState(rng.normal(0, 1, FEATURE_DIM))
-    assert np.array_equal(
-        pseudo_label(state, batch).data, binarize(predict(state, batch), 0.5).data
-    )
 
 
 def test_losses_cross_entropy_identities():
@@ -186,7 +167,7 @@ def test_train_deterministic(rng):
     cfg = CoteachConfig(eta=0.5, t_max=5, seed=9)
     a = train(batches, cfg)
     b = train(batches, cfg)
-    assert np.array_equal(a[0].w, b[0].w)
+    assert np.array_equal(a[0], b[0])
     assert a[2] == b[2]
 
 
@@ -196,7 +177,7 @@ def test_train_single_shares_init_with_f(rng):
     sf, _, _ = train(batches, cfg)
     single = train_single(batches, cfg)
     # same init, same batch order, no selection: f and the single learner take identical steps
-    assert sf.w.tobytes() == single.w.tobytes()
+    assert sf.tobytes() == single.tobytes()
 
 
 def test_write_history_format(tmp_path):
@@ -240,8 +221,6 @@ def test_parse_config_rejects_non_utf8(tmp_path):
 def test_divergence_detected(rng):
     batch = _batch(rng)
     with pytest.raises(DivergenceError):
-        LearnerState(np.full(FEATURE_DIM, np.inf))
-    with pytest.raises(DivergenceError):
         coteach_step(
             np.full(FEATURE_DIM, np.inf),
             np.full(FEATURE_DIM, np.inf),
@@ -271,9 +250,42 @@ def test_noise_benchmark_deterministic():
 
 def test_clean_accuracy_range(rng):
     _, test_set, clean = make_noise_benchmark(1, n_train=1, n_test=2, tile=16)
-    state = LearnerState(rng.normal(0, 0.01, FEATURE_DIM))
-    acc = clean_accuracy(state, test_set, clean)
+    acc = clean_accuracy(rng.normal(0, 0.01, FEATURE_DIM), test_set, clean)
     assert 0.0 <= acc <= 1.0
+
+
+def _weights_at_the_edges(rng):
+    """Weights of every magnitude up to 1e3, weights whose scores are +-0.0 or tiny, and
+    weights with an infinite component."""
+    for scale in (1e-3, 1e-1, 1.0, 10.0, 1e2, 1e3):
+        for _ in range(5):
+            yield rng.uniform(-scale, scale, FEATURE_DIM)
+    yield np.zeros(FEATURE_DIM)
+    yield -np.zeros(FEATURE_DIM)
+    for tiny in (5e-324, -5e-324, 1e-300, -1e-300, 1e-17, -1e-17):
+        yield np.array([tiny, *np.zeros(FEATURE_DIM - 1)])
+    for big in (np.inf, -np.inf):
+        yield np.array([big, *rng.normal(0.0, 1.0, FEATURE_DIM - 1)])
+        yield np.array([0.0, big, *rng.normal(0.0, 1.0, FEATURE_DIM - 2)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_clean_accuracy_matches_the_clipped_probability_rule(rng):
+    # the rule's clip to +-35 never moves a decision across 0.5, so dropping it keeps every bit
+    _, test_set, clean = make_noise_benchmark(2, n_train=1, n_test=2, tile=16)
+    for w in _weights_at_the_edges(rng):
+        decisions = [decision_reference(w, batch) for batch in test_set]
+        assert clean_accuracy(w, test_set, decisions) == 1.0, w  # pixel by pixel
+        want = sum(int(np.count_nonzero(d == t)) for d, t in zip(decisions, clean)) / sum(
+            t.size for t in clean)
+        assert clean_accuracy(w, test_set, clean) == want, w
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("trainer", [train, train_single])
+def test_trainers_raise_on_diverged_weights(rng, trainer):
+    with pytest.raises(DivergenceError):
+        trainer([_batch(rng)], CoteachConfig(eta=np.inf, t_max=1, tau=0.0))
 
 
 def test_coteach_beats_single_on_one_seed():
@@ -293,7 +305,7 @@ def test_batch_loss_decreases_under_training(rng):
     losses = [row["loss_f"] for row in history]
     assert all(b < a for a, b in zip(losses, losses[1:]))
     # each row is the loss before its epoch's step, so the final weights score lower still
-    assert batch_loss(sf.w, batch) < losses[-1]
+    assert batch_loss(sf, batch) < losses[-1]
 
 
 def test_history_logs_the_pre_update_batch_loss(rng):
@@ -303,8 +315,8 @@ def test_history_logs_the_pre_update_batch_loss(rng):
     _, _, history = train([batch], cfg)
     for epoch in range(2, cfg.t_max + 1):
         sf, sg, _ = train([batch], replace(cfg, t_max=epoch - 1))
-        assert history[epoch - 1]["loss_f"] == batch_loss(sf.w, batch)
-        assert history[epoch - 1]["loss_g"] == batch_loss(sg.w, batch)
+        assert history[epoch - 1]["loss_f"] == batch_loss(sf, batch)
+        assert history[epoch - 1]["loss_g"] == batch_loss(sg, batch)
 
 
 # the co-teaching bytes; a change here must be deliberate and declared

@@ -93,7 +93,7 @@ STARTS = {
                                     for t in ("exact", "flip2", "flip5")),
                                   "--out", str(o / "v.pgm")], f"{IO} ensemble", True),
     "coteach": (lambda c, w, o: ["coteach", "--out", str(o / "co"), "--seeds", "1"],
-                "coteach ensemble masks slide_io", True),
+                "coteach masks slide_io", True),
     "compare": (lambda c, w, o: ["compare", *_reports(w), "--groups",
                                  "exact=MultiModel,flip2=SingleModel", "--out", str(o / "c.json")],
                 "leaderboard reports stats", False),

@@ -25,8 +25,7 @@ from slidebench import (
     TileRecord,
     TilingConfig,
 )
-from slidebench.coteach import LearnerState
-from slidebench.errors import DivergenceError, GeometryError, ValidationError
+from slidebench.errors import GeometryError, ValidationError
 from slidebench.leaderboard import GROUP_SINGLE
 from slidebench.tiling import RULE_BIG_PATCH_NINE
 
@@ -115,7 +114,6 @@ INVALID = {
         lambda: PixelBatch("b", _FEATURES, np.zeros((4, 5), dtype=bool)),
         lambda: PixelBatch("b", _FEATURES, np.zeros((4, 4), dtype=np.uint8)),
     ]),
-    "LearnerState": (DivergenceError, [lambda: LearnerState(np.full(6, np.inf))]),
 }
 
 
