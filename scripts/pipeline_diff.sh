@@ -16,7 +16,9 @@ TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 OUT="$TMP/out"
 RUN="python3 -m slidebench"
-TREE="$TMP/synth1100.rev-w1"  # REV's 1100-px tree, which the tissue, tiles and vote cases read
+# REV's 1100-px tree, which the tissue, tiles and vote cases read with both checkouts: against
+# a REV whose manifest or sidecar format the working tree does not read, those cases fail
+TREE="$TMP/synth1100.rev-w1"
 
 mkdir "$TMP/rev" && git -C "$ROOT" archive "$REV" | tar -x -C "$TMP/rev"
 

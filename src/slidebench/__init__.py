@@ -34,7 +34,7 @@ _EXPORTS = {
     "leaderboard": "LeaderboardEntry group_compare rank_teams render_leaderboard",
     "ensemble": """ProbabilityMap binarize fuse_mean fuse_vote read_probability_map
         write_probability_map""",
-    "coteach": "CoteachConfig PixelBatch coteach_step noise_benchmark pixel_features train train_single",
+    "coteach": "CoteachConfig PixelBatch noise_benchmark pixel_features train train_single",
     "synth": """CorruptionSpec SynthConfig corrupt_prediction generate_challenge generate_slide
         slide_name""",
 }

@@ -165,7 +165,7 @@ def cmd_coteach(args: argparse.Namespace) -> int:
 
     if args.seeds < 1:
         raise ValidationError(f"--seeds must be >= 1, got {args.seeds}")
-    base = coteach.parse_config(args.config) if args.config else coteach.NOISE_BENCHMARK_CONFIG
+    base = coteach.parse_config(args.config) if args.config else coteach.CoteachConfig()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results = [coteach.noise_benchmark(seed, replace(base, seed=seed))

@@ -20,7 +20,7 @@ tumor where sigmoid(w . x) > 0.5, the strict threshold of ``ensemble.binarize``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +37,12 @@ HISTORY_FIELDS = ("epoch", "loss_f", "loss_g", "drop_rate", "selected_fraction")
 
 @dataclass(frozen=True)
 class CoteachConfig:
-    eta: float = 1.0
-    t_max: int = 30
-    n_max: int = 1
+    """Co-teaching settings; the defaults are those of the noisy-label benchmark, which
+    ``noise_benchmark`` and the ``coteach`` command run, a config file or not."""
+
+    eta: float = 3.0
+    t_max: int = 150
+    n_max: int = 4
     tau: float = 0.3
     ramp_epochs: int = 10
     seed: int = 0
@@ -59,10 +62,6 @@ class CoteachConfig:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     __post_init__ = validate
-
-
-# settings of the noisy-label benchmark; ``noise_benchmark`` and the CLI copy it per seed
-NOISE_BENCHMARK_CONFIG = CoteachConfig(eta=3.0, t_max=150, n_max=4, tau=0.3, ramp_epochs=10)
 
 
 @dataclass
@@ -198,19 +197,6 @@ def _schedule(dataset: list[PixelBatch], cfg: CoteachConfig, caller: str):
     return init, epochs()
 
 
-def coteach_step(
-    wf: np.ndarray,
-    wg: np.ndarray,
-    batch: PixelBatch,
-    epoch: int,
-    cfg: CoteachConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One simultaneous co-teaching update of both learners."""
-    X, y = batch.flat()
-    wf2, wg2, _ = _step_full(wf, wg, X, y, epoch, cfg)
-    return wf2, wg2
-
-
 def _step_full(
     wf: np.ndarray,
     wg: np.ndarray,
@@ -219,8 +205,9 @@ def _step_full(
     epoch: int,
     cfg: CoteachConfig,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """One step on a validated, flattened batch; each learner's scores and losses serve
-    both roles. ``info`` holds each learner's pre-update batch loss."""
+    """One simultaneous update of both learners on a validated, flattened batch; each
+    learner's scores and losses serve its own gradient and its peer's selection. ``info``
+    holds the drop rate, f's selected fraction and both pre-update batch losses."""
     rate = drop_rate(cfg, epoch)
     zf = X @ wf
     zg = X @ wg
@@ -229,14 +216,12 @@ def _step_full(
     sel_f = _select(lg, rate)  # g picks pixels for f
     sel_g = _select(lf, rate)  # f picks pixels for g
     wf2, n_f = _update(wf, sel_f, X, zf, y, cfg.eta)
-    wg2, n_g = _update(wg, sel_g, X, zg, y, cfg.eta)
+    wg2, _ = _update(wg, sel_g, X, zg, y, cfg.eta)
     if not (np.isfinite(wf2).all() and np.isfinite(wg2).all()):
         raise DivergenceError("learner parameters diverged")
     info = {
         "drop_rate": rate,
         "selected_fraction": n_f / len(y),
-        "n_selected_f": n_f,
-        "n_selected_g": n_g,
         "loss_f": float(lf.sum() / lf.size),  # the bits of np.mean, without its wrapper
         "loss_g": float(lg.sum() / lg.size),
     }
@@ -283,7 +268,8 @@ def write_history(history: list[dict], path: str | Path) -> None:
 
 
 def parse_config(path: str | Path) -> CoteachConfig:
-    """Read a flat key=value config file (# starts a comment)."""
+    """Read a flat key=value config file (# starts a comment); a key it does not set
+    keeps its ``CoteachConfig`` default."""
     kwargs: dict = {}
     casts = {f.name: type(f.default) for f in fields(CoteachConfig)}
     lines = read_text(path, "config", error=ConfigError).splitlines()
@@ -361,7 +347,7 @@ def noise_benchmark(seed: int, cfg: CoteachConfig | None = None) -> dict:
     every pixel, as co-teaching itself does with tau = 0. ``history`` is co-teaching's.
     """
     if cfg is None:
-        cfg = replace(NOISE_BENCHMARK_CONFIG, seed=seed)
+        cfg = CoteachConfig(seed=seed)
     train_set, test_set, clean_labels = make_noise_benchmark(seed)
     sf, _, history = train(train_set, cfg)
     single = train_single(train_set, cfg)

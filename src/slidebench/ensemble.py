@@ -4,6 +4,10 @@ Mean fusion accumulates in the given input order, so a fixed input list is
 bit-deterministic; majority vote requires an odd number of masks. The
 binarization threshold is strict (a value equal to the threshold stays
 unset), one convention shared with ``coteach.clean_accuracy``'s 0.5.
+
+A probability map is stored as an 8-bit PGM of ``round(255*p)`` per pixel beside
+the sidecar of ``masks``, whose ``kind`` is ``probability``; it is read back as
+the stored value / 255.
 """
 from __future__ import annotations
 
@@ -13,10 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import netpbm
-from .errors import FormatError, ValidationError, naming, typed_field
-from .masks import ROLE_PREDICTION, BinaryMask, check_same_grid, read_pgm_sidecar, write_pgm_sidecar
-
-QUANT_RULE = "round(255*p)"
+from .errors import ValidationError, naming
+from .masks import BinaryMask, check_same_grid, read_pgm_sidecar, write_pgm_sidecar
 
 
 @dataclass(eq=False)
@@ -71,28 +73,25 @@ def fuse_vote(masks: list[BinaryMask]) -> BinaryMask:
     for m in masks:
         votes += m.data.view(np.uint8)
     out = votes > len(masks) // 2
-    return BinaryMask(masks[0].slide_id, masks[0].level, out, ROLE_PREDICTION)
+    return BinaryMask(masks[0].slide_id, masks[0].level, out)
 
 
 def binarize(pm: ProbabilityMap, threshold: float = 0.5) -> BinaryMask:
     """Mask of pixels with probability strictly above the threshold."""
     if not 0.0 <= threshold <= 1.0:
         raise ValidationError(f"threshold {threshold} outside [0, 1]")
-    return BinaryMask(pm.slide_id, pm.level, pm.values > threshold, ROLE_PREDICTION)
+    return BinaryMask(pm.slide_id, pm.level, pm.values > threshold)
 
 
 def write_probability_map(pm: ProbabilityMap, path: str | Path) -> None:
-    """Serialize as 8-bit PGM (value = round(255*p)) plus a quantization sidecar."""
+    """Serialize as 8-bit PGM (value = round(255*p)) plus a JSON sidecar."""
     path = Path(path)
     with netpbm.row_writer(path, b"P5", pm.width, pm.height) as append:
         append(np.rint(pm.values * 255.0).astype(np.uint8))
-    write_pgm_sidecar(path, {"slide_id": pm.slide_id, "level": pm.level, "kind": "probability",
-                             "quantization": {"maxval": 255, "rule": QUANT_RULE}})
+    write_pgm_sidecar(path, pm.slide_id, pm.level, "probability")
 
 
 def read_probability_map(path: str | Path) -> ProbabilityMap:
-    gray, meta, where = read_pgm_sidecar(path, "probability")
-    if typed_field(meta, "kind", str, where) != "probability":
-        raise FormatError(f"{where} field 'kind' is {meta['kind']!r}, expected 'probability'")
+    gray, slide_id, level = read_pgm_sidecar(path, "probability")
     with naming(path):
-        return ProbabilityMap(meta["slide_id"], meta["level"], np.divide(gray, 255.0))
+        return ProbabilityMap(slide_id, level, np.divide(gray, 255.0))

@@ -1,5 +1,10 @@
 """Binary masks: polygon rasterization, tissue detection, label refinement.
 
+A mask is stored as a binary PGM (P5), 0 or 255 per pixel, beside a JSON sidecar
+that is exactly ``{"slide_id", "level", "kind"}``. ``kind`` is ``mask`` here and
+``probability`` for ``ensemble``'s maps, and ``read_pgm_sidecar`` checks it for
+both readers, so neither format is read as the other.
+
 Rasterization uses the even-odd rule evaluated at pixel centers (x+0.5,
 y+0.5) with half-open scanline crossings, so results match a per-pixel
 point-in-polygon test exactly. Tissue detection thresholds Rec.601 luma,
@@ -36,12 +41,6 @@ from .errors import DegenerateHistogramError, DegeneratePolygonWarning, FormatEr
 from .errors import ValidationError, format_json, naming, read_text, typed_field, write_text
 from .slide_io import AnnotationSet, SlidePyramid
 
-ROLE_GROUND_TRUTH = "GroundTruth"
-ROLE_PREDICTION = "Prediction"
-ROLE_TISSUE = "Tissue"
-ROLE_REFINED = "Refined"
-ROLES = (ROLE_GROUND_TRUTH, ROLE_PREDICTION, ROLE_TISSUE, ROLE_REFINED)
-
 GRAY200_THRESHOLD = 200
 
 # 1000 x the Rec.601 weights: every 299r + 587g + 114b is below 2**24, exact in float32
@@ -50,12 +49,11 @@ _LUMA_SUMS = np.float32([299, 587, 114])
 
 @dataclass(eq=False)
 class BinaryMask:
-    """Single-level 1-bit raster with a role."""
+    """Single-level 1-bit raster of one slide."""
 
     slide_id: str
     level: int
     data: np.ndarray  # (height, width) bool
-    role: str = ROLE_PREDICTION
 
     @property
     def width(self) -> int:
@@ -76,8 +74,6 @@ class BinaryMask:
                 f"mask for {self.slide_id}: expected 2-D bool raster, got "
                 f"{self.data.shape} ({self.data.dtype})"
             )
-        if self.role not in ROLES:
-            raise ValidationError(f"mask for {self.slide_id}: unknown role {self.role!r}")
         if self.level < 0:
             raise ValidationError(f"mask for {self.slide_id}: negative level {self.level}")
 
@@ -129,7 +125,7 @@ def _dark(rgb: np.ndarray, threshold: int) -> np.ndarray:
 
 
 def rasterize(aset: AnnotationSet, level: int, width: int, height: int) -> BinaryMask:
-    """Rasterize the union of polygons onto a level-k grid as a ground-truth mask.
+    """Rasterize the union of polygons onto a level-k grid.
 
     Vertices are scaled by 1/2**level before filling. A pixel is set iff its
     center lies inside at least one polygon under the even-odd rule; geometry
@@ -149,7 +145,7 @@ def rasterize(aset: AnnotationSet, level: int, width: int, height: int) -> Binar
             )
             continue
         _fill_even_odd(data, verts)
-    return BinaryMask(aset.slide_id, level, data, ROLE_GROUND_TRUTH)
+    return BinaryMask(aset.slide_id, level, data)
 
 
 def _collinear(verts: np.ndarray) -> bool:
@@ -280,7 +276,7 @@ def tissue_mask(pyramid: SlidePyramid, level: int, method: str = METHOD_OTSU) ->
         t = tissue_threshold(pixels, method)
         for rows in _row_blocks(*pixels.shape[:2]):
             data[rows] = _dark(pixels[rows], t)
-    return BinaryMask(pyramid.slide_id, level, data, ROLE_TISSUE)
+    return BinaryMask(pyramid.slide_id, level, data)
 
 
 def check_same_grid(operation: str, *items) -> None:
@@ -304,44 +300,45 @@ def check_same_grid(operation: str, *items) -> None:
 def refine_labels(gt: BinaryMask, tissue: BinaryMask) -> BinaryMask:
     """Intersect a noisy ground-truth mask with a tissue mask."""
     check_same_grid("refine_labels", gt, tissue)
-    return BinaryMask(gt.slide_id, gt.level, gt.data & tissue.data, ROLE_REFINED)
+    return BinaryMask(gt.slide_id, gt.level, gt.data & tissue.data)
 
 
 def write_mask(mask: BinaryMask, path: str | Path) -> None:
     """Serialize as binary PGM (0 = background, 255 = set) plus a JSON sidecar."""
-    with mask_writer(path, mask.slide_id, mask.level, mask.role, mask.width, mask.height) as append:
+    with mask_writer(path, mask.slide_id, mask.level, mask.width, mask.height) as append:
         for rows in _row_blocks(mask.height, mask.width):
             append(mask.data[rows])
 
 
 @contextmanager
-def mask_writer(path: str | Path, slide_id: str, level: int, role: str, width: int, height: int):
+def mask_writer(path: str | Path, slide_id: str, level: int, width: int, height: int):
     """Write a mask as ``write_mask`` does, from blocks of whole bool rows: yields
     ``append``, which writes one block, top to bottom; the sidecar follows the rows."""
     path = Path(path)
     with netpbm.row_writer(path, b"P5", width, height) as append:
         yield lambda rows: append(rows.view(np.uint8) * np.uint8(255))
-    write_pgm_sidecar(path, {"slide_id": slide_id, "level": level, "role": role})
+    write_pgm_sidecar(path, slide_id, level, "mask")
 
 
 def read_mask(path: str | Path) -> BinaryMask:
     """Load a PGM mask and its sidecar metadata; the raster becomes bool in place."""
-    gray, meta, where = read_pgm_sidecar(path, "mask")
-    role = typed_field(meta, "role", str, where)
+    gray, slide_id, level = read_pgm_sidecar(path, "mask")
     data = gray.view(np.bool_)
     np.not_equal(gray, 0, out=data)
     with naming(path):
-        return BinaryMask(meta["slide_id"], meta["level"], data, role)
+        return BinaryMask(slide_id, level, data)
 
 
-def write_pgm_sidecar(path: Path, meta: dict) -> None:
-    """Write ``meta`` as the JSON sidecar that ``read_pgm_sidecar`` reads for ``path``."""
-    write_text(path.with_suffix(".json"), format_json(meta))
+def write_pgm_sidecar(path: Path, slide_id: str, level: int, kind: str) -> None:
+    """Write the JSON sidecar of the ``kind`` PGM at ``path``, which ``read_pgm_sidecar``
+    reads."""
+    write_text(path.with_suffix(".json"),
+               format_json({"slide_id": slide_id, "level": level, "kind": kind}))
 
 
-def read_pgm_sidecar(path: str | Path, kind: str) -> tuple[np.ndarray, dict, str]:
-    """A PGM raster, its ``kind`` JSON sidecar, which must hold a str ``slide_id`` and an
-    int ``level``, and the prefix of that sidecar's field errors."""
+def read_pgm_sidecar(path: str | Path, kind: str) -> tuple[np.ndarray, str, int]:
+    """A PGM raster and the slide id and level of its JSON sidecar, which must hold a str
+    ``slide_id``, an int ``level`` and the ``kind`` given: ``mask`` or ``probability``."""
     path = Path(path)
     gray = netpbm.read_p5(path)
     sidecar_path = path.with_suffix(".json")
@@ -349,6 +346,8 @@ def read_pgm_sidecar(path: str | Path, kind: str) -> tuple[np.ndarray, dict, str
         raise FormatError(f"{path}: missing sidecar {sidecar_path}")
     meta = read_text(sidecar_path, f"{kind} sidecar", json.loads)
     where = f"{sidecar_path}: {kind} sidecar"
-    typed_field(meta, "slide_id", str, where)
-    typed_field(meta, "level", int, where)
-    return gray, meta, where
+    slide_id = typed_field(meta, "slide_id", str, where)
+    level = typed_field(meta, "level", int, where)
+    if typed_field(meta, "kind", str, where) != kind:
+        raise FormatError(f"{where} field 'kind' is {meta['kind']!r}, expected {kind!r}")
+    return gray, slide_id, level

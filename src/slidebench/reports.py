@@ -238,7 +238,7 @@ def read_report(path: str | Path) -> TeamReport:
 def _read_csv(path: str | Path, columns: tuple[str, ...]) -> list[dict]:
     """Rows of a CSV file that has every one of ``columns``; FormatError otherwise."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             rows, fields = list(reader), reader.fieldnames or []  # an empty file has no header
     except (UnicodeDecodeError, csv.Error) as exc:

@@ -1,9 +1,12 @@
 """Slide pyramid interchange format and polygon annotation XML.
 
-A slide is stored as a JSON manifest plus one binary PPM (P6) raster per
-pyramid level. Level k is downsampled by exactly 2**k, with ceil division
-for odd dimensions. Annotations are closed polygons in level-0 pixel
-coordinates, read and written in the ASAP XML dialect.
+A slide is a directory: ``manifest.json``, exactly ``{"slide_id", "n_levels"}``,
+plus one binary PPM (P6) raster per pyramid level, level k in
+``level_{k:02d}.ppm`` (``level_file``). Level k is downsampled by exactly
+2**k, with ceil division for odd dimensions; each level's dimensions come
+from its own PPM header, and ``SlidePyramid`` checks the halving rule.
+Annotations are closed polygons in level-0 pixel coordinates, read and
+written in the ASAP XML dialect.
 """
 from __future__ import annotations
 
@@ -53,7 +56,6 @@ class SlidePyramid:
 
     slide_id: str
     levels: list[PyramidLevel]
-    mpp_level0: float | None = None
 
     @property
     def width(self) -> int:
@@ -71,8 +73,6 @@ class SlidePyramid:
     def validate(self) -> None:
         if not self.levels:
             raise ValidationError(f"slide {self.slide_id}: pyramid has no levels")
-        if self.mpp_level0 is not None and not self.mpp_level0 > 0:
-            raise ValidationError(f"slide {self.slide_id}: mpp_level0 must be positive")
         w0, h0 = self.levels[0].width, self.levels[0].height
         for k, lvl in enumerate(self.levels):
             ew, eh = level_dimensions(w0, h0, k)
@@ -90,16 +90,16 @@ def level_dimensions(width0: int, height0: int, level: int) -> tuple[int, int]:
     return -(-width0 >> level), -(-height0 >> level)
 
 
-def build_pyramid(
-    slide_id: str,
-    level0: np.ndarray,
-    n_levels: int,
-    mpp_level0: float | None = None,
-) -> SlidePyramid:
+def level_file(directory: str | Path, level: int) -> Path:
+    """The PPM raster of pyramid level ``level`` in a slide directory."""
+    return Path(directory) / f"level_{level:02d}.ppm"
+
+
+def build_pyramid(slide_id: str, level0: np.ndarray, n_levels: int) -> SlidePyramid:
     """Build a pyramid from a level-0 raster by 2x nearest-neighbor subsampling."""
     base = np.ascontiguousarray(level0, dtype=np.uint8)
     levels = [PyramidLevel(np.ascontiguousarray(base[:: 2**k, :: 2**k])) for k in range(n_levels)]
-    return SlidePyramid(slide_id, levels, mpp_level0)
+    return SlidePyramid(slide_id, levels)
 
 
 def write_pyramid(pyramid: SlidePyramid, directory: str | Path) -> Path:
@@ -109,7 +109,7 @@ def write_pyramid(pyramid: SlidePyramid, directory: str | Path) -> Path:
     """
     dims = [(lvl.width, lvl.height) for lvl in pyramid.levels]
     blocks = enumerate(lvl.pixels for lvl in pyramid.levels)
-    return _write_levels(directory, pyramid.slide_id, pyramid.mpp_level0, dims, blocks)
+    return _write_levels(directory, pyramid.slide_id, dims, blocks)
 
 
 def write_pyramid_rows(
@@ -125,63 +125,36 @@ def write_pyramid_rows(
     dims = [level_dimensions(width, height, k) for k in range(n_levels)]
     blocks = ((k, rows[-y0 % 2**k :: 2**k, :: 2**k])
               for y0, rows in chunks for k in range(n_levels))
-    return _write_levels(directory, slide_id, None, dims, blocks)
+    return _write_levels(directory, slide_id, dims, blocks)
 
 
-def _write_levels(directory: str | Path, slide_id: str, mpp: float | None, dims: list,
-                  blocks) -> Path:
+def _write_levels(directory: str | Path, slide_id: str, dims: list, blocks) -> Path:
     """Write every level's PPM header, append each ``(k, rows)`` of ``blocks`` to level k,
     then write the manifest; returns its path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    files = [f"level_{k:02d}.ppm" for k in range(len(dims))]
     with ExitStack() as stack:
-        appends = [stack.enter_context(netpbm.row_writer(directory / name, b"P6", w, h))
-                   for name, (w, h) in zip(files, dims)]
+        appends = [stack.enter_context(netpbm.row_writer(level_file(directory, k), b"P6", w, h))
+                   for k, (w, h) in enumerate(dims)]
         for k, rows in blocks:
             appends[k](rows)
-    entries = [{"index": k, "width": w, "height": h, "file": name}
-               for k, (name, (w, h)) in enumerate(zip(files, dims))]
     manifest_path = directory / "manifest.json"
-    write_text(manifest_path, format_json({"slide_id": slide_id, "mpp_level0": mpp,
-                                           "levels": entries}))
+    write_text(manifest_path, format_json({"slide_id": slide_id, "n_levels": len(dims)}))
     return manifest_path
 
 
 def read_pyramid(manifest_path: str | Path) -> SlidePyramid:
-    """Load a pyramid from its manifest, checking every format invariant."""
+    """Load a pyramid from its manifest and its level files; a missing level file raises
+    the OSError of its open."""
     manifest_path = Path(manifest_path)
     manifest = read_text(manifest_path, "manifest", json.loads)
     where = f"{manifest_path}: manifest"
     slide_id = typed_field(manifest, "slide_id", str, where)
-    mpp = typed_field(manifest, "mpp_level0", (int, float, type(None)), where)
-    entries = typed_field(manifest, "levels", list, where)
-    if not entries:
-        raise FormatError(f"{manifest_path}: manifest declares no levels")
-
-    levels = []
-    where = f"{manifest_path}: level entry"
-    for k, entry in enumerate(entries):
-        if typed_field(entry, "index", int, where) != k:
-            raise FormatError(
-                f"{manifest_path}: slide {slide_id}: level indices not contiguous at {k}"
-            )
-        width = typed_field(entry, "width", int, where)
-        height = typed_field(entry, "height", int, where)
-        name = typed_field(entry, "file", str, where)
-        raster_path = manifest_path.parent / name
-        if not raster_path.exists():
-            raise FormatError(f"{manifest_path}: missing level file {raster_path}")
-        pixels = netpbm.read_p6(raster_path)
-        if pixels.shape != (height, width, 3):
-            raise FormatError(
-                f"{raster_path}: raster is {pixels.shape[1]}x{pixels.shape[0]}, "
-                f"manifest declares {width}x{height}"
-            )
-        levels.append(PyramidLevel(pixels))
-
+    n_levels = typed_field(manifest, "n_levels", int, where)
+    levels = [PyramidLevel(netpbm.read_p6(level_file(manifest_path.parent, k)))
+              for k in range(n_levels)]
     with naming(manifest_path):
-        return SlidePyramid(slide_id, levels, mpp)
+        return SlidePyramid(slide_id, levels)
 
 
 @dataclass(eq=False)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import parallel
 from .errors import ValidationError, format_csv, write_text
-from .masks import ROLE_PREDICTION, BinaryMask, mask_writer, rasterize, write_mask
+from .masks import BinaryMask, mask_writer, rasterize, write_mask
 from .masks import _fill_even_odd, _row_blocks  # the lesions' fill, luma's row blocks
 from .reports import TRUTH_TABLE_COLUMNS
 from .slide_io import (
@@ -371,7 +371,7 @@ def corrupt_prediction(true_mask: BinaryMask, specs: list[CorruptionSpec]) -> li
     for rows, preds in _prediction_blocks(true_mask, specs):
         for out, pred in zip(outs, preds):
             out[rows] = pred
-    return [BinaryMask(true_mask.slide_id, true_mask.level, o, ROLE_PREDICTION) for o in outs]
+    return [BinaryMask(true_mask.slide_id, true_mask.level, o) for o in outs]
 
 
 def _normalize_teams(teams) -> list[tuple[str, CorruptionSpec]]:
@@ -399,7 +399,7 @@ def _challenge_slide(cfg: SynthConfig, teams: list, out: Path, index: int) -> tu
     counts = np.zeros((len(teams), 2), dtype=np.int64)  # per team: true positives, predicted
     with ExitStack() as stack:
         appends = [stack.enter_context(mask_writer(out / "predictions" / name / f"{sid}.pgm",
-                                                   sid, 0, ROLE_PREDICTION, size, size))
+                                                   sid, 0, size, size))
                    for name, _ in teams]
         for rows, preds in _prediction_blocks(truth, [spec for _, spec in teams]):
             gt = truth.data[rows]

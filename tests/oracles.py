@@ -36,7 +36,8 @@ in the tests: pyramid and annotation equality, exact tile-window counts,
 rasters whose tissue test turns on luma's rounding ties, the traced
 allocation peak of a call, the peak RSS of a child process, a batch's mean
 loss, ``gradient_check``, which differentiates the package's own loss
-numerically to check its analytic gradient, and ``write_p5`` and
+numerically to check its analytic gradient, ``coteach_step``, which takes the
+package's co-teaching step on one ``PixelBatch``, and ``write_p5`` and
 ``write_p6``, which write a whole array as one ``netpbm.row_writer`` block.
 """
 from __future__ import annotations
@@ -52,7 +53,7 @@ from itertools import groupby
 import numpy as np
 import scipy.stats
 
-from slidebench.coteach import CoteachConfig, PixelBatch, _gradient, drop_rate
+from slidebench.coteach import CoteachConfig, PixelBatch, _gradient, _step_full, drop_rate
 from slidebench.ensemble import ProbabilityMap, binarize
 from slidebench.errors import MODE_APPROX, MODE_AUTO, MODE_EXACT, MODES, NoInformationError
 from slidebench.errors import DivergenceError, GeometryError, ValidationError
@@ -61,8 +62,6 @@ from slidebench.masks import (
     GRAY200_THRESHOLD,
     METHOD_GRAY200,
     METHOD_OTSU,
-    ROLE_PREDICTION,
-    ROLE_TISSUE,
     TISSUE_METHODS,
     BinaryMask,
     otsu_threshold,
@@ -196,7 +195,7 @@ def corrupt_prediction_reference(true_mask: BinaryMask, spec: CorruptionSpec) ->
         data = data ^ flips
     elif data is true_mask.data:
         data = data.copy()
-    return BinaryMask(true_mask.slide_id, true_mask.level, data, ROLE_PREDICTION)
+    return BinaryMask(true_mask.slide_id, true_mask.level, data)
 
 
 def tissue_mask_reference(pyramid: SlidePyramid, level: int, method: str = METHOD_OTSU) -> BinaryMask:
@@ -214,7 +213,7 @@ def tissue_mask_reference(pyramid: SlidePyramid, level: int, method: str = METHO
         t = GRAY200_THRESHOLD
     else:
         t = otsu_threshold(np.bincount(g.ravel(), minlength=256))
-    return BinaryMask(pyramid.slide_id, level, g <= t, ROLE_TISSUE)
+    return BinaryMask(pyramid.slide_id, level, g <= t)
 
 
 def _window_sums(data: np.ndarray, y: int, size: int, xs: np.ndarray) -> np.ndarray:
@@ -323,7 +322,7 @@ def upsample_mask(mask: BinaryMask, to_level: int, width: int, height: int) -> B
             f"{width}x{height} at level {to_level}"
         )
     data = np.repeat(np.repeat(mask.data, f, axis=0), f, axis=1)[:height, :width]
-    return BinaryMask(mask.slide_id, to_level, np.ascontiguousarray(data), mask.role)
+    return BinaryMask(mask.slide_id, to_level, np.ascontiguousarray(data))
 
 
 def dice_oracle(tp: int, fp: int, fn: int) -> Fraction:
@@ -534,14 +533,12 @@ def step_reference(
     sel_f = select_reference(wg, X, y, rate)  # g picks pixels for f
     sel_g = select_reference(wf, X, y, rate)  # f picks pixels for g
     wf2, n_f = _update_reference(wf, sel_f, X, y, cfg.eta)
-    wg2, n_g = _update_reference(wg, sel_g, X, y, cfg.eta)
+    wg2, _ = _update_reference(wg, sel_g, X, y, cfg.eta)
     if not (np.all(np.isfinite(wf2)) and np.all(np.isfinite(wg2))):
         raise DivergenceError("learner parameters diverged")
     info = {
         "drop_rate": rate,
         "selected_fraction": n_f / len(y),
-        "n_selected_f": n_f,
-        "n_selected_g": n_g,
         "loss_f": float(np.mean(loss_reference(wf, X, y))),  # pre-update, as selection ranks
         "loss_g": float(np.mean(loss_reference(wg, X, y))),
     }
@@ -550,7 +547,7 @@ def step_reference(
 
 def pyramids_equal(a: SlidePyramid, b: SlidePyramid) -> bool:
     """Byte-level equality of two pyramids."""
-    if a.slide_id != b.slide_id or a.mpp_level0 != b.mpp_level0 or len(a.levels) != len(b.levels):
+    if a.slide_id != b.slide_id or len(a.levels) != len(b.levels):
         return False
     return all(np.array_equal(la.pixels, lb.pixels) for la, lb in zip(a.levels, b.levels))
 
@@ -676,6 +673,20 @@ def gradient_check(w: np.ndarray, batch: PixelBatch, step: float = 1e-5) -> floa
         denom = max(abs(analytic[k]), abs(numeric), 1e-8)
         worst = max(worst, abs(analytic[k] - numeric) / denom)
     return worst
+
+
+def coteach_step(
+    wf: np.ndarray,
+    wg: np.ndarray,
+    batch: PixelBatch,
+    epoch: int,
+    cfg: CoteachConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One simultaneous co-teaching update of both learners: the package's ``_step_full``,
+    the step ``train`` takes, on one batch."""
+    X, y = batch.flat()
+    wf2, wg2, _ = _step_full(wf, wg, X, y, epoch, cfg)
+    return wf2, wg2
 
 
 def write_p5(path, gray: np.ndarray) -> None:

@@ -14,6 +14,7 @@ import numpy as np
 
 from oracles import (
     confusion_oracle,
+    coteach_step,
     dice_oracle,
     gradient_check,
     otsu_oracle,
@@ -34,7 +35,6 @@ from slidebench import (
     SynthConfig,
     TilingConfig,
     confusion,
-    coteach_step,
     dice,
     emit_manifest,
     evaluate_team,
@@ -53,7 +53,7 @@ from slidebench import (
 )
 from slidebench.coteach import noise_benchmark
 from slidebench.leaderboard import format_mean_std
-from slidebench.masks import METHOD_GRAY200, ROLE_GROUND_TRUTH, ROLE_PREDICTION
+from slidebench.masks import METHOD_GRAY200
 from slidebench.stats import MODE_APPROX, MODE_EXACT
 
 
@@ -65,8 +65,8 @@ def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def _mask_pair(rng, h, w):
-    gt = BinaryMask("s", 0, rng.random((h, w)) < rng.uniform(0.1, 0.9), ROLE_GROUND_TRUTH)
-    pred = BinaryMask("s", 0, rng.random((h, w)) < rng.uniform(0.1, 0.9), ROLE_PREDICTION)
+    gt = BinaryMask("s", 0, rng.random((h, w)) < rng.uniform(0.1, 0.9))
+    pred = BinaryMask("s", 0, rng.random((h, w)) < rng.uniform(0.1, 0.9))
     return gt, pred
 
 

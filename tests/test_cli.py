@@ -35,7 +35,7 @@ from slidebench import (
     write_report,
 )
 from slidebench.cli import build_parser, main
-from slidebench.masks import METHOD_GRAY200, ROLE_GROUND_TRUTH, ROLE_PREDICTION, BinaryMask
+from slidebench.masks import METHOD_GRAY200, BinaryMask
 from slidebench.tiling import TilingConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -267,6 +267,24 @@ def test_leaderboard_stdout_is_utf8_in_an_ascii_locale(report_dir, tmp_path):
     assert proc.stdout == board.read_bytes()
 
 
+def test_subtypes_csv_is_read_as_utf8_in_an_ascii_locale(tmp_path):
+    # as above: without UTF-8 mode, open() would decode with the C locale's ASCII
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    for kind in ("truth", "pred"):
+        (tmp_path / kind).mkdir()
+        write_mask(BinaryMask("slidé_9", 0, np.eye(4, dtype=bool)), tmp_path / kind / "s.pgm")
+    (tmp_path / "subtypes.csv").write_bytes("slide_id,subtype\nslidé_9,SCC\n".encode())
+    proc = subprocess.run([sys.executable, "-m", "slidebench", "eval", "--truth",
+                           str(tmp_path / "truth"), "--pred", str(tmp_path / "pred"), "--team", "t",
+                           "--subtypes", str(tmp_path / "subtypes.csv"),
+                           "--out", str(tmp_path / "r.json")], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    scores = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["scores"]
+    assert [(s["slide_id"], s["subtype"]) for s in scores] == [("slidé_9", "SCC")]
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_out_of_memory_is_one_line(tmp_path, workers):
     # a 1e8 x 1e8 level 0: numpy cannot allocate the first slide's truth mask
@@ -323,7 +341,7 @@ def test_ensemble_vote(tmp_path):
     rng = np.random.default_rng(2)
     paths = []
     for i in range(3):
-        mask = BinaryMask("s", 0, rng.random((6, 6)) < 0.5, ROLE_PREDICTION)
+        mask = BinaryMask("s", 0, rng.random((6, 6)) < 0.5)
         path = tmp_path / f"m{i}.pgm"
         write_mask(mask, path)
         paths.append(str(path))
@@ -348,6 +366,16 @@ def test_coteach_command_writes_artifacts(tmp_path):
     history = (out / "history.csv").read_text().splitlines()
     assert history[0] == "epoch,loss_f,loss_g,drop_rate,selected_fraction"
     assert len(history) == 9
+
+
+def test_coteach_with_an_empty_config_runs_the_defaults(tmp_path):
+    (tmp_path / "empty.cfg").write_text("")
+    assert main(["coteach", "--out", str(tmp_path / "bare"), "--seeds", "1"]) == 0
+    assert main(["coteach", "--out", str(tmp_path / "cfg"), "--seeds", "1",
+                 "--config", str(tmp_path / "empty.cfg")]) == 0
+    for name in ("summary.json", "history.csv"):
+        assert (tmp_path / "cfg" / name).read_bytes() == (tmp_path / "bare" / name).read_bytes()
+    assert len((tmp_path / "bare" / "history.csv").read_text().splitlines()) == 1 + 150
 
 
 def test_coteach_trains_each_seed_once_and_writes_run_0s_history(tmp_path, monkeypatch):
@@ -381,9 +409,9 @@ def test_eval_error_in_pool_worker_is_one_line(tmp_path):
     (tmp_path / "truth").mkdir()
     (tmp_path / "pred").mkdir()
     for sid in ("slide_000", "slide_001"):
-        write_mask(BinaryMask(sid, 1, np.zeros((4, 4), dtype=bool), ROLE_GROUND_TRUTH),
+        write_mask(BinaryMask(sid, 1, np.zeros((4, 4), dtype=bool)),
                    tmp_path / "truth" / f"{sid}.pgm")
-        write_mask(BinaryMask(sid, 0, np.zeros((8, 8), dtype=bool), ROLE_PREDICTION),
+        write_mask(BinaryMask(sid, 0, np.zeros((8, 8), dtype=bool)),
                    tmp_path / "pred" / f"{sid}.pgm")
     proc = _run([sys.executable, "-m", "slidebench", "eval", "--truth", str(tmp_path / "truth"),
                  "--pred", str(tmp_path / "pred"), "--team", "t",
@@ -397,17 +425,14 @@ def test_eval_error_in_pool_worker_is_one_line(tmp_path):
 
 def _string_mask_level(tmp_path):
     path = tmp_path / "m.pgm"
-    write_mask(BinaryMask("s", 0, np.zeros((4, 4), dtype=bool), ROLE_GROUND_TRUTH), path)
-    path.with_suffix(".json").write_text('{"slide_id": "s", "level": "0", "role": "GroundTruth"}')
+    write_mask(BinaryMask("s", 0, np.zeros((4, 4), dtype=bool)), path)
+    path.with_suffix(".json").write_text('{"slide_id": "s", "level": "0", "kind": "mask"}')
     return ["refine", "--gt", str(path), "--tissue", str(path), "--out", str(tmp_path / "o.pgm")]
 
 
-def _string_manifest_width(tmp_path):
-    manifest = write_pyramid(build_pyramid("s", np.zeros((128, 128, 3), dtype=np.uint8), 1),
-                             tmp_path / "slide")
-    meta = json.loads(manifest.read_text())
-    meta["levels"][0]["width"] = "128"
-    manifest.write_text(json.dumps(meta))
+def _string_manifest_n_levels(tmp_path):
+    manifest = _slide(tmp_path)
+    manifest.write_text('{"slide_id": "s", "n_levels": "1"}')
     return ["tissue", "--slide", str(manifest), "--out", str(tmp_path / "t.pgm")]
 
 
@@ -418,7 +443,7 @@ def _binary_mask_sidecar(tmp_path):
 
 
 def _binary_manifest(tmp_path):
-    args = _string_manifest_width(tmp_path)
+    args = _string_manifest_n_levels(tmp_path)
     (tmp_path / "slide" / "manifest.json").write_bytes(b"\xff\xfe{")
     return args
 
@@ -443,7 +468,7 @@ def _string_probability_level(tmp_path):
 
 @pytest.mark.parametrize("make_args, field", [
     (_string_mask_level, "'level' is '0', expected int"),
-    (_string_manifest_width, "'width' is '128', expected int"),
+    (_string_manifest_n_levels, "'n_levels' is '1', expected int"),
     (_binary_mask_sidecar, "cannot read mask sidecar"),
     (_binary_manifest, "cannot read manifest"),
     (_string_report_dice, "'dice' is '0.5', expected int or float"),
@@ -511,7 +536,7 @@ def test_failed_text_write_names_its_file(tmp_path, command):
     if command == "eval":
         for kind in ("truth", "pred"):
             (tmp_path / kind).mkdir()
-            write_mask(BinaryMask("s", 0, np.eye(16, dtype=bool), ROLE_GROUND_TRUTH),
+            write_mask(BinaryMask("s", 0, np.eye(16, dtype=bool)),
                        tmp_path / kind / "s.pgm")
         args = ["eval", "--truth", str(tmp_path / "truth"), "--pred", str(tmp_path / "pred"),
                 "--team", "t"]
@@ -570,7 +595,7 @@ def _mask_case(mutate):
     """``refine`` on a 16x16 mask whose path is first passed to ``mutate``."""
     def make(tmp_path):
         path = tmp_path / "m.pgm"
-        write_mask(BinaryMask("s", 0, np.zeros((16, 16), dtype=bool), ROLE_GROUND_TRUTH), path)
+        write_mask(BinaryMask("s", 0, np.zeros((16, 16), dtype=bool)), path)
         mutate(path)
         return ["refine", "--gt", str(path), "--tissue", str(path),
                 "--out", str(tmp_path / "o.pgm")]
@@ -582,7 +607,7 @@ def _tile_gt_case(level, side=8, slide_id="s"):
     ``slide_id`` at ``level``."""
     def make(tmp_path):
         gt = tmp_path / "gt.pgm"
-        write_mask(BinaryMask(slide_id, level, np.eye(side, dtype=bool), ROLE_GROUND_TRUTH), gt)
+        write_mask(BinaryMask(slide_id, level, np.eye(side, dtype=bool)), gt)
         return ["tile", "--slide", str(_slide(tmp_path)), "--gt", str(gt), "--size", "4",
                 "--out", str(tmp_path / "tiles.jsonl")]
     return make
@@ -607,14 +632,15 @@ def _edit_manifest(edit):
     return mutate
 
 
-def _second_level_of_full_size(meta):
-    meta["levels"].append({**meta["levels"][0], "index": 1})
+def _second_level_of_full_size(manifest):
+    _edit_manifest(lambda meta: meta.update(n_levels=2))(manifest)
+    write_p6(manifest.parent / "level_01.ppm", np.zeros((16, 16, 3), dtype=np.uint8))
 
 
 def _refine_other_slide(tmp_path):
     """``refine`` of slide_001 labels with slide_000 tissue of the same size."""
     for sid in ("slide_000", "slide_001"):
-        write_mask(BinaryMask(sid, 0, np.ones((16, 16), dtype=bool), ROLE_GROUND_TRUTH),
+        write_mask(BinaryMask(sid, 0, np.ones((16, 16), dtype=bool)),
                    tmp_path / f"{sid}.pgm")
     return ["refine", "--gt", str(tmp_path / "slide_001.pgm"),
             "--tissue", str(tmp_path / "slide_000.pgm"), "--out", str(tmp_path / "o.pgm")]
@@ -644,7 +670,7 @@ def _subtypes_case(data):
     def make(tmp_path):
         for kind in ("truth", "pred"):
             (tmp_path / kind).mkdir()
-            write_mask(BinaryMask("s", 0, np.zeros((4, 4), dtype=bool), ROLE_GROUND_TRUTH),
+            write_mask(BinaryMask("s", 0, np.zeros((4, 4), dtype=bool)),
                        tmp_path / kind / "s.pgm")
         _write(tmp_path / "subtypes.csv", data)
         return ["eval", "--truth", str(tmp_path / "truth"), "--pred", str(tmp_path / "pred"),
@@ -656,9 +682,9 @@ def _subtypes_case(data):
 def _prediction_level_case(level):
     """``eval`` of a 16x16 level-0 truth against the same bits declared to be at ``level``."""
     def make(tmp_path):
-        for kind, lvl, role in (("truth", 0, ROLE_GROUND_TRUTH), ("pred", level, ROLE_PREDICTION)):
+        for kind, lvl in (("truth", 0), ("pred", level)):
             (tmp_path / kind).mkdir()
-            mask = BinaryMask("s", lvl, np.eye(16, dtype=bool), role)
+            mask = BinaryMask("s", lvl, np.eye(16, dtype=bool))
             write_mask(mask, tmp_path / kind / "s.pgm")
         return ["eval", "--truth", str(tmp_path / "truth"), "--pred", str(tmp_path / "pred"),
                 "--team", "t", "--out", str(tmp_path / "r.json")]
@@ -670,9 +696,9 @@ def _duplicate_slide_case(tmp_path):
     truth = np.eye(16, dtype=bool)
     for kind in ("truth", "pred"):
         (tmp_path / kind).mkdir()
-    write_mask(BinaryMask("s0", 0, truth, ROLE_GROUND_TRUTH), tmp_path / "truth" / "s0.pgm")
+    write_mask(BinaryMask("s0", 0, truth), tmp_path / "truth" / "s0.pgm")
     for name, data in (("a", truth), ("b", np.zeros_like(truth))):
-        write_mask(BinaryMask("s0", 0, data, ROLE_PREDICTION), tmp_path / "pred" / f"{name}.pgm")
+        write_mask(BinaryMask("s0", 0, data), tmp_path / "pred" / f"{name}.pgm")
     return ["eval", "--truth", str(tmp_path / "truth"), "--pred", str(tmp_path / "pred"),
             "--team", "t", "--out", str(tmp_path / "r.json")]
 
@@ -692,9 +718,27 @@ def _config_case(data):
     return make
 
 
+def _refine_of_a_probability_map(tmp_path):
+    """``refine`` of labels that are a probability map, not a mask."""
+    write_probability_map(ProbabilityMap("s", 0, np.zeros((4, 4))), tmp_path / "p.pgm")
+    write_mask(BinaryMask("s", 0, np.zeros((4, 4), dtype=bool)), tmp_path / "m.pgm")
+    return ["refine", "--gt", str(tmp_path / "p.pgm"), "--tissue", str(tmp_path / "m.pgm"),
+            "--out", str(tmp_path / "o.pgm")]
+
+
+def _eval_of_a_probability_map(tmp_path):
+    """``eval`` of a mask truth against a prediction directory holding a probability map."""
+    for kind in ("truth", "pred"):
+        (tmp_path / kind).mkdir()
+    write_mask(BinaryMask("s", 0, np.zeros((4, 4), dtype=bool)), tmp_path / "truth" / "s.pgm")
+    write_probability_map(ProbabilityMap("s", 0, np.zeros((4, 4))), tmp_path / "pred" / "s.pgm")
+    return ["eval", "--truth", str(tmp_path / "truth"), "--pred", str(tmp_path / "pred"),
+            "--team", "t", "--out", str(tmp_path / "r.json")]
+
+
 def _ensemble_mean_of_mask(tmp_path):
     path = tmp_path / "m.pgm"
-    write_mask(BinaryMask("s", 0, np.zeros((4, 4), dtype=bool), ROLE_PREDICTION), path)
+    write_mask(BinaryMask("s", 0, np.zeros((4, 4), dtype=bool)), path)
     return ["ensemble", "--mode", "mean", "--inputs", str(path), str(path),
             "--out", str(tmp_path / "f.pgm")]
 
@@ -737,8 +781,6 @@ _POLYGON = f"<ASAP_Annotations><Annotations>{_TRIANGLE}</Annotations></ASAP_Anno
 # malformed inputs to every file reader the CLI reaches
 MALFORMED_INPUTS = {
     "ppm_truncated": _slide_case(lambda m: _truncate(m.parent / _LEVEL)),
-    "ppm_smaller_than_manifest": _slide_case(
-        lambda m: write_p6(m.parent / _LEVEL, np.zeros((8, 8, 3), dtype=np.uint8))),
     "ppm_bad_magic": _slide_case(lambda m: _write(m.parent / _LEVEL, b"P3\n16 16\n255\n0 0 0\n")),
     "pgm_truncated": _mask_case(_truncate),
     "pgm_bad_magic": _mask_case(lambda p: _write(p, b"P6\n4 4\n255\n" + bytes(48))),
@@ -791,18 +833,21 @@ MALFORMED_INPUTS = {
     "sidecar_not_object": _mask_case(lambda p: _write(p.with_suffix(".json"), "[]")),
     "sidecar_bad_role": _mask_case(lambda p: _write(
         p.with_suffix(".json"), '{"slide_id": "s", "level": 0, "role": "Nobody"}')),
+    "sidecar_bad_kind": _mask_case(lambda p: _write(
+        p.with_suffix(".json"), '{"slide_id": "s", "level": 0, "kind": "Nobody"}')),
     "probability_sidecar_of_a_mask": _ensemble_mean_of_mask,
+    "refine_gt_of_a_probability_map": _refine_of_a_probability_map,
+    "eval_pred_of_a_probability_map": _eval_of_a_probability_map,
     "manifest_not_json": _slide_case(lambda m: _write(m, "{")),
     "manifest_missing": _slide_case(lambda m: m.unlink()),
     "manifest_missing_levels": _slide_case(lambda m: _write(m, '{"slide_id": "s"}')),
     "manifest_level_not_object": _slide_case(lambda m: _write(
         m, '{"slide_id": "s", "mpp_level0": null, "levels": [1]}')),
     "manifest_missing_level_file": _slide_case(lambda m: (m.parent / _LEVEL).unlink()),
-    "manifest_level_index_not_contiguous": _slide_case(
-        _edit_manifest(lambda meta: meta["levels"][0].update(index=1))),
-    "manifest_levels_break_halving": _slide_case(_edit_manifest(_second_level_of_full_size)),
-    "manifest_mpp_not_positive": _slide_case(
-        _edit_manifest(lambda meta: meta.update(mpp_level0=0))),
+    "manifest_n_levels_beyond_files": _slide_case(
+        _edit_manifest(lambda meta: meta.update(n_levels=2))),
+    "manifest_no_levels": _slide_case(_edit_manifest(lambda meta: meta.update(n_levels=0))),
+    "manifest_levels_break_halving": _slide_case(_second_level_of_full_size),
     "subtypes_without_subtype_column": _subtypes_case("slide_id,kind\ns,SCC\n"),
     "subtypes_not_utf8": _subtypes_case(b"slide_id,subtype\ns,\xff\xfe\n"),
     "subtypes_short_row": _subtypes_case("slide_id,subtype\ns\n"),
@@ -833,7 +878,7 @@ def _synth_flags(*flags):
 
 def _rebalance_negative_seed(tmp_path):
     gt = tmp_path / "gt.pgm"
-    write_mask(BinaryMask("s", 0, np.eye(16, dtype=bool), ROLE_GROUND_TRUTH), gt)
+    write_mask(BinaryMask("s", 0, np.eye(16, dtype=bool)), gt)
     return ["tile", "--slide", str(_slide(tmp_path)), "--gt", str(gt), "--size", "8",
             "--rule", "three_class", "--rebalance", "--seed", "-1",
             "--out", str(tmp_path / "tiles.jsonl")]
@@ -841,7 +886,7 @@ def _rebalance_negative_seed(tmp_path):
 
 def _ensemble_vote_binarize(tmp_path):
     path = tmp_path / "m.pgm"
-    write_mask(BinaryMask("s", 0, np.eye(4, dtype=bool), ROLE_PREDICTION), path)
+    write_mask(BinaryMask("s", 0, np.eye(4, dtype=bool)), path)
     return ["ensemble", "--mode", "vote", "--binarize", "0.5", "--inputs", str(path),
             "--out", str(tmp_path / "v.pgm")]
 
@@ -871,7 +916,6 @@ MALFORMED_FLAGS = {
 # the one stderr line of each case above, after "slidebench: error: "; {tmp} is tmp_path
 ERROR_LINES = {
     "ppm_truncated": "{tmp}/slide/level_00.ppm: raster payload is 763 bytes, expected 768",
-    "ppm_smaller_than_manifest": "{tmp}/slide/level_00.ppm: raster is 8x8, manifest declares 16x16",
     "ppm_bad_magic": "{tmp}/slide/level_00.ppm: expected P6 magic, got b'P3'",
     "pgm_truncated": "{tmp}/m.pgm: raster payload is 251 bytes, expected 256",
     "pgm_bad_magic": "{tmp}/m.pgm: expected P5 magic, got b'P6'",
@@ -924,22 +968,27 @@ ERROR_LINES = {
         "{tmp}/m.json: cannot read mask sidecar: Expecting property name enclosed in double "
         "quotes: line 1 column 2 (char 1)"),
     "sidecar_not_object": "{tmp}/m.json: mask sidecar is not a JSON object",
-    "sidecar_bad_role": "{tmp}/m.pgm: mask for s: unknown role 'Nobody'",
-    "probability_sidecar_of_a_mask": "{tmp}/m.json: probability sidecar missing field 'kind'",
+    "sidecar_bad_role": "{tmp}/m.json: mask sidecar missing field 'kind'",
+    "sidecar_bad_kind": "{tmp}/m.json: mask sidecar field 'kind' is 'Nobody', expected 'mask'",
+    "probability_sidecar_of_a_mask": (
+        "{tmp}/m.json: probability sidecar field 'kind' is 'mask', expected 'probability'"),
+    "refine_gt_of_a_probability_map": (
+        "{tmp}/p.json: mask sidecar field 'kind' is 'probability', expected 'mask'"),
+    "eval_pred_of_a_probability_map": (
+        "{tmp}/pred/s.json: mask sidecar field 'kind' is 'probability', expected 'mask'"),
     "manifest_not_json": (
         "{tmp}/slide/manifest.json: cannot read manifest: Expecting property name enclosed in "
         "double quotes: line 1 column 2 (char 1)"),
     "manifest_missing": "[Errno 2] No such file or directory: '{tmp}/slide/manifest.json'",
-    "manifest_missing_levels": "{tmp}/slide/manifest.json: manifest missing field 'mpp_level0'",
-    "manifest_level_not_object": "{tmp}/slide/manifest.json: level entry is not a JSON object",
-    "manifest_missing_level_file": (
-        "{tmp}/slide/manifest.json: missing level file {tmp}/slide/level_00.ppm"),
-    "manifest_level_index_not_contiguous": (
-        "{tmp}/slide/manifest.json: slide s: level indices not contiguous at 0"),
+    "manifest_missing_levels": "{tmp}/slide/manifest.json: manifest missing field 'n_levels'",
+    "manifest_level_not_object": "{tmp}/slide/manifest.json: manifest missing field 'n_levels'",
+    "manifest_missing_level_file": "[Errno 2] No such file or directory: '{tmp}/slide/level_00.ppm'",
+    "manifest_n_levels_beyond_files": (
+        "[Errno 2] No such file or directory: '{tmp}/slide/level_01.ppm'"),
+    "manifest_no_levels": "{tmp}/slide/manifest.json: slide s: pyramid has no levels",
     "manifest_levels_break_halving": (
         "{tmp}/slide/manifest.json: slide s level 1: 16x16 violates the halving rule (expected "
         "8x8)"),
-    "manifest_mpp_not_positive": "{tmp}/slide/manifest.json: slide s: mpp_level0 must be positive",
     "subtypes_without_subtype_column": "{tmp}/subtypes.csv: missing column(s) subtype",
     "subtypes_not_utf8": (
         "{tmp}/subtypes.csv: cannot read CSV: 'utf-8' codec can't decode byte 0xff in position "
@@ -1002,7 +1051,7 @@ def test_coteach_without_seeds_creates_no_out(tmp_path, case):
 
 def test_tile_otsu_on_uniform_slide_is_one_line(tmp_path):
     gt = tmp_path / "gt.pgm"
-    write_mask(BinaryMask("s", 0, np.zeros((16, 16), dtype=bool), ROLE_GROUND_TRUTH), gt)
+    write_mask(BinaryMask("s", 0, np.zeros((16, 16), dtype=bool)), gt)
     proc = _run([sys.executable, "-m", "slidebench", "tile", "--slide", str(_slide(tmp_path)),
                  "--gt", str(gt), "--size", "8", "--tissue-filter", "otsu",
                  "--out", str(tmp_path / "tiles.jsonl")])
@@ -1068,7 +1117,7 @@ def _tie_colour_slide(root: Path) -> Path:
 
 
 # the tissue masks and tile manifests of the slides below; a change here must be deliberate
-_PINNED_TISSUE_TILE_SHA256 = "43da390912504f6c05db114583402239ef4b5a5247c2f5c5a3f4627b385bcee8"
+_PINNED_TISSUE_TILE_SHA256 = "29fdf7f7a5da9d8713258daf26824c7becb2e08cacf4ec074a6e2cbe7eb13ef5"
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -1079,7 +1128,7 @@ def test_tissue_and_tile_outputs_are_pinned(tmp_path, workers):
     synth = (tmp_path / "c" / "slides" / "slide_000" / "manifest.json",
              tmp_path / "c" / "truth" / "slide_000.pgm")
     gt = tmp_path / "ties.pgm"
-    write_mask(BinaryMask("ties", 0, np.eye(160, dtype=bool), ROLE_GROUND_TRUTH), gt)
+    write_mask(BinaryMask("ties", 0, np.eye(160, dtype=bool)), gt)
     ties = (_tie_colour_slide(tmp_path / "t"), gt)
     outputs = []
     for name, (slide, truth) in {"synth": synth, "ties": ties}.items():

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     batch_loss,
+    coteach_step,
     decision_reference,
     gradient_check,
     logistic_gd_oracle,
@@ -14,13 +15,12 @@ from oracles import (
     sigmoid_reference,
     step_reference,
 )
-from slidebench import CoteachConfig, PixelBatch, coteach_step, pixel_features, train, train_single
+from slidebench import CoteachConfig, PixelBatch, pixel_features, train, train_single
 from slidebench import coteach
 from slidebench.cli import main
 from slidebench.coteach import (
     FEATURE_DIM,
     FEATURE_NAMES,
-    NOISE_BENCHMARK_CONFIG,
     _losses,
     _select,
     _sigmoid,
@@ -164,7 +164,7 @@ def test_train_returns_history_rows(rng):
 
 def test_train_deterministic(rng):
     batches = [_batch(rng, name=f"b{i}") for i in range(2)]
-    cfg = CoteachConfig(eta=0.5, t_max=5, seed=9)
+    cfg = CoteachConfig(eta=0.5, t_max=5, n_max=1, seed=9)
     a = train(batches, cfg)
     b = train(batches, cfg)
     assert np.array_equal(a[0], b[0])
@@ -199,7 +199,7 @@ def test_parse_config_round_trip(tmp_path):
     assert cfg.t_max == 40
     assert cfg.tau == 0.25
     assert cfg.seed == 7
-    assert cfg.n_max == 1
+    assert cfg.n_max == 4  # not in the file: CoteachConfig's default
 
 
 @pytest.mark.parametrize("body", ["bogus=1\n", "eta\n", "eta=fast\n", "tau=1.5\n"])
@@ -300,7 +300,7 @@ def test_coteach_beats_single_on_one_seed():
 
 def test_batch_loss_decreases_under_training(rng):
     batch = _batch(rng, 16, 16)
-    cfg = CoteachConfig(eta=1.0, t_max=20, tau=0.0, seed=0)
+    cfg = CoteachConfig(eta=1.0, t_max=20, n_max=1, tau=0.0, seed=0)
     sf, _, history = train([batch], cfg)
     losses = [row["loss_f"] for row in history]
     assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -329,7 +329,7 @@ def test_coteach_outputs_digest_is_pinned(tmp_path):
     for name in ("summary.json", "history.csv"):
         h.update((tmp_path / name).read_bytes())
     train_set, _, _ = make_noise_benchmark(5)
-    _, _, history = train(train_set, replace(NOISE_BENCHMARK_CONFIG, seed=5))
+    _, _, history = train(train_set, CoteachConfig(seed=5))
     h.update(repr(history).encode())
     assert h.hexdigest() == _PINNED_COTEACH_SHA256
 

@@ -131,19 +131,19 @@ def test_probability_map_round_trip_quantizes(tmp_path, rng):
     assert np.max(np.abs(back.values - pm.values)) <= 0.5 / 255
 
 
-def test_probability_sidecar_records_quantization(tmp_path):
-    pm = _pm([[0.0, 1.0]])
+def test_probability_sidecar_is_slide_level_and_kind(tmp_path):
+    pm = _pm([[0.0, 1.0]], slide_id="slide_42", level=3)
     write_probability_map(pm, tmp_path / "p.pgm")
     meta = json.loads((tmp_path / "p.json").read_text())
-    assert meta["kind"] == "probability"
-    assert meta["quantization"] == {"maxval": 255, "rule": "round(255*p)"}
+    assert meta == {"slide_id": "slide_42", "level": 3, "kind": "probability"}
 
 
 def test_read_probability_map_rejects_mask_sidecar(tmp_path, rng):
     from slidebench import write_mask
 
     write_mask(_mask(rng.random((4, 4)) < 0.5), tmp_path / "m.pgm")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="probability sidecar field 'kind' is 'mask', "
+                                          "expected 'probability'"):
         read_probability_map(tmp_path / "m.pgm")
 
 

@@ -55,7 +55,7 @@ def _inputs(root: Path) -> dict:
                      "--subtypes", str(ch / "subtypes.csv"), "--out", str(report)]) == 0
     values = np.linspace(0.0, 1.0, 64 * 64).reshape(64, 64)
     write_probability_map(ProbabilityMap("slide_000", 0, values), prob)
-    cfg.write_text("t_max=2\nn_max=1\ntau=0.2\nseed=1\n")
+    cfg.write_text("eta=1.0\nt_max=2\nn_max=1\ntau=0.2\nseed=1\n")
 
     def sidecar(p: Path) -> list[Path]:
         return [p, p.with_suffix(".json")]

@@ -44,7 +44,6 @@ INVALID = {
     ]),
     "SlidePyramid": (ValidationError, [
         lambda: SlidePyramid("s", []),
-        lambda: SlidePyramid("s", [PyramidLevel(_RGB)], mpp_level0=0.0),
         lambda: SlidePyramid("s", [PyramidLevel(_RGB),
                                    PyramidLevel(np.zeros((8, 9, 3), dtype=np.uint8))]),
     ]),
@@ -57,7 +56,6 @@ INVALID = {
         lambda: AnnotationSet("s", [Annotation("a", "g", _TRIANGLE)] * 2),
     ]),
     "BinaryMask": (ValidationError, [
-        lambda: BinaryMask("s", 0, np.zeros((2, 2), dtype=bool), "Nonsense"),
         lambda: BinaryMask("s", -1, np.zeros((2, 2), dtype=bool)),
         lambda: BinaryMask("s", 0, np.zeros((2, 2), dtype=np.uint8)),
     ]),

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from slidebench import (
     Annotation,
     AnnotationSet,
     BinaryMask,
+    ProbabilityMap,
     build_pyramid,
     luma,
     masks,
@@ -29,6 +31,7 @@ from slidebench import (
     refine_labels,
     tissue_mask,
     write_mask,
+    write_probability_map,
 )
 from slidebench.errors import (
     DegenerateHistogramError,
@@ -41,8 +44,6 @@ from slidebench.masks import (
     GRAY200_THRESHOLD,
     METHOD_GRAY200,
     METHOD_OTSU,
-    ROLE_REFINED,
-    ROLE_TISSUE,
 )
 
 
@@ -348,7 +349,6 @@ def test_tissue_mask_gray200(rng):
     base = rng.integers(0, 256, (32, 32, 3), dtype=np.uint8)
     p = build_pyramid("s", base, 1)
     mask = tissue_mask(p, 0, METHOD_GRAY200)
-    assert mask.role == ROLE_TISSUE
     assert np.array_equal(mask.data, luma(base) <= GRAY200_THRESHOLD)
 
 
@@ -386,29 +386,27 @@ def test_tissue_mask_otsu_memory_is_below_the_raster(rng):
 
 def test_refine_labels_is_intersection(rng):
     gt = BinaryMask("s", 0, rng.random((16, 16)) < 0.5)
-    tissue = BinaryMask("s", 0, rng.random((16, 16)) < 0.5, ROLE_TISSUE)
+    tissue = BinaryMask("s", 0, rng.random((16, 16)) < 0.5)
     refined = refine_labels(gt, tissue)
-    assert refined.role == ROLE_REFINED
     assert np.array_equal(refined.data, gt.data & tissue.data)
 
 
 def test_refine_labels_rejects_mismatched_geometry(rng):
     gt = BinaryMask("s", 0, np.zeros((8, 8), dtype=bool))
-    tissue = BinaryMask("s", 1, np.zeros((8, 8), dtype=bool), ROLE_TISSUE)
+    tissue = BinaryMask("s", 1, np.zeros((8, 8), dtype=bool))
     with pytest.raises(GeometryError):
         refine_labels(gt, tissue)
-    other = BinaryMask("t", 0, np.zeros((8, 8), dtype=bool), ROLE_TISSUE)
+    other = BinaryMask("t", 0, np.zeros((8, 8), dtype=bool))
     with pytest.raises(ValidationError, match="slide 't' does not match slide 's'"):
         refine_labels(gt, other)
 
 
 def test_mask_round_trip(tmp_path, rng):
-    mask = BinaryMask("slide_007", 2, rng.random((9, 13)) < 0.3, ROLE_TISSUE)
+    mask = BinaryMask("slide_007", 2, rng.random((9, 13)) < 0.3)
     write_mask(mask, tmp_path / "m.pgm")
     back = read_mask(tmp_path / "m.pgm")
     assert back.slide_id == "slide_007"
     assert back.level == 2
-    assert back.role == ROLE_TISSUE
     assert np.array_equal(back.data, mask.data)
 
 
@@ -420,6 +418,14 @@ def test_read_mask_requires_sidecar(tmp_path, rng):
         read_mask(tmp_path / "m.pgm")
 
 
-def test_mask_validate_rejects_bad_role():
-    with pytest.raises(ValidationError):
-        BinaryMask("s", 0, np.zeros((2, 2), dtype=bool), "Nonsense")
+def test_mask_sidecar_is_slide_level_and_kind(tmp_path):
+    write_mask(BinaryMask("slide_007", 2, np.eye(3, dtype=bool)), tmp_path / "m.pgm")
+    meta = json.loads((tmp_path / "m.json").read_text())
+    assert meta == {"slide_id": "slide_007", "level": 2, "kind": "mask"}
+
+
+def test_read_mask_rejects_a_probability_map(tmp_path):
+    write_probability_map(ProbabilityMap("s", 0, np.zeros((4, 4))), tmp_path / "p.pgm")
+    with pytest.raises(FormatError, match="mask sidecar field 'kind' is 'probability', "
+                                          "expected 'mask'"):
+        read_mask(tmp_path / "p.pgm")

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from oracles import annotation_sets_equal, pyramids_equal
+from oracles import annotation_sets_equal, pyramids_equal, write_p6
 from slidebench import (
     Annotation,
     AnnotationSet,
@@ -49,11 +51,13 @@ def test_pyramid_level_out_of_range(rng):
 
 def test_pyramid_round_trip(tmp_path, rng):
     base = rng.integers(0, 256, (21, 33, 3), dtype=np.uint8)
-    p = build_pyramid("round", base, 3, mpp_level0=0.25)
+    p = build_pyramid("round", base, 3)
     manifest = write_pyramid(p, tmp_path / "slide")
     back = read_pyramid(manifest)
     assert pyramids_equal(p, back)
-    assert back.mpp_level0 == 0.25
+    assert json.loads(manifest.read_text()) == {"slide_id": "round", "n_levels": 3}
+    assert sorted(f.name for f in manifest.parent.iterdir()) == [
+        "level_00.ppm", "level_01.ppm", "level_02.ppm", "manifest.json"]
 
 
 def test_write_pyramid_is_deterministic(tmp_path, rng):
@@ -69,16 +73,25 @@ def test_read_pyramid_missing_level_file(tmp_path, rng):
     p = build_pyramid("x", rng.integers(0, 256, (8, 8, 3), dtype=np.uint8), 2)
     manifest = write_pyramid(p, tmp_path / "s")
     (tmp_path / "s/level_01.ppm").unlink()
-    with pytest.raises(FormatError):
+    with pytest.raises(FileNotFoundError, match="level_01.ppm"):
         read_pyramid(manifest)
 
 
 def test_read_pyramid_dim_mismatch(tmp_path, rng):
+    # a level's dimensions come from its own header, and they must follow the halving rule
+    p = build_pyramid("x", rng.integers(0, 256, (8, 8, 3), dtype=np.uint8), 2)
+    manifest = write_pyramid(p, tmp_path / "s")
+    write_p6(tmp_path / "s/level_01.ppm", np.zeros((4, 5, 3), dtype=np.uint8))
+    with pytest.raises(FormatError, match="level 1: 5x4 violates the halving rule"):
+        read_pyramid(manifest)
+
+
+def test_read_pyramid_rejects_the_level_table_manifest(tmp_path, rng):
     p = build_pyramid("x", rng.integers(0, 256, (8, 8, 3), dtype=np.uint8), 1)
     manifest = write_pyramid(p, tmp_path / "s")
-    text = manifest.read_text().replace('"width": 8', '"width": 9', 1)
-    manifest.write_text(text)
-    with pytest.raises(FormatError):
+    level = {"index": 0, "width": 8, "height": 8, "file": "level_00.ppm"}
+    manifest.write_text(json.dumps({"slide_id": "x", "mpp_level0": None, "levels": [level]}))
+    with pytest.raises(FormatError, match="manifest missing field 'n_levels'"):
         read_pyramid(manifest)
 
 

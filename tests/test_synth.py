@@ -42,7 +42,6 @@ from slidebench import (
     write_pyramid,
 )
 from slidebench import masks
-from slidebench.masks import ROLE_GROUND_TRUTH, ROLE_PREDICTION
 from slidebench.synth import _CHUNK_ROWS, _LESION_LO, _TISSUE_LO, _blob_chunks, _box_filter_bool
 from slidebench.synth import _paint_table
 from slidebench.synth import _prediction_blocks
@@ -84,7 +83,6 @@ def test_truth_matches_rasterized_annotations():
     w, h = pyr.width, pyr.height
     raster = rasterize(ann, 0, w, h)
     assert np.array_equal(raster.data, truth.data)
-    assert truth.role == ROLE_GROUND_TRUTH
     assert np.count_nonzero(truth.data) > 0
 
 
@@ -128,7 +126,6 @@ def test_corrupt_identity_copies_truth():
     pred = corrupt_prediction(truth, [CorruptionSpec()])[0]
     assert np.array_equal(pred.data, truth.data)
     assert pred.data is not truth.data
-    assert pred.role == ROLE_PREDICTION
     assert pred.slide_id == truth.slide_id
     assert pred.level == truth.level
 
@@ -140,7 +137,7 @@ def test_flip_rate_one_complements():
 
 
 def test_flip_fraction_near_rate():
-    blank = BinaryMask("s", 0, np.zeros((100, 100), dtype=bool), ROLE_GROUND_TRUTH)
+    blank = BinaryMask("s", 0, np.zeros((100, 100), dtype=bool))
     for seed in range(20):
         pred = corrupt_prediction(blank, [CorruptionSpec(flip_rate=0.1, seed=seed)])[0]
         flipped = int(np.count_nonzero(pred.data))
@@ -240,13 +237,13 @@ def test_batched_predictions_match_reference(monkeypatch, shape, chunk_pixels):
     if chunk_pixels is not None:
         monkeypatch.setattr(masks, "_LUMA_CHUNK_PIXELS", chunk_pixels)
     data = np.random.default_rng(list(shape)).random(shape) < 0.3
-    truth = BinaryMask("slide_004", 0, data, ROLE_GROUND_TRUTH)
+    truth = BinaryMask("slide_004", 0, data)
     preds = corrupt_prediction(truth, _BATCH_SPECS)
     assert len(preds) == len(_BATCH_SPECS)
     for spec, pred in zip(_BATCH_SPECS, preds):
         expected = corrupt_prediction_reference(truth, spec)
         assert np.array_equal(pred.data, expected.data), spec
-        assert (pred.slide_id, pred.level, pred.role) == ("slide_004", 0, ROLE_PREDICTION)
+        assert (pred.slide_id, pred.level) == ("slide_004", 0)
     # every prediction owns its raster, and the truth is untouched
     assert len({id(p.data) for p in preds} | {id(data)}) == len(preds) + 1
     assert np.array_equal(truth.data, np.random.default_rng(list(shape)).random(shape) < 0.3)
@@ -269,7 +266,7 @@ def test_streamed_blocks_match_whole_raster_corruption(monkeypatch, block_rows):
     yy, xx = np.mgrid[:83, :61]
     noise = np.random.default_rng(block_rows).random((83, 61)) < 0.05
     data = ((yy - 40) ** 2 + (xx - 30) ** 2 < 27**2) ^ noise
-    truth = BinaryMask("slide_007", 0, data.copy(), ROLE_GROUND_TRUTH)
+    truth = BinaryMask("slide_007", 0, data.copy())
     monkeypatch.setattr(masks, "_LUMA_CHUNK_PIXELS", block_rows * 61)
     expected = [corrupt_prediction_reference(truth, spec).data for spec in _BLOCK_SPECS]
     assert expected[1].any() and not np.array_equal(expected[1], data)
@@ -334,7 +331,7 @@ def test_synth_child_peaks_within_one_and_a_half_rgb_levels_above_its_imports(tm
 
 def test_flip_memory_is_below_one_and_a_half_masks():
     data = np.random.default_rng(0).random((2048, 2048)) < 0.3
-    truth = BinaryMask("slide_000", 0, data, ROLE_GROUND_TRUTH)
+    truth = BinaryMask("slide_000", 0, data)
     spec = CorruptionSpec(flip_rate=0.02, seed=13)
     (pred,), peak = traced_peak(lambda: corrupt_prediction(truth, [spec]))
     assert np.array_equal(pred.data, corrupt_prediction_reference(truth, spec).data)
@@ -533,7 +530,7 @@ _SCORING_TEAMS = (("exact", {}), ("flip1", {"flip_rate": 0.01}), ("flip2", {"fli
                   ("flip8", {"flip_rate": 0.08}), ("erode2", {"erode": 2}),
                   ("dilate2", {"dilate": 2}))
 # the synthesized bytes; a change here must be deliberate and declared
-_PINNED_TREE_SHA256 = "0c5f1b9bcbd939e2c2a28f75d17f051c3b3d5babf9ae8d95472c4da26124e0c8"
+_PINNED_TREE_SHA256 = "2434008b8c9a187fdd7271c2dd38b933e6ab596538e1a268b3f1318246fee04e"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -549,7 +546,7 @@ def test_challenge_tree_digest_is_pinned(tmp_path, workers):
 
 # 1100 rows leave a partial 512-row chunk and odd rows at every level; the
 # teams halo their blocks by erode + dilate rows and flip one seed's field
-_PINNED_UNEVEN_TREE_SHA256 = "1d8a79ede89b4e0fbd4c47b4b270e915923d453ccb1d58efcdccfb1a6586f408"
+_PINNED_UNEVEN_TREE_SHA256 = "b12004f0b6e96a83f81f882775307f4254936493e3a83853f6eed0f99526ddc0"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
