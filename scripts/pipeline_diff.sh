@@ -16,13 +16,12 @@ TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 OUT="$TMP/out"
 RUN="python3 -m slidebench"
-# REV's 1100-px tree, which the tissue, tiles and vote cases read with both checkouts: against
-# a REV whose manifest or sidecar format the working tree does not read, those cases fail
-TREE="$TMP/synth1100.rev-w1"
 
 mkdir "$TMP/rev" && git -C "$ROOT" archive "$REV" | tar -x -C "$TMP/rev"
 
-# The cases: each CASE CHECKOUT WORKERS writes into $OUT with the checkout's package.
+# The cases: each CASE CHECKOUT WORKERS writes into $OUT with the checkout's package. The
+# tissue, tiles and vote cases read $TREE, the checkout's own 1-worker synth1100 tree, so a
+# change of manifest or sidecar format shows in the synth1100 case, not as a failed read.
 pipeline() {  # the documented end-to-end chain
   bash "$1/scripts/full_pipeline.sh" "$OUT" "$SEED" "$2"
 }
@@ -70,6 +69,7 @@ vote() {  # the majority vote of the three teams' predictions
 run() {  # run CASE RUN: CASE at RUN's checkout and workers; its tree and stdout to $TMP/CASE.RUN
   local checkout="$ROOT" code=0
   [[ $2 == tree-* ]] || checkout="$TMP/rev"
+  TREE="$TMP/synth1100.${2%-w*}-w1"
   rm -rf "$OUT" && mkdir "$OUT"
   PYTHONPATH="$checkout/src${PYTHONPATH:+:$PYTHONPATH}" "$1" "$checkout" "${2#*-w}" \
     > "$TMP/stdout" || code=$?

@@ -11,8 +11,9 @@ kept and each learner is plain logistic regression.
 
 Selection contract: a learner's update keeps the first ``n - floor(R * n)``
 of its batch's ``n`` pixels in ascending order of the peer's loss, ties
-broken by pixel index, and sums their gradient terms in that order. Each
-learner's scores ``X @ w`` and per-pixel losses are computed once per step:
+broken by pixel index, gathers their rows in that order and takes its gradient
+as one BLAS product ``X.T @ r`` over them; the outputs' bits rest on that order.
+Each learner's scores ``X @ w`` and per-pixel losses are computed once per step:
 the scores serve its own gradient, the losses its peer's selection and the
 training history, which logs each step's pre-update batch loss. A pixel is
 tumor where sigmoid(w . x) > 0.5, the strict threshold of ``ensemble.binarize``.
@@ -33,6 +34,7 @@ FEATURE_NAMES = ("bias", "red", "green", "blue", "local_mean", "local_std")
 FEATURE_DIM = len(FEATURE_NAMES)
 
 HISTORY_FIELDS = ("epoch", "loss_f", "loss_g", "drop_rate", "selected_fraction")
+_MEAN_FIELDS = ("loss_f", "loss_g", "selected_fraction")  # the drop rate is the epoch's
 
 
 @dataclass(frozen=True)
@@ -91,10 +93,11 @@ class PixelBatch:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    pos = z >= 0
-    e = np.exp(np.where(pos, -z, z))  # not -|z|, which would flip the sign bit of a NaN
-    d = 1.0 + e
-    return np.where(pos, 1.0 / d, e / d)
+    e = np.exp(np.minimum(z, -z))  # not -|z|, which would flip the sign bit of a NaN
+    d = e + 1.0
+    np.putmask(e, z >= 0, 1.0)  # the numerator: 1 where z >= 0, e^z elsewhere
+    e /= d
+    return e
 
 
 def _box3_mean(img: np.ndarray) -> np.ndarray:
@@ -133,12 +136,14 @@ def drop_rate(cfg: CoteachConfig, epoch: int) -> float:
 
 def _losses(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-pixel logistic cross-entropy log(1+e^z) - y*z at the scores ``z``."""
-    return np.logaddexp(0.0, z) - y * z
+    losses = np.logaddexp(0.0, z)
+    return np.subtract(losses, y * z, out=losses)
 
 
 def _gradient(X: np.ndarray, z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mean logistic-loss gradient at the scores ``z = X @ w``."""
-    return X.T @ (_sigmoid(z) - y) / len(y)
+    r = _sigmoid(z)
+    return X.T @ np.subtract(r, y, out=r) / len(y)
 
 
 def _select(losses: np.ndarray, rate: float) -> np.ndarray | None:
@@ -152,7 +157,7 @@ def _select(losses: np.ndarray, rate: float) -> np.ndarray | None:
     if n_keep == len(losses):
         return None
     order = np.argsort(losses)
-    ranked = losses[order]
+    ranked = losses.take(order)
     # strictly increasing sorted losses have one order, so any sort gives the
     # stable one; ties and NaN fall back to the stable sort
     if not (ranked[1:] > ranked[:-1]).all():
@@ -162,7 +167,7 @@ def _select(losses: np.ndarray, rate: float) -> np.ndarray | None:
 
 def _update(w: np.ndarray, sel: np.ndarray | None, X, z, y, eta: float) -> tuple[np.ndarray, int]:
     if sel is not None:
-        X, z, y = X[sel], z[sel], y[sel]
+        X, z, y = X.take(sel, axis=0), z.take(sel), y.take(sel)
     grad = _gradient(X, z, y)
     if not np.isfinite(grad).all():
         raise DivergenceError("non-finite gradient; lower eta or check features")
@@ -243,9 +248,10 @@ def train(dataset: list[PixelBatch],
         for X, y in steps:
             wf, wg, info = _step_full(wf, wg, X, y, epoch, cfg)
             infos.append(info)
-        row = {k: float(np.mean([i[k] for i in infos])) for k in HISTORY_FIELDS[1:]}
-        row["drop_rate"] = drop_rate(cfg, epoch)  # every step of the epoch has it: not averaged
-        history.append({"epoch": epoch, **row})
+        # np.mean's bits: one pairwise sum along each contiguous row, then / n
+        sums = np.add.reduce([[i[k] for i in infos] for k in _MEAN_FIELDS], axis=1)
+        lf, lg, kept = (sums / len(infos)).tolist()
+        history.append(dict(zip(HISTORY_FIELDS, (epoch, lf, lg, drop_rate(cfg, epoch), kept))))
     return wf, wg, history
 
 
@@ -333,10 +339,19 @@ def make_noise_benchmark(
 
 def clean_accuracy(w: np.ndarray, test_set: list[PixelBatch],
                    clean_labels: list[np.ndarray]) -> float:
-    """Fraction of clean test pixels that the weights ``w`` classify correctly."""
-    pairs = list(zip(test_set, clean_labels))
-    correct = sum(int(np.count_nonzero((_sigmoid(b.features @ w) > 0.5) == t)) for b, t in pairs)
-    return correct / sum(t.size for _, t in pairs)
+    """Fraction of clean test pixels that the weights ``w`` classify correctly; each batch
+    of ``test_set`` takes the clean label raster of the same index. Raises ValidationError
+    for an empty or unpaired batch list, GeometryError for labels of another shape."""
+    if not test_set or len(clean_labels) != len(test_set):
+        raise ValidationError(
+            f"clean_accuracy: {len(test_set)} test batches, {len(clean_labels)} clean labels")
+    for b, t in zip(test_set, clean_labels):
+        if t.shape != b.labels.shape:
+            raise GeometryError(f"batch {b.name}: clean labels {t.shape} do not match "
+                                f"features {b.labels.shape}")
+    correct = sum(int(np.count_nonzero((_sigmoid(b.features @ w) > 0.5) == t))
+                  for b, t in zip(test_set, clean_labels))
+    return correct / sum(t.size for t in clean_labels)
 
 
 def noise_benchmark(seed: int, cfg: CoteachConfig | None = None) -> dict:

@@ -1,8 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from oracles import (
     batch_loss,
@@ -21,6 +26,7 @@ from slidebench.cli import main
 from slidebench.coteach import (
     FEATURE_DIM,
     FEATURE_NAMES,
+    HISTORY_FIELDS,
     _losses,
     _select,
     _sigmoid,
@@ -254,6 +260,25 @@ def test_clean_accuracy_range(rng):
     assert 0.0 <= acc <= 1.0
 
 
+def test_clean_accuracy_rejects_fewer_labels_than_batches():
+    # zip would score only the first batch: 0.4951 where both batches give 0.4839
+    _, test_set, clean = make_noise_benchmark(3)
+    with pytest.raises(ValidationError, match="2 test batches, 1 clean labels"):
+        clean_accuracy(np.zeros(FEATURE_DIM), test_set, clean[:1])
+
+
+def test_clean_accuracy_rejects_labels_that_only_broadcast():
+    # (1, 32) labels broadcast against a 32x32 tile and would score 32.0
+    _, test_set, clean = make_noise_benchmark(3)
+    with pytest.raises(GeometryError, match=r"batch tile_4: clean labels \(1, 32\)"):
+        clean_accuracy(np.zeros(FEATURE_DIM), test_set, [t[:1] for t in clean])
+
+
+def test_clean_accuracy_rejects_an_empty_test_set():
+    with pytest.raises(ValidationError, match="0 test batches, 0 clean labels"):
+        clean_accuracy(np.zeros(FEATURE_DIM), [], [])
+
+
 def _weights_at_the_edges(rng):
     """Weights of every magnitude up to 1e3, weights whose scores are +-0.0 or tiny, and
     weights with an infinite component."""
@@ -384,6 +409,61 @@ def test_step_matches_reference_bit_for_bit(rng, tau, tied):
         assert wf.tobytes() == ref_f.tobytes()
         assert wg.tobytes() == ref_g.tobytes()
         assert info == ref_info
+
+
+# the two bit-for-bit reference tests above, run by a child under NPY_DISABLE_CPU_FEATURES;
+# it prints whether the feature named by its argument is still on
+_REFERENCE_CHECKS = """
+import sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+import test_coteach as t
+t.test_sigmoid_matches_reference_bit_for_bit(np.random.default_rng(0))
+for tau in (0.0, 0.4):
+    for tied in (False, True):
+        t.test_step_matches_reference_bit_for_bit(np.random.default_rng(0), tau, tied)
+print(__cpu_features__[sys.argv[1]])
+"""
+
+
+@pytest.mark.parametrize("disabled, off", [
+    ("X86_V4 AVX512_ICL AVX512_SPR", "X86_V4"),
+    ("X86_V3 X86_V4 AVX512_ICL AVX512_SPR", "X86_V3"),
+], ids=["without-avx512", "without-avx2"])
+def test_step_matches_reference_bit_for_bit_on_other_simd_dispatches(disabled, off):
+    # the sigmoid's np.minimum and np.putmask keep NaN signs and zeros on every SIMD path
+    if not __cpu_features__.get(off):
+        pytest.skip(f"this CPU has no {off} code path to disable")
+    tests = Path(__file__).resolve().parent
+    paths = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled,
+           "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run([sys.executable, "-c", _REFERENCE_CHECKS, off], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize("n_max", [4, 11])  # 11: numpy's pairwise sum unrolls past 8
+def test_history_rows_are_np_mean_over_the_epochs_step_infos(rng, monkeypatch, n_max):
+    # train sums each row in one reduce; it must keep np.mean's summation order and bits
+    infos = []
+    real = coteach._step_full
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        infos.append(out[2])
+        return out
+
+    monkeypatch.setattr(coteach, "_step_full", recording)
+    cfg = CoteachConfig(eta=0.5, t_max=6, n_max=n_max, tau=0.3, ramp_epochs=3, seed=2)
+    _, _, history = train([_batch(rng, name=f"b{i}") for i in range(3)], cfg)
+    assert len(infos) == cfg.t_max * n_max
+    for epoch, row in enumerate(history, 1):
+        steps = infos[(epoch - 1) * n_max : epoch * n_max]
+        want = {k: float(np.mean([i[k] for i in steps])) for k in HISTORY_FIELDS[1:]}
+        want["drop_rate"] = drop_rate(cfg, epoch)
+        assert repr(row) == repr({"epoch": epoch, **want})
 
 
 def test_train_runs_one_step_call_per_step(rng, monkeypatch):
