@@ -2,7 +2,8 @@
 
 Every subcommand is fully specified by its flags: same flags and inputs give
 byte-identical outputs, regardless of --workers. Exit codes: 0 success,
-1 data error (bad file contents, failed invariants, no memory left), 2 usage error.
+1 data error (bad file contents, failed invariants, no memory left), 2 usage error,
+130 and 143 a run stopped by SIGINT and SIGTERM, whose pool is killed and reaped.
 Diagnostics go to stderr; machine-readable output goes to files or stdout, as UTF-8.
 The stages are the package's lazy submodules, which run on first use, so a
 start runs only the modules its subcommand calls: ``--version`` and ``--help``
@@ -13,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
+import threading
 from pathlib import Path
 
 from . import __version__, coteach, ensemble, leaderboard, masks, metrics, reports, slide_io
@@ -120,24 +123,32 @@ def cmd_tile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_mask_dir(directory: str | Path) -> dict:
+class _MaskFiles(dict):
+    """Slide id -> checked mask file. A lookup reads the mask, so each pool worker reads
+    only the slides it scores, and holds one at a time."""
+
+    def __getitem__(self, slide_id: str) -> masks.BinaryMask:
+        return masks.read_mask(super().__getitem__(slide_id))
+
+
+def _mask_files(directory: str | Path) -> _MaskFiles:
     directory = Path(directory)
     if not directory.is_dir():
         raise FormatError(f"{directory}: not a directory")
-    by_slide, paths = {}, {}
+    paths = {}
     for path in sorted(directory.glob("*.pgm")):
-        mask = masks.read_mask(path)
-        if mask.slide_id in paths:
-            raise FormatError(f"{paths[mask.slide_id]} and {path} both hold slide {mask.slide_id!r}")
-        by_slide[mask.slide_id], paths[mask.slide_id] = mask, path
-    if not by_slide:
+        slide_id = masks.check_mask(path)
+        if slide_id in paths:
+            raise FormatError(f"{paths[slide_id]} and {path} both hold slide {slide_id!r}")
+        paths[slide_id] = path
+    if not paths:
         raise FormatError(f"{directory}: no .pgm masks found")
-    return by_slide
+    return _MaskFiles(paths)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    gt = _load_mask_dir(args.truth)
-    pred = _load_mask_dir(args.pred)
+    gt = _mask_files(args.truth)
+    pred = _mask_files(args.pred)
     subtypes = reports.read_subtypes(args.subtypes) if args.subtypes else None
     report = metrics.evaluate_team(args.team, gt, pred, subtypes=subtypes, workers=args.workers)
     reports.write_report(report, args.out)
@@ -361,11 +372,24 @@ def main(argv: list[str] | None = None) -> int:
     if "numpy" not in sys.modules:
         # the package's BLAS calls are tiny, and an idle OpenBLAS pool spins CPU
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    main_thread = threading.current_thread() is threading.main_thread()  # only it sets handlers
+    previous = signal.signal(signal.SIGTERM, _terminate) if main_thread else None
     try:
         return args.func(args)
     except (SlidebenchError, OSError, MemoryError) as exc:
         print(f"slidebench: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt as exc:  # SIGINT, or SIGTERM through _terminate
+        print(f"slidebench: error: {exc.args[0] if exc.args else 'interrupted'}", file=sys.stderr)
+        return 143 if exc.args else 130
+    finally:
+        if main_thread:
+            signal.signal(signal.SIGTERM, previous)
+
+
+def _terminate(signum: int, frame) -> None:
+    """SIGTERM unwinds the run as SIGINT does, so ``run_chunks`` kills and reaps its workers."""
+    raise KeyboardInterrupt("terminated")
 
 
 if __name__ == "__main__":

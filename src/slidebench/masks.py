@@ -329,6 +329,14 @@ def read_mask(path: str | Path) -> BinaryMask:
         return BinaryMask(slide_id, level, data)
 
 
+def check_mask(path: str | Path) -> str:
+    """The slide id of mask ``path``, with ``read_mask``'s checks and errors but no pixel read."""
+    _, slide_id, level = read_pgm_sidecar(path, "mask", pixels=False)
+    if level < 0:
+        raise FormatError(f"{path}: mask for {slide_id}: negative level {level}")
+    return slide_id
+
+
 def write_pgm_sidecar(path: Path, slide_id: str, level: int, kind: str) -> None:
     """Write the JSON sidecar of the ``kind`` PGM at ``path``, which ``read_pgm_sidecar``
     reads."""
@@ -336,11 +344,11 @@ def write_pgm_sidecar(path: Path, slide_id: str, level: int, kind: str) -> None:
                format_json({"slide_id": slide_id, "level": level, "kind": kind}))
 
 
-def read_pgm_sidecar(path: str | Path, kind: str) -> tuple[np.ndarray, str, int]:
-    """A PGM raster and the slide id and level of its JSON sidecar, which must hold a str
-    ``slide_id``, an int ``level`` and the ``kind`` given: ``mask`` or ``probability``."""
+def read_pgm_sidecar(path: str | Path, kind: str, pixels: bool = True) -> tuple:
+    """A PGM raster, or without ``pixels`` its checked (h, w), and the slide id and level of its
+    JSON sidecar: a str ``slide_id``, an int ``level`` and the ``kind`` given."""
     path = Path(path)
-    gray = netpbm.read_p5(path)
+    gray = netpbm.read_p5(path) if pixels else netpbm.p5_shape(path)
     sidecar_path = path.with_suffix(".json")
     if not sidecar_path.exists():
         raise FormatError(f"{path}: missing sidecar {sidecar_path}")

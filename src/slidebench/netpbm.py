@@ -6,9 +6,9 @@ array's own buffer, never a bytes copy of it. ``row_writer``, the one writer,
 writes the header first and takes the rows in blocks, so a raster can be
 written while it is made; a whole array is one block. Reading
 accepts any conforming header (whitespace and ``#`` comments between
-tokens, of any length) and holds one copy of the raster: the header is
-parsed from the open file and the raster is read straight into the returned
-array.
+tokens, of any length) and holds one copy of the raster: the header and the
+payload size are checked, then the raster is read straight into the returned
+array. ``p5_shape`` makes the checks alone.
 """
 from __future__ import annotations
 
@@ -72,32 +72,40 @@ def read_p6(path: str | Path) -> np.ndarray:
     return _read_binary(path, b"P6")
 
 
-def _read_binary(path: str | Path, magic: bytes) -> np.ndarray:
-    """Parse the header, then read the raster straight into one uint8 array.
-
-    The payload length is checked against the file size before the array is
-    allocated, so a header declaring a huge raster costs nothing.
-    """
+def p5_shape(path: str | Path) -> tuple[int, int]:
+    """The (h, w) of a binary PGM file, checked as ``read_p5`` checks it; no pixel is read."""
     with open(path, "rb") as fh:
-        head = fh.read(len(magic))
-        if head != magic:
-            raise FormatError(f"{path}: expected {magic.decode()} magic, got {head!r}")
-        w, h, maxval = _read_header_ints(fh, path)
-        if w < 1 or h < 1:
-            raise FormatError(f"{path}: invalid dimensions {w}x{h}")
-        if maxval != _MAXVAL:
-            raise FormatError(f"{path}: unsupported maxval {maxval}, expected {_MAXVAL}")
-        # the byte that ended maxval, exactly one, separates the header from the raster
-        channels = _CHANNELS[magic]
-        expected = w * h * math.prod(channels)
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size != expected:
-            raise FormatError(f"{path}: raster payload is {size} bytes, expected {expected}")
-        payload = np.empty(expected, dtype=np.uint8)
+        return _checked_shape(fh, path, b"P5")
+
+
+def _read_binary(path: str | Path, magic: bytes) -> np.ndarray:
+    """Check the header and the payload size, so a huge declared raster costs nothing, then
+    read the raster straight into one uint8 array."""
+    with open(path, "rb") as fh:
+        shape = _checked_shape(fh, path, magic)
+        payload = np.empty(math.prod(shape), dtype=np.uint8)
         got = fh.readinto(payload)
-    if got != expected:
-        raise FormatError(f"{path}: raster payload is {got} bytes, expected {expected}")
-    return payload.reshape(h, w, *channels)
+    if got != payload.size:
+        raise FormatError(f"{path}: raster payload is {got} bytes, expected {payload.size}")
+    return payload.reshape(shape)
+
+
+def _checked_shape(fh: BinaryIO, path: str | Path, magic: bytes) -> tuple[int, ...]:
+    """Parse the header, leaving ``fh`` at the raster, and check the payload size on ``fstat``."""
+    head = fh.read(len(magic))
+    if head != magic:
+        raise FormatError(f"{path}: expected {magic.decode()} magic, got {head!r}")
+    w, h, maxval = _read_header_ints(fh, path)
+    if w < 1 or h < 1:
+        raise FormatError(f"{path}: invalid dimensions {w}x{h}")
+    if maxval != _MAXVAL:
+        raise FormatError(f"{path}: unsupported maxval {maxval}, expected {_MAXVAL}")
+    # the byte that ended maxval, exactly one, separates the header from the raster
+    shape = (h, w, *_CHANNELS[magic])
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size != math.prod(shape):
+        raise FormatError(f"{path}: raster payload is {size} bytes, expected {math.prod(shape)}")
+    return shape
 
 
 def _read_header_ints(fh: BinaryIO, path: str | Path) -> list[int]:

@@ -30,13 +30,15 @@ def _spread(worker: int) -> None:
         os.sched_setaffinity(0, cpus)
 
 
-def _serve(func: Callable, chunks: Sequence, worker: int, n: int, fd: int) -> NoReturn:
+def _serve(func: Callable, chunks: Sequence, worker: int, n: int, fd: int, parent: int) -> NoReturn:
     """A child's whole life: send chunks worker, worker + n, ... up to the first failure."""
     status = 1
     try:
         _spread(worker)
         with os.fdopen(fd, "wb") as pipe:
             for i in range(worker, len(chunks), n):
+                if os.getppid() != parent:  # the caller is gone, so no one reads this pipe
+                    break
                 try:
                     ok, value = True, func(chunks[i])
                 except Exception as exc:
@@ -79,6 +81,7 @@ def run_chunks(func: Callable[[Any], Any], chunks: Sequence, workers: int = 1) -
         if stream:
             stream.flush()
     pids, pipes = {}, {}  # worker -> its pid until reaped, and the read end of its pipe
+    parent = os.getpid()
     _spread(0)
     try:
         for worker in range(1, n):
@@ -86,7 +89,7 @@ def run_chunks(func: Callable[[Any], Any], chunks: Sequence, workers: int = 1) -
             pipes[worker] = os.fdopen(r, "rb")
             try:
                 if (pid := os.fork()) == 0:
-                    _serve(func, chunks, worker, n, w)
+                    _serve(func, chunks, worker, n, w, parent)
             finally:
                 os.close(w)  # only the child holds the write end, so its death reads as EOF
             pids[worker] = pid

@@ -6,7 +6,9 @@ ranks under random signs) is built by subset-sum counting, which enumerates
 the same 2^m sign assignments as the brute-force definition; counts are
 Python ints so no m overflows. The normal approximation uses the
 tie-corrected variance sum(r_i^2)/4, a lattice-aware continuity correction,
-and an Edgeworth fourth-cumulant refinement. Ranks, W, W+ and the moments
+and an Edgeworth fourth-cumulant refinement; each tail is computed as an
+upper tail, never as 1 - cdf, and is floored at 2^-m, the chance of one sign
+pattern, so no p is 0. Ranks, W, W+ and the moments
 are exact integer sums, converted to float once; no numpy is imported.
 """
 from __future__ import annotations
@@ -17,7 +19,7 @@ from itertools import groupby
 
 from .errors import MODE_APPROX, MODE_AUTO, MODE_EXACT, MODES, NoInformationError, ValidationError
 
-EXACT_LIMIT = 20
+EXACT_LIMIT = 200
 
 
 @dataclass(frozen=True)
@@ -62,23 +64,21 @@ def _doubled_ranks(abs_diffs) -> list[int]:
     return doubled
 
 
-def _exact_tails(doubled: list[int], w_plus_doubled: int) -> tuple[float, float]:
-    """(P[W+ >= w], P[W+ <= w]) under random signs, exact.
+def _exact_tail(doubled: list[int], w_plus_doubled: int) -> float:
+    """min(P[W+ >= w], P[W+ <= w]) under random signs, exact.
 
-    Builds the count of sign assignments per achievable doubled W+ value by
-    dynamic programming; equivalent to enumerating all 2^m assignments.
+    W+ and sum(doubled) - W+ have one law, so this is P[W+ <= k] with k the nearer
+    of w and sum(doubled) - w. Counts of sign assignments per achievable doubled W+
+    up to k are built by dynamic programming; equivalent to enumerating all 2^m
+    assignments.
     """
-    total = sum(doubled)
-    counts = [0] * (total + 1)
-    counts[0] = 1
+    k = min(w_plus_doubled, sum(doubled) - w_plus_doubled)
+    counts = [1] + [0] * k
     for r in doubled:
-        for s in range(total, r - 1, -1):
+        for s in range(k, r - 1, -1):
             if counts[s - r]:
                 counts[s] += counts[s - r]
-    n_patterns = 1 << len(doubled)
-    upper = sum(counts[w_plus_doubled:])
-    lower = sum(counts[: w_plus_doubled + 1])
-    return upper / n_patterns, lower / n_patterns
+    return sum(counts) / (1 << len(doubled))
 
 
 def _approx_tails(doubled: list[int], w_plus_doubled: int) -> tuple[float, float]:
@@ -95,15 +95,15 @@ def _approx_tails(doubled: list[int], w_plus_doubled: int) -> tuple[float, float
     sigma = math.sqrt(var)
     gamma2 = -(float(sum(r**4 for r in doubled)) / 8.0) / (var * var)
     half_step = math.gcd(*doubled, 0) / 2.0
+    floor = 0.5 ** len(doubled)  # one sign pattern: no exact tail is smaller
 
-    def cdf(x: float) -> float:
-        z = (x - mu) / sigma
+    def tail(z: float) -> float:  # P[Z >= z], refined; never 1 - cdf, which loses it to 0
         phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        value = 0.5 * math.erfc(-z / math.sqrt(2.0)) - gamma2 / 24.0 * (z**3 - 3.0 * z) * phi
-        return min(1.0, max(0.0, value))
+        value = 0.5 * math.erfc(z / math.sqrt(2.0)) + gamma2 / 24.0 * (z**3 - 3.0 * z) * phi
+        return min(1.0, max(floor, value))
 
-    upper = 1.0 - cdf(w_plus_doubled - half_step)
-    lower = cdf(w_plus_doubled + half_step)
+    upper = tail((w_plus_doubled - half_step - mu) / sigma)
+    lower = tail((mu - w_plus_doubled - half_step) / sigma)
     return upper, lower
 
 
@@ -111,8 +111,8 @@ def wilcoxon_signed_rank(sample: PairedSample, mode: str = MODE_AUTO) -> SignedR
     """Two-sided signed-rank test of paired values.
 
     Zero differences are discarded (their count is reported). ``auto``
-    enumerates exactly up to m = 20 pairs and switches to the normal
-    approximation beyond.
+    enumerates exactly up to ``EXACT_LIMIT`` (200) pairs, well past a 50-slide challenge,
+    and switches to the normal approximation beyond.
     """
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}")
@@ -131,10 +131,10 @@ def wilcoxon_signed_rank(sample: PairedSample, mode: str = MODE_AUTO) -> SignedR
 
     exact = mode == MODE_EXACT or (mode == MODE_AUTO and m <= EXACT_LIMIT)
     if exact:
-        upper, lower = _exact_tails(doubled, w_plus_doubled)
+        tail = _exact_tail(doubled, w_plus_doubled)
         used = MODE_EXACT
     else:
-        upper, lower = _approx_tails(doubled, w_plus_doubled)
+        tail = min(_approx_tails(doubled, w_plus_doubled))
         used = MODE_APPROX
-    p = min(1.0, 2.0 * min(upper, lower))
+    p = min(1.0, 2.0 * tail)
     return SignedRankResult(w_doubled / 2.0, p, m, zeros_discarded, used)

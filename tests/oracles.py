@@ -28,13 +28,16 @@ package's earlier way of scoring a coarser prediction: it builds the
 upsampled copy whose counts the banded scoring must equal.
 ``doubled_ranks_reference`` and ``wilcoxon_signed_rank_reference`` are the
 package's earlier numpy signed-rank test, with ranks from ``np.unique`` and
-float64 ``np.sum`` moments; they are kept unchanged so the pure-Python test
-can be checked against them bit for bit.
+float64 ``np.sum`` moments; they are kept so the pure-Python test can be
+checked against them bit for bit. Their one change follows the package's: each
+approximate tail is taken directly as an upper tail, never as ``1 - cdf``, and
+floored at 2^-m, the chance of one sign pattern.
 
 The helpers at the end make inputs for, compare or measure package objects
 in the tests: pyramid and annotation equality, exact tile-window counts,
 rasters whose tissue test turns on luma's rounding ties, the traced
-allocation peak of a call, the peak RSS of a child process, a batch's mean
+allocation peak of a call, ``run_child``, which runs a child process that
+imports the package under test, the peak RSS of such a child, a batch's mean
 loss, ``gradient_check``, which differentiates the package's own loss
 numerically to check its analytic gradient, ``coteach_step``, which takes the
 package's co-teaching step on one ``PixelBatch``, and ``write_p5`` and
@@ -43,12 +46,14 @@ package's co-teaching step on one ``PixelBatch``, and ``write_p5`` and
 from __future__ import annotations
 
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
 import zlib
 from fractions import Fraction
 from itertools import groupby
+from pathlib import Path
 
 import numpy as np
 import scipy.stats
@@ -77,6 +82,8 @@ from slidebench.tiling import (
     label_threeclass,
     label_threshold75,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def raster_oracle(polygons, width: int, height: int, scale: float = 1.0) -> np.ndarray:
@@ -410,14 +417,14 @@ def _approx_tails_reference(doubled: np.ndarray, w_plus_doubled: int) -> tuple[f
     gamma2 = -(float(np.sum(doubled.astype(np.float64) ** 4)) / 8.0) / (var * var)
     half_step = math.gcd(*(int(r) for r in doubled), 0) / 2.0
 
-    def cdf(x: float) -> float:
+    def upper_tail(x: float) -> float:
         z = (x - mu) / sigma
         phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        value = 0.5 * math.erfc(-z / math.sqrt(2.0)) - gamma2 / 24.0 * (z**3 - 3.0 * z) * phi
-        return min(1.0, max(0.0, value))
+        value = 0.5 * math.erfc(z / math.sqrt(2.0)) + gamma2 / 24.0 * (z**3 - 3.0 * z) * phi
+        return min(1.0, max(0.5 ** len(doubled), value))
 
-    upper = 1.0 - cdf(w_plus_doubled - half_step)
-    lower = cdf(w_plus_doubled + half_step)
+    upper = upper_tail(w_plus_doubled - half_step)
+    lower = upper_tail(2 * mu - w_plus_doubled - half_step)  # W+ mirrored about its mean
     return upper, lower
 
 
@@ -632,11 +639,19 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
+def run_child(argv: list[str], env: dict | None = None, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``argv`` with ``env`` (this process's by default) and the package under test first
+    on ``PYTHONPATH``; its output is captured as text unless ``kwargs``, which go to
+    ``subprocess.run``, say otherwise."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(argv, env=env, **{"capture_output": True, "text": True, **kwargs})
+
+
 def child_peak_rss(argv: list[str], env: dict | None = None) -> int:
     """Peak RSS in bytes of the process ``argv`` starts, run as the only child of a fresh
     wrapper interpreter, so no earlier child of the caller's counts."""
-    proc = subprocess.run([sys.executable, "-c", _CHILD_PEAK_PROBE, *argv], env=env,
-                          capture_output=True, text=True, check=True)
+    proc = run_child([sys.executable, "-c", _CHILD_PEAK_PROBE, *argv], env, check=True)
     return int(proc.stdout.split()[-1]) * 1024  # Linux reports ru_maxrss in KiB
 
 

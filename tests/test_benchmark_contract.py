@@ -11,13 +11,13 @@ registration of ``import slidebench`` provides. It only reads ``perfbench/``.
 """
 import importlib.util
 import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import slidebench
+from oracles import run_child
 from slidebench import masks
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -51,13 +51,10 @@ def test_tiny_workload_passes_under_the_tracer(tmp_path, name):
 
 def test_traced_cli_child_records_inner_spans(tmp_path, challenge_dir):
     tr = tracer.Tracer(tmp_path / "spans")
-    env = dict(os.environ, **tr.child_env())
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PERFBENCH.parent / "src"),
-                                                      env.get("PYTHONPATH")]))
     slide = challenge_dir / "slides" / "slide_000" / "manifest.json"
-    proc = subprocess.run([sys.executable, str(PERFBENCH / "clishim.py"), "tissue", "--slide",
-                           str(slide), "--method", "otsu", "--out", str(tmp_path / "t.pgm")],
-                          env=env, capture_output=True, text=True)
+    proc = run_child([sys.executable, str(PERFBENCH / "clishim.py"), "tissue", "--slide",
+                      str(slide), "--method", "otsu", "--out", str(tmp_path / "t.pgm")],
+                     dict(os.environ, **tr.child_env()))
     assert proc.returncode == 0, proc.stderr
     tr.collect()
     assert {"masks.tissue_mask.otsu", "netpbm.read_p6"} <= {s["name"] for s in tr.spans}

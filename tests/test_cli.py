@@ -9,30 +9,34 @@ import re
 import resource
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import extract_tiles_reference, write_p6
-from slidebench import coteach
+from oracles import child_peak_rss, extract_tiles_reference, run_child, write_p6
+from slidebench import coteach, netpbm
 from slidebench import (
     ConfusionCounts,
     ProbabilityMap,
     SlideScore,
     TeamReport,
     build_pyramid,
+    evaluate_team,
     read_manifest,
     read_mask,
     read_pyramid,
     read_report,
+    read_subtypes,
     read_truth_table,
     score_slide,
     write_mask,
     write_probability_map,
     write_pyramid,
     write_report,
+    write_scores_csv,
 )
 from slidebench.cli import build_parser, main
 from slidebench.masks import METHOD_GRAY200, BinaryMask
@@ -42,17 +46,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(args: list[str], fork_log: Path | None = None, **kwargs) -> subprocess.CompletedProcess:
-    """Run a command with the package under test importable; ``kwargs`` go to subprocess.run.
-
-    With ``fork_log``, each Python process it starts appends a line there per fork.
-    """
+    """``run_child``; with ``fork_log``, each Python process it starts appends a line there
+    per fork."""
     env = dict(os.environ)
-    paths = [str(ROOT / "src"), env.get("PYTHONPATH")]
     if fork_log:
-        paths.insert(0, str(ROOT / "tests" / "fork_probe"))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "tests" / "fork_probe"),
+                                                          env.get("PYTHONPATH")]))
         env["SLIDEBENCH_TEST_FORK_LOG"] = str(fork_log)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
-    return subprocess.run(args, capture_output=True, text=True, env=env, **kwargs)
+    return run_child(args, env, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -252,15 +253,13 @@ def test_leaderboard_text_to_stdout(report_dir, capsys):
 
 def test_leaderboard_stdout_is_utf8_in_an_ascii_locale(report_dir, tmp_path):
     # Python's UTF-8 mode and locale coercion off: stdout's own encoding is ASCII
-    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                       os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
     args = [sys.executable, "-m", "slidebench", "leaderboard", "--reports", str(report_dir),
             "--format", "text"]
     board = tmp_path / "board.txt"
-    written = subprocess.run([*args, "--out", str(board)], capture_output=True, env=env)
+    written = run_child([*args, "--out", str(board)], env, text=False)
     assert written.returncode == 0, written.stderr
-    proc = subprocess.run(args, capture_output=True, env=env)
+    proc = run_child(args, env, text=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == b""
     assert "±".encode() in proc.stdout
@@ -269,17 +268,15 @@ def test_leaderboard_stdout_is_utf8_in_an_ascii_locale(report_dir, tmp_path):
 
 def test_subtypes_csv_is_read_as_utf8_in_an_ascii_locale(tmp_path):
     # as above: without UTF-8 mode, open() would decode with the C locale's ASCII
-    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                       os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
     for kind in ("truth", "pred"):
         (tmp_path / kind).mkdir()
         write_mask(BinaryMask("slidé_9", 0, np.eye(4, dtype=bool)), tmp_path / kind / "s.pgm")
     (tmp_path / "subtypes.csv").write_bytes("slide_id,subtype\nslidé_9,SCC\n".encode())
-    proc = subprocess.run([sys.executable, "-m", "slidebench", "eval", "--truth",
-                           str(tmp_path / "truth"), "--pred", str(tmp_path / "pred"), "--team", "t",
-                           "--subtypes", str(tmp_path / "subtypes.csv"),
-                           "--out", str(tmp_path / "r.json")], capture_output=True, env=env)
+    proc = run_child([sys.executable, "-m", "slidebench", "eval", "--truth",
+                      str(tmp_path / "truth"), "--pred", str(tmp_path / "pred"), "--team", "t",
+                      "--subtypes", str(tmp_path / "subtypes.csv"),
+                      "--out", str(tmp_path / "r.json")], env, text=False)
     assert proc.returncode == 0, proc.stderr
     scores = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["scores"]
     assert [(s["slide_id"], s["subtype"]) for s in scores] == [("slidé_9", "SCC")]
@@ -421,6 +418,123 @@ def test_eval_error_in_pool_worker_is_one_line(tmp_path):
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("slidebench: error:")
     assert "finer than ground truth" in lines[0]
+
+
+def _eval_tree(root: Path, slides: int, side: int) -> list[str]:
+    """``eval`` args of a team scored on ``slides`` random ``side``-square slides."""
+    rng = np.random.default_rng(slides)
+    for kind in ("truth", "pred"):
+        (root / kind).mkdir(parents=True)
+        for k in range(slides):
+            write_mask(BinaryMask(f"slide_{k:03d}", 0, rng.random((side, side)) < 0.3),
+                       root / kind / f"slide_{k:03d}.pgm")
+    return ["eval", "--truth", str(root / "truth"), "--pred", str(root / "pred"), "--team", "t",
+            "--out", str(root / "r.json")]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_eval_peak_does_not_grow_with_the_slide_count(tmp_path, workers):
+    # each process holds one truth and prediction pair at a time; 10 more pairs are 20 MiB
+    peaks = [child_peak_rss([sys.executable, "-m", "slidebench",
+                             *_eval_tree(tmp_path / str(n), n, 1024), "--workers", workers])
+             for n in (2, 12)]
+    assert peaks[1] - peaks[0] <= 3 << 20, peaks
+
+
+def test_eval_equals_in_memory_evaluate_team_at_1_and_2_workers(cli_tree, tmp_path):
+    def masks_of(directory):
+        return {m.slide_id: m for m in map(read_mask, sorted(directory.glob("*.pgm")))}
+
+    pred = cli_tree / "predictions" / "flip5"
+    report = evaluate_team("flip5", masks_of(cli_tree / "truth"), masks_of(pred),
+                           read_subtypes(cli_tree / "subtypes.csv"))
+    write_report(report, tmp_path / "memory.json")
+    write_scores_csv(report, tmp_path / "memory.csv")
+    for workers in ("1", "2"):
+        assert main(["eval", "--truth", str(cli_tree / "truth"), "--pred", str(pred),
+                     "--team", "flip5", "--subtypes", str(cli_tree / "subtypes.csv"),
+                     "--workers", workers, "--out", str(tmp_path / f"w{workers}.json"),
+                     "--csv", str(tmp_path / f"w{workers}.csv")]) == 0
+        for suffix in (".json", ".csv"):
+            written = (tmp_path / f"w{workers}").with_suffix(suffix).read_bytes()
+            assert written == (tmp_path / "memory").with_suffix(suffix).read_bytes()
+
+
+def test_eval_reads_each_mask_payload_once(tmp_path, monkeypatch):
+    reads, read_binary = [], netpbm._read_binary
+
+    def counted(path, magic):
+        reads.append(str(path))
+        return read_binary(path, magic)
+
+    monkeypatch.setattr(netpbm, "_read_binary", counted)
+    assert main(_eval_tree(tmp_path, 3, 16)) == 0
+    assert sorted(reads) == sorted(map(str, tmp_path.glob("*/*.pgm")))
+
+
+def test_eval_of_a_bad_truth_and_a_bad_prediction_names_the_truth(tmp_path, capsys):
+    args = _eval_tree(tmp_path, 2, 16)
+    _truncate(tmp_path / "truth" / "slide_001.pgm")
+    _truncate(tmp_path / "pred" / "slide_000.pgm")
+    assert main(args) == 1
+    assert capsys.readouterr().err == (f"slidebench: error: {tmp_path}/truth/slide_001.pgm: "
+                                       "raster payload is 251 bytes, expected 256\n")
+
+
+# starts a pooled synth, waits for its first slide, sends it the signal argv[2] names, and
+# prints its exit code, its stderr lines and how many of its workers remain 1 s after it ends
+_STOP_A_POOLED_RUN = """
+import json, os, signal, subprocess, sys, time
+out, signum = sys.argv[1], getattr(signal, sys.argv[2])
+run = subprocess.Popen([sys.executable, "-m", "slidebench", "synth", "--out", out,
+                        "--slides", "64", "--size", "1024", "--levels", "1", "--workers", "2"],
+                       stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+while not os.path.exists(os.path.join(out, "truth", "slide_000.pgm")) and run.poll() is None:
+    time.sleep(0.005)
+with open(f"/proc/{run.pid}/task/{run.pid}/children") as fh:
+    workers = fh.read().split()
+run.send_signal(signum)
+err = run.communicate()[1]
+time.sleep(1)
+
+def running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+print(json.dumps([run.returncode, err.splitlines(), len(workers),
+                  sum(map(running, workers))]))
+"""
+
+
+@pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+                    reason="needs /proc/<pid>/task/<tid>/children")
+@pytest.mark.parametrize("signame, code, lines", [
+    ("SIGINT", 130, ["slidebench: error: interrupted"]),
+    ("SIGTERM", 143, ["slidebench: error: terminated"]),
+    ("SIGKILL", -9, []),  # its worker stops at the end of its chunk
+])
+def test_a_stopped_pooled_run_prints_one_line_and_leaves_no_worker(tmp_path, signame, code,
+                                                                   lines):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a pool needs 2 CPUs")
+    proc = run_child([sys.executable, "-c", _STOP_A_POOLED_RUN, str(tmp_path / "c"), signame],
+                     timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [code, lines, 1, 0]
+
+
+def test_main_runs_off_the_main_thread(tmp_path, capsys):
+    # only the main thread may set the SIGTERM handler; another thread runs without it
+    codes = []
+    thread = threading.Thread(target=lambda: codes.append(main(["leaderboard", "--reports",
+                                                                str(tmp_path)])))
+    thread.start()
+    thread.join()
+    assert codes == [1]
+    assert capsys.readouterr().err == "slidebench: error: no report files found\n"
 
 
 def _string_mask_level(tmp_path):
@@ -835,6 +949,8 @@ MALFORMED_INPUTS = {
         p.with_suffix(".json"), '{"slide_id": "s", "level": 0, "role": "Nobody"}')),
     "sidecar_bad_kind": _mask_case(lambda p: _write(
         p.with_suffix(".json"), '{"slide_id": "s", "level": 0, "kind": "Nobody"}')),
+    "sidecar_negative_level": _mask_case(lambda p: _write(
+        p.with_suffix(".json"), '{"slide_id": "s", "level": -1, "kind": "mask"}')),
     "probability_sidecar_of_a_mask": _ensemble_mean_of_mask,
     "refine_gt_of_a_probability_map": _refine_of_a_probability_map,
     "eval_pred_of_a_probability_map": _eval_of_a_probability_map,
@@ -970,6 +1086,7 @@ ERROR_LINES = {
     "sidecar_not_object": "{tmp}/m.json: mask sidecar is not a JSON object",
     "sidecar_bad_role": "{tmp}/m.json: mask sidecar missing field 'kind'",
     "sidecar_bad_kind": "{tmp}/m.json: mask sidecar field 'kind' is 'Nobody', expected 'mask'",
+    "sidecar_negative_level": "{tmp}/m.pgm: mask for s: negative level -1",
     "probability_sidecar_of_a_mask": (
         "{tmp}/m.json: probability sidecar field 'kind' is 'mask', expected 'probability'"),
     "refine_gt_of_a_probability_map": (
@@ -1040,6 +1157,20 @@ def test_malformed_input_is_one_line(tmp_path, case):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0] == "slidebench: error: " + ERROR_LINES[case].replace("{tmp}", str(tmp_path))
+
+
+@pytest.mark.parametrize("side", ["truth", "pred"])
+@pytest.mark.parametrize("case", [c for c in MALFORMED_INPUTS if c.startswith(("pgm_", "sidecar_"))])
+def test_eval_checks_a_mask_up_front_as_refine_reads_it(tmp_path, capsys, case, side):
+    MALFORMED_INPUTS[case](tmp_path)  # leaves the malformed tmp_path/m.pgm that refine reads
+    good = tmp_path / "good"
+    good.mkdir()
+    write_mask(BinaryMask("s", 0, np.zeros((16, 16), dtype=bool)), good / "m.pgm")
+    truth, pred = (tmp_path, good) if side == "truth" else (good, tmp_path)
+    assert main(["eval", "--truth", str(truth), "--pred", str(pred), "--team", "t",
+                 "--out", str(good / "r.json")]) == 1
+    line = ERROR_LINES[case].replace("{tmp}", str(tmp_path))
+    assert capsys.readouterr().err == f"slidebench: error: {line}\n"
 
 
 @pytest.mark.parametrize("case", ["0", "-3", "bad_config"])

@@ -1,6 +1,5 @@
 import hashlib
 import os
-import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -18,6 +17,7 @@ from oracles import (
     loss_reference,
     select_reference,
     sigmoid_reference,
+    run_child,
     step_reference,
 )
 from slidebench import CoteachConfig, PixelBatch, pixel_features, train, train_single
@@ -434,12 +434,10 @@ def test_step_matches_reference_bit_for_bit_on_other_simd_dispatches(disabled, o
     # the sigmoid's np.minimum and np.putmask keep NaN signs and zeros on every SIMD path
     if not __cpu_features__.get(off):
         pytest.skip(f"this CPU has no {off} code path to disable")
-    tests = Path(__file__).resolve().parent
-    paths = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    paths = [str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled,
            "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    proc = subprocess.run([sys.executable, "-c", _REFERENCE_CHECKS, off], capture_output=True,
-                          text=True, env=env)
+    proc = run_child([sys.executable, "-c", _REFERENCE_CHECKS, off], env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
 

@@ -18,7 +18,6 @@ import json
 import os
 import random
 import resource
-import subprocess
 import sys
 import traceback
 from pathlib import Path
@@ -28,7 +27,6 @@ import numpy as np
 from slidebench import ProbabilityMap, write_probability_map
 from slidebench.cli import main
 
-ROOT = Path(__file__).resolve().parents[1]
 RUNS_PER_CASE = 250
 HEADROOM = 1 << 29  # bytes of address space a run may add to what the imports mapped
 # bytes that make or break numbers and JSON, XML and CSV syntax
@@ -144,10 +142,9 @@ def fuzz(root: Path) -> dict:
 
 
 def test_mutated_inputs_give_exit_1_and_one_error_line(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, __file__, str(tmp_path)], capture_output=True,
-                          text=True, env=env, timeout=120)
+    from oracles import run_child
+
+    proc = run_child([sys.executable, __file__, str(tmp_path)], timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["escapes"] == []

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import run_child
 from slidebench.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -33,10 +34,7 @@ print(json.dumps([code, sorted(n for n, m in sys.modules.items()
 
 
 def _python(code: str, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                          env=env)
+    proc = run_child([sys.executable, "-c", code, *args])
     assert proc.returncode == 0, proc.stderr
     return proc
 

@@ -1,9 +1,7 @@
 import json
 import os
-import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +11,7 @@ from oracles import (
     luma_reference,
     otsu_oracle,
     raster_oracle,
+    run_child,
     tie_slide,
     tissue_mask_reference,
     traced_peak,
@@ -112,11 +111,8 @@ print(digest.hexdigest(), __cpu_features__["X86_V4"])
 def _every_colour_digest(**env) -> tuple[str, bool, str]:
     """The digest above from a child with ``env`` added, its X86_V4 flag, and its stderr:
     with ``OPENBLAS_VERBOSE=2``, OpenBLAS names there the kernel it picked."""
-    env = {**os.environ, "OPENBLAS_VERBOSE": "2", **env}
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _EVERY_COLOUR_DIGEST], capture_output=True,
-                          text=True, env=env)
+    proc = run_child([sys.executable, "-c", _EVERY_COLOUR_DIGEST],
+                     {**os.environ, "OPENBLAS_VERBOSE": "2", **env})
     assert proc.returncode == 0, proc.stderr
     digest, avx512 = proc.stdout.split()
     return digest, avx512 == "True", proc.stderr

@@ -7,22 +7,19 @@ import sys
 import threading
 import time
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import run_child
+from slidebench import parallel
 from slidebench.errors import SlidebenchError, ValidationError
 from slidebench.parallel import run_chunks
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _python(code: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports the package under test."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    return run_child([sys.executable, "-c", code], timeout=60)
 
 
 def _square(x):
@@ -166,6 +163,17 @@ def test_killed_worker_raises_instead_of_hanging():
     assert time.monotonic() - start < 10
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("SlidebenchError: a pool worker died")
+
+
+def test_a_worker_whose_caller_is_gone_runs_no_further_chunk():
+    # a worker checks, before each chunk, that the process that forked it is still its parent
+    r, w = os.pipe()
+    if (pid := os.fork()) == 0:
+        parallel._serve(_square, [0, 1, 2], 0, 1, w, os.getppid() + 1)
+    os.close(w)
+    with os.fdopen(r, "rb") as pipe:
+        assert pipe.read() == b""  # no chunk's result
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
 
 
 def test_serial_and_forked_agree(four_cpus):

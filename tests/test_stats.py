@@ -127,6 +127,21 @@ def test_p_in_unit_interval(rng):
         assert 0.0 < p <= 1.0
 
 
+@pytest.mark.parametrize("m", [*range(1, 61), 100, 200, 300])
+def test_p_is_never_0_in_any_mode(m):
+    # far in the tail, 1 - cdf of the refined normal was 0.0; no sign pattern has chance 0
+    rng = np.random.default_rng(m)
+    one_negative = np.arange(1.0, m + 1)
+    one_negative[rng.integers(m)] *= -1
+    samples = {"all-positive": np.arange(1.0, m + 1), "one-negative": one_negative,
+               "tie-heavy": rng.integers(1, 4, m) * rng.choice([-1.0, 1.0], m),
+               "random": rng.normal(0.3, 1.0, m)}
+    for kind, d in samples.items():
+        for mode in (MODE_EXACT, MODE_APPROX, MODE_AUTO):
+            p = wilcoxon_signed_rank(_sample(d, np.zeros(m)), mode).p_two_sided
+            assert 0.0 < p <= 1.0, (kind, mode, p)
+
+
 def test_approx_close_to_exact_at_m12(rng):
     for _ in range(30):
         s = _random_sample(rng, 12)
@@ -137,8 +152,8 @@ def test_approx_close_to_exact_at_m12(rng):
 
 
 def test_auto_mode_switches_at_limit(rng):
-    small = _random_sample(rng, 20)
-    big = _random_sample(rng, 21)
+    small = _random_sample(rng, 200)
+    big = _random_sample(rng, 201)
     assert wilcoxon_signed_rank(small, mode=MODE_AUTO).mode == MODE_EXACT
     assert wilcoxon_signed_rank(big, mode=MODE_AUTO).mode == MODE_APPROX
 
